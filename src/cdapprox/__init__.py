@@ -9,7 +9,7 @@ the degree, which the ``support`` and ``metrics`` modules check empirically.
 
 __version__ = "0.1.0"
 
-from .approximant import Approximant, ApproxConfig, derivative_bound, partial_argmin
+from .approximant import Approximant, ApproxConfig, partial_argmin
 from .basis import BasisSpec, Family, basis_size, enumerate_indices, eval_basis
 from .benchmarks import BENCHMARKS, GraphFunction, get_benchmark
 from .cdkernel import (
@@ -65,7 +65,6 @@ __all__ = [
     "basis_size",
     "beta_schedule",
     "bv_rate_bound",
-    "derivative_bound",
     "distance_bound",
     "empirical_moment_matrix",
     "enumerate_indices",

@@ -143,16 +143,17 @@ def _power_table(t: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def axis_table(spec: BasisSpec, k: int, t: np.ndarray) -> np.ndarray:
+    """Values of axis k's univariate family up to degree d at the points t."""
+    if spec.family is Family.LEGENDRE_ORTHONORMAL:
+        lo, hi = spec.domain[k]
+        return _legendre_table(t, spec.d, lo, hi)
+    return _power_table(t, spec.d)
+
+
 def axis_tables(spec: BasisSpec, Z: np.ndarray) -> list:
     """Per-axis univariate basis tables for a batch of points Z of shape (n, p')."""
-    tabs = []
-    for k in range(Z.shape[1]):
-        lo, hi = spec.domain[k]
-        if spec.family is Family.LEGENDRE_ORTHONORMAL:
-            tabs.append(_legendre_table(Z[:, k], spec.d, lo, hi))
-        else:
-            tabs.append(_power_table(Z[:, k], spec.d))
-    return tabs
+    return [axis_table(spec, k, Z[:, k]) for k in range(Z.shape[1])]
 
 
 def eval_basis_batch(spec: BasisSpec, Z: np.ndarray) -> np.ndarray:

@@ -1,20 +1,52 @@
 """Fiber minimization and the graph approximant."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre
+from numpy.polynomial import polynomial as npoly
 
-from cdapprox.approximant import (
-    ApproxConfig,
-    Approximant,
-    derivative_bound,
-    partial_argmin,
-)
+from cdapprox.approximant import _CHUNK, ApproxConfig, Approximant, partial_argmin
 from cdapprox.basis import BasisSpec, Family
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import CDKernel
 from cdapprox.moments import reference_moment_matrix
+
+
+def legendre_rows(polys):
+    # monomial coefficient rows -> rows in the orthonormal Legendre basis of [-1, 1]
+    polys = [np.atleast_1d(np.asarray(h, dtype=float)) for h in polys]
+    k = max(len(h) for h in polys)
+    out = np.zeros((len(polys), k))
+    for i, h in enumerate(polys):
+        leg = legendre.poly2leg(h)  # drops trailing zeros
+        out[i, : len(leg)] = leg
+    return out / np.sqrt(np.arange(k) + 0.5)
+
+
+def sos_value(rows, y, interval=(-1.0, 1.0)):
+    # q(y) = sum_i (rows_i . L(y))^2, L orthonormal Legendre on the interval
+    lo, hi = interval
+    y = np.asarray(y, dtype=float)
+    u = (2.0 * y - (lo + hi)) / (hi - lo)
+    L = legendre.legvander(u, rows.shape[1] - 1) * np.sqrt((2.0 * np.arange(rows.shape[1]) + 1.0) / (hi - lo))
+    return np.sum((L @ rows.T) ** 2, axis=-1).reshape(y.shape)
+
+
+def sos_rows(c):
+    # rows whose squares sum to the monomial polynomial c, which is >= 0 on R:
+    # c = |h|^2 with h = sqrt(lead) * prod (y - z) over the upper-half-plane roots z
+    c = np.asarray(c, dtype=float)
+    roots = np.roots(c[::-1])
+    roots = roots[np.argsort(-roots.imag, kind="stable")][: len(roots) // 2]
+    h = np.sqrt(c[-1]) * np.poly(roots)[::-1]
+    rows = legendre_rows([h.real, h.imag])
+    ys = np.linspace(-1, 1, 101)
+    np.testing.assert_allclose(sos_value(rows, ys), npoly.polyval(ys, c), rtol=1e-12, atol=1e-12)
+    return rows
 
 
 def sign_argmin_coeffs(x):
@@ -27,34 +59,26 @@ def abs_argmin_coeffs(x):
     return np.array([11.0, -12.0 * x**4, -6.0 * x**2, 4.0 * x**2, 3.0])
 
 
-def brute_argmin(c, interval, n=100_001):
-    ys = np.linspace(interval[0], interval[1], n)
-    qs = np.polynomial.polynomial.polyval(ys, c)
-    return float(ys[int(np.argmin(qs))])
-
-
 def test_partial_argmin_recovers_sign():
     # near the flat boundary minimum the argmin is conditioned like
     # sqrt(eps |q| / q''), so 1e-6 is all double precision supports
     for x in (-0.9, -0.5, -0.01, 0.01, 0.5, 0.9):
-        y, q = partial_argmin(sign_argmin_coeffs(x), (-1.0, 1.0))
+        y, q = partial_argmin(sos_rows(sign_argmin_coeffs(x)), (-1.0, 1.0))
         assert y == pytest.approx(np.sign(x), abs=1e-6)
-        assert q == pytest.approx(
-            np.polynomial.polynomial.polyval(y, sign_argmin_coeffs(x)), rel=1e-12
-        )
+        assert q == pytest.approx(npoly.polyval(y, sign_argmin_coeffs(x)), rel=1e-12)
 
 
 def test_partial_argmin_recovers_abs():
     for x in (-0.8, -0.3, 0.2, 0.7, 1.0):
-        y, _ = partial_argmin(abs_argmin_coeffs(x), (-1.0, 1.0))
+        y, _ = partial_argmin(sos_rows(abs_argmin_coeffs(x)), (-1.0, 1.0))
         assert y == pytest.approx(abs(x), abs=1e-6)
 
 
 def test_symmetric_fiber_ties_to_smaller_minimizer():
     # the x = 0 fiber of the sign quartic has argmin {-1, +1}
-    y, _ = partial_argmin(sign_argmin_coeffs(0.0), (-1.0, 1.0))
+    y, _ = partial_argmin(sos_rows(sign_argmin_coeffs(0.0)), (-1.0, 1.0))
     assert y == pytest.approx(-1.0, abs=1e-6)
-    y, _ = partial_argmin(np.array([0.0625, 0.0, -0.5, 0.0, 1.0]), (-1.0, 1.0))
+    y, _ = partial_argmin(legendre_rows([[-0.25, 0.0, 1.0]])[0], (-1.0, 1.0))
     assert y == pytest.approx(-0.5, abs=1e-6)  # (y^2 - 1/4)^2, leftmost of +-1/2
 
 
@@ -65,23 +89,27 @@ def test_symmetric_fiber_ties_to_smaller_minimizer():
 )
 @settings(max_examples=60)
 def test_quadratic_argmin(c1, c2, shift):
-    y, q = partial_argmin(np.array([shift, c1, c2]), (-1.0, 1.0))
+    # q = c2 y^2 + c1 y + c1^2 / (4 c2) + shift^2
+    rows = legendre_rows([[c1 / (2.0 * np.sqrt(c2)), np.sqrt(c2)], [shift]])
+    y, q = partial_argmin(rows, (-1.0, 1.0))
     expected = float(np.clip(-c1 / (2.0 * c2), -1.0, 1.0))
     assert y == pytest.approx(expected, abs=1e-6)
-    assert q <= np.polynomial.polynomial.polyval(expected, [shift, c1, c2]) + 1e-12
+    assert q <= sos_value(rows, expected) + 1e-12
 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_value_within_epsilon_of_brute_minimum(data):
-    deg = data.draw(st.integers(min_value=2, max_value=8))
-    c = np.array(
-        [data.draw(st.floats(min_value=-10, max_value=10)) for _ in range(deg + 1)]
+    # q = sum of 1-3 squares of random polynomials, of degree 2 to 8
+    deg = data.draw(st.integers(min_value=1, max_value=4))
+    n_rows = data.draw(st.integers(min_value=1, max_value=3))
+    rows = legendre_rows(
+        [[data.draw(st.floats(min_value=-10, max_value=10)) for _ in range(deg + 1)] for _ in range(n_rows)]
     )
     eps = data.draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
-    _, q = partial_argmin(c, (-1.0, 1.0), epsilon=eps)
+    _, q = partial_argmin(rows, (-1.0, 1.0), epsilon=eps)
     ys = np.linspace(-1, 1, 200_001)
-    true_min = float(np.polynomial.polynomial.polyval(ys, c).min())
+    true_min = float(sos_value(rows, ys).min())
     assert q <= true_min + eps + 1e-12 * max(1.0, abs(true_min))
 
 
@@ -91,11 +119,12 @@ def test_robust_window_widens_selection():
     # alpha = 0.9 every y with q(y) <= 19 * qmin is acceptable and the
     # smallest such y (left flank of the left well) is returned.
     c = np.array([0.01496, -0.001, -0.072, 0.0, 0.1])
-    y_plain, _ = partial_argmin(c, (-1.0, 1.0))
+    rows = sos_rows(c)
+    y_plain, _ = partial_argmin(rows, (-1.0, 1.0))
     assert y_plain == pytest.approx(0.6, abs=2e-2)
-    y_robust, q_robust = partial_argmin(c, (-1.0, 1.0), alpha=0.9)
+    y_robust, q_robust = partial_argmin(rows, (-1.0, 1.0), alpha=0.9)
     ys = np.linspace(-1, 1, 2_000_001)
-    qs = np.polynomial.polynomial.polyval(ys, c)
+    qs = npoly.polyval(ys, c)
     thresh = 19.0 * qs.min()
     brute_left = float(ys[qs <= thresh].min())
     assert y_robust == pytest.approx(brute_left, abs=1e-3)
@@ -107,50 +136,45 @@ def test_partial_argmin_validation():
         partial_argmin(np.array([1.0, 2.0]), (1.0, 1.0))
     with pytest.raises(ValueError):
         partial_argmin(np.array([1.0, np.nan]), (-1.0, 1.0))
+    with pytest.raises(ValueError):
+        partial_argmin(np.ones((2, 2, 3)), (-1.0, 1.0))
 
 
-def test_derivative_bound_dominates_true_derivative():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        c = rng.normal(size=rng.integers(2, 9)) * 10
-        interval = sorted(rng.uniform(-2, 2, size=2))
-        if interval[0] == interval[1]:
-            continue
-        lam = derivative_bound(c, interval)
-        ys = np.linspace(interval[0], interval[1], 2001)
-        dc = np.polynomial.polynomial.polyder(c)
-        assert lam >= np.max(np.abs(np.polynomial.polynomial.polyval(ys, dc))) - 1e-9
+def test_degenerate_fibers():
+    # zero top coefficients: q = (y - 0.2)^2 stored at degree 8, whose
+    # derivative has a vanishing leading coefficient
+    y, q = partial_argmin(legendre_rows([[-0.2, 1.0, 0.0, 0.0, 0.0]]), (-1.0, 1.0))
+    assert y == pytest.approx(0.2, abs=1e-12)
+    assert q == pytest.approx(0.0, abs=1e-15)
+    # constant and identically zero q: every y ties, so the left end wins
+    for rows, value in ((np.array([2.0, 0.0, 0.0]), 2.0), (np.zeros((3, 4)), 0.0)):
+        for alpha in (0.0, 0.5):
+            y, q = partial_argmin(rows, (-1.0, 1.0), alpha=alpha)
+            assert y == -1.0
+            assert q == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
-def test_config_validation_and_resolution(monkeypatch):
+def test_config_validation_and_resolution():
     with pytest.raises(ValueError):
         ApproxConfig(alpha=1.0)
-    with pytest.raises(ValueError):
-        ApproxConfig(coarse_points=2)
     assert ApproxConfig(epsilon=1e-4).resolve_epsilon() == 1e-4
     assert ApproxConfig(gamma=1e-2).resolve_epsilon() == 5e-3
     assert ApproxConfig().resolve_epsilon() is None
-    assert ApproxConfig(threads=3).resolve_threads() == 3
-    monkeypatch.setenv("CDAPPROX_THREADS", "5")
-    assert ApproxConfig().resolve_threads() == 5
-    monkeypatch.delenv("CDAPPROX_THREADS")
-    assert ApproxConfig().resolve_threads() == 1
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_y_coefficients_reproduce_kernel(family):
-    # the scatter/expansion route must agree with direct kernel evaluation
+    # the sum-of-squares rows must reproduce direct kernel evaluation
     M = get_benchmark("sign").moment_matrix(3, family=family)
     kern = CDKernel(M, 1e-4)
     app = Approximant(kern)
     rng = np.random.default_rng(9)
     for x in rng.uniform(-1, 1, size=5):
-        c = app.y_coefficients([x])
-        assert c.shape == (7,)
+        rows = app.y_coefficients([x])
+        assert rows.shape == (M.n, 4)
         for y in rng.uniform(-1, 1, size=5):
             direct = kern.eval_q([x, y])
-            poly = float(np.polynomial.polynomial.polyval(y, c))
-            assert poly == pytest.approx(direct, rel=1e-9, abs=1e-12)
+            assert float(sos_value(rows, y)) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
 def test_y_coefficients_reproduce_kernel_p3():
@@ -160,25 +184,48 @@ def test_y_coefficients_reproduce_kernel_p3():
     rng = np.random.default_rng(10)
     for _ in range(5):
         x = rng.uniform(-1, 1, size=2)
-        c = app.y_coefficients(x)
+        rows = app.y_coefficients(x)
         y = rng.uniform(-1, 1)
         direct = kern.eval_q([x[0], x[1], y])
-        assert float(np.polynomial.polynomial.polyval(y, c)) == pytest.approx(
-            direct, rel=1e-9, abs=1e-12
-        )
+        assert float(sos_value(rows, y)) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
-def test_evaluate_matches_batch_and_threads():
-    M = get_benchmark("sign").moment_matrix(3)
-    app1 = Approximant(CDKernel(M, 1e-6), ApproxConfig(threads=1))
-    app2 = Approximant(CDKernel(M, 1e-6), ApproxConfig(threads=2))
-    X = np.linspace(-1, 1, 9)[:, None]
-    ys1, qs1 = app1.evaluate_batch(X)
-    ys2, qs2 = app2.evaluate_batch(X)
-    np.testing.assert_array_equal(ys1, ys2)
-    np.testing.assert_array_equal(qs1, qs2)
-    y0, q0 = app1.evaluate(X[3])
-    assert ys1[3] == y0 and qs1[3] == q0
+@lru_cache(maxsize=None)
+def quad_kernel(name, d):
+    return CDKernel(get_benchmark(name).moment_matrix(d, mode="quad"), 1e-8)
+
+
+def test_evaluate_batch_is_bit_identical_per_point():
+    # evaluate, evaluate_batch at any batch size, and y_coefficients followed by
+    # partial_argmin share one routine whose per-point arithmetic ignores the batch
+    app = Approximant(quad_kernel("sign", 20))
+    X = get_benchmark("sign").grid_x(2 * _CHUNK + 6)
+    ys, qs = app.evaluate_batch(X)
+    for size in (1, 7):
+        for s in range(0, X.shape[0], size):
+            y, q = app.evaluate_batch(X[s : s + size])
+            np.testing.assert_array_equal(y, ys[s : s + size])
+            np.testing.assert_array_equal(q, qs[s : s + size])
+    for i in range(0, X.shape[0], 17):
+        assert app.evaluate(X[i]) == (ys[i], qs[i])
+        assert partial_argmin(app.y_coefficients(X[i]), (-1.0, 1.0)) == (ys[i], qs[i])
+
+
+@pytest.mark.parametrize("d", [12, 16, 20])
+@pytest.mark.parametrize("name", ["sign", "step", "abs"])
+def test_high_degree_fibers_match_spectral_brute_force(name, d):
+    # the midpoint grid of 8 keeps every x at least 0.075 away from a jump
+    kern = quad_kernel(name, d)
+    X = get_benchmark(name).grid_x(8)
+    ys, qs = Approximant(kern).evaluate_batch(X)
+    q_ref = kern.eval_q_batch(np.c_[X, ys])
+    np.testing.assert_allclose(qs, q_ref, rtol=1e-9, atol=0.0)
+    yy = np.linspace(-1.0, 1.0, 20_001)
+    for x, y, q in zip(X[:, 0], ys, qs):
+        dense = kern.eval_q_batch(np.c_[np.full(yy.size, x), yy])
+        j = int(np.argmin(dense))
+        assert q <= dense[j] * (1.0 + 1e-9)
+        assert y == pytest.approx(yy[j], abs=1e-3)
 
 
 def test_approximant_tracks_sign_function():
@@ -209,5 +256,10 @@ def test_custom_y_interval_restricts_search():
     # restricting the fiber to [0, 1] forces the positive branch at x < 0
     M = get_benchmark("sign").moment_matrix(4)
     app = Approximant(CDKernel(M, 1e-8), ApproxConfig(y_interval=(0.0, 1.0)))
-    y, _ = app.evaluate([-0.5])
+    y, q = app.evaluate([-0.5])
     assert 0.0 <= y <= 1.0
+    assert q == pytest.approx(app.kernel.eval_q([-0.5, y]), rel=1e-9)
+    # the rows live in the Legendre basis of the search interval
+    rows = app.y_coefficients([-0.5])
+    for t in (0.1, 0.5, 0.9):
+        assert float(sos_value(rows, t, (0.0, 1.0))) == pytest.approx(app.kernel.eval_q([-0.5, t]), rel=1e-9)
