@@ -121,26 +121,27 @@ def _legendre_table(t: np.ndarray, d: int, lo: float, hi: float) -> np.ndarray:
     """Values of the orthonormal Legendre family up to degree d on one axis.
 
     Row convention: out[j, k] = Ltilde_k(t[j]) with Ltilde_k orthonormal in
-    L^2([lo, hi], dt).  Uses the three-term recurrence on the mapped variable.
+    L^2([lo, hi], dt).  Uses the three-term recurrence on the mapped variable,
+    one contiguous row per degree, and transposes once at the end.
     """
     w = hi - lo
     u = (2.0 * t - (lo + hi)) / w
-    out = np.empty((t.shape[0], d + 1))
-    out[:, 0] = 1.0
+    out = np.empty((d + 1, t.shape[0]))
+    out[0] = 1.0
     if d >= 1:
-        out[:, 1] = u
+        out[1] = u
     for k in range(1, d):
-        out[:, k + 1] = ((2 * k + 1) * u * out[:, k] - k * out[:, k - 1]) / (k + 1)
-    out *= np.sqrt((2 * np.arange(d + 1) + 1) / w)
-    return out
+        out[k + 1] = ((2 * k + 1) * u * out[k] - k * out[k - 1]) / (k + 1)
+    out *= np.sqrt((2 * np.arange(d + 1) + 1) / w)[:, None]
+    return np.ascontiguousarray(out.T)
 
 
 def _power_table(t: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty((t.shape[0], d + 1))
-    out[:, 0] = 1.0
+    out = np.empty((d + 1, t.shape[0]))
+    out[0] = 1.0
     for k in range(d):
-        out[:, k + 1] = out[:, k] * t
-    return out
+        out[k + 1] = out[k] * t
+    return np.ascontiguousarray(out.T)
 
 
 def axis_table(spec: BasisSpec, k: int, t: np.ndarray) -> np.ndarray:
@@ -151,26 +152,37 @@ def axis_table(spec: BasisSpec, k: int, t: np.ndarray) -> np.ndarray:
     return _power_table(t, spec.d)
 
 
-def axis_tables(spec: BasisSpec, Z: np.ndarray) -> list:
-    """Per-axis univariate basis tables for a batch of points Z of shape (n, p')."""
-    return [axis_table(spec, k, Z[:, k]) for k in range(Z.shape[1])]
-
-
-def eval_basis_batch(spec: BasisSpec, Z: np.ndarray) -> np.ndarray:
-    """Evaluate the full basis at each row of Z; returns an (n, n_d) array."""
+def axis_tables(spec: BasisSpec, Z) -> list:
+    """Per-axis univariate basis tables for a batch of points Z of shape (n, p)."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.shape[1] != spec.p:
         raise ValueError(f"points have dimension {Z.shape[1]}, basis has p={spec.p}")
+    return [axis_table(spec, k, Z[:, k]) for k in range(spec.p)]
+
+
+def basis_product(spec: BasisSpec, tabs: list, rows=slice(None)) -> np.ndarray:
+    """Basis entries over the axes of ``tabs`` at the selected table rows.
+
+    Column i is the product over axes k < len(tabs) of tabs[k][:, a_i[k]], with
+    a_i the i-th exponent row of ``spec``; fewer tables than axes give the
+    x-part of the basis.  The result is a fresh C-contiguous array: the
+    fiber layer's row-wise matmuls are only bit-identical across batch sizes
+    on C-ordered input.
+    """
     idx = spec.indices
-    tabs = axis_tables(spec, Z)
-    out = tabs[0][:, idx[:, 0]].copy()
-    for k in range(1, spec.p):
-        out *= tabs[k][:, idx[:, k]]
+    out = np.take(tabs[0][rows], idx[:, 0], axis=1)
+    for k in range(1, len(tabs)):
+        out *= np.take(tabs[k][rows], idx[:, k], axis=1)
     return out
 
 
-def eval_basis(spec: BasisSpec, z) -> np.ndarray:
-    """Evaluate the basis vector b(z) at a single point z in R^p."""
+def eval_basis_batch(spec: BasisSpec, Z) -> np.ndarray:
+    """Evaluate the full basis at each row of Z; returns an (n, n_d) array."""
+    return basis_product(spec, axis_tables(spec, Z))
+
+
+def check_point(spec: BasisSpec, z) -> np.ndarray:
+    """Validate a single point of R^p; warns outside an orthonormal basis's box."""
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != spec.p:
         raise ValueError(f"point has dimension {z.shape[0]}, basis has p={spec.p}")
@@ -180,9 +192,14 @@ def eval_basis(spec: BasisSpec, z) -> np.ndarray:
         warnings.warn(
             "evaluating an orthonormal basis outside its domain box",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return eval_basis_batch(spec, z[None, :])[0]
+    return z
+
+
+def eval_basis(spec: BasisSpec, z) -> np.ndarray:
+    """Evaluate the basis vector b(z) at a single point z in R^p."""
+    return eval_basis_batch(spec, check_point(spec, z)[None, :])[0]
 
 
 def _affine_compose(coefs: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
@@ -245,15 +262,10 @@ def specialize_last_variable(spec: BasisSpec, coeffs, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != spec.p - 1:
         raise ValueError(f"x has dimension {x.shape[0]}, expected p-1={spec.p - 1}")
-    idx = spec.indices
-    ydeg = idx[:, -1]
     if spec.p == 1:
         xpart = np.ones(spec.size)
     else:
-        tabs = axis_tables(spec.x_spec(), x[None, :])
-        xpart = tabs[0][0, idx[:, 0]].copy()
-        for k in range(1, spec.p - 1):
-            xpart *= tabs[k][0, idx[:, k]]
+        xpart = basis_product(spec, axis_tables(spec.x_spec(), x))[0]
     grouped = np.zeros(spec.d + 1)
-    np.add.at(grouped, ydeg, coeffs * xpart)
+    np.add.at(grouped, spec.indices[:, -1], coeffs * xpart)
     return y_power_matrix(spec).T @ grouped

@@ -11,6 +11,12 @@ polynomial of the mixed measure mu + beta * mu0 whenever the basis is
 orthonormal for mu0.  Small q flags points near the support of mu; the
 ``gamma_threshold`` level separates graph from non-graph points at a rate
 controlled by the degree.
+
+``CDKernel.eval_q_batch`` evaluates q in blocks of ``_BLOCK`` points: the
+per-axis basis tables are computed once for all N points, and each block
+forms its basis rows and projects them on the sum-of-squares columns.  Memory
+is O(block * n + N * p * d) instead of O(N * n), and the result matches a
+one-shot evaluation up to rounding.
 """
 
 from __future__ import annotations
@@ -21,11 +27,12 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import eval_basis, eval_basis_batch
+from .basis import axis_tables, basis_product, check_point
 from .errors import IndefiniteMatrixError
 from .moments import MomentMatrix
 
 _CLIP_REL = 1e-8  # eigenvalues in [-clip * max, 0) count as rounding noise
+_BLOCK = 1024  # points per block in eval_q_batch; keeps a block's basis in cache
 
 
 class FilterKind(Enum):
@@ -93,14 +100,24 @@ class CDKernel:
         return self._filtered
 
     def eval_q_batch(self, Z) -> np.ndarray:
-        B = eval_basis_batch(self.spec, Z)
-        C = B @ self.eigenvectors
-        return np.einsum("ij,ij,j->i", C, C, self.filter_values)
+        """q at each row of Z, as sum_i (w_i . b(z))^2 over the rows of the SOS form.
+
+        Works through Z in blocks of ``_BLOCK`` points, so neither the (N, n)
+        basis nor its projection is ever held whole; memory is
+        O(block * n + N * p * d).  Matches the one-shot evaluation up to rounding.
+        """
+        tabs = axis_tables(self.spec, Z)
+        W = self.sos_decomposition().T
+        q = np.empty(tabs[0].shape[0])
+        for start in range(0, q.shape[0], _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            C = basis_product(self.spec, tabs, rows) @ W
+            q[rows] = np.einsum("ij,ij->i", C, C)
+        return q
 
     def eval_q(self, z) -> float:
-        b = eval_basis(self.spec, z)
-        c = self.eigenvectors.T @ b
-        return float(np.dot(c * c, self.filter_values))
+        """q at a single point z, with the point checks of ``eval_basis``."""
+        return float(self.eval_q_batch(check_point(self.spec, z)[None, :])[0])
 
     def sos_decomposition(self) -> np.ndarray:
         """Rows w_i with q(z) = sum_i (w_i . b(z))^2, ascending eigenvalue order.

@@ -1,6 +1,8 @@
 """Spectral kernel, filters, thresholds, and the perturbation bound."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from cdapprox.basis import BasisSpec, Family, eval_basis, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import (
+    _BLOCK,
     CDKernel,
     FilterKind,
     ThresholdParams,
@@ -76,6 +79,62 @@ def test_eval_q_matches_dense_solve():
     oracle = np.einsum("ij,ji->i", B, sol)
     np.testing.assert_allclose(kern.eval_q_batch(Z), oracle, rtol=1e-8)
     assert kern.eval_q(Z[0]) == pytest.approx(oracle[0], rel=1e-8)
+
+
+@pytest.mark.parametrize("kind", list(FilterKind))
+@pytest.mark.parametrize("name", ["disk1", "sign"])
+def test_blocked_eval_q_batch_matches_one_shot_spectral_form(name, kind):
+    # oracle: the whole (N, n) basis projected on the eigenvectors at once
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(8)
+    kern = CDKernel(M, beta_schedule(8), kind)
+    if kind is FilterKind.LOWPASS:
+        assert np.any(kern.filter_values == 0.0)  # zero rows in the SOS form
+    rng = np.random.default_rng(3)
+    Z = rng.uniform(-1, 1, size=(2 * _BLOCK + 3, bench.p))
+    C = eval_basis_batch(M.spec, Z) @ kern.eigenvectors
+    oracle = np.einsum("ij,ij,j->i", C, C, kern.filter_values)
+    np.testing.assert_allclose(kern.eval_q_batch(Z), oracle, rtol=1e-13)
+
+
+def test_eval_q_batch_shapes_and_validation():
+    M = get_benchmark("sign").moment_matrix(4)
+    kern = CDKernel(M, 1e-3)
+    assert kern.eval_q_batch(np.zeros((0, 2))).shape == (0,)
+    with pytest.raises(ValueError):
+        kern.eval_q_batch(np.zeros((5, 3)))
+
+
+def test_eval_q_checks_its_point():
+    M = get_benchmark("sign").moment_matrix(4)
+    kern = CDKernel(M, 1e-3)
+    z = np.array([0.3, -0.2])
+    assert kern.eval_q(z) == kern.eval_q_batch(z[None, :])[0]
+    with pytest.raises(ValueError):
+        kern.eval_q(np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError):
+        kern.eval_q(np.array([np.inf, 0.0]))
+    with pytest.warns(RuntimeWarning):
+        kern.eval_q(np.array([1.5, 0.0]))
+    mono = CDKernel(get_benchmark("sign").moment_matrix(4, family=Family.MONOMIAL_GREVLEX), 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mono.eval_q(np.array([1.5, 0.0]))
+
+
+def test_eval_q_batch_memory_stays_below_the_whole_basis():
+    # blocked evaluation never holds the (N, n) basis; no timing is asserted
+    M = get_benchmark("disk1").moment_matrix(8)
+    kern = CDKernel(M, beta_schedule(8))
+    Z = np.random.default_rng(5).uniform(-1, 1, size=(50_000, 3))
+    whole = Z.shape[0] * M.n * 8
+    tracemalloc.start()
+    try:
+        kern.eval_q_batch(Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 2
 
 
 def test_filtered_matrix_is_tikhonov_inverse():
