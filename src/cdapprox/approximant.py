@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from .basis import axis_table, eval_basis_batch, grevlex_position
+from .basis import axis_table, eval_basis_batch, grevlex_position, leggauss
 from .cdkernel import CDKernel
 
 _CHUNK = 128  # points per stacked solve; bounds the (chunk, rows, d+1) work arrays
@@ -85,7 +85,7 @@ def _fiber_maps(d: int) -> tuple:
     turns values of q at those nodes into its Legendre coefficients (exact, as
     q has degree 2d), and ``derive`` turns those into the coefficients of dq/du.
     """
-    u, w = legendre.leggauss(2 * d + 1)
+    u, w = leggauss(2 * d + 1)
     nodes = legendre.legvander(u, d).T
     project = legendre.legvander(u, 2 * d) * w[:, None] * (np.arange(2 * d + 1) + 0.5)
     derive = legendre.legder(np.eye(2 * d + 1)).T
@@ -203,7 +203,7 @@ def partial_argmin(
 
 def _change_of_basis(spec, lo: float, hi: float) -> np.ndarray:
     """R with phi_j(y) = sum_k R[j, k] L_k(y): last-axis family into the orthonormal Legendre basis of [lo, hi]."""
-    t, w = legendre.leggauss(spec.d + 1)
+    t, w = leggauss(spec.d + 1)
     y = lo + 0.5 * (t + 1.0) * (hi - lo)
     L = legendre.legvander(t, spec.d) * np.sqrt((2.0 * np.arange(spec.d + 1) + 1.0) / (hi - lo))
     return (axis_table(spec, spec.p - 1, y) * (0.5 * (hi - lo) * w)[:, None]).T @ L

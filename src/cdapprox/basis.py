@@ -54,6 +54,15 @@ def _grevlex_indices(p: int, d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def leggauss(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared by every caller (read-only)."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
 def enumerate_indices(spec: "BasisSpec") -> np.ndarray:
     """All multi-indices of the basis, one row per basis element, grevlex order."""
     return _grevlex_indices(spec.p, spec.d)
@@ -158,6 +167,9 @@ def axis_tables(spec: BasisSpec, Z) -> list:
     if Z.shape[1] != spec.p:
         raise ValueError(f"points have dimension {Z.shape[1]}, basis has p={spec.p}")
     return [axis_table(spec, k, Z[:, k]) for k in range(spec.p)]
+
+
+_BLOCK = 1024  # points per block wherever basis rows are streamed; keeps a block's rows in cache
 
 
 def basis_product(spec: BasisSpec, tabs: list, rows=slice(None)) -> np.ndarray:

@@ -27,12 +27,11 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import axis_tables, basis_product, check_point
+from .basis import _BLOCK, axis_tables, basis_product, check_point
 from .errors import IndefiniteMatrixError
 from .moments import MomentMatrix
 
 _CLIP_REL = 1e-8  # eigenvalues in [-clip * max, 0) count as rounding noise
-_BLOCK = 1024  # points per block in eval_q_batch; keeps a block's basis in cache
 
 
 class FilterKind(Enum):

@@ -10,10 +10,9 @@ range well before the bounds themselves become small.
 
 from __future__ import annotations
 
-import mpmath
 import numpy as np
 
-from .basis import _legendre_table
+from .basis import _legendre_table, leggauss
 from .cdkernel import ThresholdParams
 from .support import outside_mass_bound
 
@@ -49,7 +48,7 @@ def legendre_projection(f, degree: int, interval=(-1.0, 1.0), jumps=()) -> np.nd
     lo, hi = float(interval[0]), float(interval[1])
     cuts = [lo] + sorted(t for t in jumps if lo < t < hi) + [hi]
     nodes = max(2 * (degree + 1), 64)
-    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = leggauss(nodes)
     coeffs = np.zeros(degree + 1)
     for a, b in zip(cuts[:-1], cuts[1:]):
         t = a + 0.5 * (b - a) * (u + 1.0)
@@ -81,6 +80,8 @@ def lipschitz_rate_bound(
     if d <= 1:
         raise ValueError(f"rate bounds need degree d > 1, got {d}")
     tail = outside_mass_bound(d, params)
+    import mpmath  # loaded on first use: only the bounds need extended precision
+
     with mpmath.workdps(40):
         dd = mpmath.mpf(d)
         radius = mpmath.mpf(delta0) / (mpmath.sqrt(dd) - 1)
@@ -104,6 +105,8 @@ def bv_rate_bound(
     if d <= 1:
         raise ValueError(f"rate bounds need degree d > 1, got {d}")
     tail = outside_mass_bound(d, params)
+    import mpmath
+
     with mpmath.workdps(40):
         dd = mpmath.mpf(d)
         radius = mpmath.mpf(delta0) / (mpmath.sqrt(dd) - 1)

@@ -16,7 +16,15 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisSpec, Family, eval_basis_batch, monomial_expansion_matrix
+from .basis import (
+    _BLOCK,
+    BasisSpec,
+    Family,
+    axis_tables,
+    basis_product,
+    leggauss,
+    monomial_expansion_matrix,
+)
 from .errors import IndefiniteMatrixError, MomentFileError
 
 _FORMAT_TAG = "cdmoments"
@@ -75,21 +83,13 @@ class MomentMatrix:
 
 
 def _monomial_gram(spec: BasisSpec, moment_fn) -> np.ndarray:
+    """Hankel matrix H[i, j] = moment_fn(a_i + a_j), one call per distinct exponent."""
     idx = spec.indices
-    cache: dict = {}
-
-    def mom(a) -> float:
-        key = tuple(int(v) for v in a)
-        if key not in cache:
-            cache[key] = float(moment_fn(key))
-        return cache[key]
-
     n = spec.size
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            H[i, j] = H[j, i] = mom(idx[i] + idx[j])
-    return H
+    sums = (idx[:, None, :] + idx[None, :, :]).reshape(n * n, spec.p)
+    exps, inverse = np.unique(sums, axis=0, return_inverse=True)
+    vals = np.array([float(moment_fn(tuple(int(v) for v in a))) for a in exps])
+    return vals[inverse.reshape(n, n)]
 
 
 def analytic_moment_matrix(spec: BasisSpec, moment_fn, note: str = "") -> MomentMatrix:
@@ -100,16 +100,16 @@ def analytic_moment_matrix(spec: BasisSpec, moment_fn, note: str = "") -> Moment
     family is exact up to rounding in the expansion coefficients.
     """
     H = _monomial_gram(spec, moment_fn)
+    mass = float(H[0, 0])  # the zero exponent: total mass
     if spec.family is not Family.MONOMIAL_GREVLEX:
         G = monomial_expansion_matrix(spec)
         H = G @ H @ G.T
     H = 0.5 * (H + H.T)
-    mass = float(moment_fn((0,) * spec.p))
     return MomentMatrix(spec, H, Provenance.ANALYTIC, mass, note)
 
 
 def _gauss_nodes_1d(lo: float, hi: float, n: int):
-    u, w = np.polynomial.legendre.leggauss(n)
+    u, w = leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (u + 1.0), half * w
 
@@ -147,6 +147,22 @@ def graph_quadrature_rule(
     return X, w
 
 
+def _weighted_gram(spec: BasisSpec, Z, w=None) -> np.ndarray:
+    """sum_k w_k b(z_k) b(z_k)^T, with unit weights when w is None.
+
+    Accumulated over blocks of ``_BLOCK`` points from the per-axis tables, so
+    the (N, n) basis is never held whole.  The blocks are fixed, so the sum
+    is the same on every run.
+    """
+    tabs = axis_tables(spec, Z)
+    M = np.zeros((spec.size, spec.size))
+    for start in range(0, tabs[0].shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        B = basis_product(spec, tabs, rows)
+        M += (B if w is None else B * w[rows, None]).T @ B
+    return M
+
+
 def quadrature_moment_matrix(
     spec: BasisSpec,
     f,
@@ -166,9 +182,7 @@ def quadrature_moment_matrix(
     y = np.asarray(f(X), dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError("f returned a value count different from the node count")
-    Z = np.concatenate([X, y[:, None]], axis=1)
-    B = eval_basis_batch(spec, Z)
-    M = (B * w[:, None]).T @ B
+    M = _weighted_gram(spec, np.concatenate([X, y[:, None]], axis=1), w)
     M = 0.5 * (M + M.T)
     return MomentMatrix(spec, M, Provenance.QUADRATURE, float(np.sum(w)), note)
 
@@ -187,8 +201,7 @@ def empirical_moment_matrix(spec: BasisSpec, Z, note: str = "") -> MomentMatrix:
             RuntimeWarning,
             stacklevel=2,
         )
-    B = eval_basis_batch(spec, Z)
-    M = B.T @ B / Z.shape[0]
+    M = _weighted_gram(spec, Z) / Z.shape[0]
     M = 0.5 * (M + M.T)
     return MomentMatrix(spec, M, Provenance.EMPIRICAL, 1.0, note)
 

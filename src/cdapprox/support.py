@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-import mpmath
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .benchmarks import GraphFunction
 from .cdkernel import CDKernel, ThresholdParams, gamma_threshold, threshold_params
@@ -26,6 +24,8 @@ def outside_mass_bound(d: int, params: ThresholdParams) -> float:
     params.validate_rate()
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
+    import mpmath  # loaded on first use, so runs without a bound never import it
+
     with mpmath.workdps(40):
         r = mpmath.mpf(params.r)
         p = mpmath.mpf(params.p)
@@ -139,6 +139,8 @@ def support_report(
     members = probes[q_probe < gamma]
     mesh, slack = graph_mesh(bench, mesh_points)
     if members.shape[0]:
+        from scipy.spatial import cKDTree  # loaded on first use, like mpmath above
+
         dists, _ = cKDTree(mesh).query(members)
         max_dist = float(np.max(dists))
     else:

@@ -1,6 +1,7 @@
 """Moment matrix construction and file round-trips."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdapprox.basis import BasisSpec, Family
+from cdapprox.basis import (
+    _BLOCK,
+    BasisSpec,
+    Family,
+    basis_size,
+    eval_basis_batch,
+    leggauss,
+    monomial_expansion_matrix,
+)
+from cdapprox.benchmarks import get_benchmark
 from cdapprox.errors import IndefiniteMatrixError, MomentFileError
 from cdapprox.moments import (
     MomentMatrix,
@@ -149,6 +159,106 @@ def test_empirical_matrix_converges_to_analytic():
         M = bench.moment_matrix(3, mode="empirical", grid=N)
         errs.append(float(np.max(np.abs(M.entries - exact))))
     assert errs[1] <= 0.6 * errs[0]
+
+
+def _loop_analytic(spec, moment_fn):
+    """Reference: the per-pair double loop with a dict cache that the one-pass assembly replaced."""
+    idx = spec.indices
+    cache = {}
+
+    def mom(a):
+        key = tuple(int(v) for v in a)
+        if key not in cache:
+            cache[key] = float(moment_fn(key))
+        return cache[key]
+
+    n = spec.size
+    H = np.empty((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            H[i, j] = H[j, i] = mom(idx[i] + idx[j])
+    if spec.family is not Family.MONOMIAL_GREVLEX:
+        G = monomial_expansion_matrix(spec)
+        H = G @ H @ G.T
+    return 0.5 * (H + H.T), float(moment_fn((0,) * spec.p))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("name,p", [("box", 1), ("box", 2), ("box", 3), ("sign", 2), ("step", 2), ("disk1", 3)])
+def test_one_pass_hankel_is_bit_identical_to_the_double_loop(name, p, family):
+    if name == "box":
+        spec = BasisSpec(p, 6, family=family, domain=((-0.5, 2.0), (-1.0, 1.0), (0.0, 3.0))[:p])
+        M = reference_moment_matrix(spec)
+        H, mass = _loop_analytic(spec, box_moment_fn(spec))
+    else:
+        bench = get_benchmark(name)
+        M = bench.moment_matrix(8, family=family)
+        H, mass = _loop_analytic(M.spec, bench.moment_fn)
+    assert np.array_equal(M.entries, H)
+    assert M.mass_m == mass
+
+
+@pytest.mark.parametrize("p,d", [(1, 9), (2, 6), (3, 4)])
+def test_analytic_build_calls_moment_fn_once_per_distinct_exponent(p, d):
+    spec = BasisSpec(p, d)
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return box_moment_fn(spec)(a)
+
+    analytic_moment_matrix(spec, counting)
+    assert len(calls) == basis_size(p, 2 * d)
+    assert set(calls) == {tuple(int(v) for v in a) for a in BasisSpec(p, 2 * d).indices}
+
+
+@pytest.mark.parametrize(
+    "name,mode,size",
+    [("disk1", "empirical", 100), ("sign", "empirical", 2 * _BLOCK + 3), ("disk1", "quad", 40), ("sign", "quad", 600)],
+)
+def test_blocked_builds_match_one_shot_reference(name, mode, size):
+    bench = get_benchmark(name)
+    spec = bench.spec(8)
+    if mode == "quad":
+        breaks = bench.jumps if bench.p == 2 else None
+        X, w = graph_quadrature_rule(spec, size, breaks)
+        M = quadrature_moment_matrix(spec, bench.f, size, breakpoints=breaks)
+    else:
+        X = bench.grid_x(size)
+        w = np.full(X.shape[0], 1.0 / X.shape[0])
+        M = bench.moment_matrix(8, mode="empirical", grid=size)
+    assert X.shape[0] > _BLOCK  # several blocks, the last one partial
+    B = eval_basis_batch(spec, bench.graph_points(X))
+    ref = B.T @ (w[:, None] * B)
+    np.testing.assert_allclose(M.entries, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_empirical_build_memory_stays_below_the_whole_basis():
+    # blocked accumulation never holds the (N, n) basis; no timing is asserted
+    bench = get_benchmark("disk1")
+    spec = bench.spec(8)
+    Z = bench.graph_points(bench.grid_x(100))
+    whole = Z.shape[0] * spec.size * 8
+    tracemalloc.start()
+    try:
+        empirical_moment_matrix(spec, Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole
+
+
+def test_cached_gauss_rule_is_shared_and_read_only():
+    u, w = leggauss(9)
+    ref_u, ref_w = np.polynomial.legendre.leggauss(9)
+    assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
+    assert leggauss(9)[0] is u
+    for a in (u, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    bench = get_benchmark("step")
+    first = bench.moment_matrix(8, mode="quad")
+    assert np.array_equal(first.entries, bench.moment_matrix(8, mode="quad").entries)
 
 
 def test_text_round_trip_is_bit_exact(tmp_path):
