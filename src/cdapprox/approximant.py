@@ -51,9 +51,9 @@ class ApproxConfig:
     the minimum, matching the robust variant used when the kernel itself is
     only known up to relative error alpha.
 
-    ``coarse_points``, ``max_refinements`` and ``threads`` are inert.  They
-    tuned the grid search and its thread pool that the exact solver replaced,
-    and stay so that existing callers and configurations keep working.
+    ``coarse_points`` and ``max_refinements`` are inert.  They tuned the grid
+    search that the exact solver replaced, and stay so that existing callers
+    keep working.
     """
 
     epsilon: float | None = None
@@ -63,7 +63,6 @@ class ApproxConfig:
     y_interval: tuple | None = None
     coarse_points: int = 1025
     max_refinements: int = 24
-    threads: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:

@@ -1,4 +1,4 @@
-"""Multivariate polynomial bases: grevlex indexing, evaluation, partial specialization.
+"""Multivariate polynomial bases: grevlex indexing, evaluation, monomial expansion.
 
 Two families are supported on axis-aligned boxes of R^p:
 
@@ -63,9 +63,16 @@ def leggauss(n: int) -> tuple:
     return u, w
 
 
-def enumerate_indices(spec: "BasisSpec") -> np.ndarray:
-    """All multi-indices of the basis, one row per basis element, grevlex order."""
-    return _grevlex_indices(spec.p, spec.d)
+def gauss_pieces(cuts, n: int) -> tuple:
+    """Gauss-Legendre rule with n nodes on each piece [cuts[i], cuts[i+1]].
+
+    Returns nodes and weights of shape (pieces, n), row i for piece i.
+    """
+    u, w = leggauss(n)
+    cuts = np.asarray(cuts, dtype=float)
+    lo = cuts[:-1, None]
+    half = 0.5 * (cuts[1:, None] - lo)
+    return lo + half * (u + 1.0), half * w
 
 
 def grevlex_position(p: int, d: int) -> dict:
@@ -224,12 +231,10 @@ def _affine_compose(coefs: np.ndarray, alpha: float, gamma: float) -> np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _axis_expansion(family: Family, d: int, lo: float, hi: float) -> np.ndarray:
-    """(d+1, d+1) matrix: row k = monomial coefficients of the degree-k axis poly."""
+def _axis_expansion(d: int, lo: float, hi: float) -> np.ndarray:
+    """(d+1, d+1) matrix: row k = monomial coefficients of the degree-k
+    orthonormal Legendre polynomial on [lo, hi]."""
     U = np.zeros((d + 1, d + 1))
-    if family is Family.MONOMIAL_GREVLEX:
-        np.fill_diagonal(U, 1.0)
-        return U
     w = hi - lo
     alpha = 2.0 / w
     gamma = -(lo + hi) / w
@@ -240,44 +245,16 @@ def _axis_expansion(family: Family, d: int, lo: float, hi: float) -> np.ndarray:
     return U
 
 
-def y_power_matrix(spec: BasisSpec) -> np.ndarray:
-    """Monomial expansion of the last-axis univariate family; row k covers degree k."""
-    lo, hi = spec.domain[-1]
-    return _axis_expansion(spec.family, spec.d, lo, hi)
-
-
 def monomial_expansion_matrix(spec: BasisSpec) -> np.ndarray:
-    """G with b_spec(z) = G m(z), m the monomial-grevlex basis of the same (p, d)."""
-    n = spec.size
-    G = np.zeros((n, n))
-    if spec.family is Family.MONOMIAL_GREVLEX:
-        np.fill_diagonal(G, 1.0)
-        return G
-    pos = grevlex_position(spec.p, spec.d)
-    axes = [_axis_expansion(spec.family, spec.d, lo, hi) for lo, hi in spec.domain]
-    for i, a in enumerate(spec.indices):
-        terms = [np.nonzero(axes[k][a[k]])[0] for k in range(spec.p)]
-        for c in product(*terms):
-            G[i, pos[c]] = math.prod(axes[k][a[k], c[k]] for k in range(spec.p))
-    return G
+    """G with b_spec(z) = G m(z), m the monomial-grevlex basis of the same (p, d).
 
-
-def specialize_last_variable(spec: BasisSpec, coeffs, x) -> np.ndarray:
-    """Collapse a polynomial in the basis to monomial coefficients in the last variable.
-
-    Given the coefficient vector of q over ``spec`` and a point x for the first
-    p-1 variables, returns c with q(x, y) = sum_k c[k] y^k for all y.
+    G[i, j] is the product over the axes k of U_k[a_i[k], a_j[k]], where row r
+    of U_k holds the monomial coefficients of axis k's degree-r polynomial.
     """
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-    if coeffs.shape[0] != spec.size:
-        raise ValueError(f"coefficient vector has length {coeffs.shape[0]}, basis needs {spec.size}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != spec.p - 1:
-        raise ValueError(f"x has dimension {x.shape[0]}, expected p-1={spec.p - 1}")
-    if spec.p == 1:
-        xpart = np.ones(spec.size)
-    else:
-        xpart = basis_product(spec, axis_tables(spec.x_spec(), x))[0]
-    grouped = np.zeros(spec.d + 1)
-    np.add.at(grouped, spec.indices[:, -1], coeffs * xpart)
-    return y_power_matrix(spec).T @ grouped
+    if spec.family is Family.MONOMIAL_GREVLEX:
+        return np.eye(spec.size)
+    idx = spec.indices
+    G = np.ones((spec.size, spec.size))
+    for k, (lo, hi) in enumerate(spec.domain):
+        G *= _axis_expansion(spec.d, lo, hi)[np.ix_(idx[:, k], idx[:, k])]
+    return G + 0.0  # a zero factor times a negative one leaves -0.0; zero entries are +0.0

@@ -188,14 +188,6 @@ def gamma_threshold(d: int, params: ThresholdParams) -> float:
     return (1.0 - params.alpha) / (8.0 * (params.m + params.m0)) * math.exp(log_core)
 
 
-def sublevel_membership(kernel: CDKernel, z, gamma: float) -> tuple[bool, float]:
-    """Whether q(z) < gamma (strict), together with the value of q(z)."""
-    q = kernel.eval_q(z)
-    if not math.isfinite(q):
-        return False, math.inf
-    return q < gamma, q
-
-
 def perturbation_alpha(exact: MomentMatrix, approx: MomentMatrix, beta: float) -> float:
     """Relative spectral distortion between two regularized moment matrices.
 

@@ -23,7 +23,6 @@ from .cdkernel import (
     CDKernel,
     FilterKind,
     beta_schedule,
-    gamma_threshold,
     threshold_params,
 )
 from .errors import BoundViolationError, MomentFileError
@@ -64,10 +63,9 @@ def _manifest(args, skip=("func", "manifest")) -> RunManifest:
 
 
 def _resolve_beta(args, d: int) -> float:
-    if args.beta_schedule:
+    """--beta-schedule, or no --beta where the default is None, gives the degree schedule."""
+    if args.beta_schedule or args.beta is None:
         return beta_schedule(d)
-    if args.beta is None:
-        return 1e-8
     return args.beta
 
 
@@ -98,13 +96,7 @@ def cmd_approx(args) -> int:
         raise ValueError("approximation needs a matrix with p >= 2")
     beta = _resolve_beta(args, spec.d)
     kernel = CDKernel(matrix, beta, FilterKind(args.filter))
-
-    gamma = None
-    if args.r is not None:
-        params = threshold_params(matrix, r=args.r, alpha=args.alpha)
-        gamma = gamma_threshold(spec.d, params)
-    config = ApproxConfig(epsilon=args.epsilon, gamma=gamma, alpha=args.alpha)
-    approx = Approximant(kernel, config)
+    approx = Approximant(kernel, ApproxConfig(alpha=args.alpha))
 
     if args.points is not None:
         X = np.loadtxt(args.points, delimiter=",", ndmin=2)
@@ -148,12 +140,7 @@ def cmd_benchmark(args) -> int:
         save_text(matrix, args.matrix_out)
     beta = _resolve_beta(args, args.degree)
     kernel = CDKernel(matrix, beta, FilterKind(args.filter))
-
-    gamma = None
-    if args.r is not None:
-        params = threshold_params(matrix, r=args.r, alpha=args.alpha)
-        gamma = gamma_threshold(args.degree, params)
-    approx = Approximant(kernel, ApproxConfig(epsilon=args.epsilon, gamma=gamma, alpha=args.alpha))
+    approx = Approximant(kernel, ApproxConfig(alpha=args.alpha))
 
     X = _eval_points(bench, args)
     f_true = np.asarray(bench.f(X), dtype=float)
@@ -232,11 +219,9 @@ def cmd_rates(args) -> int:
         matrix = bench.moment_matrix(
             d, mode=args.mode, samples=args.samples, grid=args.grid, rng=rng
         )
-        beta = args.beta if args.beta is not None and not args.beta_schedule else beta_schedule(d)
+        beta = _resolve_beta(args, d)
         params = threshold_params(matrix, r=args.r, alpha=args.alpha)
-        gamma = gamma_threshold(d, params)
-        kernel = CDKernel(matrix, beta)
-        approx = Approximant(kernel, ApproxConfig(gamma=gamma, alpha=args.alpha))
+        approx = Approximant(CDKernel(matrix, beta), ApproxConfig(alpha=args.alpha))
         X = _eval_points(bench, args)
         f_true = np.asarray(bench.f(X), dtype=float)
         ys, _ = approx.evaluate_batch(X)
@@ -265,17 +250,16 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _add_common(sub) -> None:
-    sub.add_argument(
-        "--beta", type=float, default=None, help="regularization level (default 1e-8)"
-    )
+def _add_common(sub, beta: float | None = 1e-8) -> None:
+    """Options of every subcommand; ``beta=None`` makes the degree schedule the default."""
+    default = "%(default)s" if beta is not None else "the degree schedule"
+    sub.add_argument("--beta", type=float, default=beta, help=f"regularization level (default: {default})")
     sub.add_argument(
         "--beta-schedule",
         action="store_true",
         help="use the degree schedule 2^(3-sqrt(d)) instead of --beta",
     )
     sub.add_argument("--alpha", type=float, default=0.0, help="perturbation level in [0,1)")
-    sub.add_argument("--r", type=float, default=None, help="threshold exponent (default p+1/2)")
     sub.add_argument("--seed", type=int, default=0, help="rng seed for sampling")
     sub.add_argument("--manifest", default=None, help="write a JSON run manifest here")
 
@@ -300,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--grid", type=int, default=None, help="midpoint grid per x axis")
     ap.add_argument("--out", default=None, help="output CSV (default: stdout)")
     ap.add_argument("--sos-out", default=None, help="write the SOS certificate rows here")
-    ap.add_argument("--epsilon", type=float, default=None, help="fiber precision target")
     ap.add_argument("--filter", choices=[k.value for k in FilterKind], default="tikhonov")
     _add_common(ap)
     ap.set_defaults(func=cmd_approx)
@@ -309,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--name", required=True, choices=sorted(BENCHMARKS))
     bp.add_argument("--degree", type=int, required=True)
     bp.add_argument("--eval-grid", type=int, default=None, help="evaluation points per x axis")
-    bp.add_argument("--epsilon", type=float, default=None)
     bp.add_argument("--filter", choices=[k.value for k in FilterKind], default="tikhonov")
     bp.add_argument("--out", default=None, help="per-point CSV output")
     bp.add_argument("--matrix-out", default=None, help="save the built matrix here")
@@ -324,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probes", type=int, default=100_000)
     sp.add_argument("--mesh", type=int, default=10_000)
     sp.add_argument("--out", default=None, help="JSON report path")
+    sp.add_argument("--r", type=float, default=None, help="threshold exponent (default p+1/2)")
     _add_build(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_support)
@@ -333,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--degrees", default="2,4,6,8", help="comma-separated degrees, all > 1")
     rp.add_argument("--eval-grid", type=int, default=None)
     rp.add_argument("--out", default=None)
+    rp.add_argument("--r", type=float, default=None, help="threshold exponent (default p+1/2)")
     _add_build(rp)
-    _add_common(rp)
+    _add_common(rp, beta=None)
     rp.set_defaults(func=cmd_rates)
     return parser
 

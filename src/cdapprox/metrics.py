@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import _legendre_table, leggauss
+from .basis import _legendre_table, gauss_pieces
 from .cdkernel import ThresholdParams
 from .support import outside_mass_bound
 
@@ -47,12 +47,8 @@ def legendre_projection(f, degree: int, interval=(-1.0, 1.0), jumps=()) -> np.nd
     """
     lo, hi = float(interval[0]), float(interval[1])
     cuts = [lo] + sorted(t for t in jumps if lo < t < hi) + [hi]
-    nodes = max(2 * (degree + 1), 64)
-    u, w = leggauss(nodes)
     coeffs = np.zeros(degree + 1)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        t = a + 0.5 * (b - a) * (u + 1.0)
-        wt = 0.5 * (b - a) * w
+    for t, wt in zip(*gauss_pieces(cuts, max(2 * (degree + 1), 64))):
         fv = np.asarray(f(t), dtype=float).reshape(-1)
         table = _legendre_table(t, degree, lo, hi)
         coeffs += table.T @ (wt * fv)

@@ -22,7 +22,7 @@ from .basis import (
     Family,
     axis_tables,
     basis_product,
-    leggauss,
+    gauss_pieces,
     monomial_expansion_matrix,
 )
 from .errors import IndefiniteMatrixError, MomentFileError
@@ -69,9 +69,6 @@ class MomentMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
     def check_psd(self, rel_tol: float = 1e-8) -> None:
         """Raise if the matrix has an eigenvalue below -rel_tol * lambda_max."""
         evals = np.linalg.eigvalsh(self.entries)
@@ -83,12 +80,22 @@ class MomentMatrix:
 
 
 def _monomial_gram(spec: BasisSpec, moment_fn) -> np.ndarray:
-    """Hankel matrix H[i, j] = moment_fn(a_i + a_j), one call per distinct exponent."""
+    """Hankel matrix H[i, j] = moment_fn(a_i + a_j), one call per distinct exponent.
+
+    The n^2 exponent sums are sorted by ``np.lexsort`` over their columns and
+    grouped where neighbours differ, which needs no combined integer key that
+    could overflow.
+    """
     idx = spec.indices
     n = spec.size
     sums = (idx[:, None, :] + idx[None, :, :]).reshape(n * n, spec.p)
-    exps, inverse = np.unique(sums, axis=0, return_inverse=True)
-    vals = np.array([float(moment_fn(tuple(int(v) for v in a))) for a in exps])
+    order = np.lexsort(sums.T[::-1])
+    ordered = sums[order]
+    first = np.ones(n * n, dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(n * n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    vals = np.array([float(moment_fn(tuple(a))) for a in ordered[first].tolist()])
     return vals[inverse.reshape(n, n)]
 
 
@@ -108,12 +115,6 @@ def analytic_moment_matrix(spec: BasisSpec, moment_fn, note: str = "") -> Moment
     return MomentMatrix(spec, H, Provenance.ANALYTIC, mass, note)
 
 
-def _gauss_nodes_1d(lo: float, hi: float, n: int):
-    u, w = leggauss(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (u + 1.0), half * w
-
-
 def graph_quadrature_rule(
     spec: BasisSpec, nodes_per_axis: int, breakpoints=None
 ) -> tuple:
@@ -125,25 +126,18 @@ def graph_quadrature_rule(
     """
     if spec.p < 2:
         raise ValueError("graph quadrature requires p >= 2")
-    box = spec.domain[:-1]
+    cuts = spec.domain[:-1]  # per x-axis, the ends of its Gauss-Legendre pieces
     if breakpoints:
         if spec.p != 2:
             raise ValueError("breakpoints are only supported for a one-dimensional x")
-        lo, hi = box[0]
-        cuts = [lo] + sorted(float(t) for t in breakpoints if lo < t < hi) + [hi]
-        xs, ws = [], []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            x, w = _gauss_nodes_1d(a, b, nodes_per_axis)
-            xs.append(x)
-            ws.append(w)
-        X = np.concatenate(xs)[:, None]
-        return X, np.concatenate(ws)
-    axes = [_gauss_nodes_1d(lo, hi, nodes_per_axis) for lo, hi in box]
-    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
+        lo, hi = cuts[0]
+        cuts = ([lo] + sorted(float(t) for t in breakpoints if lo < t < hi) + [hi],)
+    axes = [gauss_pieces(c, nodes_per_axis) for c in cuts]
+    grids = np.meshgrid(*[x.ravel() for x, _ in axes], indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
-    w = axes[0][1]
+    w = axes[0][1].ravel()
     for _, wk in axes[1:]:
-        w = np.multiply.outer(w, wk).ravel()
+        w = np.multiply.outer(w, wk.ravel()).ravel()
     return X, w
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from cdapprox.approximant import Approximant, ApproxConfig
+from cdapprox.approximant import Approximant
 from cdapprox.basis import BasisSpec, Family, eval_basis_batch
 from cdapprox.benchmarks import BENCHMARKS, get_benchmark
 from cdapprox.cdkernel import (
@@ -253,7 +253,7 @@ def test_criterion_11_disk_classification(capsys):
     t0 = time.monotonic()
     bench = get_benchmark("disk1")
     M = bench.moment_matrix(8, mode="empirical", grid=100)
-    app = Approximant(CDKernel(M, 1e-3), ApproxConfig(threads=4))
+    app = Approximant(CDKernel(M, 1e-3))
     X = bench.grid_x(100)
     ys, _ = app.evaluate_batch(X)
     truth = bench.f(X) >= 0.5

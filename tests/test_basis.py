@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from cdapprox.basis import (
     BasisSpec,
     Family,
+    _axis_expansion,
     basis_size,
-    enumerate_indices,
     eval_basis,
     eval_basis_batch,
     grevlex_position,
     monomial_expansion_matrix,
-    specialize_last_variable,
-    y_power_matrix,
 )
 
 small_p = st.integers(min_value=1, max_value=4)
@@ -45,19 +43,19 @@ def test_basis_size_rejects_bad_arguments():
 def test_grevlex_order_p2_d2():
     spec = BasisSpec(2, 2)
     expected = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    assert [tuple(a) for a in enumerate_indices(spec)] == expected
+    assert [tuple(a) for a in spec.indices] == expected
 
 
 def test_grevlex_order_p3_d2_block():
     # degree-2 block in 3 variables: x^2, xy, y^2, xz, yz, z^2
     spec = BasisSpec(3, 2)
-    idx = [tuple(a) for a in enumerate_indices(spec)]
+    idx = [tuple(a) for a in spec.indices]
     assert idx[4:] == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
 
 
 @given(p=small_p, d=small_d)
 def test_grevlex_degree_blocks_and_tie_break(p, d):
-    idx = enumerate_indices(BasisSpec(p, d))
+    idx = BasisSpec(p, d).indices
     assert idx.shape == (basis_size(p, d), p)
     totals = idx.sum(axis=1)
     assert np.all(np.diff(totals) >= 0)
@@ -69,15 +67,15 @@ def test_grevlex_degree_blocks_and_tie_break(p, d):
 @given(p=small_p, d=small_d)
 def test_grevlex_nesting(p, d):
     # the degree-d enumeration is a prefix of the degree-(d+1) enumeration
-    lo = enumerate_indices(BasisSpec(p, d))
-    hi = enumerate_indices(BasisSpec(p, d + 1))
+    lo = BasisSpec(p, d).indices
+    hi = BasisSpec(p, d + 1).indices
     assert np.array_equal(hi[: len(lo)], lo)
 
 
 @given(p=small_p, d=small_d)
 def test_grevlex_position_roundtrip(p, d):
     pos = grevlex_position(p, d)
-    idx = enumerate_indices(BasisSpec(p, d))
+    idx = BasisSpec(p, d).indices
     for i, a in enumerate(idx):
         assert pos[tuple(a)] == i
 
@@ -120,7 +118,7 @@ def test_monomial_values_match_naive_products(p, d, data):
     )
     spec = BasisSpec(p, d, family=Family.MONOMIAL_GREVLEX)
     vals = eval_basis(spec, z)
-    naive = [math.prod(z[k] ** a[k] for k in range(p)) for a in enumerate_indices(spec)]
+    naive = [math.prod(z[k] ** a[k] for k in range(p)) for a in spec.indices]
     np.testing.assert_allclose(vals, naive, rtol=1e-12, atol=1e-12)
 
 
@@ -176,23 +174,16 @@ def test_eval_basis_input_validation():
         eval_basis_batch(spec, np.zeros((4, 3)))
 
 
-def test_y_power_matrix_expands_axis_family():
+def test_axis_expansion_rows_expand_the_axis_family():
+    # row k holds the monomial coefficients of the orthonormal degree-k polynomial
     lo, hi = 0.0, 2.0
-    spec = BasisSpec(2, 5, domain=((-1, 1), (lo, hi)))
-    U = y_power_matrix(spec)
+    U = _axis_expansion(5, lo, hi)
     t = np.linspace(lo, hi, 9)
-    table = eval_basis_batch(
-        BasisSpec(1, 5, family=spec.family, domain=((lo, hi),)), t[:, None]
-    )
+    table = eval_basis_batch(BasisSpec(1, 5, domain=((lo, hi),)), t[:, None])
     for k in range(6):
         np.testing.assert_allclose(
             np.polynomial.polynomial.polyval(t, U[k]), table[:, k], rtol=1e-10, atol=1e-12
         )
-
-
-def test_y_power_matrix_monomial_is_identity():
-    spec = BasisSpec(2, 4, family=Family.MONOMIAL_GREVLEX)
-    np.testing.assert_array_equal(y_power_matrix(spec), np.eye(5))
 
 
 @given(d=st.integers(min_value=0, max_value=5), data=st.data())
@@ -205,38 +196,6 @@ def test_monomial_expansion_matrix_identity(d, data):
     G = monomial_expansion_matrix(spec)
     mono = eval_basis(BasisSpec(2, d, family=Family.MONOMIAL_GREVLEX), z)
     np.testing.assert_allclose(G @ mono, eval_basis(spec, z), rtol=1e-9, atol=1e-9)
-
-
-@pytest.mark.parametrize("family", list(Family))
-def test_specialize_last_variable_agrees_with_direct_eval(family):
-    rng = np.random.default_rng(7)
-    spec = BasisSpec(2, 4, family=family)
-    coeffs = rng.normal(size=spec.size)
-    for x in (-0.9, -0.2, 0.4, 1.0):
-        c = specialize_last_variable(spec, coeffs, [x])
-        assert c.shape == (5,)
-        for y in np.linspace(-1, 1, 7):
-            direct = float(coeffs @ eval_basis(spec, [x, y]))
-            assert np.polynomial.polynomial.polyval(y, c) == pytest.approx(direct, abs=1e-10)
-
-
-def test_specialize_last_variable_p3():
-    rng = np.random.default_rng(11)
-    spec = BasisSpec(3, 3)
-    coeffs = rng.normal(size=spec.size)
-    x = np.array([0.3, -0.7])
-    c = specialize_last_variable(spec, coeffs, x)
-    for y in (-0.8, 0.1, 0.9):
-        direct = float(coeffs @ eval_basis(spec, [x[0], x[1], y]))
-        assert np.polynomial.polynomial.polyval(y, c) == pytest.approx(direct, abs=1e-10)
-
-
-def test_specialize_last_variable_validation():
-    spec = BasisSpec(2, 2)
-    with pytest.raises(ValueError):
-        specialize_last_variable(spec, np.ones(5), [0.0])
-    with pytest.raises(ValueError):
-        specialize_last_variable(spec, np.ones(6), [0.0, 0.0])
 
 
 def _column_recurrence_basis(spec, Z):

@@ -20,7 +20,6 @@ from cdapprox.cdkernel import (
     beta_schedule,
     gamma_threshold,
     perturbation_alpha,
-    sublevel_membership,
     threshold_params,
 )
 from cdapprox.errors import IndefiniteMatrixError
@@ -239,24 +238,6 @@ def test_gamma_threshold_does_not_require_rate_condition():
     r = math.e / 3.0
     tp = ThresholdParams(p=2, r=r, m=1.0, m0=1.0)
     assert gamma_threshold(5, tp) == pytest.approx(5.0**r / 16.0, rel=1e-12)
-
-
-def test_sublevel_membership_semantics():
-    M = get_benchmark("sign").moment_matrix(2, family=Family.MONOMIAL_GREVLEX)
-    kern = CDKernel(M, 1e-8)
-    # on-graph value is O(1): far above the theorem's tiny gamma_2 level
-    member, q = sublevel_membership(kern, (0.5, 1.0), gamma_threshold(2, threshold_params(M)))
-    assert not member
-    assert q == pytest.approx(1.6249988696896005, rel=1e-8)
-    # an intermediate level separates graph from off-graph points
-    member, _ = sublevel_membership(kern, (0.5, 1.0), 10.0)
-    assert member
-    member, q = sublevel_membership(kern, (0.5, 0.2), 10.0)
-    assert not member
-    assert q > 1e6  # beta = 1e-8 blows up off the graph
-    # strictness at the boundary
-    member, q = sublevel_membership(kern, (0.5, 1.0), 1.6249988696896005)
-    assert member == (q < 1.6249988696896005)
 
 
 def test_perturbation_alpha_basics():

@@ -9,6 +9,8 @@ import pytest
 
 from cdapprox.basis import BasisSpec
 from cdapprox.benchmarks import get_benchmark
+from cdapprox.cdkernel import beta_schedule
+from cdapprox.cli import build_parser, main
 from cdapprox.moments import MomentMatrix, Provenance, save_text
 
 
@@ -205,6 +207,25 @@ def test_rates_command(tmp_path):
     assert res.returncode == 2
     res = run_cli("rates", "--name", "disk2", "--degrees", "2")
     assert res.returncode == 2  # no regularity constant declared
+
+
+def test_rates_beta_defaults_to_the_schedule(tmp_path):
+    out = tmp_path / "rates.csv"
+    argv = ["rates", "--name", "sign", "--degrees", "2,4", "--eval-grid", "20", "--out", str(out)]
+    for extra, expected in (([], [beta_schedule(2), beta_schedule(4)]), (["--beta", "1e-6"], [1e-6, 1e-6])):
+        assert main(argv + extra) == 0
+        assert list(np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]) == expected
+
+
+def test_threshold_exponent_only_where_it_changes_output():
+    parser = build_parser()
+    assert parser.parse_args(["support", "--name", "sign", "--r", "3"]).r == 3.0
+    assert parser.parse_args(["rates", "--name", "sign", "--r", "3"]).r == 3.0
+    for argv in (["approx", "--matrix", "M.txt"], ["benchmark", "--name", "sign", "--degree", "4"]):
+        assert parser.parse_args(argv).beta == 1e-8
+        for flag in ("--r", "--epsilon"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*argv, flag, "3"])
 
 
 def test_reruns_are_byte_identical(tmp_path, sign_matrix_file):

@@ -1,5 +1,6 @@
 """Moment matrix construction and file round-trips."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -13,6 +14,7 @@ from cdapprox.basis import (
     _BLOCK,
     BasisSpec,
     Family,
+    _axis_expansion,
     basis_size,
     eval_basis_batch,
     leggauss,
@@ -64,7 +66,7 @@ def test_check_psd():
     MomentMatrix(spec, np.eye(3), Provenance.ANALYTIC, 1.0).check_psd()
     M = np.diag([1.0, 1.0, -1e-3])
     mm = MomentMatrix(spec, M, Provenance.EMPIRICAL, 1.0)
-    assert mm.min_eigenvalue() == pytest.approx(-1e-3)
+    assert np.linalg.eigvalsh(mm.entries)[0] == pytest.approx(-1e-3)
     with pytest.raises(IndefiniteMatrixError):
         mm.check_psd()
     # tiny negative eigenvalues are rounding noise, not rejected
@@ -161,6 +163,31 @@ def test_empirical_matrix_converges_to_analytic():
     assert errs[1] <= 0.6 * errs[0]
 
 
+def _loop_expansion(spec):
+    """Reference: the per-entry loop over nonzero axis coefficients that the table product replaced."""
+    n = spec.size
+    G = np.zeros((n, n))
+    if spec.family is Family.MONOMIAL_GREVLEX:
+        np.fill_diagonal(G, 1.0)
+        return G
+    pos = {tuple(a): i for i, a in enumerate(spec.indices.tolist())}
+    axes = [_axis_expansion(spec.d, lo, hi) for lo, hi in spec.domain]
+    for i, a in enumerate(spec.indices):
+        terms = [np.nonzero(axes[k][a[k]])[0] for k in range(spec.p)]
+        for c in itertools.product(*terms):
+            G[i, pos[c]] = math.prod(axes[k][a[k], c[k]] for k in range(spec.p))
+    return G
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("p,d", [(1, 12), (2, 8), (3, 6)])
+def test_monomial_expansion_matrix_is_bit_identical_to_the_per_entry_loop(p, d, family):
+    spec = BasisSpec(p, d, family=family, domain=((-0.5, 2.0), (0.0, 3.0), (-2.0, -1.0))[:p])
+    G, ref = monomial_expansion_matrix(spec), _loop_expansion(spec)
+    assert np.array_equal(G, ref)
+    assert G.tobytes() == ref.tobytes()  # zeros carry the loop's sign too
+
+
 def _loop_analytic(spec, moment_fn):
     """Reference: the per-pair double loop with a dict cache that the one-pass assembly replaced."""
     idx = spec.indices
@@ -178,7 +205,7 @@ def _loop_analytic(spec, moment_fn):
         for j in range(i + 1):
             H[i, j] = H[j, i] = mom(idx[i] + idx[j])
     if spec.family is not Family.MONOMIAL_GREVLEX:
-        G = monomial_expansion_matrix(spec)
+        G = _loop_expansion(spec)
         H = G @ H @ G.T
     return 0.5 * (H + H.T), float(moment_fn((0,) * spec.p))
 
