@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from .basis import axis_table, eval_basis_batch, grevlex_position, leggauss
+from .basis import axis_table, eval_basis_batch, leggauss
 from .cdkernel import CDKernel
 
 _CHUNK = 128  # points per stacked solve; bounds the (chunk, rows, d+1) work arrays
@@ -222,8 +222,12 @@ class Approximant:
         self._x_spec = spec.x_spec()
         # rows map: x-basis values times this give the fiber rows A(x) directly
         W = kernel.sos_decomposition()
-        xpos = grevlex_position(spec.p - 1, spec.d)
-        xcol = np.array([xpos[tuple(a)] for a in spec.indices[:, :-1].tolist()])
+        # position of each basis row's x-part among the x-basis rows, which are
+        # exactly the distinct x-parts: label both by np.unique, then invert
+        xs = self._x_spec.indices
+        _, inv = np.unique(np.concatenate([xs, spec.indices[:, :-1]]), axis=0, return_inverse=True)
+        inv = inv.reshape(-1)
+        xcol = np.argsort(inv[: len(xs)])[inv[len(xs) :]]
         T = np.zeros((self._x_spec.size, W.shape[0], spec.d + 1))
         T[xcol, :, spec.indices[:, -1]] = W.T
         T = T @ _change_of_basis(spec, *self._y_interval)

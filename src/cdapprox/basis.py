@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -42,14 +41,20 @@ def basis_size(p: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _grevlex_indices(p: int, d: int) -> np.ndarray:
-    """Exponent rows in grevlex order: ascending degree, reverse-lex tie-break."""
+    """Exponent rows in grevlex order: ascending degree, reverse-lex tie-break.
+
+    Built one axis at a time: the rows of degree t over k+1 axes are those of
+    degree t - j over the first k axes with last exponent j, for j = 0..t in
+    turn, which is the reverse-lex order.  Costs O(n p) per axis.
+    """
     basis_size(p, d)  # validates and guards against absurd sizes
-    rows = []
-    for total in range(d + 1):
-        block = [a for a in product(range(total + 1), repeat=p) if sum(a) == total]
-        block.sort(key=lambda a: a[::-1])
-        rows.extend(block)
-    out = np.array(rows, dtype=np.int64).reshape(len(rows), p)
+    blocks = [np.array([[t]], dtype=np.int64) for t in range(d + 1)]  # blocks[t]: the rows of degree t
+    for _ in range(1, p):
+        blocks = [
+            np.concatenate([np.column_stack([blocks[t - j], np.full(len(blocks[t - j]), j)]) for j in range(t + 1)])
+            for t in range(d + 1)
+        ]
+    out = np.concatenate(blocks)
     out.setflags(write=False)
     return out
 
@@ -73,11 +78,6 @@ def gauss_pieces(cuts, n: int) -> tuple:
     lo = cuts[:-1, None]
     half = 0.5 * (cuts[1:, None] - lo)
     return lo + half * (u + 1.0), half * w
-
-
-def grevlex_position(p: int, d: int) -> dict:
-    """Map exponent tuple -> position in the grevlex enumeration."""
-    return {tuple(a): i for i, a in enumerate(_grevlex_indices(p, d))}
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,8 @@ def _legendre_table(t: np.ndarray, d: int, lo: float, hi: float) -> np.ndarray:
 
     Row convention: out[j, k] = Ltilde_k(t[j]) with Ltilde_k orthonormal in
     L^2([lo, hi], dt).  Uses the three-term recurrence on the mapped variable,
-    one contiguous row per degree, and transposes once at the end.
+    one contiguous row per degree, and returns the transposed view of that
+    degree-major buffer.
     """
     w = hi - lo
     u = (2.0 * t - (lo + hi)) / w
@@ -149,7 +150,7 @@ def _legendre_table(t: np.ndarray, d: int, lo: float, hi: float) -> np.ndarray:
     for k in range(1, d):
         out[k + 1] = ((2 * k + 1) * u * out[k] - k * out[k - 1]) / (k + 1)
     out *= np.sqrt((2 * np.arange(d + 1) + 1) / w)[:, None]
-    return np.ascontiguousarray(out.T)
+    return out.T
 
 
 def _power_table(t: np.ndarray, d: int) -> np.ndarray:
@@ -157,47 +158,71 @@ def _power_table(t: np.ndarray, d: int) -> np.ndarray:
     out[0] = 1.0
     for k in range(d):
         out[k + 1] = out[k] * t
-    return np.ascontiguousarray(out.T)
+    return out.T
 
 
 def axis_table(spec: BasisSpec, k: int, t: np.ndarray) -> np.ndarray:
-    """Values of axis k's univariate family up to degree d at the points t."""
+    """Values of axis k's univariate family up to degree d at the points t.
+
+    Shape (m, d+1), a view of a degree-major buffer: column j is contiguous.
+    """
     if spec.family is Family.LEGENDRE_ORTHONORMAL:
         lo, hi = spec.domain[k]
         return _legendre_table(t, spec.d, lo, hi)
     return _power_table(t, spec.d)
 
 
-def axis_tables(spec: BasisSpec, Z) -> list:
-    """Per-axis univariate basis tables for a batch of points Z of shape (n, p)."""
+def _points(spec: BasisSpec, Z) -> np.ndarray:
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.shape[1] != spec.p:
         raise ValueError(f"points have dimension {Z.shape[1]}, basis has p={spec.p}")
+    return Z
+
+
+def axis_tables(spec: BasisSpec, Z) -> list:
+    """Per-axis univariate basis tables for a batch of points Z of shape (m, p)."""
+    Z = _points(spec, Z)
     return [axis_table(spec, k, Z[:, k]) for k in range(spec.p)]
 
 
 _BLOCK = 1024  # points per block wherever basis rows are streamed; keeps a block's rows in cache
 
 
-def basis_product(spec: BasisSpec, tabs: list, rows=slice(None)) -> np.ndarray:
-    """Basis entries over the axes of ``tabs`` at the selected table rows.
+def basis_product(spec: BasisSpec, tabs: list) -> np.ndarray:
+    """Basis-major block of basis entries over the axes of ``tabs``.
 
-    Column i is the product over axes k < len(tabs) of tabs[k][:, a_i[k]], with
-    a_i the i-th exponent row of ``spec``; fewer tables than axes give the
-    x-part of the basis.  The result is a fresh C-contiguous array: the
-    fiber layer's row-wise matmuls are only bit-identical across batch sizes
-    on C-ordered input.
+    Row i is the product over axes k < len(tabs) of the degree-a_i[k] row of
+    tabs[k].T, with a_i the i-th exponent row of ``spec``, multiplied in axis
+    order; fewer tables than axes give the x-part of the basis.  The result is
+    a fresh C-contiguous (n, m) array, each row gathered whole from the
+    degree-major table buffers.
     """
     idx = spec.indices
-    out = np.take(tabs[0][rows], idx[:, 0], axis=1)
+    out = np.take(tabs[0].T, idx[:, 0], axis=0)
     for k in range(1, len(tabs)):
-        out *= np.take(tabs[k][rows], idx[:, k], axis=1)
+        out *= np.take(tabs[k].T, idx[:, k], axis=0)
     return out
 
 
+def basis_blocks(spec: BasisSpec, Z):
+    """Yield (rows, B) over blocks of ``_BLOCK`` points of Z, B = basis_product of the block.
+
+    Tables and basis are built per block, so memory is O(block * n) whatever
+    the number of points; every entry equals that of ``eval_basis_batch``.
+    """
+    Z = _points(spec, Z)
+    for start in range(0, Z.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        yield rows, basis_product(spec, axis_tables(spec, Z[rows]))
+
+
 def eval_basis_batch(spec: BasisSpec, Z) -> np.ndarray:
-    """Evaluate the full basis at each row of Z; returns an (n, n_d) array."""
-    return basis_product(spec, axis_tables(spec, Z))
+    """Evaluate the full basis at each row of Z; returns a C-ordered (m, n_d) array.
+
+    Point-major and C-ordered: the fiber layer's row-wise matmuls are only
+    bit-identical across batch sizes on C-ordered input.
+    """
+    return np.ascontiguousarray(basis_product(spec, axis_tables(spec, Z)).T)
 
 
 def check_point(spec: BasisSpec, z) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Each benchmark fixes a target function f on a box, the box for the graph
 variable z = (x, f(x)), and whatever is known analytically: closed-form
-monomial moments of the graph measure, declared jump locations, a Lipschitz
-constant, or the total variation.  Downstream code never detects jumps; it
-reads them from here.
+monomial moments of the graph measure, declared jump and kink locations, a
+Lipschitz constant, or the total variation.  Downstream code never detects
+jumps or kinks; it reads them from here.
 """
 
 from __future__ import annotations
@@ -34,11 +34,17 @@ class GraphFunction:
     f: Callable  # vectorized: (n, p-1) array -> (n,) values
     moment_fn: Callable | None = None  # closed-form monomial graph moments
     jumps: tuple = ()  # declared jump locations along x (p = 2 only)
+    kinks: tuple = ()  # declared points along x where f is continuous but not smooth (p = 2 only)
     lipschitz: float | None = None
     variation: float | None = None
 
     def spec(self, d: int, family: Family = Family.LEGENDRE_ORTHONORMAL) -> BasisSpec:
         return BasisSpec(self.p, d, family, self.domain)
+
+    @property
+    def breakpoints(self) -> tuple:
+        """Jumps and kinks together, sorted: where piecewise quadrature must cut."""
+        return tuple(sorted(set(self.jumps) | set(self.kinks)))
 
     def x_box(self) -> np.ndarray:
         return np.asarray(self.domain[:-1], dtype=float)
@@ -77,8 +83,9 @@ class GraphFunction:
         """Build the degree-d moment matrix by the requested route.
 
         ``analytic`` needs closed-form moments; ``quad`` integrates along the
-        graph piecewise between declared jumps; ``empirical`` averages over
-        either a midpoint grid (``grid``) or ``samples`` uniform draws.
+        graph piecewise between declared jumps and kinks; ``empirical``
+        averages over either a midpoint grid (``grid``) or ``samples`` uniform
+        draws.
         """
         spec = self.spec(d, family)
         if mode == "analytic":
@@ -86,7 +93,7 @@ class GraphFunction:
                 raise ValueError(f"benchmark {self.name!r} has no closed-form moments")
             return analytic_moment_matrix(spec, self.moment_fn, note=self.name)
         if mode == "quad":
-            breaks = self.jumps if self.p == 2 else None
+            breaks = self.breakpoints if self.p == 2 else None
             return quadrature_moment_matrix(spec, self.f, nodes, breakpoints=breaks, note=self.name)
         if mode == "empirical":
             if grid is not None:
@@ -131,7 +138,7 @@ def abs_benchmark() -> GraphFunction:
         return (1.0 + (-1.0) ** a1) / (a1 + a2 + 1)
 
     return GraphFunction(
-        "abs", 2, _box_pairs(2), f, moment_fn=moment, lipschitz=1.0, variation=2.0
+        "abs", 2, _box_pairs(2), f, moment_fn=moment, kinks=(0.0,), lipschitz=1.0, variation=2.0
     )
 
 

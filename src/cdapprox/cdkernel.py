@@ -12,11 +12,11 @@ orthonormal for mu0.  Small q flags points near the support of mu; the
 ``gamma_threshold`` level separates graph from non-graph points at a rate
 controlled by the degree.
 
-``CDKernel.eval_q_batch`` evaluates q in blocks of ``_BLOCK`` points: the
-per-axis basis tables are computed once for all N points, and each block
-forms its basis rows and projects them on the sum-of-squares columns.  Memory
-is O(block * n + N * p * d) instead of O(N * n), and the result matches a
-one-shot evaluation up to rounding.
+``CDKernel.eval_q_batch`` evaluates q in blocks of ``_BLOCK`` points: each
+block builds its own per-axis tables and one basis-major (n, block) basis B,
+and q is the column sum of squares of C = S B, with S the sum-of-squares
+rows.  Memory is O(block * n) whatever the number of points N, and the
+result matches a one-shot evaluation up to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import _BLOCK, axis_tables, basis_product, check_point
+from .basis import basis_blocks, check_point
 from .errors import IndefiniteMatrixError
 from .moments import MomentMatrix
 
@@ -101,17 +101,19 @@ class CDKernel:
     def eval_q_batch(self, Z) -> np.ndarray:
         """q at each row of Z, as sum_i (w_i . b(z))^2 over the rows of the SOS form.
 
-        Works through Z in blocks of ``_BLOCK`` points, so neither the (N, n)
-        basis nor its projection is ever held whole; memory is
-        O(block * n + N * p * d).  Matches the one-shot evaluation up to rounding.
+        Works through Z in blocks of ``_BLOCK`` points: per block, C = S B with
+        S the SOS rows and B the basis-major (n, block) basis, and q is the sum
+        of squares down each column of C.  Neither the (N, n) basis nor its
+        tables are ever held whole; memory is O(block * n).  Matches the
+        one-shot evaluation up to rounding.
         """
-        tabs = axis_tables(self.spec, Z)
-        W = self.sos_decomposition().T
-        q = np.empty(tabs[0].shape[0])
-        for start in range(0, q.shape[0], _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            C = basis_product(self.spec, tabs, rows) @ W
-            q[rows] = np.einsum("ij,ij->i", C, C)
+        S = self.sos_decomposition()
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        q = np.empty(Z.shape[0])
+        for rows, B in basis_blocks(self.spec, Z):
+            C = S @ B
+            q[rows] = np.einsum("ij,ij->j", C, C)
+            del B, C  # free this block before the next one is built: about two blocks live at once
         return q
 
     def eval_q(self, z) -> float:

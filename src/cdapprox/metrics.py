@@ -42,8 +42,9 @@ def legendre_projection(f, degree: int, interval=(-1.0, 1.0), jumps=()) -> np.nd
     """Coefficients of the degree-``degree`` L2 projection of f on the interval.
 
     Returned in the orthonormal Legendre family of the interval.  Quadrature
-    is piecewise Gauss-Legendre between declared jumps, so piecewise-smooth f
-    is integrated accurately; nothing here tries to locate jumps.
+    is piecewise Gauss-Legendre between the declared cuts in ``jumps`` (pass
+    a benchmark's ``breakpoints``: its jumps and kinks), so piecewise-smooth f
+    is integrated accurately; nothing here tries to locate them.
     """
     lo, hi = float(interval[0]), float(interval[1])
     cuts = [lo] + sorted(t for t in jumps if lo < t < hi) + [hi]

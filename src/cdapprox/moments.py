@@ -17,11 +17,9 @@ from enum import Enum
 import numpy as np
 
 from .basis import (
-    _BLOCK,
     BasisSpec,
     Family,
-    axis_tables,
-    basis_product,
+    basis_blocks,
     gauss_pieces,
     monomial_expansion_matrix,
 )
@@ -144,16 +142,13 @@ def graph_quadrature_rule(
 def _weighted_gram(spec: BasisSpec, Z, w=None) -> np.ndarray:
     """sum_k w_k b(z_k) b(z_k)^T, with unit weights when w is None.
 
-    Accumulated over blocks of ``_BLOCK`` points from the per-axis tables, so
-    the (N, n) basis is never held whole.  The blocks are fixed, so the sum
-    is the same on every run.
+    Accumulated as (B * w) @ B.T over the basis-major (n, block) blocks of
+    ``basis_blocks``, so the (N, n) basis is never held whole.  The blocks are
+    fixed, so the sum is the same on every run.
     """
-    tabs = axis_tables(spec, Z)
     M = np.zeros((spec.size, spec.size))
-    for start in range(0, tabs[0].shape[0], _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        B = basis_product(spec, tabs, rows)
-        M += (B if w is None else B * w[rows, None]).T @ B
+    for rows, B in basis_blocks(spec, Z):
+        M += (B if w is None else B * w[rows]) @ B.T
     return M
 
 

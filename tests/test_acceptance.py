@@ -108,7 +108,7 @@ def test_criterion_04_no_gibbs_overshoot(capsys, sign_d4_values):
     t0 = time.monotonic()
     app, _, _ = sign_d4_values
     bench = get_benchmark("sign")
-    coeffs = legendre_projection(lambda t: bench.f(t[:, None]), 20, jumps=(0.0,))
+    coeffs = legendre_projection(lambda t: bench.f(t[:, None]), 20, jumps=bench.breakpoints)
     band = np.concatenate([np.linspace(-0.2, -0.05, 200), np.linspace(0.05, 0.2, 200)])
     proj_err = float(np.max(np.abs(eval_projection(coeffs, (-1, 1), band) - np.sign(band))))
     ys, _ = app.evaluate_batch(band[:, None])

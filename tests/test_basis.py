@@ -1,5 +1,6 @@
 """Basis enumeration, evaluation, and expansion against independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdapprox.basis import (
+    _BLOCK,
     BasisSpec,
     Family,
     _axis_expansion,
+    axis_tables,
+    basis_blocks,
+    basis_product,
     basis_size,
     eval_basis,
     eval_basis_batch,
-    grevlex_position,
     monomial_expansion_matrix,
 )
 
@@ -73,11 +77,40 @@ def test_grevlex_nesting(p, d):
 
 
 @given(p=small_p, d=small_d)
-def test_grevlex_position_roundtrip(p, d):
-    pos = grevlex_position(p, d)
+def test_grevlex_indices_roundtrip(p, d):
+    # exponent tuple -> position -> exponent tuple: every exponent of degree <= d once
     idx = BasisSpec(p, d).indices
-    for i, a in enumerate(idx):
-        assert pos[tuple(a)] == i
+    pos = {tuple(a): i for i, a in enumerate(idx.tolist())}
+    assert len(pos) == basis_size(p, d)
+    for a, i in pos.items():
+        assert sum(a) <= d and tuple(idx[i]) == a
+
+
+def _enumerated_grevlex(p, d):
+    # reference: every tuple in range(total + 1)^p, kept if it sums to total, sorted reverse-lex
+    rows = []
+    for total in range(d + 1):
+        block = [a for a in itertools.product(range(total + 1), repeat=p) if sum(a) == total]
+        block.sort(key=lambda a: a[::-1])
+        rows.extend(block)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_grevlex_indices_match_the_full_enumeration(p):
+    for d in range(7):
+        idx = BasisSpec(p, d).indices
+        ref = _enumerated_grevlex(p, d)
+        assert idx.dtype == ref.dtype and idx.shape == ref.shape
+        assert np.array_equal(idx, ref)
+        assert not idx.flags.writeable
+
+
+def test_grevlex_indices_in_many_variables():
+    # (total + 1)^p enumeration never returns here; degree by degree it is 41 rows
+    idx = BasisSpec(40, 1).indices
+    assert idx.shape == (41, 40)
+    assert np.array_equal(idx, np.vstack([np.zeros(40, dtype=np.int64), np.eye(40, dtype=np.int64)]))
 
 
 def test_spec_validation():
@@ -236,3 +269,20 @@ def test_eval_basis_batch_is_c_ordered_and_bit_identical_to_column_recurrence(p,
     B = eval_basis_batch(spec, Z)
     assert B.flags.c_contiguous
     assert np.array_equal(B, _column_recurrence_basis(spec, Z))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_basis_blocks_are_basis_major_and_bit_identical_to_eval_basis_batch(p, family):
+    domain = ((-0.5, 2.0), (-1.0, 1.0), (0.0, 3.0))[:p]
+    spec = BasisSpec(p, 6, family=family, domain=domain)
+    box = spec.domain_array()
+    Z = np.random.default_rng(10 + p).uniform(box[:, 0], box[:, 1], size=(2 * _BLOCK + 5, p))
+    ref = eval_basis_batch(spec, Z)
+    blocks = list(basis_blocks(spec, Z))
+    assert [B.shape[1] for _, B in blocks] == [_BLOCK, _BLOCK, 5]  # the last block partial
+    for rows, B in blocks:
+        assert B.shape[0] == spec.size and B.flags.c_contiguous
+        assert np.array_equal(B, ref[rows].T)
+    whole = basis_product(spec, axis_tables(spec, Z))
+    assert whole.shape == (spec.size, Z.shape[0]) and np.array_equal(whole, ref.T)

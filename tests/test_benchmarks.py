@@ -129,3 +129,20 @@ def test_quadrature_handles_jumps_exactly():
     Ma = bench.moment_matrix(3)
     Mq = bench.moment_matrix(3, mode="quad")
     np.testing.assert_allclose(Ma.entries, Mq.entries, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_quadrature_cuts_at_the_abs_kink(d):
+    # |x| is linear on each side of its kink, so a cut there makes the rule
+    # exact; the closed-form monomial moments are the independent reference
+    bench = get_benchmark("abs")
+    assert bench.kinks == (0.0,) and bench.jumps == () and bench.breakpoints == (0.0,)
+    H = bench.moment_matrix(d, family=Family.MONOMIAL_GREVLEX).entries
+    Q = bench.moment_matrix(d, mode="quad", family=Family.MONOMIAL_GREVLEX).entries
+    assert np.max(np.abs(Q - H)) <= 1e-13 * np.max(np.abs(H))
+
+
+def test_breakpoints_join_jumps_and_kinks():
+    assert get_benchmark("sign").breakpoints == (0.0,)
+    assert get_benchmark("step").breakpoints == (-0.5, 0.3)
+    assert get_benchmark("disk1").breakpoints == ()

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdapprox.basis import BasisSpec, Family, eval_basis, eval_basis_batch
+from cdapprox.basis import _BLOCK, BasisSpec, Family, eval_basis, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import (
-    _BLOCK,
     CDKernel,
     FilterKind,
     ThresholdParams,
@@ -134,6 +133,21 @@ def test_eval_q_batch_memory_stays_below_the_whole_basis():
     finally:
         tracemalloc.stop()
     assert peak < whole / 2
+
+
+def test_eval_q_batch_memory_does_not_grow_with_the_point_count():
+    # tables and basis are built per block: beyond the 8N-byte output, the
+    # tracemalloc peak stays within a few (n, block) blocks at N = 2e5
+    M = get_benchmark("disk1").moment_matrix(8)
+    kern = CDKernel(M, beta_schedule(8))
+    Z = np.random.default_rng(6).uniform(-1, 1, size=(200_000, 3))
+    tracemalloc.start()
+    try:
+        kern.eval_q_batch(Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * Z.shape[0] < 4 * _BLOCK * M.n * 8
 
 
 def test_filtered_matrix_is_tikhonov_inverse():

@@ -49,7 +49,7 @@ def test_projection_reproduces_polynomials():
 
 def test_projection_of_sign_has_odd_coefficients():
     bench = get_benchmark("sign")
-    coeffs = legendre_projection(lambda t: bench.f(t[:, None]), 9, jumps=(0.0,))
+    coeffs = legendre_projection(lambda t: bench.f(t[:, None]), 9, jumps=bench.breakpoints)
     np.testing.assert_allclose(coeffs[::2], 0.0, atol=1e-14)
     assert abs(coeffs[1]) > 1.0  # dominant linear term
 
@@ -57,7 +57,7 @@ def test_projection_of_sign_has_odd_coefficients():
 def test_projection_of_sign_exhibits_overshoot():
     # smooth L2 approximations overshoot a jump by a fixed fraction
     bench = get_benchmark("sign")
-    coeffs = legendre_projection(lambda t: bench.f(t[:, None]), 20, jumps=(0.0,))
+    coeffs = legendre_projection(lambda t: bench.f(t[:, None]), 20, jumps=bench.breakpoints)
     t = np.linspace(-1, 1, 4001)
     vals = eval_projection(coeffs, (-1, 1), t)
     assert overshoot(vals, (-1.0, 1.0)) > 0.05
