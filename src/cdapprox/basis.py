@@ -204,16 +204,43 @@ def basis_product(spec: BasisSpec, tabs: list) -> np.ndarray:
     return out
 
 
+def basis_sqnorm(spec: BasisSpec, tabs: list) -> np.ndarray:
+    """Squared norm ||b(z)||^2 = sum_i b_i(z)^2 of the full basis at each point of ``tabs``.
+
+    Sums prod_k tabs[k][:, a_k]^2 over the exponents |a| <= d without forming
+    the basis: acc[t] holds the sum over the exponents of total degree t on the
+    axes seen so far, and each further axis is a convolution over the degrees
+    truncated at d.  O(p d^2) per point against O(n) for the basis itself.  In
+    the orthonormal family this is K0(z, z), the Christoffel-Darboux kernel of
+    the reference measure.
+    """
+    d = spec.d
+    acc = np.square(tabs[0].T)  # degree-major (d+1, m)
+    for tab in tabs[1:]:
+        sq = np.square(tab.T)
+        nxt = acc * sq[0]
+        for j in range(1, d + 1):
+            nxt[j:] += acc[: d + 1 - j] * sq[j]
+        acc = nxt
+    return acc.sum(axis=0)
+
+
+def table_blocks(spec: BasisSpec, Z):
+    """Yield (rows, tabs) over blocks of ``_BLOCK`` points of Z, tabs = axis_tables of the block."""
+    Z = _points(spec, Z)
+    for start in range(0, Z.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        yield rows, axis_tables(spec, Z[rows])
+
+
 def basis_blocks(spec: BasisSpec, Z):
     """Yield (rows, B) over blocks of ``_BLOCK`` points of Z, B = basis_product of the block.
 
     Tables and basis are built per block, so memory is O(block * n) whatever
     the number of points; every entry equals that of ``eval_basis_batch``.
     """
-    Z = _points(spec, Z)
-    for start in range(0, Z.shape[0], _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        yield rows, basis_product(spec, axis_tables(spec, Z[rows]))
+    for rows, tabs in table_blocks(spec, Z):
+        yield rows, basis_product(spec, tabs)
 
 
 def eval_basis_batch(spec: BasisSpec, Z) -> np.ndarray:

@@ -17,6 +17,11 @@ block builds its own per-axis tables and one basis-major (n, block) basis B,
 and q is the column sum of squares of C = S B, with S the sum-of-squares
 rows.  Memory is O(block * n) whatever the number of points N, and the
 result matches a one-shot evaluation up to rounding.
+
+``CDKernel.q_at_least`` answers q(z) >= level without forming q where it
+can: q(z) >= min(g) ||b(z)||^2, and ``basis_sqnorm`` gives ||b(z)||^2 from
+the per-axis tables in O(p d^2) per point.  Only the points that bound
+leaves open go through ``eval_q_batch``.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import basis_blocks, check_point
+from .basis import basis_blocks, basis_sqnorm, check_point, table_blocks
 from .errors import IndefiniteMatrixError
 from .moments import MomentMatrix
 
 _CLIP_REL = 1e-8  # eigenvalues in [-clip * max, 0) count as rounding noise
+_BOUND_MARGIN = 1e-8  # relative slack on min(g)||b||^2; its rounding and that of q are about 1e-13
 
 
 class FilterKind(Enum):
@@ -115,6 +121,27 @@ class CDKernel:
             q[rows] = np.einsum("ij,ij->j", C, C)
             del B, C  # free this block before the next one is built: about two blocks live at once
         return q
+
+    def q_at_least(self, Z, level: float) -> np.ndarray:
+        """Boolean array: q(z) >= level at each row of Z, equal to ``eval_q_batch(Z) >= level``.
+
+        With P orthogonal, q(z) = sum_i g_i (p_i . b(z))^2 >= min(g) ||b(z)||^2;
+        for the Tikhonov filter min(g) = 1/(beta + lambda_max).  Per block of
+        ``_BLOCK`` points the bound, shrunk by a relative margin of 1e-8, settles
+        every point where it reaches ``level``; only the others go through
+        ``eval_q_batch``.  The low-pass filter has min(g) = 0, so there every
+        point is evaluated exactly.  Memory is O(block * n).
+        """
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        floor = float(self.filter_values.min()) * (1.0 - _BOUND_MARGIN)
+        out = np.empty(Z.shape[0], dtype=bool)
+        for rows, tabs in table_blocks(self.spec, Z):
+            sure = floor * basis_sqnorm(self.spec, tabs) >= level
+            if not sure.all():
+                open_ = np.flatnonzero(~sure)
+                sure[open_] = self.eval_q_batch(Z[rows][open_]) >= level
+            out[rows] = sure
+        return out
 
     def eval_q(self, z) -> float:
         """q at a single point z, with the point checks of ``eval_basis``."""

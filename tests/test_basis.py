@@ -17,6 +17,7 @@ from cdapprox.basis import (
     basis_blocks,
     basis_product,
     basis_size,
+    basis_sqnorm,
     eval_basis,
     eval_basis_batch,
     monomial_expansion_matrix,
@@ -286,3 +287,17 @@ def test_basis_blocks_are_basis_major_and_bit_identical_to_eval_basis_batch(p, f
         assert np.array_equal(B, ref[rows].T)
     whole = basis_product(spec, axis_tables(spec, Z))
     assert whole.shape == (spec.size, Z.shape[0]) and np.array_equal(whole, ref.T)
+
+
+@pytest.mark.parametrize("d", [0, 7])
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_basis_sqnorm_equals_the_summed_squares_of_the_basis(p, family, d):
+    domain = ((-0.5, 2.0), (-1.0, 1.0), (0.0, 3.0))[:p]
+    spec = BasisSpec(p, d, family=family, domain=domain)
+    box = spec.domain_array()
+    Z = np.random.default_rng(20 + p).uniform(box[:, 0], box[:, 1], size=(257, p))
+    ref = (eval_basis_batch(spec, Z) ** 2).sum(1)
+    got = basis_sqnorm(spec, axis_tables(spec, Z))
+    assert got.shape == (Z.shape[0],)
+    np.testing.assert_allclose(got, ref, rtol=1e-13)

@@ -150,6 +150,73 @@ def test_eval_q_batch_memory_does_not_grow_with_the_point_count():
     assert peak - 8 * Z.shape[0] < 4 * _BLOCK * M.n * 8
 
 
+def _count_exact_points(kern) -> list:
+    """Make kern.eval_q_batch record how many points each call receives."""
+    sent = []
+    exact = kern.eval_q_batch
+
+    def counting(Z):
+        sent.append(len(Z))
+        return exact(Z)
+
+    kern.eval_q_batch = counting
+    return sent
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("kind", list(FilterKind))
+@pytest.mark.parametrize("name,d", [("sign", 6), ("disk1", 4)])
+def test_q_at_least_equals_the_exact_comparison(name, d, kind, family):
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(d, family=family)
+    kern = CDKernel(M, beta_schedule(d), kind)
+    rng = np.random.default_rng(d)
+    N = 2 * _BLOCK + 5  # the last block is partial
+    box = M.spec.domain_array()
+    Z = np.vstack([
+        bench.graph_points(bench.random_x(N // 2, rng)),
+        rng.uniform(box[:, 0], box[:, 1], size=(N - N // 2, bench.p)),
+    ])
+    q = kern.eval_q_batch(Z)
+    qs = np.sort(q)
+    gamma = gamma_threshold(d, threshold_params(M))
+    quantiles = [0.5 * (qs[i] + qs[i + 1]) for i in (N // 10, N // 2, 9 * N // 10)]
+    sent = _count_exact_points(kern)
+    for level in [gamma, *quantiles, 2.0 * qs[-1]]:
+        sent.clear()
+        got = kern.q_at_least(Z, level)
+        assert got.dtype == bool and got.shape == (N,)
+        assert np.array_equal(got, q >= level)
+        if level == gamma:
+            # gamma_d is vacuous: the bound settles every point unless min(g) = 0
+            assert sum(sent) == (N if kind is FilterKind.LOWPASS else 0)
+        elif level == quantiles[1] and kind is not FilterKind.LOWPASS:
+            assert 0 < sum(sent) < N  # the bound settles some points, exact q the rest
+        elif level > qs[-1]:
+            assert sum(sent) == N  # above every q the bound settles none
+    assert kern.q_at_least(np.zeros((0, bench.p)), gamma).shape == (0,)
+    with pytest.raises(ValueError):
+        kern.q_at_least(np.zeros((0, bench.p + 1)), gamma)
+
+
+def test_q_at_least_memory_does_not_grow_with_the_point_count():
+    # beyond the N-byte output, the tracemalloc peak stays within a few (n, block)
+    # blocks at N = 2e5, whether the bound settles every point or none
+    M = get_benchmark("disk1").moment_matrix(8)
+    kern = CDKernel(M, beta_schedule(8))
+    Z = np.random.default_rng(7).uniform(-1, 1, size=(200_000, 3))
+    gamma = gamma_threshold(8, threshold_params(M, r=3.5))
+    for level, expected in ((gamma, True), (np.inf, False)):
+        tracemalloc.start()
+        try:
+            out = kern.q_at_least(Z, level)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(out == expected)
+        assert peak - Z.shape[0] < 4 * _BLOCK * M.n * 8
+
+
 def test_filtered_matrix_is_tikhonov_inverse():
     M = random_psd_matrix(BasisSpec(2, 2), seed=5)
     kern = CDKernel(M, 0.1)

@@ -185,6 +185,14 @@ def test_support_command_writes_report(tmp_path):
     assert "ok=True" in res.stdout
 
 
+@pytest.mark.parametrize("flags", [("--probes", "0"), ("--mesh", "1")])
+def test_support_command_rejects_empty_samples(flags):
+    res = run_cli("support", "--name", "sign", "--degree", "4", "--beta-schedule", "--probes", "200", *flags)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:") and "at least" in res.stderr
+    assert "bound violation" not in res.stderr
+
+
 def test_rates_command(tmp_path):
     res = run_cli(
         "rates",

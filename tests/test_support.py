@@ -101,6 +101,43 @@ def test_support_report_rejects_degree_one():
         support_report(bench, M, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        dict(n_mass_samples=0),
+        dict(n_probes=0),
+        dict(n_mass_samples=-5),
+        dict(mesh_points=0),
+        dict(mesh_points=1),
+    ],
+)
+def test_support_report_rejects_empty_samples_and_meshes(sizes):
+    # an empty sample has no mean and a one-point mesh no gap: both used to
+    # come out as a silent nan or zero instead of an error
+    bench = get_benchmark("sign")
+    M = bench.moment_matrix(4)
+    kwargs = {**dict(n_mass_samples=100, n_probes=100, mesh_points=50), **sizes}
+    with pytest.raises(ValueError, match="at least"):
+        support_report(bench, M, beta_schedule(4), **kwargs)
+
+
+def _eval_q_report(bench, M, beta, **kwargs):
+    """The report with every q >= gamma test made on the exact q of eval_q_batch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CDKernel, "q_at_least", lambda self, Z, level: self.eval_q_batch(Z) >= level)
+        return support_report(bench, M, beta, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("disk1", 4)])
+def test_support_report_equals_the_eval_q_batch_report(name, d, seed):
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(d)
+    kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=3000, mesh_points=500, seed=seed)
+    rep = support_report(bench, M, beta_schedule(d), **kwargs)
+    assert rep.to_dict() == _eval_q_report(bench, M, beta_schedule(d), **kwargs).to_dict()
+
+
 def test_sublevel_probes_stay_near_graph_at_empirical_level():
     # non-vacuous variant: thresholding at twice the on-graph maximum keeps
     # the sublevel set within a thin neighborhood of the graph
