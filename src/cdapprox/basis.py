@@ -1,4 +1,4 @@
-"""Multivariate polynomial bases: grevlex indexing, evaluation, monomial expansion.
+"""Multivariate polynomial bases: grevlex indexing and evaluation.
 
 Two families are supported on axis-aligned boxes of R^p:
 
@@ -272,41 +272,3 @@ def eval_basis(spec: BasisSpec, z) -> np.ndarray:
     """Evaluate the basis vector b(z) at a single point z in R^p."""
     return eval_basis_batch(spec, check_point(spec, z)[None, :])[0]
 
-
-def _affine_compose(coefs: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
-    """Monomial coefficients of q(alpha*t + gamma) given those of q."""
-    res = np.zeros(1)
-    for c in coefs[::-1]:
-        res = np.polynomial.polynomial.polymul(res, [gamma, alpha])
-        res = np.polynomial.polynomial.polyadd(res, [c])
-    return res
-
-
-@lru_cache(maxsize=None)
-def _axis_expansion(d: int, lo: float, hi: float) -> np.ndarray:
-    """(d+1, d+1) matrix: row k = monomial coefficients of the degree-k
-    orthonormal Legendre polynomial on [lo, hi]."""
-    U = np.zeros((d + 1, d + 1))
-    w = hi - lo
-    alpha = 2.0 / w
-    gamma = -(lo + hi) / w
-    for k in range(d + 1):
-        leg = np.polynomial.legendre.leg2poly(np.eye(k + 1)[k])
-        mono = _affine_compose(leg, alpha, gamma) if (alpha, gamma) != (1.0, 0.0) else leg
-        U[k, : len(mono)] = mono * np.sqrt((2 * k + 1) / w)
-    return U
-
-
-def monomial_expansion_matrix(spec: BasisSpec) -> np.ndarray:
-    """G with b_spec(z) = G m(z), m the monomial-grevlex basis of the same (p, d).
-
-    G[i, j] is the product over the axes k of U_k[a_i[k], a_j[k]], where row r
-    of U_k holds the monomial coefficients of axis k's degree-r polynomial.
-    """
-    if spec.family is Family.MONOMIAL_GREVLEX:
-        return np.eye(spec.size)
-    idx = spec.indices
-    G = np.ones((spec.size, spec.size))
-    for k, (lo, hi) in enumerate(spec.domain):
-        G *= _axis_expansion(spec.d, lo, hi)[np.ix_(idx[:, k], idx[:, k])]
-    return G + 0.0  # a zero factor times a negative one leaves -0.0; zero entries are +0.0

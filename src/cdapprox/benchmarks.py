@@ -1,26 +1,28 @@
-"""Benchmark graph functions with known moments, jumps, and regularity data.
+"""Benchmark graph functions with exact graph rules, jumps, and regularity data.
 
 Each benchmark fixes a target function f on a box, the box for the graph
-variable z = (x, f(x)), and whatever is known analytically: closed-form
-monomial moments of the graph measure, declared jump and kink locations, a
+variable z = (x, f(x)), and whatever is known analytically: a rule (Z, w) of
+graph nodes and weights that integrates every polynomial of degree <= 2d
+exactly against the graph measure, declared jump and kink locations, a
 Lipschitz constant, or the total variation.  Downstream code never detects
 jumps or kinks; it reads them from here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import BasisSpec, Family
+from .basis import BasisSpec, Family, gauss_pieces
 from .moments import (
     MomentMatrix,
-    analytic_moment_matrix,
+    Provenance,
     empirical_moment_matrix,
+    graph_quadrature_rule,
     quadrature_moment_matrix,
+    rule_moment_matrix,
 )
 
 
@@ -32,7 +34,7 @@ class GraphFunction:
     p: int  # ambient dimension of z = (x, y); x lives in R^(p-1)
     domain: tuple  # ((lo, hi), ...) for all p axes, y-axis last
     f: Callable  # vectorized: (n, p-1) array -> (n,) values
-    moment_fn: Callable | None = None  # closed-form monomial graph moments
+    rule: Callable | None = None  # d -> (Z, w), exact for degree <= 2d on the graph measure
     jumps: tuple = ()  # declared jump locations along x (p = 2 only)
     kinks: tuple = ()  # declared points along x where f is continuous but not smooth (p = 2 only)
     lipschitz: float | None = None
@@ -82,16 +84,16 @@ class GraphFunction:
     ) -> MomentMatrix:
         """Build the degree-d moment matrix by the requested route.
 
-        ``analytic`` needs closed-form moments; ``quad`` integrates along the
-        graph piecewise between declared jumps and kinks; ``empirical``
-        averages over either a midpoint grid (``grid``) or ``samples`` uniform
-        draws.
+        ``analytic`` sums over the benchmark's exact graph rule, so it is
+        right to rounding at every degree; ``quad`` integrates along the graph
+        piecewise between declared jumps and kinks; ``empirical`` averages
+        over either a midpoint grid (``grid``) or ``samples`` uniform draws.
         """
         spec = self.spec(d, family)
         if mode == "analytic":
-            if self.moment_fn is None:
-                raise ValueError(f"benchmark {self.name!r} has no closed-form moments")
-            return analytic_moment_matrix(spec, self.moment_fn, note=self.name)
+            if self.rule is None:
+                raise ValueError(f"benchmark {self.name!r} has no exact graph rule; use mode 'quad' or 'empirical'")
+            return rule_moment_matrix(spec, *self.rule(d), Provenance.ANALYTIC, self.name)
         if mode == "quad":
             breaks = self.breakpoints if self.p == 2 else None
             return quadrature_moment_matrix(spec, self.f, nodes, breakpoints=breaks, note=self.name)
@@ -112,18 +114,28 @@ def _box_pairs(p: int) -> tuple:
     return ((-1.0, 1.0),) * p
 
 
+def _affine_pieces_rule(f, breakpoints):
+    """Rule for the graph of an f on [-1, 1] that is affine between ``breakpoints``.
+
+    On each piece b_i b_j (x, f(x)) has degree <= 2d in x, which d + 1
+    Gauss-Legendre nodes integrate exactly.
+    """
+
+    def rule(d):
+        X, w = graph_quadrature_rule(BasisSpec(2, d), d + 1, breakpoints)
+        return np.c_[X, f(X)], w
+
+    return rule
+
+
 def sign_benchmark() -> GraphFunction:
     """f(x) = sign(x) on [-1, 1], with f(0) = 1; one jump of height 2 at 0."""
 
     def f(X):
         return np.where(X[:, 0] < 0.0, -1.0, 1.0)
 
-    def moment(a):
-        a1, a2 = a
-        return ((-1.0) ** (a1 + a2) + 1.0) / (a1 + 1)
-
     return GraphFunction(
-        "sign", 2, _box_pairs(2), f, moment_fn=moment, jumps=(0.0,), variation=2.0
+        "sign", 2, _box_pairs(2), f, rule=_affine_pieces_rule(f, (0.0,)), jumps=(0.0,), variation=2.0
     )
 
 
@@ -133,13 +145,8 @@ def abs_benchmark() -> GraphFunction:
     def f(X):
         return np.abs(X[:, 0])
 
-    def moment(a):
-        a1, a2 = a
-        return (1.0 + (-1.0) ** a1) / (a1 + a2 + 1)
-
-    return GraphFunction(
-        "abs", 2, _box_pairs(2), f, moment_fn=moment, kinks=(0.0,), lipschitz=1.0, variation=2.0
-    )
+    rule = _affine_pieces_rule(f, (0.0,))
+    return GraphFunction("abs", 2, _box_pairs(2), f, rule=rule, kinks=(0.0,), lipschitz=1.0, variation=2.0)
 
 
 def step_benchmark(
@@ -154,19 +161,13 @@ def step_benchmark(
         raise ValueError("breakpoints must be strictly increasing")
     if np.min(vals) < -1.0 or np.max(vals) > 1.0:
         raise ValueError("step values must stay inside the y-box [-1, 1]")
-    edges = np.array([-1.0, *breaks, 1.0])
 
     def f(X):
         return vals[np.searchsorted(np.asarray(breaks), X[:, 0], side="right")]
 
-    def moment(a):
-        a1, a2 = a
-        pieces = (edges[1:] ** (a1 + 1) - edges[:-1] ** (a1 + 1)) / (a1 + 1)
-        return float(np.sum(vals**a2 * pieces))
-
     variation = float(np.sum(np.abs(np.diff(vals))))
     return GraphFunction(
-        "step", 2, _box_pairs(2), f, moment_fn=moment, jumps=breaks, variation=variation
+        "step", 2, _box_pairs(2), f, rule=_affine_pieces_rule(f, breaks), jumps=breaks, variation=variation
     )
 
 
@@ -179,31 +180,44 @@ def _disk_indicator(center, radius):
     return inside
 
 
-def _centered_disk_moment(a1: int, a2: int, radius: float) -> float:
-    # int_{disk} u^a1 v^a2 du dv, disk centered at the origin
-    if a1 % 2 or a2 % 2:
-        return 0.0
-    u, v = (a1 + 1) / 2.0, (a2 + 1) / 2.0
-    beta = math.gamma(u) * math.gamma(v) / math.gamma(u + v)
-    return 2.0 * radius ** (a1 + a2 + 2) / (a1 + a2 + 2) * beta
+def _disk_indicator_rule(center, radius):
+    """Rule for the graph of the indicator of a disk inside [-1, 1]^2.
+
+    f takes only the values 0 and 1, so the graph integral of phi is the box
+    integral of phi(x, 0) plus the disk integral of phi(x, 1) - phi(x, 0).  For
+    degree 2d, a (d+1)^2 tensor Gauss rule is exact on the box, and on the disk
+    Gauss-Legendre in the radius with weight rho (d + 2 nodes) times the
+    (2d+2)-point trapezoid rule in the angle (Stroud, Approximate Calculation
+    of Multiple Integrals, 1971).
+    """
+    cx, cy = center
+
+    def rule(d):
+        g, wg = (a.ravel() for a in gauss_pieces([-1.0, 1.0], d + 1))
+        box = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        rho, wr = (a.ravel() for a in gauss_pieces([0.0, radius], d + 2))
+        theta = np.pi * np.arange(2 * d + 2) / (d + 1)
+        disk = np.c_[cx + np.outer(rho, np.cos(theta)).ravel(), cy + np.outer(rho, np.sin(theta)).ravel()]
+        w_disk = np.repeat(wr * rho * (np.pi / (d + 1)), theta.size)
+        parts = [(box, 0.0, np.outer(wg, wg).ravel()), (disk, 1.0, w_disk), (disk, 0.0, -w_disk)]
+        Z = np.vstack([np.c_[P, np.full(len(P), y)] for P, y, _ in parts])
+        return Z, np.concatenate([w for _, _, w in parts])
+
+    return rule
 
 
 def disk_benchmark() -> GraphFunction:
     """Indicator of the radius-1/2 disk centered at the origin, on [-1, 1]^2."""
     f = _disk_indicator((0.0, 0.0), 0.5)
-
-    def moment(a):
-        a1, a2, a3 = a
-        if a3 == 0:
-            return ((1.0 + (-1.0) ** a1) / (a1 + 1)) * ((1.0 + (-1.0) ** a2) / (a2 + 1))
-        # the indicator's powers all equal the indicator itself
-        return _centered_disk_moment(a1, a2, 0.5)
-
-    return GraphFunction("disk1", 3, _box_pairs(3), f, moment_fn=moment)
+    return GraphFunction("disk1", 3, _box_pairs(3), f, rule=_disk_indicator_rule((0.0, 0.0), 0.5))
 
 
 def two_disks_benchmark() -> GraphFunction:
-    """Difference of two overlapping disk indicators; no closed-form moments."""
+    """Difference of two overlapping disk indicators; no exact graph rule.
+
+    The lens where the disks overlap has no polynomial-exact product rule, so
+    only the ``quad`` and ``empirical`` routes build its matrix.
+    """
     g1 = _disk_indicator((0.0, 0.0), 0.5)
     g2 = _disk_indicator((-0.5, -0.5), 0.5)
 

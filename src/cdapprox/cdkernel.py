@@ -21,7 +21,7 @@ result matches a one-shot evaluation up to rounding.
 ``CDKernel.q_at_least`` answers q(z) >= level without forming q where it
 can: q(z) >= min(g) ||b(z)||^2, and ``basis_sqnorm`` gives ||b(z)||^2 from
 the per-axis tables in O(p d^2) per point.  Only the points that bound
-leaves open go through ``eval_q_batch``.
+leaves open get exact q, from the rows of their block's own tables.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import basis_blocks, basis_sqnorm, check_point, table_blocks
+from .basis import basis_blocks, basis_product, basis_sqnorm, check_point, table_blocks
 from .errors import IndefiniteMatrixError
 from .moments import MomentMatrix
 
@@ -128,18 +128,21 @@ class CDKernel:
         With P orthogonal, q(z) = sum_i g_i (p_i . b(z))^2 >= min(g) ||b(z)||^2;
         for the Tikhonov filter min(g) = 1/(beta + lambda_max).  Per block of
         ``_BLOCK`` points the bound, shrunk by a relative margin of 1e-8, settles
-        every point where it reaches ``level``; only the others go through
-        ``eval_q_batch``.  The low-pass filter has min(g) = 0, so there every
-        point is evaluated exactly.  Memory is O(block * n).
+        every point where it reaches ``level``; the others get exact q as in
+        ``eval_q_batch``, from the rows of the block's own tables.  The low-pass
+        filter has min(g) = 0, so there every point is evaluated exactly.
+        Memory is O(block * n).
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         floor = float(self.filter_values.min()) * (1.0 - _BOUND_MARGIN)
+        S = self.sos_decomposition()
         out = np.empty(Z.shape[0], dtype=bool)
         for rows, tabs in table_blocks(self.spec, Z):
             sure = floor * basis_sqnorm(self.spec, tabs) >= level
             if not sure.all():
                 open_ = np.flatnonzero(~sure)
-                sure[open_] = self.eval_q_batch(Z[rows][open_]) >= level
+                C = S @ basis_product(self.spec, [t[open_] for t in tabs])
+                sure[open_] = np.einsum("ij,ij->j", C, C) >= level
             out[rows] = sure
         return out
 

@@ -2,27 +2,23 @@
 
 The central object is ``MomentMatrix``: the Gram matrix M[i, j] = int b_i b_j dmu
 for a basis b of degree <= d and a positive measure mu on R^p.  Matrices come
-from closed-form moments, Gauss-Legendre quadrature along a graph, or plain
-sample averages, and can be serialized to a line-oriented text format (lower
-triangle, 17 significant digits, bit-exact round trip) or JSON.
+from a weighted rule (Z, w) on the graph, either exact for the degree or a
+Gauss-Legendre quadrature along it, or from plain sample averages; every route
+accumulates the same blocked Gram sum.  They can be serialized to a
+line-oriented text format (lower triangle, 17 significant digits, bit-exact
+round trip) or JSON.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .basis import (
-    BasisSpec,
-    Family,
-    basis_blocks,
-    gauss_pieces,
-    monomial_expansion_matrix,
-)
+from .basis import BasisSpec, Family, basis_blocks, gauss_pieces
 from .errors import IndefiniteMatrixError, MomentFileError
 
 _FORMAT_TAG = "cdmoments"
@@ -77,42 +73,6 @@ class MomentMatrix:
             )
 
 
-def _monomial_gram(spec: BasisSpec, moment_fn) -> np.ndarray:
-    """Hankel matrix H[i, j] = moment_fn(a_i + a_j), one call per distinct exponent.
-
-    The n^2 exponent sums are sorted by ``np.lexsort`` over their columns and
-    grouped where neighbours differ, which needs no combined integer key that
-    could overflow.
-    """
-    idx = spec.indices
-    n = spec.size
-    sums = (idx[:, None, :] + idx[None, :, :]).reshape(n * n, spec.p)
-    order = np.lexsort(sums.T[::-1])
-    ordered = sums[order]
-    first = np.ones(n * n, dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    inverse = np.empty(n * n, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    vals = np.array([float(moment_fn(tuple(a))) for a in ordered[first].tolist()])
-    return vals[inverse.reshape(n, n)]
-
-
-def analytic_moment_matrix(spec: BasisSpec, moment_fn, note: str = "") -> MomentMatrix:
-    """Moment matrix from a closed-form monomial moment function.
-
-    ``moment_fn(a)`` must return int z^a dmu(z) for any exponent tuple a of
-    length p with total degree <= 2d.  The basis change to an orthonormal
-    family is exact up to rounding in the expansion coefficients.
-    """
-    H = _monomial_gram(spec, moment_fn)
-    mass = float(H[0, 0])  # the zero exponent: total mass
-    if spec.family is not Family.MONOMIAL_GREVLEX:
-        G = monomial_expansion_matrix(spec)
-        H = G @ H @ G.T
-    H = 0.5 * (H + H.T)
-    return MomentMatrix(spec, H, Provenance.ANALYTIC, mass, note)
-
-
 def graph_quadrature_rule(
     spec: BasisSpec, nodes_per_axis: int, breakpoints=None
 ) -> tuple:
@@ -152,6 +112,16 @@ def _weighted_gram(spec: BasisSpec, Z, w=None) -> np.ndarray:
     return M
 
 
+def rule_moment_matrix(spec: BasisSpec, Z, w, provenance: Provenance, note: str = "") -> MomentMatrix:
+    """Moment matrix sum_k w_k b(z_k) b(z_k)^T of a rule (Z, w) for mu; its mass is sum(w).
+
+    The weights may be negative, as in a rule built by adding and subtracting
+    measures; the matrix is PSD to rounding whenever the rule is exact for mu.
+    """
+    M = _weighted_gram(spec, Z, w)
+    return MomentMatrix(spec, 0.5 * (M + M.T), provenance, float(np.sum(w)), note)
+
+
 def quadrature_moment_matrix(
     spec: BasisSpec,
     f,
@@ -171,9 +141,7 @@ def quadrature_moment_matrix(
     y = np.asarray(f(X), dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError("f returned a value count different from the node count")
-    M = _weighted_gram(spec, np.concatenate([X, y[:, None]], axis=1), w)
-    M = 0.5 * (M + M.T)
-    return MomentMatrix(spec, M, Provenance.QUADRATURE, float(np.sum(w)), note)
+    return rule_moment_matrix(spec, np.concatenate([X, y[:, None]], axis=1), w, Provenance.QUADRATURE, note)
 
 
 def empirical_moment_matrix(spec: BasisSpec, Z, note: str = "") -> MomentMatrix:
@@ -193,33 +161,6 @@ def empirical_moment_matrix(spec: BasisSpec, Z, note: str = "") -> MomentMatrix:
     M = _weighted_gram(spec, Z) / Z.shape[0]
     M = 0.5 * (M + M.T)
     return MomentMatrix(spec, M, Provenance.EMPIRICAL, 1.0, note)
-
-
-def box_moment_fn(spec: BasisSpec):
-    """Monomial moments of Lebesgue measure on the full p-dimensional box."""
-    box = spec.domain_array()
-
-    def mom(a) -> float:
-        out = 1.0
-        for (lo, hi), k in zip(box, a):
-            out *= (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-        return out
-
-    return mom
-
-
-def reference_moment_matrix(spec: BasisSpec) -> MomentMatrix:
-    """Moment matrix of the reference measure mu0 = Lebesgue on the box.
-
-    For the orthonormal Legendre family this is the identity, which is what
-    makes a plain beta * I shift equivalent to mixing in beta * mu0.
-    """
-    M = analytic_moment_matrix(spec, box_moment_fn(spec), note="reference measure")
-    if spec.family is Family.LEGENDRE_ORTHONORMAL:
-        err = float(np.max(np.abs(M.entries - np.eye(spec.size))))
-        if err > 1e-8:
-            raise ArithmeticError(f"orthonormality defect {err:.2e} in reference matrix")
-    return M
 
 
 # --- serialization ---------------------------------------------------------

@@ -151,7 +151,7 @@ def test_criterion_06_markov_mass_bound(capsys):
     for name in sorted(BENCHMARKS):
         bench = get_benchmark(name)
         for d in (2, 4, 6, 8):
-            if bench.moment_fn is not None:
+            if bench.rule is not None:
                 M = bench.moment_matrix(d)
             else:
                 M = bench.moment_matrix(d, mode="empirical", grid=60)

@@ -13,7 +13,7 @@ from cdapprox.approximant import _CHUNK, ApproxConfig, Approximant, partial_argm
 from cdapprox.basis import BasisSpec, Family
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import CDKernel
-from cdapprox.moments import reference_moment_matrix
+from cdapprox.moments import MomentMatrix, Provenance
 
 
 def legendre_rows(polys):
@@ -211,11 +211,8 @@ def test_evaluate_batch_is_bit_identical_per_point():
         assert partial_argmin(app.y_coefficients(X[i]), (-1.0, 1.0)) == (ys[i], qs[i])
 
 
-@pytest.mark.parametrize("d", [12, 16, 20])
-@pytest.mark.parametrize("name", ["sign", "step", "abs"])
-def test_high_degree_fibers_match_spectral_brute_force(name, d):
+def _check_fibers_against_spectral_brute_force(kern, name):
     # the midpoint grid of 8 keeps every x at least 0.075 away from a jump
-    kern = quad_kernel(name, d)
     X = get_benchmark(name).grid_x(8)
     ys, qs = Approximant(kern).evaluate_batch(X)
     q_ref = kern.eval_q_batch(np.c_[X, ys])
@@ -226,6 +223,20 @@ def test_high_degree_fibers_match_spectral_brute_force(name, d):
         j = int(np.argmin(dense))
         assert q <= dense[j] * (1.0 + 1e-9)
         assert y == pytest.approx(yy[j], abs=1e-3)
+
+
+@pytest.mark.parametrize("d", [12, 16, 20])
+@pytest.mark.parametrize("name", ["sign", "step", "abs"])
+def test_high_degree_fibers_match_spectral_brute_force(name, d):
+    _check_fibers_against_spectral_brute_force(quad_kernel(name, d), name)
+
+
+@pytest.mark.parametrize("d", [24, 32])
+@pytest.mark.parametrize("name", ["sign", "step", "abs"])
+def test_high_degree_analytic_fibers_match_spectral_brute_force(name, d):
+    # the default route's exact graph rule stays PSD to rounding at these degrees
+    kern = CDKernel(get_benchmark(name).moment_matrix(d, mode="analytic"), 1e-8)
+    _check_fibers_against_spectral_brute_force(kern, name)
 
 
 def test_approximant_tracks_sign_function():
@@ -241,7 +252,8 @@ def test_approximant_tracks_sign_function():
 
 
 def test_approximant_validation():
-    M = reference_moment_matrix(BasisSpec(1, 2))
+    spec = BasisSpec(1, 2)
+    M = MomentMatrix(spec, np.eye(spec.size), Provenance.ANALYTIC, spec.domain_volume())
     with pytest.raises(ValueError, match="p >= 2"):
         Approximant(CDKernel(M, 1e-3))
     M2 = get_benchmark("sign").moment_matrix(2)

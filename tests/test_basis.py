@@ -1,4 +1,4 @@
-"""Basis enumeration, evaluation, and expansion against independent oracles."""
+"""Basis enumeration and evaluation against independent oracles."""
 
 import itertools
 import math
@@ -12,7 +12,6 @@ from cdapprox.basis import (
     _BLOCK,
     BasisSpec,
     Family,
-    _axis_expansion,
     axis_tables,
     basis_blocks,
     basis_product,
@@ -20,7 +19,6 @@ from cdapprox.basis import (
     basis_sqnorm,
     eval_basis,
     eval_basis_batch,
-    monomial_expansion_matrix,
 )
 
 small_p = st.integers(min_value=1, max_value=4)
@@ -206,30 +204,6 @@ def test_eval_basis_input_validation():
         eval_basis(spec, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         eval_basis_batch(spec, np.zeros((4, 3)))
-
-
-def test_axis_expansion_rows_expand_the_axis_family():
-    # row k holds the monomial coefficients of the orthonormal degree-k polynomial
-    lo, hi = 0.0, 2.0
-    U = _axis_expansion(5, lo, hi)
-    t = np.linspace(lo, hi, 9)
-    table = eval_basis_batch(BasisSpec(1, 5, domain=((lo, hi),)), t[:, None])
-    for k in range(6):
-        np.testing.assert_allclose(
-            np.polynomial.polynomial.polyval(t, U[k]), table[:, k], rtol=1e-10, atol=1e-12
-        )
-
-
-@given(d=st.integers(min_value=0, max_value=5), data=st.data())
-@settings(max_examples=40)
-def test_monomial_expansion_matrix_identity(d, data):
-    z = np.array(
-        [data.draw(st.floats(min_value=-1, max_value=1, allow_nan=False)) for _ in range(2)]
-    )
-    spec = BasisSpec(2, d, family=Family.LEGENDRE_ORTHONORMAL)
-    G = monomial_expansion_matrix(spec)
-    mono = eval_basis(BasisSpec(2, d, family=Family.MONOMIAL_GREVLEX), z)
-    np.testing.assert_allclose(G @ mono, eval_basis(spec, z), rtol=1e-9, atol=1e-9)
 
 
 def _column_recurrence_basis(spec, Z):

@@ -1,12 +1,15 @@
-"""Benchmark graph functions: values, closed-form moments, matrix builders."""
+"""Benchmark graph functions: values, exact graph rules, matrix builders."""
 
 import numpy as np
 import pytest
+from moment_oracle import MOMENTS, NAMES, hankel, orthonormal_entry
 from scipy import integrate
 
 from cdapprox.basis import Family
 from cdapprox.benchmarks import BENCHMARKS, get_benchmark, step_benchmark
 from cdapprox.moments import Provenance
+
+MONO = Family.MONOMIAL_GREVLEX
 
 
 def test_registry_and_lookup():
@@ -55,8 +58,8 @@ def test_step_benchmark_validation():
 
 
 @pytest.mark.parametrize("name", ["sign", "abs", "step"])
-def test_univariate_moments_match_quadrature(name):
-    # oracle: piecewise adaptive quadrature of x^a1 f(x)^a2 between jumps
+def test_univariate_oracle_moments_match_quadrature(name):
+    # the tests' closed forms against piecewise adaptive quadrature of x^a1 f(x)^a2 between jumps
     bench = get_benchmark(name)
     cuts = [-1.0, *bench.jumps, 1.0]
     for a1, a2 in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 2), (1, 3), (4, 4)]:
@@ -66,10 +69,10 @@ def test_univariate_moments_match_quadrature(name):
                 lambda t: t**a1 * float(bench.f(np.array([[t]]))[0]) ** a2, lo, hi
             )
             expect += val
-        assert bench.moment_fn((a1, a2)) == pytest.approx(expect, abs=1e-12)
+        assert float(MOMENTS[name]((a1, a2))) == pytest.approx(expect, abs=1e-12)
 
 
-def test_disk_moments_match_quadrature():
+def test_disk_oracle_moments_match_quadrature():
     # oracle in polar form (smooth integrand): the radial part integrates to
     # R^(a1+a2+2)/(a1+a2+2) and the angular part is quadratured
     bench = get_benchmark("disk1")
@@ -78,10 +81,10 @@ def test_disk_moments_match_quadrature():
             lambda t: np.cos(t) ** a1 * np.sin(t) ** a2, 0.0, 2.0 * np.pi, epsabs=1e-13
         )
         val = 0.5 ** (a1 + a2 + 2) / (a1 + a2 + 2) * ang
-        assert bench.moment_fn((a1, a2, a3)) == pytest.approx(val, abs=1e-12)
+        assert float(MOMENTS["disk1"]((a1, a2, a3))) == pytest.approx(val, abs=1e-12)
     # a3 = 0 reduces to plain box moments
-    assert bench.moment_fn((0, 0, 0)) == pytest.approx(4.0)
-    assert bench.moment_fn((2, 2, 0)) == pytest.approx(4.0 / 9.0)
+    assert float(MOMENTS["disk1"]((0, 0, 0))) == pytest.approx(4.0)
+    assert float(MOMENTS["disk1"]((2, 2, 0))) == pytest.approx(4.0 / 9.0)
 
 
 def test_grids_and_graph_points():
@@ -119,7 +122,7 @@ def test_moment_matrix_modes():
         bench.moment_matrix(2, mode="empirical")
     with pytest.raises(ValueError, match="unknown"):
         bench.moment_matrix(2, mode="fancy")
-    with pytest.raises(ValueError, match="closed-form"):
+    with pytest.raises(ValueError, match="no exact graph rule; use mode 'quad' or 'empirical'"):
         get_benchmark("disk2").moment_matrix(2)
 
 
@@ -137,8 +140,8 @@ def test_quadrature_cuts_at_the_abs_kink(d):
     # exact; the closed-form monomial moments are the independent reference
     bench = get_benchmark("abs")
     assert bench.kinks == (0.0,) and bench.jumps == () and bench.breakpoints == (0.0,)
-    H = bench.moment_matrix(d, family=Family.MONOMIAL_GREVLEX).entries
-    Q = bench.moment_matrix(d, mode="quad", family=Family.MONOMIAL_GREVLEX).entries
+    H = hankel(MOMENTS["abs"], bench.spec(d, MONO))
+    Q = bench.moment_matrix(d, mode="quad", family=MONO).entries
     assert np.max(np.abs(Q - H)) <= 1e-13 * np.max(np.abs(H))
 
 
@@ -146,3 +149,38 @@ def test_breakpoints_join_jumps_and_kinks():
     assert get_benchmark("sign").breakpoints == (0.0,)
     assert get_benchmark("step").breakpoints == (-0.5, 0.3)
     assert get_benchmark("disk1").breakpoints == ()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+@pytest.mark.parametrize("name", NAMES)
+def test_exact_rule_matches_the_closed_form_moments(name, d):
+    # monomial family: every entry is one closed-form moment
+    M = get_benchmark(name).moment_matrix(d, family=MONO)
+    H = hankel(MOMENTS[name], M.spec)
+    assert M.provenance is Provenance.ANALYTIC
+    np.testing.assert_allclose(M.entries, H, rtol=0, atol=1e-12)
+    assert M.mass_m == pytest.approx(H[0, 0], abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [12, 16])
+@pytest.mark.parametrize("name", NAMES)
+def test_exact_rule_matches_the_40_digit_basis_change(name, d):
+    # orthonormal family at degrees where a double-precision change of basis
+    # from monomial moments has already lost digits: sampled entries, among them
+    # the top-degree corner, against the closed forms expanded in mpmath
+    M = get_benchmark(name).moment_matrix(d)
+    n = M.n
+    rng = np.random.default_rng(d)
+    pairs = [(0, 0), (0, n - 1), (n - 1, n - 1), *rng.integers(0, n, size=(9, 2)).tolist()]
+    for i, j in pairs:
+        assert M.entries[i, j] == pytest.approx(float(orthonormal_entry(MOMENTS[name], M.spec, i, j)), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name,d",
+    [(name, d) for name in ("sign", "step", "abs") for d in (8, 16, 24, 32)] + [("disk1", 8), ("disk1", 16)],
+)
+def test_exact_rule_matrix_is_psd_to_rounding(name, d):
+    # disk1 stops at d = 16: n is 2925 at d = 24
+    evals = np.linalg.eigvalsh(get_benchmark(name).moment_matrix(d).entries)
+    assert evals[0] >= -1e-14 * evals[-1]

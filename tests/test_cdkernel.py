@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdapprox.basis import _BLOCK, BasisSpec, Family, eval_basis, eval_basis_batch
+from cdapprox import cdkernel
+from cdapprox.basis import _BLOCK, BasisSpec, Family, axis_tables, basis_sqnorm, eval_basis, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import (
     CDKernel,
@@ -150,23 +151,23 @@ def test_eval_q_batch_memory_does_not_grow_with_the_point_count():
     assert peak - 8 * Z.shape[0] < 4 * _BLOCK * M.n * 8
 
 
-def _count_exact_points(kern) -> list:
-    """Make kern.eval_q_batch record how many points each call receives."""
+def _count_exact_points(monkeypatch) -> list:
+    """Make q_at_least record how many points each of its exact-q basis products receives."""
     sent = []
-    exact = kern.eval_q_batch
+    product = cdkernel.basis_product
 
-    def counting(Z):
-        sent.append(len(Z))
-        return exact(Z)
+    def counting(spec, tabs):
+        sent.append(len(tabs[0]))
+        return product(spec, tabs)
 
-    kern.eval_q_batch = counting
+    monkeypatch.setattr(cdkernel, "basis_product", counting)
     return sent
 
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("kind", list(FilterKind))
 @pytest.mark.parametrize("name,d", [("sign", 6), ("disk1", 4)])
-def test_q_at_least_equals_the_exact_comparison(name, d, kind, family):
+def test_q_at_least_equals_the_exact_comparison(name, d, kind, family, monkeypatch):
     bench = get_benchmark(name)
     M = bench.moment_matrix(d, family=family)
     kern = CDKernel(M, beta_schedule(d), kind)
@@ -181,7 +182,7 @@ def test_q_at_least_equals_the_exact_comparison(name, d, kind, family):
     qs = np.sort(q)
     gamma = gamma_threshold(d, threshold_params(M))
     quantiles = [0.5 * (qs[i] + qs[i + 1]) for i in (N // 10, N // 2, 9 * N // 10)]
-    sent = _count_exact_points(kern)
+    sent = _count_exact_points(monkeypatch)
     for level in [gamma, *quantiles, 2.0 * qs[-1]]:
         sent.clear()
         got = kern.q_at_least(Z, level)
@@ -197,6 +198,26 @@ def test_q_at_least_equals_the_exact_comparison(name, d, kind, family):
     assert kern.q_at_least(np.zeros((0, bench.p)), gamma).shape == (0,)
     with pytest.raises(ValueError):
         kern.q_at_least(np.zeros((0, bench.p + 1)), gamma)
+
+
+@pytest.mark.parametrize("name,d", [("sign", 8), ("disk1", 6)])
+def test_q_at_least_at_levels_the_bound_never_settles(name, d, monkeypatch):
+    # above max min(g)||b||^2 every point takes exact q from its block's own
+    # tables, and the answer is still eval_q_batch's, bit for bit
+    bench = get_benchmark(name)
+    kern = CDKernel(bench.moment_matrix(d), beta_schedule(d))
+    box = kern.spec.domain_array()
+    N = _BLOCK + 7
+    Z = np.random.default_rng(d).uniform(box[:, 0], box[:, 1], size=(N, bench.p))
+    q = kern.eval_q_batch(Z)
+    bound = kern.filter_values.min() * basis_sqnorm(kern.spec, axis_tables(kern.spec, Z))
+    sent = _count_exact_points(monkeypatch)
+    for level in (np.inf, 1.01 * bound.max()):
+        sent.clear()
+        got = kern.q_at_least(Z, level)
+        assert sum(sent) == N
+        assert np.array_equal(got, q >= level)
+    assert 0 < got.sum() < N  # at the finite level exact q answers both ways
 
 
 def test_q_at_least_memory_does_not_grow_with_the_point_count():

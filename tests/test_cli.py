@@ -128,9 +128,8 @@ def test_approx_error_exits(tmp_path):
     assert "numerical error" in res.stderr
 
     uni = tmp_path / "p1.txt"
-    from cdapprox.moments import reference_moment_matrix
-
-    save_text(reference_moment_matrix(BasisSpec(1, 2)), uni)
+    spec = BasisSpec(1, 2)
+    save_text(MomentMatrix(spec, np.eye(spec.size), Provenance.ANALYTIC, spec.domain_volume()), uni)
     res = run_cli("approx", "--matrix", str(uni), "--grid", "3")
     assert res.returncode == 2
     assert "p >= 2" in res.stderr
@@ -160,6 +159,16 @@ def test_benchmark_command_reports_errors(tmp_path):
     assert float(lines["overshoot"]) == pytest.approx(0.0, abs=1e-9)
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape == (100, 4)
+
+
+def test_benchmark_command_builds_high_degree_analytic_matrices():
+    # the default analytic route sums an exact graph rule, so it stays PSD at d = 32
+    res = run_cli("benchmark", "--name", "sign", "--degree", "32")
+    assert res.returncode == 0, res.stderr
+    assert float(dict(line.split(" ", 1) for line in res.stdout.splitlines()[1:])["max_err"]) < 1e-6
+    res = run_cli("benchmark", "--name", "disk2", "--degree", "4", "--mode", "analytic")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "'quad'" in res.stderr and "'empirical'" in res.stderr
 
 
 def test_support_command_writes_report(tmp_path):

@@ -5,48 +5,29 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from moment_oracle import closed_form, hankel, orthonormal_entry
 
-from cdapprox.basis import (
-    _BLOCK,
-    BasisSpec,
-    Family,
-    _axis_expansion,
-    basis_size,
-    eval_basis_batch,
-    leggauss,
-    monomial_expansion_matrix,
-)
+from cdapprox.basis import _BLOCK, BasisSpec, Family, eval_basis_batch, gauss_pieces, leggauss
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.errors import IndefiniteMatrixError, MomentFileError
 from cdapprox.moments import (
     MomentMatrix,
     Provenance,
-    analytic_moment_matrix,
-    box_moment_fn,
     empirical_moment_matrix,
     graph_quadrature_rule,
     load,
     load_json,
     load_text,
     quadrature_moment_matrix,
-    reference_moment_matrix,
+    rule_moment_matrix,
     save_json,
     save_text,
 )
-
-
-def test_box_moment_fn_matches_product_formula():
-    spec = BasisSpec(2, 3, domain=((0.0, 2.0), (-1.0, 1.0)))
-    mom = box_moment_fn(spec)
-    for a in [(0, 0), (1, 0), (2, 1), (3, 2), (0, 4)]:
-        expected = (2.0 ** (a[0] + 1) / (a[0] + 1)) * (
-            (1.0 - (-1.0) ** (a[1] + 1)) / (a[1] + 1)
-        )
-        assert mom(a) == pytest.approx(expected, rel=1e-14)
 
 
 def test_moment_matrix_validation():
@@ -73,44 +54,53 @@ def test_check_psd():
     MomentMatrix(spec, np.diag([1.0, 1.0, -1e-10]), Provenance.EMPIRICAL, 1.0).check_psd()
 
 
-def test_reference_matrix_is_identity_for_orthonormal_family():
+def _box_rule(spec, nodes):
+    """Tensor Gauss-Legendre rule on the whole box of ``spec``, exact to degree 2 nodes - 1 per axis."""
+    axes = [gauss_pieces(ab, nodes) for ab in spec.domain]
+    Z = np.stack([g.ravel() for g in np.meshgrid(*[x.ravel() for x, _ in axes], indexing="ij")], axis=1)
+    w = np.prod(np.meshgrid(*[wk.ravel() for _, wk in axes], indexing="ij"), axis=0).ravel()
+    return Z, w
+
+
+def test_box_rule_gives_the_identity_for_the_orthonormal_family():
     for domain in (None, ((0.0, 2.0), (-3.0, 1.0))):
         spec = BasisSpec(2, 4, domain=domain)
-        ref = reference_moment_matrix(spec)
+        ref = rule_moment_matrix(spec, *_box_rule(spec, 5), Provenance.ANALYTIC)
         np.testing.assert_allclose(ref.entries, np.eye(spec.size), atol=1e-10)
         assert ref.mass_m == pytest.approx(spec.domain_volume())
 
 
-def test_reference_matrix_monomial_family():
+def test_box_rule_monomial_family():
     # 1D monomial moments of Lebesgue on [-1,1]: int x^(i+j) dx
     spec = BasisSpec(1, 2, family=Family.MONOMIAL_GREVLEX)
-    ref = reference_moment_matrix(spec)
+    ref = rule_moment_matrix(spec, *_box_rule(spec, 3), Provenance.ANALYTIC)
     expected = np.array([[2, 0, 2 / 3], [0, 2 / 3, 0], [2 / 3, 0, 2 / 5]])
-    np.testing.assert_allclose(ref.entries, expected, rtol=1e-14)
+    np.testing.assert_allclose(ref.entries, expected, rtol=1e-14, atol=1e-15)
 
 
-def test_analytic_agrees_with_quadrature_for_polynomial_graph():
-    # f is a polynomial, so Gauss-Legendre integrates every entry exactly
+def test_quadrature_is_exact_for_a_polynomial_graph():
+    # f is a polynomial, so Gauss-Legendre integrates every entry exactly; the
+    # reference is the closed-form moments, changed to the orthonormal basis in 40 digits
     def f(X):
         return X[:, 0] ** 2 - 0.3
 
-    def moment(a):
-        poly = np.polynomial.polynomial.polypow([-0.3, 0.0, 1.0], a[1])
-        shifted = np.zeros(len(poly) + a[0])
-        shifted[a[0] :] = poly
-        integ = np.polynomial.polynomial.polyint(shifted)
-        return np.polynomial.polynomial.polyval(1.0, integ) - np.polynomial.polynomial.polyval(
-            -1.0, integ
+    def graph_moment(a1, a2):
+        c = mpmath.mpf(-0.3)  # the binary number f subtracts
+        return mpmath.fsum(
+            math.comb(a2, k) * c ** (a2 - k) * mpmath.mpf(1 + (-1) ** a1) / (a1 + 2 * k + 1) for k in range(a2 + 1)
         )
 
+    moment = closed_form(graph_moment)
     for family in Family:
         spec = BasisSpec(2, 3, family=family)
-        Ma = analytic_moment_matrix(spec, moment)
         Mq = quadrature_moment_matrix(spec, f)
-        np.testing.assert_allclose(Ma.entries, Mq.entries, atol=1e-10)
-        assert Ma.mass_m == pytest.approx(2.0)
+        if family is Family.MONOMIAL_GREVLEX:
+            ref = hankel(moment, spec)
+        else:
+            pairs = itertools.product(range(spec.size), repeat=2)
+            ref = np.array([float(orthonormal_entry(moment, spec, i, j)) for i, j in pairs]).reshape(Mq.entries.shape)
+        np.testing.assert_allclose(Mq.entries, ref, rtol=0, atol=1e-13)
         assert Mq.mass_m == pytest.approx(2.0)
-        assert Ma.provenance is Provenance.ANALYTIC
         assert Mq.provenance is Provenance.QUADRATURE
 
 
@@ -154,89 +144,12 @@ def test_empirical_matrix_converges_to_analytic():
     from cdapprox.benchmarks import get_benchmark
 
     bench = get_benchmark("sign")
-    spec = bench.spec(3)
-    exact = analytic_moment_matrix(spec, bench.moment_fn).entries / 2.0
+    exact = bench.moment_matrix(3).entries / 2.0
     errs = []
     for N in (1000, 10_000):
         M = bench.moment_matrix(3, mode="empirical", grid=N)
         errs.append(float(np.max(np.abs(M.entries - exact))))
     assert errs[1] <= 0.6 * errs[0]
-
-
-def _loop_expansion(spec):
-    """Reference: the per-entry loop over nonzero axis coefficients that the table product replaced."""
-    n = spec.size
-    G = np.zeros((n, n))
-    if spec.family is Family.MONOMIAL_GREVLEX:
-        np.fill_diagonal(G, 1.0)
-        return G
-    pos = {tuple(a): i for i, a in enumerate(spec.indices.tolist())}
-    axes = [_axis_expansion(spec.d, lo, hi) for lo, hi in spec.domain]
-    for i, a in enumerate(spec.indices):
-        terms = [np.nonzero(axes[k][a[k]])[0] for k in range(spec.p)]
-        for c in itertools.product(*terms):
-            G[i, pos[c]] = math.prod(axes[k][a[k], c[k]] for k in range(spec.p))
-    return G
-
-
-@pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("p,d", [(1, 12), (2, 8), (3, 6)])
-def test_monomial_expansion_matrix_is_bit_identical_to_the_per_entry_loop(p, d, family):
-    spec = BasisSpec(p, d, family=family, domain=((-0.5, 2.0), (0.0, 3.0), (-2.0, -1.0))[:p])
-    G, ref = monomial_expansion_matrix(spec), _loop_expansion(spec)
-    assert np.array_equal(G, ref)
-    assert G.tobytes() == ref.tobytes()  # zeros carry the loop's sign too
-
-
-def _loop_analytic(spec, moment_fn):
-    """Reference: the per-pair double loop with a dict cache that the one-pass assembly replaced."""
-    idx = spec.indices
-    cache = {}
-
-    def mom(a):
-        key = tuple(int(v) for v in a)
-        if key not in cache:
-            cache[key] = float(moment_fn(key))
-        return cache[key]
-
-    n = spec.size
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            H[i, j] = H[j, i] = mom(idx[i] + idx[j])
-    if spec.family is not Family.MONOMIAL_GREVLEX:
-        G = _loop_expansion(spec)
-        H = G @ H @ G.T
-    return 0.5 * (H + H.T), float(moment_fn((0,) * spec.p))
-
-
-@pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("name,p", [("box", 1), ("box", 2), ("box", 3), ("sign", 2), ("step", 2), ("disk1", 3)])
-def test_one_pass_hankel_is_bit_identical_to_the_double_loop(name, p, family):
-    if name == "box":
-        spec = BasisSpec(p, 6, family=family, domain=((-0.5, 2.0), (-1.0, 1.0), (0.0, 3.0))[:p])
-        M = reference_moment_matrix(spec)
-        H, mass = _loop_analytic(spec, box_moment_fn(spec))
-    else:
-        bench = get_benchmark(name)
-        M = bench.moment_matrix(8, family=family)
-        H, mass = _loop_analytic(M.spec, bench.moment_fn)
-    assert np.array_equal(M.entries, H)
-    assert M.mass_m == mass
-
-
-@pytest.mark.parametrize("p,d", [(1, 9), (2, 6), (3, 4)])
-def test_analytic_build_calls_moment_fn_once_per_distinct_exponent(p, d):
-    spec = BasisSpec(p, d)
-    calls = []
-
-    def counting(a):
-        calls.append(a)
-        return box_moment_fn(spec)(a)
-
-    analytic_moment_matrix(spec, counting)
-    assert len(calls) == basis_size(p, 2 * d)
-    assert set(calls) == {tuple(int(v) for v in a) for a in BasisSpec(p, 2 * d).indices}
 
 
 @pytest.mark.parametrize(
