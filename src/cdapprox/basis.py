@@ -7,6 +7,13 @@ Two families are supported on axis-aligned boxes of R^p:
   reads 1, x, y, x^2, xy, y^2).
 * ``LEGENDRE_ORTHONORMAL`` -- tensor products of rescaled Legendre
   polynomials, orthonormal for the Lebesgue measure on the domain box.
+
+Every evaluation starts from per-axis univariate tables.  ``axis_tables``
+fills them for all axes with one recurrence over a degree-major (d+1, p, m)
+buffer, so each degree step is one numpy call whatever p, and each entry
+sees the float operations of its own axis's recurrence.  ``basis_product``
+multiplies table rows into the basis; ``basis_sqnorm`` gives ||b(z)||^2 from
+the tables without forming the basis.
 """
 
 from __future__ import annotations
@@ -133,32 +140,31 @@ class BasisSpec:
         return np.all((Z >= box[:, 0] - 1e-12) & (Z <= box[:, 1] + 1e-12), axis=1)
 
 
-def _legendre_table(t: np.ndarray, d: int, lo: float, hi: float) -> np.ndarray:
-    """Values of the orthonormal Legendre family up to degree d on one axis.
+def _stacked_tables(family: Family, d: int, T: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Degree-major (d+1, a, m) buffer: out[j, k, i] is the degree-j member of the family on axis k at T[k, i].
 
-    Row convention: out[j, k] = Ltilde_k(t[j]) with Ltilde_k orthonormal in
-    L^2([lo, hi], dt).  Uses the three-term recurrence on the mapped variable,
-    one contiguous row per degree, and returns the transposed view of that
-    degree-major buffer.
+    T holds the coordinates of m points on a axes, one row per axis, and box
+    the (a, 2) ends of those axes.  Each recurrence step runs once over all
+    axes.  In the Legendre family out[j, k] is the orthonormal Ltilde_j of
+    L^2([lo_k, hi_k], dt), from the three-term recurrence on the mapped
+    variable; in the monomial family it is T[k]^j.  Every entry sees the
+    same float operations as a one-axis recurrence would give it.
     """
-    w = hi - lo
-    u = (2.0 * t - (lo + hi)) / w
-    out = np.empty((d + 1, t.shape[0]))
+    out = np.empty((d + 1,) + T.shape)
     out[0] = 1.0
-    if d >= 1:
-        out[1] = u
-    for k in range(1, d):
-        out[k + 1] = ((2 * k + 1) * u * out[k] - k * out[k - 1]) / (k + 1)
-    out *= np.sqrt((2 * np.arange(d + 1) + 1) / w)[:, None]
-    return out.T
-
-
-def _power_table(t: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty((d + 1, t.shape[0]))
-    out[0] = 1.0
-    for k in range(d):
-        out[k + 1] = out[k] * t
-    return out.T
+    if family is Family.LEGENDRE_ORTHONORMAL:
+        lo, hi = box[:, :1], box[:, 1:]
+        w = hi - lo
+        u = (2.0 * T - (lo + hi)) / w
+        if d >= 1:
+            out[1] = u
+        for k in range(1, d):
+            out[k + 1] = ((2 * k + 1) * u * out[k] - k * out[k - 1]) / (k + 1)
+        out *= np.sqrt((2 * np.arange(d + 1)[:, None] + 1) / w[:, 0])[:, :, None]
+    else:
+        for k in range(d):
+            out[k + 1] = out[k] * T
+    return out
 
 
 def axis_table(spec: BasisSpec, k: int, t: np.ndarray) -> np.ndarray:
@@ -166,13 +172,12 @@ def axis_table(spec: BasisSpec, k: int, t: np.ndarray) -> np.ndarray:
 
     Shape (m, d+1), a view of a degree-major buffer: column j is contiguous.
     """
-    if spec.family is Family.LEGENDRE_ORTHONORMAL:
-        lo, hi = spec.domain[k]
-        return _legendre_table(t, spec.d, lo, hi)
-    return _power_table(t, spec.d)
+    box = spec.domain_array()[k : k + 1]
+    return _stacked_tables(spec.family, spec.d, np.asarray(t, dtype=float)[None, :], box)[:, 0].T
 
 
-def _points(spec: BasisSpec, Z) -> np.ndarray:
+def as_points(spec: BasisSpec, Z) -> np.ndarray:
+    """Z as a float array of shape (m, p); points of another dimension raise ValueError."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.shape[1] != spec.p:
         raise ValueError(f"points have dimension {Z.shape[1]}, basis has p={spec.p}")
@@ -180,9 +185,14 @@ def _points(spec: BasisSpec, Z) -> np.ndarray:
 
 
 def axis_tables(spec: BasisSpec, Z) -> list:
-    """Per-axis univariate basis tables for a batch of points Z of shape (m, p)."""
-    Z = _points(spec, Z)
-    return [axis_table(spec, k, Z[:, k]) for k in range(spec.p)]
+    """Per-axis univariate basis tables for a batch of points Z of shape (m, p).
+
+    One recurrence over all axes fills a degree-major (d+1, p, m) buffer;
+    table k is its (m, d+1) view for axis k, so column j of it is contiguous.
+    """
+    Z = as_points(spec, Z)
+    buf = _stacked_tables(spec.family, spec.d, Z.T, spec.domain_array())
+    return [buf[:, k].T for k in range(spec.p)]
 
 
 _BLOCK = 1024  # points per block wherever basis rows are streamed; keeps a block's rows in cache
@@ -204,32 +214,45 @@ def basis_product(spec: BasisSpec, tabs: list) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _degree_fold(d: int) -> np.ndarray:
+    """0/1 (d+1, d+1) matrix with ones where i + j <= d: row t sums the degrees j <= d - t (read-only)."""
+    j = np.arange(d + 1)
+    out = (j[:, None] + j <= d).astype(float)
+    out.setflags(write=False)
+    return out
+
+
 def basis_sqnorm(spec: BasisSpec, tabs: list) -> np.ndarray:
     """Squared norm ||b(z)||^2 = sum_i b_i(z)^2 of the full basis at each point of ``tabs``.
 
     Sums prod_k tabs[k][:, a_k]^2 over the exponents |a| <= d without forming
     the basis: acc[t] holds the sum over the exponents of total degree t on the
-    axes seen so far, and each further axis is a convolution over the degrees
-    truncated at d.  O(p d^2) per point against O(n) for the basis itself.  In
+    axes seen so far, and each middle axis is a convolution over the degrees
+    truncated at d.  The last axis is folded in at once: its squares summed
+    over the degrees j <= d - t, by one product with ``_degree_fold(d)``,
+    weigh acc[t].  O(p d^2) per point against O(n) for the basis itself.  In
     the orthonormal family this is K0(z, z), the Christoffel-Darboux kernel of
     the reference measure.
     """
     d = spec.d
-    acc = np.square(tabs[0].T)  # degree-major (d+1, m)
-    for tab in tabs[1:]:
-        sq = np.square(tab.T)
-        nxt = acc * sq[0]
+    sq = [np.square(tab.T) for tab in tabs]  # degree-major (d+1, m) each
+    acc = sq[0]
+    for s in sq[1:-1]:
+        nxt = acc * s[0]
         for j in range(1, d + 1):
-            nxt[j:] += acc[: d + 1 - j] * sq[j]
+            nxt[j:] += acc[: d + 1 - j] * s[j]
         acc = nxt
-    return acc.sum(axis=0)
+    if len(sq) == 1:
+        return acc.sum(axis=0)
+    return np.einsum("tm,tm->m", _degree_fold(d) @ sq[-1], acc)
 
 
-def table_blocks(spec: BasisSpec, Z):
-    """Yield (rows, tabs) over blocks of ``_BLOCK`` points of Z, tabs = axis_tables of the block."""
-    Z = _points(spec, Z)
-    for start in range(0, Z.shape[0], _BLOCK):
-        rows = slice(start, start + _BLOCK)
+def table_blocks(spec: BasisSpec, Z, block: int = _BLOCK):
+    """Yield (rows, tabs) over blocks of ``block`` points of Z, tabs = axis_tables of the block."""
+    Z = as_points(spec, Z)
+    for start in range(0, Z.shape[0], block):
+        rows = slice(start, start + block)
         yield rows, axis_tables(spec, Z[rows])
 
 

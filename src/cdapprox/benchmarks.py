@@ -93,7 +93,8 @@ class GraphFunction:
         if mode == "analytic":
             if self.rule is None:
                 raise ValueError(f"benchmark {self.name!r} has no exact graph rule; use mode 'quad' or 'empirical'")
-            return rule_moment_matrix(spec, *self.rule(d), Provenance.ANALYTIC, self.name)
+            mass = spec.x_spec().domain_volume()  # the graph measure's mass, exactly
+            return rule_moment_matrix(spec, *self.rule(d), Provenance.ANALYTIC, mass, self.name)
         if mode == "quad":
             breaks = self.breakpoints if self.p == 2 else None
             return quadrature_moment_matrix(spec, self.f, nodes, breakpoints=breaks, note=self.name)
@@ -185,9 +186,13 @@ def _disk_indicator_rule(center, radius):
 
     f takes only the values 0 and 1, so the graph integral of phi is the box
     integral of phi(x, 0) plus the disk integral of phi(x, 1) - phi(x, 0).  For
-    degree 2d, a (d+1)^2 tensor Gauss rule is exact on the box, and on the disk
-    Gauss-Legendre in the radius with weight rho (d + 2 nodes) times the
-    (2d+2)-point trapezoid rule in the angle (Stroud, Approximate Calculation
+    degree 2d, a (d+1)^2 tensor Gauss rule is exact on the box.  The disk terms
+    cancel wherever the y-degree is 0, so they need only be exact for x-degree
+    2d - 1.  In polar form about the center, the angular terms of odd degree
+    vanish, exactly and on the rule alike, and the even ones have degree
+    <= 2d - 2.
+    So Gauss-Legendre in the radius with weight rho (d nodes) times the 2d-point
+    trapezoid rule in the angle is exact there (Stroud, Approximate Calculation
     of Multiple Integrals, 1971).
     """
     cx, cy = center
@@ -195,10 +200,11 @@ def _disk_indicator_rule(center, radius):
     def rule(d):
         g, wg = (a.ravel() for a in gauss_pieces([-1.0, 1.0], d + 1))
         box = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-        rho, wr = (a.ravel() for a in gauss_pieces([0.0, radius], d + 2))
-        theta = np.pi * np.arange(2 * d + 2) / (d + 1)
+        k = max(d, 1)  # at d = 0 the disk terms cancel; one node keeps the rule well formed
+        rho, wr = (a.ravel() for a in gauss_pieces([0.0, radius], k))
+        theta = np.pi * np.arange(2 * k) / k
         disk = np.c_[cx + np.outer(rho, np.cos(theta)).ravel(), cy + np.outer(rho, np.sin(theta)).ravel()]
-        w_disk = np.repeat(wr * rho * (np.pi / (d + 1)), theta.size)
+        w_disk = np.repeat(wr * rho * (np.pi / k), theta.size)
         parts = [(box, 0.0, np.outer(wg, wg).ravel()), (disk, 1.0, w_disk), (disk, 0.0, -w_disk)]
         Z = np.vstack([np.c_[P, np.full(len(P), y)] for P, y, _ in parts])
         return Z, np.concatenate([w for _, _, w in parts])

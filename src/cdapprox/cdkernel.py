@@ -19,8 +19,11 @@ rows.  Memory is O(block * n) whatever the number of points N, and the
 result matches a one-shot evaluation up to rounding.
 
 ``CDKernel.q_at_least`` answers q(z) >= level without forming q where it
-can: q(z) >= min(g) ||b(z)||^2, and ``basis_sqnorm`` gives ||b(z)||^2 from
-the per-axis tables in O(p d^2) per point.  Only the points that bound
+can: q(z) >= min(g) ||b(z)||^2.  The basis holds a constant element b_0, so
+q(z) >= min(g) b_0^2 at every finite z, and where that reaches the level
+every point is settled at once, with no table built.  Otherwise
+``basis_sqnorm`` gives ||b(z)||^2 from the per-axis tables in O(p d^2) per
+point, in blocks of ``_BOUND_BLOCK`` points.  Only the points that bound
 leaves open get exact q, from the rows of their block's own tables.
 """
 
@@ -32,12 +35,24 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import basis_blocks, basis_product, basis_sqnorm, check_point, table_blocks
+from .basis import (
+    _BLOCK,
+    Family,
+    as_points,
+    basis_blocks,
+    basis_product,
+    basis_sqnorm,
+    check_point,
+    table_blocks,
+)
 from .errors import IndefiniteMatrixError
 from .moments import MomentMatrix
 
 _CLIP_REL = 1e-8  # eigenvalues in [-clip * max, 0) count as rounding noise
 _BOUND_MARGIN = 1e-8  # relative slack on min(g)||b||^2; its rounding and that of q are about 1e-13
+# points per block of the bound: its tables cost p (d+1) 8 bytes a point against n 8 for a basis
+# block, so larger blocks pay numpy's per-call cost less often at the same memory
+_BOUND_BLOCK = 2 * _BLOCK
 
 
 class FilterKind(Enum):
@@ -126,23 +141,47 @@ class CDKernel:
         """Boolean array: q(z) >= level at each row of Z, equal to ``eval_q_batch(Z) >= level``.
 
         With P orthogonal, q(z) = sum_i g_i (p_i . b(z))^2 >= min(g) ||b(z)||^2;
-        for the Tikhonov filter min(g) = 1/(beta + lambda_max).  Per block of
-        ``_BLOCK`` points the bound, shrunk by a relative margin of 1e-8, settles
-        every point where it reaches ``level``; the others get exact q as in
-        ``eval_q_batch``, from the rows of the block's own tables.  The low-pass
-        filter has min(g) = 0, so there every point is evaluated exactly.
-        Memory is O(block * n).
+        for the Tikhonov filter min(g) = 1/(beta + lambda_max).  The bound is
+        shrunk by a relative margin of 1e-8 and used in two tiers:
+
+        * box-wide: the basis holds the constant b_0 (1/sqrt(vol) in the
+          orthonormal family, 1 in the monomial one), so ||b(z)||^2 >= b_0^2 at
+          every finite z; where min(g) b_0^2 reaches ``level`` every finite row
+          is settled at once and no table is built;
+        * per point: in blocks of ``_BOUND_BLOCK`` points the bound settles each
+          point where it reaches ``level``; the others get exact q as in
+          ``eval_q_batch``, from the rows of the block's own tables, ``_BLOCK``
+          points at a time.
+
+        Rows with a non-finite coordinate get exact q, which may be nan and
+        then compares False.  The low-pass filter has min(g) = 0, so at a
+        positive level every point is evaluated exactly.  Memory is O(block * n).
         """
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        Z = as_points(self.spec, Z)
+        if np.isfinite(Z).all():
+            return self._finite_q_at_least(Z, level)
+        finite = np.isfinite(Z).all(axis=1)
+        out = np.empty(Z.shape[0], dtype=bool)
+        out[finite] = self._finite_q_at_least(Z[finite], level)
+        out[~finite] = self.eval_q_batch(Z[~finite]) >= level
+        return out
+
+    def _finite_q_at_least(self, Z, level: float) -> np.ndarray:
+        """``q_at_least`` on rows that are all finite, where both tiers of the bound hold."""
+        spec = self.spec
         floor = float(self.filter_values.min()) * (1.0 - _BOUND_MARGIN)
+        b0_sq = 1.0 / spec.domain_volume() if spec.family is Family.LEGENDRE_ORTHONORMAL else 1.0
+        if floor * b0_sq >= level:
+            return np.ones(Z.shape[0], dtype=bool)
         S = self.sos_decomposition()
         out = np.empty(Z.shape[0], dtype=bool)
-        for rows, tabs in table_blocks(self.spec, Z):
-            sure = floor * basis_sqnorm(self.spec, tabs) >= level
-            if not sure.all():
-                open_ = np.flatnonzero(~sure)
-                C = S @ basis_product(self.spec, [t[open_] for t in tabs])
-                sure[open_] = np.einsum("ij,ij->j", C, C) >= level
+        for rows, tabs in table_blocks(spec, Z, _BOUND_BLOCK):
+            sure = floor * basis_sqnorm(spec, tabs) >= level
+            open_ = np.flatnonzero(~sure)
+            for start in range(0, open_.size, _BLOCK):
+                part = open_[start : start + _BLOCK]
+                C = S @ basis_product(spec, [t.T[:, part].T for t in tabs])  # gathered degree-major
+                sure[part] = np.einsum("ij,ij->j", C, C) >= level
             out[rows] = sure
         return out
 

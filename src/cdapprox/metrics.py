@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import _legendre_table, gauss_pieces
+from .basis import BasisSpec, axis_table, gauss_pieces
 from .cdkernel import ThresholdParams
 from .support import outside_mass_bound
 
@@ -48,10 +48,11 @@ def legendre_projection(f, degree: int, interval=(-1.0, 1.0), jumps=()) -> np.nd
     """
     lo, hi = float(interval[0]), float(interval[1])
     cuts = [lo] + sorted(t for t in jumps if lo < t < hi) + [hi]
+    spec = BasisSpec(1, degree, domain=((lo, hi),))
     coeffs = np.zeros(degree + 1)
     for t, wt in zip(*gauss_pieces(cuts, max(2 * (degree + 1), 64))):
         fv = np.asarray(f(t), dtype=float).reshape(-1)
-        table = _legendre_table(t, degree, lo, hi)
+        table = axis_table(spec, 0, t)
         coeffs += table.T @ (wt * fv)
     return coeffs
 
@@ -60,7 +61,8 @@ def eval_projection(coeffs, interval, t) -> np.ndarray:
     """Evaluate a projection returned by ``legendre_projection``."""
     c = np.asarray(coeffs, dtype=float).reshape(-1)
     t = np.asarray(t, dtype=float).reshape(-1)
-    table = _legendre_table(t, c.shape[0] - 1, float(interval[0]), float(interval[1]))
+    spec = BasisSpec(1, c.shape[0] - 1, domain=(tuple(interval),))
+    table = axis_table(spec, 0, t)
     return table @ c
 
 

@@ -112,14 +112,17 @@ def _weighted_gram(spec: BasisSpec, Z, w=None) -> np.ndarray:
     return M
 
 
-def rule_moment_matrix(spec: BasisSpec, Z, w, provenance: Provenance, note: str = "") -> MomentMatrix:
-    """Moment matrix sum_k w_k b(z_k) b(z_k)^T of a rule (Z, w) for mu; its mass is sum(w).
+def rule_moment_matrix(
+    spec: BasisSpec, Z, w, provenance: Provenance, mass: float, note: str = ""
+) -> MomentMatrix:
+    """Moment matrix sum_k w_k b(z_k) b(z_k)^T of a rule (Z, w) for mu, whose mass is ``mass``.
 
     The weights may be negative, as in a rule built by adding and subtracting
     measures; the matrix is PSD to rounding whenever the rule is exact for mu.
+    The caller states mu's mass, since sum(w) carries the rule's rounding.
     """
     M = _weighted_gram(spec, Z, w)
-    return MomentMatrix(spec, 0.5 * (M + M.T), provenance, float(np.sum(w)), note)
+    return MomentMatrix(spec, 0.5 * (M + M.T), provenance, float(mass), note)
 
 
 def quadrature_moment_matrix(
@@ -131,7 +134,8 @@ def quadrature_moment_matrix(
 ) -> MomentMatrix:
     """Moment matrix of the graph measure of f by Gauss-Legendre quadrature.
 
-    mu is the image of Lebesgue measure on the x-box under x -> (x, f(x)).
+    mu is the image of Lebesgue measure on the x-box under x -> (x, f(x)), so
+    its mass is the x-box volume.
     ``f`` maps an (n, p-1) array to n values.  The default node count is exact
     for polynomial f of modest degree; discontinuous f needs ``breakpoints``.
     """
@@ -141,7 +145,8 @@ def quadrature_moment_matrix(
     y = np.asarray(f(X), dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError("f returned a value count different from the node count")
-    return rule_moment_matrix(spec, np.concatenate([X, y[:, None]], axis=1), w, Provenance.QUADRATURE, note)
+    Z = np.concatenate([X, y[:, None]], axis=1)
+    return rule_moment_matrix(spec, Z, w, Provenance.QUADRATURE, spec.x_spec().domain_volume(), note)
 
 
 def empirical_moment_matrix(spec: BasisSpec, Z, note: str = "") -> MomentMatrix:

@@ -12,6 +12,7 @@ from cdapprox.basis import (
     _BLOCK,
     BasisSpec,
     Family,
+    axis_table,
     axis_tables,
     basis_blocks,
     basis_product,
@@ -206,26 +207,49 @@ def test_eval_basis_input_validation():
         eval_basis_batch(spec, np.zeros((4, 3)))
 
 
+def _one_axis_table(spec, k, t):
+    # reference: axis k's table alone, filled one strided column at a time
+    lo, hi = spec.domain[k]
+    tab = np.empty((t.shape[0], spec.d + 1))
+    tab[:, 0] = 1.0
+    if spec.family is Family.MONOMIAL_GREVLEX:
+        for j in range(spec.d):
+            tab[:, j + 1] = tab[:, j] * t
+    else:
+        w = hi - lo
+        u = (2.0 * t - (lo + hi)) / w
+        if spec.d >= 1:
+            tab[:, 1] = u
+        for j in range(1, spec.d):
+            tab[:, j + 1] = ((2 * j + 1) * u * tab[:, j] - j * tab[:, j - 1]) / (j + 1)
+        tab *= np.sqrt((2 * np.arange(spec.d + 1) + 1) / w)
+    return tab
+
+
+@pytest.mark.parametrize("d", [0, 1, 20])
+@pytest.mark.parametrize("domain", ["default", "shifted"])
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stacked_axis_tables_equal_the_one_axis_recurrence(p, family, domain, d):
+    # one recurrence over all axes at once gives every entry the float
+    # operations of the axis's own recurrence, so the tables agree bit for bit
+    dom = None if domain == "default" else ((-0.5, 2.0), (-3.0, -1.0), (0.0, 3.0))[:p]
+    spec = BasisSpec(p, d, family=family, domain=dom)
+    box = spec.domain_array()
+    Z = np.random.default_rng(30 + p + d).uniform(box[:, 0], box[:, 1], size=(131, p))
+    tabs = axis_tables(spec, Z)
+    assert len(tabs) == p
+    for k, tab in enumerate(tabs):
+        ref = _one_axis_table(spec, k, Z[:, k])
+        assert tab.shape == (Z.shape[0], d + 1) and tab.T[d].flags.c_contiguous  # column j is contiguous
+        assert np.array_equal(tab, ref)
+        assert np.array_equal(axis_table(spec, k, Z[:, k]), ref)
+
+
 def _column_recurrence_basis(spec, Z):
     # reference: per-axis tables filled one strided column at a time, then the
     # fancy-indexed product over the exponent columns
-    tabs = []
-    for k, (lo, hi) in enumerate(spec.domain):
-        t = Z[:, k]
-        tab = np.empty((t.shape[0], spec.d + 1))
-        tab[:, 0] = 1.0
-        if spec.family is Family.MONOMIAL_GREVLEX:
-            for j in range(spec.d):
-                tab[:, j + 1] = tab[:, j] * t
-        else:
-            w = hi - lo
-            u = (2.0 * t - (lo + hi)) / w
-            if spec.d >= 1:
-                tab[:, 1] = u
-            for j in range(1, spec.d):
-                tab[:, j + 1] = ((2 * j + 1) * u * tab[:, j] - j * tab[:, j - 1]) / (j + 1)
-            tab *= np.sqrt((2 * np.arange(spec.d + 1) + 1) / w)
-        tabs.append(tab)
+    tabs = [_one_axis_table(spec, k, Z[:, k]) for k in range(spec.p)]
     idx = spec.indices
     out = tabs[0][:, idx[:, 0]].copy()
     for k in range(1, spec.p):

@@ -1,5 +1,7 @@
 """Benchmark graph functions: values, exact graph rules, matrix builders."""
 
+import math
+
 import numpy as np
 import pytest
 from moment_oracle import MOMENTS, NAMES, hankel, orthonormal_entry
@@ -184,3 +186,14 @@ def test_exact_rule_matrix_is_psd_to_rounding(name, d):
     # disk1 stops at d = 16: n is 2925 at d = 24
     evals = np.linalg.eigvalsh(get_benchmark(name).moment_matrix(d).entries)
     assert evals[0] >= -1e-14 * evals[-1]
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("name", NAMES)
+def test_graph_measure_mass_is_the_x_box_volume_exactly(name, d):
+    # the graph measure pushes Lebesgue measure on the x-box forward, so its
+    # mass is the box's volume; a sum of rule weights would carry rounding
+    bench = get_benchmark(name)
+    volume = math.prod(hi - lo for lo, hi in bench.domain[:-1])
+    for mode in ("analytic", "quad"):
+        assert bench.moment_matrix(d, mode=mode).mass_m == volume

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdapprox import cdkernel
+from cdapprox import basis, cdkernel
 from cdapprox.basis import _BLOCK, BasisSpec, Family, axis_tables, basis_sqnorm, eval_basis, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import (
@@ -236,6 +236,81 @@ def test_q_at_least_memory_does_not_grow_with_the_point_count():
             tracemalloc.stop()
         assert np.all(out == expected)
         assert peak - Z.shape[0] < 4 * _BLOCK * M.n * 8
+
+
+def _count_table_calls(monkeypatch) -> list:
+    """Make every ``axis_tables`` call record how many points it tabulates."""
+    calls = []
+    tables = basis.axis_tables
+
+    def counting(spec, Z):
+        calls.append(len(Z))
+        return tables(spec, Z)
+
+    monkeypatch.setattr(basis, "axis_tables", counting)
+    return calls
+
+
+def _box_points(spec, N, seed):
+    box = spec.domain_array()
+    return np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(N, spec.p))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("name,d", [("sign", 4), ("disk1", 8)])
+def test_q_at_least_settles_every_finite_row_box_wide_without_tables(name, d, family, monkeypatch):
+    # q(z) >= min(g) ||b(z)||^2 >= min(g) b_0^2 with b_0 the constant basis
+    # element; where that reaches gamma_d no table is built, and rows with a
+    # nan or inf coordinate still get eval_q_batch's answer
+    M = get_benchmark(name).moment_matrix(d, family=family)
+    kern = CDKernel(M, beta_schedule(d))
+    gamma = gamma_threshold(d, threshold_params(M))
+    b0 = eval_basis(M.spec, np.zeros(M.spec.p))[0]
+    assert kern.filter_values.min() * b0**2 > gamma
+    Z = _box_points(M.spec, _BLOCK + 7, d)
+    bad = Z.copy()
+    bad[3, 0], bad[10, -1], bad[11, 0] = np.nan, np.inf, -np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        q, q_bad = kern.eval_q_batch(Z), kern.eval_q_batch(bad)
+        calls = _count_table_calls(monkeypatch)
+        got = kern.q_at_least(Z, gamma)
+        assert calls == []
+        assert np.array_equal(got, q >= gamma) and got.all()
+        got_bad = kern.q_at_least(bad, gamma)
+    assert calls == [3]  # only the non-finite rows are tabulated, for exact q
+    assert np.array_equal(got_bad, q_bad >= gamma) and not got_bad[3]
+
+
+@pytest.mark.parametrize("name,d", [("sign", 4), ("disk1", 8)])
+def test_q_at_least_lowpass_never_takes_the_box_certificate(name, d, monkeypatch):
+    # min(g) = 0 for the low-pass filter: every point is tabulated and gets exact q
+    M = get_benchmark(name).moment_matrix(d)
+    kern = CDKernel(M, beta_schedule(d), FilterKind.LOWPASS)
+    gamma = gamma_threshold(d, threshold_params(M))
+    Z = _box_points(M.spec, _BLOCK + 7, d)
+    q = kern.eval_q_batch(Z)
+    calls = _count_table_calls(monkeypatch)
+    sent = _count_exact_points(monkeypatch)
+    got = kern.q_at_least(Z, gamma)
+    assert sum(calls) == Z.shape[0] and sum(sent) == Z.shape[0]
+    assert np.array_equal(got, q >= gamma)
+
+
+def test_q_at_least_bounds_in_blocks_larger_than_a_basis_block(monkeypatch):
+    # sign d=8: min(g) b_0^2 is below gamma_d, so the per-point bound runs; it
+    # tabulates in blocks above _BLOCK points, which pays numpy's per-call cost
+    # less often than one table call per basis block would
+    M = get_benchmark("sign").moment_matrix(8)
+    kern = CDKernel(M, beta_schedule(8))
+    gamma = gamma_threshold(8, threshold_params(M))
+    assert kern.filter_values.min() / M.spec.domain_volume() < gamma
+    N = 8 * _BLOCK + 5
+    Z = _box_points(M.spec, N, 8)
+    q = kern.eval_q_batch(Z)
+    calls = _count_table_calls(monkeypatch)
+    got = kern.q_at_least(Z, gamma)
+    assert sum(calls) == N and len(calls) < N / _BLOCK
+    assert np.array_equal(got, q >= gamma)
 
 
 def test_filtered_matrix_is_tikhonov_inverse():

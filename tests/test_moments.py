@@ -65,7 +65,7 @@ def _box_rule(spec, nodes):
 def test_box_rule_gives_the_identity_for_the_orthonormal_family():
     for domain in (None, ((0.0, 2.0), (-3.0, 1.0))):
         spec = BasisSpec(2, 4, domain=domain)
-        ref = rule_moment_matrix(spec, *_box_rule(spec, 5), Provenance.ANALYTIC)
+        ref = rule_moment_matrix(spec, *_box_rule(spec, 5), Provenance.ANALYTIC, spec.domain_volume())
         np.testing.assert_allclose(ref.entries, np.eye(spec.size), atol=1e-10)
         assert ref.mass_m == pytest.approx(spec.domain_volume())
 
@@ -73,7 +73,7 @@ def test_box_rule_gives_the_identity_for_the_orthonormal_family():
 def test_box_rule_monomial_family():
     # 1D monomial moments of Lebesgue on [-1,1]: int x^(i+j) dx
     spec = BasisSpec(1, 2, family=Family.MONOMIAL_GREVLEX)
-    ref = rule_moment_matrix(spec, *_box_rule(spec, 3), Provenance.ANALYTIC)
+    ref = rule_moment_matrix(spec, *_box_rule(spec, 3), Provenance.ANALYTIC, 2.0)
     expected = np.array([[2, 0, 2 / 3], [0, 2 / 3, 0], [2 / 3, 0, 2 / 5]])
     np.testing.assert_allclose(ref.entries, expected, rtol=1e-14, atol=1e-15)
 
