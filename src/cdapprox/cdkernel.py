@@ -19,12 +19,16 @@ rows.  Memory is O(block * n) whatever the number of points N, and the
 result matches a one-shot evaluation up to rounding.
 
 ``CDKernel.q_at_least`` answers q(z) >= level without forming q where it
-can: q(z) >= min(g) ||b(z)||^2.  The basis holds a constant element b_0, so
-q(z) >= min(g) b_0^2 at every finite z, and where that reaches the level
-every point is settled at once, with no table built.  Otherwise
-``basis_sqnorm`` gives ||b(z)||^2 from the per-axis tables in O(p d^2) per
-point, in blocks of ``_BOUND_BLOCK`` points.  Only the points that bound
-leaves open get exact q, from the rows of their block's own tables.
+can: q(z) >= min(g) ||b(z)||^2.  In the orthonormal family the basis holds
+the tensor products of the per-axis degrees <= m = d // p, so
+||b(z)||^2 >= b_0^2 rho(m)^p at every finite z, with b_0^2 = 1/vol and
+rho(m) the minimum over [-1, 1] of sum_{j<=m} (2j+1) P_j(u)^2; in the
+monomial family the constant term gives ||b(z)||^2 >= 1.  Where min(g)
+times that minimum reaches the level every point is settled at once, with no
+table built.  Otherwise ``basis_sqnorm`` gives ||b(z)||^2 from the per-axis
+tables in O(p d^2) per point, in blocks of ``_BOUND_BLOCK`` points.  Only the
+points that bound leaves open get exact q, from the rows of their block's own
+tables.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +54,9 @@ from .errors import IndefiniteMatrixError
 from .moments import MomentMatrix
 
 _CLIP_REL = 1e-8  # eigenvalues in [-clip * max, 0) count as rounding noise
-_BOUND_MARGIN = 1e-8  # relative slack on min(g)||b||^2; its rounding and that of q are about 1e-13
+# relative slack on min(g)||b||^2 and on its box-wide minimum: the rounding of q and of the bound is
+# about 1e-13, that of rho(m) about 1e-15
+_BOUND_MARGIN = 1e-8
 # points per block of the bound: its tables cost p (d+1) 8 bytes a point against n 8 for a basis
 # block, so larger blocks pay numpy's per-call cost less often at the same memory
 _BOUND_BLOCK = 2 * _BLOCK
@@ -61,10 +68,15 @@ class FilterKind(Enum):
     LOWPASS = "lowpass"
 
 
+def _check_beta(beta: float) -> None:
+    """Reject a regularization level that is not a positive finite number (nan, inf, <= 0)."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 def apply_filter(kind: FilterKind, evals: np.ndarray, beta: float) -> np.ndarray:
     """Filter values g_beta(s) for each eigenvalue; input must be >= 0."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     s = np.asarray(evals, dtype=float)
     if kind is FilterKind.TIKHONOV:
         return 1.0 / (beta + s)
@@ -73,6 +85,23 @@ def apply_filter(kind: FilterKind, evals: np.ndarray, beta: float) -> np.ndarray
     if kind is FilterKind.LOWPASS:
         return np.where(s <= beta, 1.0 / beta, 0.0)
     raise ValueError(f"unknown filter kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def _legendre_christoffel_min(m: int) -> float:
+    """rho(m) = min over u in [-1, 1] of sum_{j<=m} (2j+1) P_j(u)^2, with P_j the Legendre polynomials.
+
+    On an axis [lo, hi] of length h the orthonormal Ltilde_j is
+    sqrt((2j+1)/h) P_j(u) on the mapped variable u, so rho(m)/h is the least
+    value of that axis's univariate Christoffel-Darboux diagonal
+    K_m(t) = sum_{j<=m} Ltilde_j(t)^2 over the axis.  The minimum is the exact
+    one of the fiber solver, within rounding (about 1e-15 relative);
+    rho(0) = rho(1) = 1.
+    """
+    from .approximant import partial_argmin  # loaded here: approximant imports this module
+
+    # on [-1, 1] the orthonormal Legendre basis is sqrt((2j+1)/2) P_j, so its squares sum to half the target
+    return 2.0 * partial_argmin(np.eye(m + 1), (-1.0, 1.0))[1]
 
 
 def beta_schedule(d: int) -> float:
@@ -90,8 +119,7 @@ class CDKernel:
     """
 
     def __init__(self, matrix: MomentMatrix, beta: float, kind: FilterKind = FilterKind.TIKHONOV):
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        _check_beta(beta)
         evals, P = np.linalg.eigh(matrix.entries)
         lam_max = max(float(evals[-1]), 0.0)
         floor = -_CLIP_REL * lam_max
@@ -144,10 +172,15 @@ class CDKernel:
         for the Tikhonov filter min(g) = 1/(beta + lambda_max).  The bound is
         shrunk by a relative margin of 1e-8 and used in two tiers:
 
-        * box-wide: the basis holds the constant b_0 (1/sqrt(vol) in the
-          orthonormal family, 1 in the monomial one), so ||b(z)||^2 >= b_0^2 at
-          every finite z; where min(g) b_0^2 reaches ``level`` every finite row
-          is settled at once and no table is built;
+        * box-wide: in the orthonormal family the exponents with every
+          per-axis degree <= m = d // p lie in the basis, and dropping the
+          others gives ||b(z)||^2 >= prod_k K_m(z_k) >= b_0^2 rho(m)^p, with
+          b_0^2 = 1/vol and rho = ``_legendre_christoffel_min``.  This holds at
+          every finite z: outside the box |P_j(u)| >= 1 on an axis with
+          |u| >= 1, so that axis's factor is at least (m+1)^2 / h, its largest
+          value inside the box.  In the monomial family the constant term 1
+          gives ||b(z)||^2 >= 1.  Where min(g) times this minimum reaches
+          ``level`` every finite row is settled at once and no table is built;
         * per point: in blocks of ``_BOUND_BLOCK`` points the bound settles each
           point where it reaches ``level``; the others get exact q as in
           ``eval_q_batch``, from the rows of the block's own tables, ``_BLOCK``
@@ -170,8 +203,10 @@ class CDKernel:
         """``q_at_least`` on rows that are all finite, where both tiers of the bound hold."""
         spec = self.spec
         floor = float(self.filter_values.min()) * (1.0 - _BOUND_MARGIN)
-        b0_sq = 1.0 / spec.domain_volume() if spec.family is Family.LEGENDRE_ORTHONORMAL else 1.0
-        if floor * b0_sq >= level:
+        sqnorm_min = 1.0
+        if spec.family is Family.LEGENDRE_ORTHONORMAL:
+            sqnorm_min = _legendre_christoffel_min(spec.d // spec.p) ** spec.p / spec.domain_volume()
+        if floor * sqnorm_min >= level:
             return np.ones(Z.shape[0], dtype=bool)
         S = self.sos_decomposition()
         out = np.empty(Z.shape[0], dtype=bool)
@@ -221,10 +256,10 @@ class ThresholdParams:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.r <= 0:
-            raise ValueError(f"r must be positive, got {self.r}")
-        if self.m <= 0 or self.m0 < 0:
-            raise ValueError(f"masses must satisfy m > 0, m0 >= 0, got m={self.m}, m0={self.m0}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"r must be positive and finite, got {self.r}")
+        if not (math.isfinite(self.m) and math.isfinite(self.m0) and self.m > 0 and self.m0 >= 0):
+            raise ValueError(f"masses must be finite with m > 0, m0 >= 0, got m={self.m}, m0={self.m0}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
 
@@ -266,8 +301,7 @@ def perturbation_alpha(exact: MomentMatrix, approx: MomentMatrix, beta: float) -
     When this is alpha < 1, the approximate Tikhonov kernel satisfies
     sup_z |1 - q_approx(z)/q_exact(z)| <= alpha.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     if exact.spec != approx.spec:
         raise ValueError("moment matrices use different bases")
     ee, Pe = np.linalg.eigh(exact.entries)

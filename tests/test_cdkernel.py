@@ -13,6 +13,7 @@ from cdapprox import basis, cdkernel
 from cdapprox.basis import _BLOCK, BasisSpec, Family, axis_tables, basis_sqnorm, eval_basis, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import (
+    _BOUND_MARGIN,
     CDKernel,
     FilterKind,
     ThresholdParams,
@@ -22,6 +23,7 @@ from cdapprox.cdkernel import (
     perturbation_alpha,
     threshold_params,
 )
+from cdapprox.cdkernel import _legendre_christoffel_min as rho
 from cdapprox.errors import IndefiniteMatrixError
 from cdapprox.moments import MomentMatrix, Provenance
 
@@ -259,14 +261,16 @@ def _box_points(spec, N, seed):
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("name,d", [("sign", 4), ("disk1", 8)])
 def test_q_at_least_settles_every_finite_row_box_wide_without_tables(name, d, family, monkeypatch):
-    # q(z) >= min(g) ||b(z)||^2 >= min(g) b_0^2 with b_0 the constant basis
-    # element; where that reaches gamma_d no table is built, and rows with a
-    # nan or inf coordinate still get eval_q_batch's answer
+    # q(z) >= min(g) ||b(z)||^2 >= min(g) b_0^2 rho(d // p)^p with b_0 the
+    # constant basis element (rho = 1 in the monomial family); where that
+    # reaches gamma_d no table is built, and rows with a nan or inf coordinate
+    # still get eval_q_batch's answer
     M = get_benchmark(name).moment_matrix(d, family=family)
     kern = CDKernel(M, beta_schedule(d))
     gamma = gamma_threshold(d, threshold_params(M))
     b0 = eval_basis(M.spec, np.zeros(M.spec.p))[0]
-    assert kern.filter_values.min() * b0**2 > gamma
+    tensor = rho(d // M.spec.p) ** M.spec.p if family is Family.LEGENDRE_ORTHONORMAL else 1.0
+    assert kern.filter_values.min() * b0**2 * tensor > gamma
     Z = _box_points(M.spec, _BLOCK + 7, d)
     bad = Z.copy()
     bad[3, 0], bad[10, -1], bad[11, 0] = np.nan, np.inf, -np.inf
@@ -297,20 +301,133 @@ def test_q_at_least_lowpass_never_takes_the_box_certificate(name, d, monkeypatch
 
 
 def test_q_at_least_bounds_in_blocks_larger_than_a_basis_block(monkeypatch):
-    # sign d=8: min(g) b_0^2 is below gamma_d, so the per-point bound runs; it
-    # tabulates in blocks above _BLOCK points, which pays numpy's per-call cost
-    # less often than one table call per basis block would
+    # sign d=8 at 1.5 times the box-wide certificate min(g) rho(4)^2 / vol:
+    # the per-point bound runs and settles every point; it tabulates in blocks
+    # above _BLOCK points, which pays numpy's per-call cost less often than one
+    # table call per basis block would
     M = get_benchmark("sign").moment_matrix(8)
     kern = CDKernel(M, beta_schedule(8))
-    gamma = gamma_threshold(8, threshold_params(M))
-    assert kern.filter_values.min() / M.spec.domain_volume() < gamma
+    floor = kern.filter_values.min()
+    level = 1.5 * floor * rho(4) ** 2 / M.spec.domain_volume()
     N = 8 * _BLOCK + 5
     Z = _box_points(M.spec, N, 8)
+    assert floor * basis_sqnorm(M.spec, axis_tables(M.spec, Z)).min() * (1.0 - _BOUND_MARGIN) >= level
     q = kern.eval_q_batch(Z)
     calls = _count_table_calls(monkeypatch)
-    got = kern.q_at_least(Z, gamma)
+    sent = _count_exact_points(monkeypatch)
+    got = kern.q_at_least(Z, level)
     assert sum(calls) == N and len(calls) < N / _BLOCK
-    assert np.array_equal(got, q >= gamma)
+    assert sent == []
+    assert np.array_equal(got, q >= level) and got.all()
+
+
+def _mp_christoffel_grid(m_max, N):
+    """Per m <= m_max, (grid min, certified lower bound) of f_m(u) = sum_{j<=m} (2j+1) P_j(u)^2 on [-1, 1].
+
+    f_m is even, so the grid is u = i/N, i = 0..N, evaluated at 40 digits by
+    the three-term recurrence for P_j and P_j' = P_{j-2}' + (2j-1) P_{j-1}.
+    Every u in [0, 1] lies within h = 1/(2N) of a node g, and Taylor's theorem
+    gives f(u) >= f(g) - |f'(g)| h - max|f''| h^2 / 2.  Markov's inequality
+    ||p'|| <= n^2 ||p|| on [-1, 1], applied twice to f_m of degree n = 2m with
+    ||f_m|| = f_m(1) = (m+1)^2 (as |P_j| <= 1), bounds max|f''|.
+    """
+    import mpmath
+
+    out = []
+    with mpmath.workdps(40):
+        u = np.array([mpmath.mpf(i) / N for i in range(N + 1)], dtype=object)
+        one, zero = mpmath.mpf(1), mpmath.mpf(0)
+        P_prev, P = np.full(N + 1, zero, dtype=object), np.full(N + 1, one, dtype=object)
+        D_prev, D = np.full(N + 1, zero, dtype=object), np.full(N + 1, zero, dtype=object)
+        f, df = np.full(N + 1, zero, dtype=object), np.full(N + 1, zero, dtype=object)
+        h = mpmath.mpf(1) / (2 * N)
+        for j in range(m_max + 1):
+            # here P = P_j, D = P_j'
+            f = f + (2 * j + 1) * P * P
+            df = df + 2 * (2 * j + 1) * P * D
+            n = 2 * j
+            f2_max = mpmath.mpf(n**2 * max(n - 1, 0) ** 2 * (j + 1) ** 2)
+            lower = min(f - abs(df) * h) - f2_max * h * h / 2
+            out.append((float(min(f)), float(lower)))
+            P_prev, P = P, ((2 * j + 1) * u * P - j * P_prev) / (j + 1)
+            D_prev, D = D, D_prev + (2 * j + 1) * P_prev
+    return out
+
+
+def test_legendre_christoffel_min_against_a_40_digit_grid():
+    # rho(m) is the exact minimum up to rounding: never above the 40-digit grid
+    # minimum, never below the grid's Markov-certified lower bound
+    for m, (grid_min, lower) in enumerate(_mp_christoffel_grid(12, 4000)):
+        assert lower <= rho(m) <= grid_min * (1.0 + 1e-14), m
+        assert grid_min - lower < 0.1 * grid_min  # the lower reference is not vacuous
+    assert rho(0) == pytest.approx(1.0, rel=1e-14) and rho(1) == pytest.approx(1.0, rel=1e-14)
+    assert rho(3) ** 2 > 1 / 0.88 and rho(4) ** 2 > 1 / 0.27  # settles sign at d = 6 and 8
+
+
+def _sqnorm(spec, Z):
+    """||b(z)||^2 at each row of Z from the full basis, block by block."""
+    out = np.empty(len(Z))
+    for rows, B in basis.basis_blocks(spec, Z):
+        out[rows] = np.einsum("ij,ij->j", B, B)
+    return out
+
+
+@pytest.mark.parametrize(
+    "domain,d",
+    [
+        (((0.0, 3.0), (-2.0, 5.0)), 6),
+        (((0.0, 3.0), (-2.0, 5.0)), 9),
+        (((-1.0, 2.0), (0.0, 0.5), (1.0, 4.0)), 7),
+    ],
+)
+def test_tensor_certificate_is_below_the_squared_basis_norm_inside_and_outside_the_box(domain, d):
+    # b_0^2 rho(d // p)^p <= ||b(z)||^2 at every finite z: a dense grid of the
+    # box brute-forces the minimum from above, and random points outside the
+    # box must clear the certificate too
+    spec = BasisSpec(len(domain), d, domain=domain)
+    cert = rho(d // spec.p) ** spec.p / spec.domain_volume()
+    box = spec.domain_array()
+    per_axis = 301 if spec.p == 2 else 61
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.p)
+    inside = _sqnorm(spec, grid)
+    assert cert <= inside.min() * (1.0 + 1e-12)
+    assert cert > 1.0 / spec.domain_volume()  # sharper than b_0^2 at these degrees
+    rng = np.random.default_rng(d)
+    width = box[:, 1] - box[:, 0]
+    Z = rng.uniform(box[:, 0] - 2 * width, box[:, 1] + 2 * width, size=(20_000, spec.p))
+    Z = Z[~spec.contains(Z)]
+    assert len(Z) > 10_000
+    assert np.all(_sqnorm(spec, Z) >= cert * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("kind", [FilterKind.TIKHONOV, FilterKind.CUTOFF])
+def test_q_at_least_box_certificate_holds_outside_the_box(kind, monkeypatch):
+    # sign d=8: just below min(g) b_0^2 rho(4)^2 every finite row is settled
+    # without tables, points far outside the box included, and the answer is
+    # still eval_q_batch's
+    M = get_benchmark("sign").moment_matrix(8)
+    kern = CDKernel(M, beta_schedule(8), kind)
+    level = kern.filter_values.min() * rho(4) ** 2 / M.spec.domain_volume() * (1.0 - 2 * _BOUND_MARGIN)
+    rng = np.random.default_rng(5)
+    Z = np.vstack([_box_points(M.spec, 500, 5), rng.uniform(-4.0, 4.0, size=(1500, 2))])
+    q = kern.eval_q_batch(Z)
+    calls = _count_table_calls(monkeypatch)
+    got = kern.q_at_least(Z, level)
+    assert calls == []
+    assert np.array_equal(got, q >= level) and got.all()
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_beta_must_be_positive_and_finite(beta):
+    # nan and inf used to pass the beta <= 0 test and give an all-nan or all-zero kernel
+    M = get_benchmark("sign").moment_matrix(2)
+    with pytest.raises(ValueError, match="finite"):
+        CDKernel(M, beta)
+    with pytest.raises(ValueError, match="finite"):
+        apply_filter(FilterKind.TIKHONOV, np.ones(3), beta)
+    with pytest.raises(ValueError, match="finite"):
+        perturbation_alpha(M, M, beta)
 
 
 def test_filtered_matrix_is_tikhonov_inverse():
@@ -379,6 +496,13 @@ def test_threshold_params_validation():
         ThresholdParams(p=2, r=2.5, m=0.0, m0=1.0)
     with pytest.raises(ValueError):
         ThresholdParams(p=2, r=2.5, m=1.0, m0=1.0, alpha=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdParams(p=2, r=bad, m=1.0, m0=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdParams(p=2, r=2.5, m=bad, m0=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdParams(p=2, r=2.5, m=1.0, m0=bad)
     # r <= p is allowed in general, rejected only for the rate statements
     tp = ThresholdParams(p=2, r=1.0, m=1.0, m0=1.0)
     with pytest.raises(ValueError, match="r > p"):

@@ -202,6 +202,25 @@ def test_support_command_rejects_empty_samples(flags):
     assert "bound violation" not in res.stderr
 
 
+@pytest.mark.parametrize("flags", [("--beta", "nan"), ("--beta", "inf"), ("--r", "nan"), ("--r", "inf")])
+def test_support_command_rejects_non_finite_beta_and_r(flags, capsys):
+    # a nan or infinite beta gave an all-nan or all-zero kernel, and a nan r a
+    # nan threshold; both used to print a verdict instead of refusing
+    assert main(["support", "--name", "sign", "--degree", "4", "--probes", "1000", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert "bound violation" not in err
+
+
+@pytest.mark.parametrize("flags", [("--r", "nan"), ("--r", "inf"), ("--beta", "nan")])
+def test_rates_command_rejects_non_finite_beta_and_r(flags, capsys, tmp_path):
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--name", "sign", "--degrees", "4", "--eval-grid", "20", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr()
+    assert err.err.startswith("error:") and "finite" in err.err
+    assert "bound" not in err.out and not out.exists()
+
+
 def test_rates_command(tmp_path):
     res = run_cli(
         "rates",

@@ -33,16 +33,18 @@ def test_cold_start_loads_neither_scipy_nor_mpmath(argv):
 
 def test_vacuous_support_report_loads_no_scipy():
     # the q >= gamma_d tests are settled by the bound min(g) ||b||^2 in numpy
-    # alone, and an empty sublevel set needs no mesh query: scipy (and its
-    # BLAS wrappers, tens of MB of resident memory) stays unloaded
+    # alone (at d = 8 by its box-wide minimum, from the fiber solver), and an
+    # empty sublevel set needs no mesh query: scipy (and its BLAS wrappers,
+    # tens of MB of resident memory) stays unloaded
     code = (
         "from cdapprox.benchmarks import get_benchmark\n"
         "from cdapprox.cdkernel import beta_schedule\n"
         "from cdapprox.support import support_report\n"
         "bench = get_benchmark('sign')\n"
-        "rep = support_report(bench, bench.moment_matrix(4), beta_schedule(4),"
+        "for d in (4, 8):\n"
+        "    rep = support_report(bench, bench.moment_matrix(d), beta_schedule(d),"
         " n_mass_samples=2000, n_probes=2000, mesh_points=500)\n"
-        "assert rep.n_members == 0 and rep.mass_ok and rep.distance_ok\n"
+        "    assert rep.n_members == 0 and rep.mass_ok and rep.distance_ok\n"
     )
     modules = _imported_modules("-c", code)
     assert "cdapprox.support" in modules

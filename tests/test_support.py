@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cdapprox import basis
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import CDKernel, ThresholdParams, beta_schedule
 from cdapprox.support import (
@@ -129,13 +130,26 @@ def _eval_q_report(bench, M, beta, **kwargs):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("disk1", 4)])
-def test_support_report_equals_the_eval_q_batch_report(name, d, seed):
+@pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("sign", 8), ("disk1", 4)])
+def test_support_report_equals_the_eval_q_batch_report(name, d, seed, monkeypatch):
+    # at r = p + 1/2 and the beta schedule the box-wide certificate
+    # min(g) b_0^2 rho(d // p)^p reaches gamma_d in every case here (for sign
+    # at d = 6 and 8 only with the tensor factor rho), so no table is built
     bench = get_benchmark(name)
     M = bench.moment_matrix(d)
     kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=3000, mesh_points=500, seed=seed)
+    expected = _eval_q_report(bench, M, beta_schedule(d), **kwargs).to_dict()
+    calls = []
+    tables = basis.axis_tables
+
+    def counting(spec, Z):
+        calls.append(len(Z))
+        return tables(spec, Z)
+
+    monkeypatch.setattr(basis, "axis_tables", counting)
     rep = support_report(bench, M, beta_schedule(d), **kwargs)
-    assert rep.to_dict() == _eval_q_report(bench, M, beta_schedule(d), **kwargs).to_dict()
+    assert calls == []
+    assert rep.to_dict() == expected
 
 
 def test_sublevel_probes_stay_near_graph_at_empirical_level():
