@@ -116,7 +116,7 @@ def _real_roots(c: np.ndarray) -> np.ndarray:
     out = np.full((c.shape[0], c.shape[1] - 1), -1.0)
     live = c != 0.0
     deg = np.where(live.any(axis=1), c.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1), 0)
-    for n in np.unique(deg[deg > 0]):
+    for n in np.flatnonzero(np.bincount(deg)[1:]) + 1:  # the degrees > 0 that occur
         sel = deg == n
         out[sel, :n] = np.linalg.eigvals(_colleague(c[sel, : n + 1])).real
     return np.clip(out, -1.0, 1.0)
@@ -222,12 +222,8 @@ class Approximant:
         self._x_spec = spec.x_spec()
         # rows map: x-basis values times this give the fiber rows A(x) directly
         W = kernel.sos_decomposition()
-        # position of each basis row's x-part among the x-basis rows, which are
-        # exactly the distinct x-parts: label both by np.unique, then invert
-        xs = self._x_spec.indices
-        _, inv = np.unique(np.concatenate([xs, spec.indices[:, :-1]]), axis=0, return_inverse=True)
-        inv = inv.reshape(-1)
-        xcol = np.argsort(inv[: len(xs)])[inv[len(xs) :]]
+        pos = {a: i for i, a in enumerate(map(tuple, self._x_spec.indices.tolist()))}
+        xcol = [pos[a] for a in map(tuple, spec.indices[:, :-1].tolist())]
         T = np.zeros((self._x_spec.size, W.shape[0], spec.d + 1))
         T[xcol, :, spec.indices[:, -1]] = W.T
         T = T @ _change_of_basis(spec, *self._y_interval)

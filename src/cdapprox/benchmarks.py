@@ -26,6 +26,15 @@ from .moments import (
 )
 
 
+def midpoint_grid(box, counts) -> np.ndarray:
+    """Midpoint grid over a box of (lo, hi) rows; counts is per-axis or a single int."""
+    if np.isscalar(counts):
+        counts = (int(counts),) * len(box)
+    axes = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for (lo, hi), n in zip(box, counts)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 @dataclass(frozen=True)
 class GraphFunction:
     """A target function together with its graph box and known structure."""
@@ -53,15 +62,7 @@ class GraphFunction:
 
     def grid_x(self, counts) -> np.ndarray:
         """Midpoint grid over the x-box; counts is per-axis or a single int."""
-        box = self.x_box()
-        if np.isscalar(counts):
-            counts = (int(counts),) * box.shape[0]
-        axes = [
-            lo + (hi - lo) * (np.arange(n) + 0.5) / n
-            for (lo, hi), n in zip(box, counts)
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return midpoint_grid(self.x_box(), counts)
 
     def random_x(self, n: int, rng: np.random.Generator) -> np.ndarray:
         box = self.x_box()

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .approximant import Approximant, ApproxConfig
-from .benchmarks import BENCHMARKS, get_benchmark
+from .benchmarks import BENCHMARKS, get_benchmark, midpoint_grid
 from .cdkernel import (
     CDKernel,
     FilterKind,
@@ -69,15 +69,9 @@ def _resolve_beta(args, d: int) -> float:
     return args.beta
 
 
-def _build_matrix(args, bench):
+def _build_matrix(args, bench, degree: int):
     rng = np.random.default_rng(args.seed)
-    return bench.moment_matrix(
-        args.degree,
-        mode=args.mode,
-        samples=args.samples,
-        grid=args.grid,
-        rng=rng,
-    )
+    return bench.moment_matrix(degree, mode=args.mode, samples=args.samples, grid=args.grid, rng=rng)
 
 
 def _eval_points(bench, args) -> np.ndarray:
@@ -103,10 +97,7 @@ def cmd_approx(args) -> int:
         if X.shape[1] != spec.p - 1:
             raise ValueError(f"points file has {X.shape[1]} columns, matrix needs {spec.p - 1}")
     elif args.grid is not None:
-        box = spec.domain_array()[:-1]
-        axes = [lo + (hi - lo) * (np.arange(args.grid) + 0.5) / args.grid for lo, hi in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([g.ravel() for g in mesh], axis=1)
+        X = midpoint_grid(spec.domain_array()[:-1], args.grid)
     else:
         raise ValueError("provide either --points or --grid")
 
@@ -135,7 +126,7 @@ def cmd_approx(args) -> int:
 
 def cmd_benchmark(args) -> int:
     bench = get_benchmark(args.name)
-    matrix = _build_matrix(args, bench)
+    matrix = _build_matrix(args, bench, args.degree)
     if args.matrix_out:
         save_text(matrix, args.matrix_out)
     beta = _resolve_beta(args, args.degree)
@@ -169,7 +160,7 @@ def cmd_support(args) -> int:
     if args.matrix:
         matrix = load_matrix(args.matrix)
     else:
-        matrix = _build_matrix(args, bench)
+        matrix = _build_matrix(args, bench, args.degree)
     beta = _resolve_beta(args, matrix.spec.d)
     report = support_report(
         bench,
@@ -215,10 +206,7 @@ def cmd_rates(args) -> int:
     rows = []
     violated = False
     for d in degrees:
-        rng = np.random.default_rng(args.seed)
-        matrix = bench.moment_matrix(
-            d, mode=args.mode, samples=args.samples, grid=args.grid, rng=rng
-        )
+        matrix = _build_matrix(args, bench, d)
         beta = _resolve_beta(args, d)
         params = threshold_params(matrix, r=args.r, alpha=args.alpha)
         approx = Approximant(CDKernel(matrix, beta), ApproxConfig(alpha=args.alpha))

@@ -3,9 +3,10 @@
 The L1 distance is estimated from function values on a weighted grid.  The
 rate bounds mirror the two regularity regimes: a Lipschitz regime with rate
 driven by the sublevel-set radius, and a bounded-variation regime (univariate
-x, r > 2) that pays an extra d^(-1/4) for the jump neighborhoods.  Bound
-formulas are evaluated with mpmath because their constants exceed double
-range well before the bounds themselves become small.
+x, r > 2) that pays an extra d^(-1/4) for the jump neighborhoods.  Both add
+the sublevel-set radius ``distance_bound`` to the escaping-mass tail
+``outside_mass_bound`` in plain floats; the tail is inf where it exceeds
+double range, and so is the bound.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .basis import BasisSpec, axis_table, gauss_pieces
 from .cdkernel import ThresholdParams
-from .support import outside_mass_bound
+from .support import distance_bound, outside_mass_bound
 
 
 def l1_error(values, reference, weights) -> float:
@@ -78,14 +79,8 @@ def lipschitz_rate_bound(
     params.validate_rate()
     if d <= 1:
         raise ValueError(f"rate bounds need degree d > 1, got {d}")
-    tail = outside_mass_bound(d, params)
-    import mpmath  # loaded on first use: only the bounds need extended precision
-
-    with mpmath.workdps(40):
-        dd = mpmath.mpf(d)
-        radius = mpmath.mpf(delta0) / (mpmath.sqrt(dd) - 1)
-        val = vol_x * radius * (1 + lipschitz) + diam_y * tail
-        return float(val)
+    radius = distance_bound(d, delta0)
+    return float(vol_x * radius * (1.0 + lipschitz) + diam_y * outside_mass_bound(d, params))
 
 
 def bv_rate_bound(
@@ -103,12 +98,6 @@ def bv_rate_bound(
         raise ValueError(f"the variation bound needs r > 2, got r = {params.r}")
     if d <= 1:
         raise ValueError(f"rate bounds need degree d > 1, got {d}")
-    tail = outside_mass_bound(d, params)
-    import mpmath
-
-    with mpmath.workdps(40):
-        dd = mpmath.mpf(d)
-        radius = mpmath.mpf(delta0) / (mpmath.sqrt(dd) - 1)
-        jump_term = 4 * dd ** mpmath.mpf("0.25") * variation * radius
-        val = vol_x * (2 * radius + dd ** mpmath.mpf("-0.25")) + diam_y * (tail + jump_term)
-        return float(val)
+    radius = distance_bound(d, delta0)
+    jump_term = 4.0 * d**0.25 * variation * radius
+    return float(vol_x * (2.0 * radius + d**-0.25) + diam_y * (outside_mass_bound(d, params) + jump_term))

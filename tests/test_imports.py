@@ -1,4 +1,9 @@
-"""Import hygiene: scipy and mpmath load only when a run needs them."""
+"""Import hygiene: the library never loads mpmath, and scipy only when a run needs it.
+
+The bound constants are plain float arithmetic, so no run imports mpmath, and
+the fiber solver groups its rows without ``np.unique``, so neither fiber
+evaluation nor a support check loads ``numpy.ma``.
+"""
 
 import subprocess
 import sys
@@ -17,6 +22,10 @@ def _imported_modules(*argv):
     assert res.returncode == 0, res.stderr
     lines = [line for line in res.stderr.splitlines() if line.startswith("import time:")]
     return {line.rsplit("|", 1)[-1].strip() for line in lines}
+
+
+def _under(modules, package):
+    return sorted(m for m in modules if m == package or m.startswith(package + "."))
 
 
 @pytest.mark.parametrize(
@@ -49,3 +58,35 @@ def test_vacuous_support_report_loads_no_scipy():
     modules = _imported_modules("-c", code)
     assert "cdapprox.support" in modules
     assert sorted(m for m in modules if m.split(".")[0] == "scipy") == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("support", "--name", "sign", "--degree", "4", "--beta-schedule", "--probes", "2000", "--mesh", "500"),
+        ("rates", "--name", "sign", "--degrees", "2,4", "--eval-grid", "100"),
+    ],
+    ids=["support", "rates"],
+)
+def test_bound_runs_load_no_mpmath(argv):
+    modules = _imported_modules("-m", "cdapprox", *argv)
+    assert "cdapprox.support" in modules and "cdapprox.metrics" in modules
+    assert _under(modules, "mpmath") == []
+
+
+def test_fiber_evaluation_and_vacuous_support_report_load_no_numpy_ma():
+    code = (
+        "from cdapprox.approximant import Approximant, ApproxConfig\n"
+        "from cdapprox.benchmarks import get_benchmark\n"
+        "from cdapprox.cdkernel import CDKernel, beta_schedule\n"
+        "from cdapprox.support import support_report\n"
+        "bench = get_benchmark('sign')\n"
+        "M = bench.moment_matrix(8)\n"
+        "for alpha in (0.0, 0.2):\n"
+        "    Approximant(CDKernel(M, beta_schedule(8)), ApproxConfig(alpha=alpha)).evaluate_batch(bench.grid_x(200))\n"
+        "rep = support_report(bench, M, beta_schedule(8), n_mass_samples=2000, n_probes=2000, mesh_points=500)\n"
+        "assert rep.n_members == 0\n"
+    )
+    modules = _imported_modules("-c", code)
+    assert "cdapprox.approximant" in modules and "cdapprox.support" in modules
+    assert _under(modules, "numpy.ma") == []
