@@ -24,11 +24,11 @@ the tensor products of the per-axis degrees <= m = d // p, so
 ||b(z)||^2 >= b_0^2 rho(m)^p at every finite z, with b_0^2 = 1/vol and
 rho(m) the minimum over [-1, 1] of sum_{j<=m} (2j+1) P_j(u)^2; in the
 monomial family the constant term gives ||b(z)||^2 >= 1.  Where min(g)
-times that minimum reaches the level every point is settled at once, with no
-table built.  Otherwise ``basis_sqnorm`` gives ||b(z)||^2 from the per-axis
-tables in O(p d^2) per point, in blocks of ``_BOUND_BLOCK`` points.  Only the
-points that bound leaves open get exact q, from the rows of their block's own
-tables.
+times that minimum, ``CDKernel.q_floor``, reaches the level every point is
+settled at once, with no table built.  Otherwise ``basis_sqnorm`` gives
+||b(z)||^2 from the per-axis tables in O(p d^2) per point, in blocks of
+``_BOUND_BLOCK`` points.  Only the points that bound leaves open get exact q,
+from the rows of their block's own tables.
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ class CDKernel:
           every finite z: outside the box |P_j(u)| >= 1 on an axis with
           |u| >= 1, so that axis's factor is at least (m+1)^2 / h, its largest
           value inside the box.  In the monomial family the constant term 1
-          gives ||b(z)||^2 >= 1.  Where min(g) times this minimum reaches
-          ``level`` every finite row is settled at once and no table is built;
+          gives ||b(z)||^2 >= 1.  Where min(g) times this minimum,
+          ``q_floor``, reaches ``level`` every finite row is settled at once
+          and no table is built;
         * per point: in blocks of ``_BOUND_BLOCK`` points the bound settles each
           point where it reaches ``level``; the others get exact q as in
           ``eval_q_batch``, from the rows of the block's own tables, ``_BLOCK``
@@ -199,15 +200,31 @@ class CDKernel:
         out[~finite] = self.eval_q_batch(Z[~finite]) >= level
         return out
 
-    def _finite_q_at_least(self, Z, level: float) -> np.ndarray:
-        """``q_at_least`` on rows that are all finite, where both tiers of the bound hold."""
+    def _g_floor(self) -> float:
+        """min(g) shrunk by the relative margin: q(z) >= this times ||b(z)||^2 at every z."""
+        return float(self.filter_values.min()) * (1.0 - _BOUND_MARGIN)
+
+    def q_floor(self) -> float:
+        """Certified lower bound of q over every finite z, the box-wide tier of ``q_at_least``.
+
+        It is min(g) (1 - 1e-8) b_0^2 rho(d // p)^p in the orthonormal family,
+        with b_0^2 = 1/vol and rho = ``_legendre_christoffel_min``, and
+        min(g) (1 - 1e-8) in the monomial family; see ``q_at_least`` for why
+        it holds outside the box too.  Where it reaches a level, the sublevel
+        set {q < level} is empty on all of R^p.  Zero for the low-pass filter.
+        """
         spec = self.spec
-        floor = float(self.filter_values.min()) * (1.0 - _BOUND_MARGIN)
         sqnorm_min = 1.0
         if spec.family is Family.LEGENDRE_ORTHONORMAL:
             sqnorm_min = _legendre_christoffel_min(spec.d // spec.p) ** spec.p / spec.domain_volume()
-        if floor * sqnorm_min >= level:
+        return self._g_floor() * sqnorm_min
+
+    def _finite_q_at_least(self, Z, level: float) -> np.ndarray:
+        """``q_at_least`` on rows that are all finite, where both tiers of the bound hold."""
+        if self.q_floor() >= level:
             return np.ones(Z.shape[0], dtype=bool)
+        spec = self.spec
+        floor = self._g_floor()
         S = self.sos_decomposition()
         out = np.empty(Z.shape[0], dtype=bool)
         for rows, tabs in table_blocks(spec, Z, _BOUND_BLOCK):

@@ -171,10 +171,6 @@ def empirical_moment_matrix(spec: BasisSpec, Z, note: str = "") -> MomentMatrix:
 # --- serialization ---------------------------------------------------------
 
 
-def _format_entry(v: float) -> str:
-    return format(float(v), ".16e")
-
-
 def save_text(matrix: MomentMatrix, path) -> None:
     """Write the header and lower triangle; reload is bit-exact."""
     spec = matrix.spec
@@ -185,7 +181,7 @@ def save_text(matrix: MomentMatrix, path) -> None:
         f"family {spec.family.value}",
         "ordering grevlex",
         "domain " + " ".join(f"{lo!r} {hi!r}" for lo, hi in spec.domain),
-        f"mass {_format_entry(matrix.mass_m)}",
+        f"mass {float(matrix.mass_m):.16e}",
         f"provenance {matrix.provenance.value}",
     ]
     if matrix.note:
@@ -193,7 +189,7 @@ def save_text(matrix: MomentMatrix, path) -> None:
     lines.append("entries lower")
     M = matrix.entries
     for i in range(matrix.n):
-        lines.append(" ".join(_format_entry(M[i, j]) for j in range(i + 1)))
+        lines.append(" ".join([format(v, ".16e") for v in M[i, : i + 1].tolist()]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -261,7 +257,7 @@ def load_text(path) -> MomentMatrix:
         raise MomentFileError(f"non-numeric entry: {exc}") from exc
     M = np.zeros((n, n))
     M[np.tril_indices(n)] = vals
-    M = M + np.tril(M, -1).T
+    M = np.where(np.tri(n, dtype=bool), M, M.T)  # a copy, not a sum, so -0.0 keeps its sign
     try:
         out = MomentMatrix(spec, M, provenance, mass, note)
     except ValueError as exc:

@@ -4,7 +4,10 @@ Two statements are checked for a kernel built from a graph measure mu at the
 threshold gamma_d: the measure of the graph that escapes the sublevel set
 {q < gamma_d} is small, and every point of the sublevel set lies close to the
 support of mu.  Both the escaping mass and the maximal distance decay at
-explicit rates in the degree d.  The escaping-mass bound is summed in log
+explicit rates in the degree d.  Where the kernel's certified floor
+``CDKernel.q_floor`` reaches gamma_d the sublevel set is provably empty, and
+``support_report`` draws no sublevel probes; the graph samples for the
+escaping mass are always drawn.  The escaping-mass bound is summed in log
 space, as ``gamma_threshold`` is: its factor (3r)^(2r) overflows double
 precision for moderate r even where the bound itself does not.
 """
@@ -102,6 +105,9 @@ class SupportReport:
     distance_bound: float
     mesh_slack: float
     distance_ok: bool
+    # True when q_floor reached gamma: {q < gamma} is then empty on all of R^p.
+    # False means "not proven", not "non-empty".
+    sublevel_empty: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -120,12 +126,15 @@ def support_report(
 ) -> SupportReport:
     """Check both guarantees by Monte Carlo and return the full evidence.
 
-    Draws ``n_mass_samples`` graph points for the escaping mass and
-    ``n_probes`` uniform box points for the sublevel set, and measures member
-    distances against a ``mesh_points`` graph mesh.  Each q >= gamma_d test
-    goes through ``CDKernel.q_at_least``: where the certified lower bound
-    min(g) ||b||^2 already reaches gamma_d, as at every desk-scale degree, no
-    exact q is formed.  The report equals one built from ``eval_q_batch``.
+    Draws ``n_mass_samples`` graph points for the escaping mass and measures
+    sublevel-set member distances against a ``mesh_points`` graph mesh.
+    Where ``CDKernel.q_floor`` reaches gamma_d, as at every desk-scale degree,
+    the sublevel set is provably empty: no probe is drawn, ``n_members`` is 0
+    and ``sublevel_empty`` is True.  Otherwise ``n_probes`` uniform box points
+    are drawn and tested.  Each q >= gamma_d test goes through
+    ``CDKernel.q_at_least``, which forms exact q only where the lower bound
+    min(g) ||b||^2 falls short.  Every field but ``sublevel_empty`` equals
+    that of a report that draws every probe and tests it with ``eval_q_batch``.
     """
     d = matrix.spec.d
     if d <= 1:
@@ -146,9 +155,15 @@ def support_report(
     outside = fraction * matrix.mass_m
     mass_bound = outside_mass_bound(d, params)
 
-    box = matrix.spec.domain_array()
-    probes = rng.uniform(box[:, 0], box[:, 1], size=(n_probes, matrix.spec.p))
-    members = probes[~kernel.q_at_least(probes, gamma)]
+    # the floor holds at every finite z and the rng is not drawn from after the probes,
+    # so skipping them changes no other field
+    sublevel_empty = kernel.q_floor() >= gamma
+    if sublevel_empty:
+        members = np.empty((0, matrix.spec.p))
+    else:
+        box = matrix.spec.domain_array()
+        probes = rng.uniform(box[:, 0], box[:, 1], size=(n_probes, matrix.spec.p))
+        members = probes[~kernel.q_at_least(probes, gamma)]
     mesh, slack = graph_mesh(bench, mesh_points)
     if members.shape[0]:
         from scipy.spatial import cKDTree  # loaded on first use
@@ -179,4 +194,5 @@ def support_report(
         distance_bound=dist_bound,
         mesh_slack=slack,
         distance_ok=bool(max_dist <= dist_bound + slack),
+        sublevel_empty=sublevel_empty,
     )

@@ -418,6 +418,30 @@ def test_q_at_least_box_certificate_holds_outside_the_box(kind, monkeypatch):
     assert np.array_equal(got, q >= level) and got.all()
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("name,d", [("sign", 8), ("disk1", 6)])
+def test_q_floor_is_the_box_wide_tier_of_q_at_least(name, d, family, monkeypatch):
+    # q_floor is min(g) (1 - 1e-8) b_0^2 rho(d // p)^p (rho = 1 in the monomial
+    # family), below q inside the box and out; q_at_least settles every finite
+    # row without tables exactly at levels up to it, and tabulates just above
+    M = get_benchmark(name).moment_matrix(d, family=family)
+    kern = CDKernel(M, beta_schedule(d))
+    tensor = 1.0
+    if family is Family.LEGENDRE_ORTHONORMAL:
+        tensor = rho(d // M.spec.p) ** M.spec.p / M.spec.domain_volume()
+    floor = kern.q_floor()
+    assert floor == pytest.approx(kern.filter_values.min() * tensor, rel=2 * _BOUND_MARGIN)
+    assert floor < kern.filter_values.min() * tensor
+    rng = np.random.default_rng(d)
+    Z = np.vstack([_box_points(M.spec, 1000, d), rng.uniform(-4.0, 4.0, size=(1000, M.spec.p))])
+    assert kern.eval_q_batch(Z).min() >= floor
+    calls = _count_table_calls(monkeypatch)
+    assert kern.q_at_least(Z, floor).all() and calls == []
+    kern.q_at_least(Z, np.nextafter(floor, np.inf))
+    assert sum(calls) == Z.shape[0]
+    assert CDKernel(M, beta_schedule(d), FilterKind.LOWPASS).q_floor() == 0.0
+
+
 @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_beta_must_be_positive_and_finite(beta):
     # nan and inf used to pass the beta <= 0 test and give an all-nan or all-zero kernel

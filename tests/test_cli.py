@@ -191,6 +191,7 @@ def test_support_command_writes_report(tmp_path):
     doc = json.loads(rep.read_text())
     assert doc["mass_ok"] and doc["distance_ok"]
     assert doc["d"] == 4
+    assert doc["sublevel_empty"] is True and doc["n_members"] == 0
     assert "ok=True" in res.stdout
 
 

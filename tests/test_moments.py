@@ -220,6 +220,26 @@ def test_text_round_trip_is_bit_exact(tmp_path):
     assert path2.read_bytes() == path.read_bytes()
 
 
+def test_text_entries_match_the_per_entry_formatter(tmp_path):
+    # each row is formatted from one tolist() call; the bytes are those
+    # of format(float(M[i, j]), ".16e") entry by entry, at signed zero,
+    # subnormal and near-overflow values too, and the reload keeps the sign of -0.0
+    spec = BasisSpec(2, 2)
+    A = np.random.default_rng(5).normal(size=(spec.size, spec.size))
+    A[1, 0], A[2, 1], A[3, 3], A[4, 2], A[5, 0] = -0.0, 5e-324, 1e308, -2.2e-310, 0.0
+    A = np.where(np.tri(spec.size, dtype=bool), A, A.T)
+    M = MomentMatrix(spec, A, Provenance.EMPIRICAL, 2.5)
+    path = tmp_path / "m.txt"
+    save_text(M, path)
+    lines = path.read_text().splitlines()
+    start = lines.index("entries lower") + 1
+    assert "mass " + format(float(M.mass_m), ".16e") in lines[:start]
+    expected = [" ".join(format(float(A[i, j]), ".16e") for j in range(i + 1)) for i in range(spec.size)]
+    assert lines[start:] == expected and "-0.0000000000000000e+00" in lines[start + 1]
+    back = load_text(path).entries
+    assert np.array_equal(back, A) and np.array_equal(np.signbit(back), np.signbit(A))
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_text_round_trip_property(tmp_path_factory, seed):

@@ -89,10 +89,11 @@ def test_support_report_fields_and_determinism():
     assert rep.mass_ok and rep.distance_ok
     assert rep.outside_mass <= rep.outside_mass_bound
     assert rep.n_members == 0 and rep.max_distance == 0.0
+    assert rep.sublevel_empty  # the certificate, not the sample, shows the set is empty
     rep2 = support_report(bench, M, beta_schedule(4), **kwargs)
     assert rep.to_dict() == rep2.to_dict()
     d = rep.to_dict()
-    assert set(d) >= {"gamma", "outside_mass", "max_distance", "mesh_slack"}
+    assert set(d) >= {"gamma", "outside_mass", "max_distance", "mesh_slack", "sublevel_empty"}
 
 
 def test_support_report_rejects_degree_one():
@@ -123,10 +124,32 @@ def test_support_report_rejects_empty_samples_and_meshes(sizes):
 
 
 def _eval_q_report(bench, M, beta, **kwargs):
-    """The report with every q >= gamma test made on the exact q of eval_q_batch."""
+    """The report that draws every probe and makes each q >= gamma test on the exact q of eval_q_batch."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CDKernel, "q_floor", lambda self: -np.inf)
         mp.setattr(CDKernel, "q_at_least", lambda self, Z, level: self.eval_q_batch(Z) >= level)
-        return support_report(bench, M, beta, **kwargs)
+        rep = support_report(bench, M, beta, **kwargs)
+    assert not rep.sublevel_empty
+    return rep
+
+
+def _count_q_at_least_rows(monkeypatch):
+    """Patch CDKernel.q_at_least to record the row count of each call; returns the list."""
+    calls = []
+    q_at_least = CDKernel.q_at_least
+
+    def counting(self, Z, level):
+        calls.append(len(Z))
+        return q_at_least(self, Z, level)
+
+    monkeypatch.setattr(CDKernel, "q_at_least", counting)
+    return calls
+
+
+def _without_certificate(report):
+    out = report.to_dict()
+    del out["sublevel_empty"]
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -134,11 +157,12 @@ def _eval_q_report(bench, M, beta, **kwargs):
 def test_support_report_equals_the_eval_q_batch_report(name, d, seed, monkeypatch):
     # at r = p + 1/2 and the beta schedule the box-wide certificate
     # min(g) b_0^2 rho(d // p)^p reaches gamma_d in every case here (for sign
-    # at d = 6 and 8 only with the tensor factor rho), so no table is built
+    # at d = 6 and 8 only with the tensor factor rho): no table is built, no
+    # probe is drawn, and q_at_least sees the mass samples only
     bench = get_benchmark(name)
     M = bench.moment_matrix(d)
-    kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=3000, mesh_points=500, seed=seed)
-    expected = _eval_q_report(bench, M, beta_schedule(d), **kwargs).to_dict()
+    kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=seed)
+    expected = _eval_q_report(bench, M, beta_schedule(d), **kwargs)
     calls = []
     tables = basis.axis_tables
 
@@ -147,9 +171,31 @@ def test_support_report_equals_the_eval_q_batch_report(name, d, seed, monkeypatc
         return tables(spec, Z)
 
     monkeypatch.setattr(basis, "axis_tables", counting)
+    rows = _count_q_at_least_rows(monkeypatch)
     rep = support_report(bench, M, beta_schedule(d), **kwargs)
     assert calls == []
-    assert rep.to_dict() == expected
+    assert rows == [3000]
+    assert rep.sublevel_empty
+    assert _without_certificate(rep) == _without_certificate(expected)
+
+
+@pytest.mark.parametrize("d,seed,ratio", [(12, 0, 0.83), (12, 1, 0.83), (16, 0, 0.40)])
+def test_support_report_probes_where_the_certificate_falls_short(d, seed, ratio, monkeypatch):
+    # sign at r = 2.5 and the beta schedule: q_floor is about 0.83 of gamma_d
+    # at d = 12 and 0.40 at d = 16, so the probes are drawn and q_at_least's
+    # per-point tier decides them (at d = 16 about a quarter of them by exact
+    # q); the report is still the exact-q one
+    bench = get_benchmark("sign")
+    M = bench.moment_matrix(d)
+    beta = beta_schedule(d)
+    kwargs = dict(r=2.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=seed)
+    expected = _eval_q_report(bench, M, beta, **kwargs)
+    rows = _count_q_at_least_rows(monkeypatch)
+    rep = support_report(bench, M, beta, **kwargs)
+    assert CDKernel(M, beta).q_floor() / rep.gamma == pytest.approx(ratio, abs=0.01)
+    assert rows == [3000, 2000]
+    assert not rep.sublevel_empty
+    assert rep.to_dict() == expected.to_dict()
 
 
 def test_sublevel_probes_stay_near_graph_at_empirical_level():
