@@ -19,7 +19,8 @@ are scored in the sum-of-squares form.  The minimum is therefore exact up to
 rounding.  Values within the tie window of the minimum count as ties and the
 smallest y wins, which reproduces the min-argmin convention on symmetric
 fibers.  Every step works row by row, so a point's result does not depend on
-the batch it was sent in.
+the batch it was sent in: one point is a one-row batch of
+``Approximant.evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from .basis import axis_table, eval_basis_batch, leggauss
+from .basis import as_points, axis_table, eval_basis_batch, leggauss
 from .cdkernel import CDKernel
 
 _CHUNK = 128  # points per stacked solve; bounds the (chunk, rows, d+1) work arrays
@@ -230,30 +231,17 @@ class Approximant:
         self._shape = T.shape[1:]
         self._rows_map = T.reshape(T.shape[0], -1)
 
-    def _check(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.spec.p - 1:
-            raise ValueError(f"points have dimension {X.shape[1]}, expected {self.spec.p - 1}")
-        return X
-
     def _rows(self, X: np.ndarray) -> np.ndarray:
         bx = eval_basis_batch(self._x_spec, X)
         return (bx[:, None, :] @ self._rows_map).reshape(X.shape[0], *self._shape)
 
     def y_coefficients(self, x) -> np.ndarray:
         """Sum-of-squares rows A(x): q(x, y) = sum_i (A_i . L(y))^2, L orthonormal on the search interval."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return self._rows(self._check(x))[0]
-
-    def evaluate(self, x) -> tuple[float, float]:
-        """Approximant value and fiber minimum (y, q(x, y)) at one point."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        ys, qs = self.evaluate_batch(x)
-        return float(ys[0]), float(qs[0])
+        return self._rows(as_points(self._x_spec, np.reshape(x, (1, -1))))[0]
 
     def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized evaluation over rows of X; returns (values, fiber minima)."""
-        X = self._check(X)
+        X = as_points(self._x_spec, X)
         cfg = self.config
         ys, qs = np.empty(X.shape[0]), np.empty(X.shape[0])
         for s in range(0, X.shape[0], _CHUNK):

@@ -13,13 +13,13 @@ fills them for all axes with one recurrence over a degree-major (d+1, p, m)
 buffer, so each degree step is one numpy call whatever p, and each entry
 sees the float operations of its own axis's recurrence.  ``basis_product``
 multiplies table rows into the basis; ``basis_sqnorm`` gives ||b(z)||^2 from
-the tables without forming the basis.
+the tables without forming the basis.  Evaluation takes batches only:
+``eval_basis_batch`` reads an (m, p) array, and one point is a one-row batch.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -273,25 +273,3 @@ def eval_basis_batch(spec: BasisSpec, Z) -> np.ndarray:
     bit-identical across batch sizes on C-ordered input.
     """
     return np.ascontiguousarray(basis_product(spec, axis_tables(spec, Z)).T)
-
-
-def check_point(spec: BasisSpec, z) -> np.ndarray:
-    """Validate a single point of R^p; warns outside an orthonormal basis's box."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != spec.p:
-        raise ValueError(f"point has dimension {z.shape[0]}, basis has p={spec.p}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("point contains non-finite coordinates")
-    if spec.family is Family.LEGENDRE_ORTHONORMAL and not spec.contains(z)[0]:
-        warnings.warn(
-            "evaluating an orthonormal basis outside its domain box",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return z
-
-
-def eval_basis(spec: BasisSpec, z) -> np.ndarray:
-    """Evaluate the basis vector b(z) at a single point z in R^p."""
-    return eval_basis_batch(spec, check_point(spec, z)[None, :])[0]
-

@@ -27,9 +27,11 @@ from .moments import (
 
 
 def midpoint_grid(box, counts) -> np.ndarray:
-    """Midpoint grid over a box of (lo, hi) rows; counts is per-axis or a single int."""
+    """Midpoint grid over a box of (lo, hi) rows; counts is per-axis or a single int, each >= 1."""
     if np.isscalar(counts):
         counts = (int(counts),) * len(box)
+    if min(counts) < 1:
+        raise ValueError(f"grid counts must be at least 1, got {counts}")
     axes = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for (lo, hi), n in zip(box, counts)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
@@ -78,7 +80,6 @@ class GraphFunction:
         d: int,
         mode: str = "analytic",
         family: Family = Family.LEGENDRE_ORTHONORMAL,
-        nodes: int | None = None,
         samples: int | None = None,
         grid=None,
         rng: np.random.Generator | None = None,
@@ -98,7 +99,7 @@ class GraphFunction:
             return rule_moment_matrix(spec, *self.rule(d), Provenance.ANALYTIC, mass, self.name)
         if mode == "quad":
             breaks = self.breakpoints if self.p == 2 else None
-            return quadrature_moment_matrix(spec, self.f, nodes, breakpoints=breaks, note=self.name)
+            return quadrature_moment_matrix(spec, self.f, breakpoints=breaks, note=self.name)
         if mode == "empirical":
             if grid is not None:
                 X = self.grid_x(grid)

@@ -12,11 +12,12 @@ orthonormal for mu0.  Small q flags points near the support of mu; the
 ``gamma_threshold`` level separates graph from non-graph points at a rate
 controlled by the degree.
 
-``CDKernel.eval_q_batch`` evaluates q in blocks of ``_BLOCK`` points: each
-block builds its own per-axis tables and one basis-major (n, block) basis B,
-and q is the column sum of squares of C = S B, with S the sum-of-squares
-rows.  Memory is O(block * n) whatever the number of points N, and the
-result matches a one-shot evaluation up to rounding.
+``CDKernel.eval_q_batch``, the one evaluation of q (one point is a one-row
+batch), works in blocks of ``_BLOCK`` points: each block builds its own
+per-axis tables and one basis-major (n, block) basis B, and q is the column
+sum of squares of C = S B, with S the sum-of-squares rows.  Memory is
+O(block * n) whatever the number of points N, and the result matches a
+one-shot evaluation up to rounding.
 
 ``CDKernel.q_at_least`` answers q(z) >= level without forming q where it
 can: q(z) >= min(g) ||b(z)||^2.  In the orthonormal family the basis holds
@@ -47,13 +48,11 @@ from .basis import (
     basis_blocks,
     basis_product,
     basis_sqnorm,
-    check_point,
     table_blocks,
 )
 from .errors import IndefiniteMatrixError
-from .moments import MomentMatrix
+from .moments import _PSD_REL_TOL, MomentMatrix
 
-_CLIP_REL = 1e-8  # eigenvalues in [-clip * max, 0) count as rounding noise
 # relative slack on min(g)||b||^2 and on its box-wide minimum: the rounding of q and of the bound is
 # about 1e-13, that of rho(m) about 1e-15
 _BOUND_MARGIN = 1e-8
@@ -114,15 +113,16 @@ def beta_schedule(d: int) -> float:
 class CDKernel:
     """Spectral form of the regularized Christoffel-Darboux polynomial.
 
-    Eigenvalues are sorted ascending; small negative ones from rounding are
-    clipped to zero, anything clearly negative raises IndefiniteMatrixError.
+    Eigenvalues are sorted ascending; negative ones within the PSD tolerance
+    of ``moments`` are rounding and clipped to zero, anything below it raises
+    IndefiniteMatrixError.
     """
 
     def __init__(self, matrix: MomentMatrix, beta: float, kind: FilterKind = FilterKind.TIKHONOV):
         _check_beta(beta)
         evals, P = np.linalg.eigh(matrix.entries)
         lam_max = max(float(evals[-1]), 0.0)
-        floor = -_CLIP_REL * lam_max
+        floor = -_PSD_REL_TOL * lam_max
         if evals[0] < floor:
             raise IndefiniteMatrixError(
                 f"moment matrix eigenvalue {evals[0]:.3e} below clip tolerance {floor:.3e}"
@@ -237,10 +237,6 @@ class CDKernel:
             out[rows] = sure
         return out
 
-    def eval_q(self, z) -> float:
-        """q at a single point z, with the point checks of ``eval_basis``."""
-        return float(self.eval_q_batch(check_point(self.spec, z)[None, :])[0])
-
     def sos_decomposition(self) -> np.ndarray:
         """Rows w_i with q(z) = sum_i (w_i . b(z))^2, ascending eigenvalue order.
 
@@ -289,15 +285,12 @@ def threshold_params(
     matrix: MomentMatrix,
     r: float | None = None,
     alpha: float = 0.0,
-    m0: float | None = None,
 ) -> ThresholdParams:
-    """Default constants for a matrix: r = p + 1/2, m0 = volume of the box."""
+    """Default constants for a matrix: r = p + 1/2, and m0 the volume of the box."""
     p = matrix.spec.p
     if r is None:
         r = p + 0.5
-    if m0 is None:
-        m0 = matrix.spec.domain_volume()
-    params = ThresholdParams(p=p, r=r, m=matrix.mass_m, m0=m0, alpha=alpha)
+    params = ThresholdParams(p=p, r=r, m=matrix.mass_m, m0=matrix.spec.domain_volume(), alpha=alpha)
     params.validate_rate()
     return params
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -37,29 +37,21 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header: list, rows) -> None:
-    with open(path, "w") as fh:
+    """Write the rows as CSV to ``path``, or to stdout when no path is given."""
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-@dataclass
-class RunManifest:
-    """What a run was given, recorded next to its outputs on request."""
-
-    command: str
-    version: str
-    params: dict
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-
-def _manifest(args, skip=("func", "manifest")) -> RunManifest:
-    params = {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
-    return RunManifest(command=args.command, version=__version__, params=params)
+def _write_manifest(args) -> None:
+    """Record what a run was given as JSON at ``--manifest``, if one is set."""
+    if not args.manifest:
+        return
+    params = {k: v for k, v in vars(args).items() if k != "manifest" and not callable(v)}
+    with open(args.manifest, "w") as fh:
+        json.dump({"command": args.command, "params": params, "version": __version__}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _resolve_beta(args, d: int) -> float:
@@ -83,6 +75,14 @@ def _eval_points(bench, args) -> np.ndarray:
     return bench.grid_x((count, count))
 
 
+def _evaluate(args, bench, approx) -> tuple:
+    """(X, f(X), y, q, L1 error) of the approximant on the evaluation grid."""
+    X = _eval_points(bench, args)
+    f_true = np.asarray(bench.f(X), dtype=float)
+    ys, qs = approx.evaluate_batch(X)
+    return X, f_true, ys, qs, l1_error(ys, f_true, approx.spec.x_spec().domain_volume() / X.shape[0])
+
+
 def cmd_approx(args) -> int:
     matrix = load_matrix(args.matrix)
     spec = matrix.spec
@@ -103,13 +103,7 @@ def cmd_approx(args) -> int:
 
     ys, qs = approx.evaluate_batch(X)
     header = [f"x{i + 1}" for i in range(spec.p - 1)] + ["y", "q"]
-    rows = np.concatenate([X, ys[:, None], qs[:, None]], axis=1)
-    if args.out:
-        _write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(args.out, header, np.concatenate([X, ys[:, None], qs[:, None]], axis=1))
 
     if args.sos_out:
         rows_sos = kernel.sos_decomposition()
@@ -119,8 +113,7 @@ def cmd_approx(args) -> int:
             header_sos,
             np.concatenate([kernel.eigenvalues[:, None], rows_sos], axis=1),
         )
-    if args.manifest:
-        _manifest(args).write(args.manifest)
+    _write_manifest(args)
     return 0
 
 
@@ -133,11 +126,7 @@ def cmd_benchmark(args) -> int:
     kernel = CDKernel(matrix, beta, FilterKind(args.filter))
     approx = Approximant(kernel, ApproxConfig(alpha=args.alpha))
 
-    X = _eval_points(bench, args)
-    f_true = np.asarray(bench.f(X), dtype=float)
-    ys, qs = approx.evaluate_batch(X)
-    weight = bench.spec(args.degree).x_spec().domain_volume() / X.shape[0]
-    l1 = l1_error(ys, f_true, weight)
+    X, f_true, ys, qs, l1 = _evaluate(args, bench, approx)
     max_err = float(np.max(np.abs(ys - f_true)))
     band = (float(np.min(f_true)), float(np.max(f_true)))
     over = overshoot(ys, band)
@@ -150,8 +139,7 @@ def cmd_benchmark(args) -> int:
     sys.stdout.write(f"l1 {_fmt(l1)}\n")
     sys.stdout.write(f"max_err {_fmt(max_err)}\n")
     sys.stdout.write(f"overshoot {_fmt(over)}\n")
-    if args.manifest:
-        _manifest(args).write(args.manifest)
+    _write_manifest(args)
     return 0
 
 
@@ -186,8 +174,7 @@ def cmd_support(args) -> int:
         f"support {bench.name} d={report.d} dist {_fmt(report.max_distance)}"
         f" <= {_fmt(report.distance_bound)} (+{_fmt(report.mesh_slack)}) ok={report.distance_ok}\n"
     )
-    if args.manifest:
-        _manifest(args).write(args.manifest)
+    _write_manifest(args)
     if not (report.mass_ok and report.distance_ok):
         raise BoundViolationError("empirical support check exceeded its bound")
     return 0
@@ -210,13 +197,9 @@ def cmd_rates(args) -> int:
         beta = _resolve_beta(args, d)
         params = threshold_params(matrix, r=args.r, alpha=args.alpha)
         approx = Approximant(CDKernel(matrix, beta), ApproxConfig(alpha=args.alpha))
-        X = _eval_points(bench, args)
-        f_true = np.asarray(bench.f(X), dtype=float)
-        ys, _ = approx.evaluate_batch(X)
+        l1 = _evaluate(args, bench, approx)[-1]
         spec = matrix.spec
         vol_x = spec.x_spec().domain_volume()
-        weight = vol_x / X.shape[0]
-        l1 = l1_error(ys, f_true, weight)
         diam_y = spec.domain[-1][1] - spec.domain[-1][0]
         delta0 = spec.domain_diameter()
         if bench.variation is not None and bench.p == 2:
@@ -231,8 +214,7 @@ def cmd_rates(args) -> int:
         _write_csv(args.out, ["d", "beta", "l1", "bound"], rows)
     for d, beta, l1, bound in rows:
         sys.stdout.write(f"rates {bench.name} d={d} l1 {_fmt(l1)} bound {_fmt(bound)}\n")
-    if args.manifest:
-        _manifest(args).write(args.manifest)
+    _write_manifest(args)
     if violated:
         raise BoundViolationError("an L1 error exceeded its rate bound")
     return 0

@@ -12,6 +12,7 @@ round trip) or JSON.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +24,8 @@ from .errors import IndefiniteMatrixError, MomentFileError
 
 _FORMAT_TAG = "cdmoments"
 _FORMAT_VERSION = 1
+# eigenvalues in [-tol * lambda_max, 0) are rounding noise: the PSD check and CDKernel's clip share it
+_PSD_REL_TOL = 1e-8
 
 
 class Provenance(Enum):
@@ -51,22 +54,24 @@ class MomentMatrix:
         n = self.spec.size
         if M.shape != (n, n):
             raise ValueError(f"entries have shape {M.shape}, basis needs ({n}, {n})")
+        if not np.isfinite(M).all():
+            raise ValueError("entries contain non-finite values")
         scale = max(float(np.max(np.abs(M))), 1e-300)
         skew = float(np.max(np.abs(M - M.T)))
         if skew > 1e-6 * scale:
             raise ValueError(f"entries are not symmetric (relative skew {skew / scale:.2e})")
-        if self.mass_m <= 0:
-            raise ValueError(f"mass_m must be positive, got {self.mass_m}")
+        if not (math.isfinite(self.mass_m) and self.mass_m > 0):
+            raise ValueError(f"mass_m must be positive and finite, got {self.mass_m}")
         self.entries = M
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def check_psd(self, rel_tol: float = 1e-8) -> None:
-        """Raise if the matrix has an eigenvalue below -rel_tol * lambda_max."""
+    def check_psd(self) -> None:
+        """Raise if the matrix has an eigenvalue below -1e-8 * lambda_max."""
         evals = np.linalg.eigvalsh(self.entries)
-        floor = -rel_tol * max(float(evals[-1]), 0.0)
+        floor = -_PSD_REL_TOL * max(float(evals[-1]), 0.0)
         if evals[0] < floor:
             raise IndefiniteMatrixError(
                 f"moment matrix has eigenvalue {evals[0]:.3e}, below tolerance {floor:.3e}"
@@ -307,17 +312,14 @@ def load_json(path) -> MomentMatrix:
         "note": str(doc.get("note", "")),
     }
     spec, mass, provenance, note = _spec_from_fields(fields)
-    M = np.asarray(doc.get("entries"), dtype=float)
-    if M.shape != (spec.size, spec.size):
-        raise MomentFileError(f"entries have shape {M.shape}, expected square of size {spec.size}")
-    scale = max(float(np.max(np.abs(M))), 1e-300)
-    skew = float(np.max(np.abs(M - M.T)))
-    if skew > 1e-6 * scale:
-        raise MomentFileError(f"entries are not symmetric (relative skew {skew / scale:.2e})")
-    if skew > 0.0:
+    try:
+        out = MomentMatrix(spec, doc.get("entries"), provenance, mass, note)
+    except ValueError as exc:
+        raise MomentFileError(str(exc)) from exc
+    M = out.entries
+    if np.any(M != M.T):
         warnings.warn("symmetrizing mildly asymmetric JSON entries", RuntimeWarning, stacklevel=2)
-        M = 0.5 * (M + M.T)
-    out = MomentMatrix(spec, M, provenance, mass, note)
+        out.entries = 0.5 * (M + M.T)
     out.check_psd()
     return out
 

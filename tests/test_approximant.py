@@ -173,7 +173,7 @@ def test_y_coefficients_reproduce_kernel(family):
         rows = app.y_coefficients([x])
         assert rows.shape == (M.n, 4)
         for y in rng.uniform(-1, 1, size=5):
-            direct = kern.eval_q([x, y])
+            direct = kern.eval_q_batch([[x, y]])[0]
             assert float(sos_value(rows, y)) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
@@ -186,7 +186,7 @@ def test_y_coefficients_reproduce_kernel_p3():
         x = rng.uniform(-1, 1, size=2)
         rows = app.y_coefficients(x)
         y = rng.uniform(-1, 1)
-        direct = kern.eval_q([x[0], x[1], y])
+        direct = kern.eval_q_batch([[x[0], x[1], y]])[0]
         assert float(sos_value(rows, y)) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
@@ -196,8 +196,8 @@ def quad_kernel(name, d):
 
 
 def test_evaluate_batch_is_bit_identical_per_point():
-    # evaluate, evaluate_batch at any batch size, and y_coefficients followed by
-    # partial_argmin share one routine whose per-point arithmetic ignores the batch
+    # evaluate_batch at any batch size, one point included, and y_coefficients followed
+    # by partial_argmin share one routine whose per-point arithmetic ignores the batch
     app = Approximant(quad_kernel("sign", 20))
     X = get_benchmark("sign").grid_x(2 * _CHUNK + 6)
     ys, qs = app.evaluate_batch(X)
@@ -207,7 +207,6 @@ def test_evaluate_batch_is_bit_identical_per_point():
             np.testing.assert_array_equal(y, ys[s : s + size])
             np.testing.assert_array_equal(q, qs[s : s + size])
     for i in range(0, X.shape[0], 17):
-        assert app.evaluate(X[i]) == (ys[i], qs[i])
         assert partial_argmin(app.y_coefficients(X[i]), (-1.0, 1.0)) == (ys[i], qs[i])
 
 
@@ -242,12 +241,12 @@ def test_high_degree_analytic_fibers_match_spectral_brute_force(name, d):
 def test_approximant_tracks_sign_function():
     M = get_benchmark("sign").moment_matrix(4)
     app = Approximant(CDKernel(M, 1e-8))
-    y_neg, _ = app.evaluate([-0.5])
-    y_pos, _ = app.evaluate([0.5])
+    (y_neg,), _ = app.evaluate_batch([[-0.5]])
+    (y_pos,), _ = app.evaluate_batch([[0.5]])
     assert y_neg == pytest.approx(-1.0, abs=1e-3)
     assert y_pos == pytest.approx(1.0, abs=1e-3)
     # at the jump the argmin set is {-1, +1}; the smaller one is returned
-    y_zero, _ = app.evaluate([0.0])
+    (y_zero,), _ = app.evaluate_batch([[0.0]])
     assert y_zero == pytest.approx(-1.0, abs=1e-3)
 
 
@@ -259,7 +258,7 @@ def test_approximant_validation():
     M2 = get_benchmark("sign").moment_matrix(2)
     app = Approximant(CDKernel(M2, 1e-3))
     with pytest.raises(ValueError):
-        app.evaluate([0.1, 0.2])
+        app.evaluate_batch([[0.1, 0.2]])
     with pytest.raises(ValueError):
         app.evaluate_batch(np.zeros((3, 2)))
 
@@ -268,10 +267,10 @@ def test_custom_y_interval_restricts_search():
     # restricting the fiber to [0, 1] forces the positive branch at x < 0
     M = get_benchmark("sign").moment_matrix(4)
     app = Approximant(CDKernel(M, 1e-8), ApproxConfig(y_interval=(0.0, 1.0)))
-    y, q = app.evaluate([-0.5])
+    (y,), (q,) = app.evaluate_batch([[-0.5]])
     assert 0.0 <= y <= 1.0
-    assert q == pytest.approx(app.kernel.eval_q([-0.5, y]), rel=1e-9)
+    assert q == pytest.approx(app.kernel.eval_q_batch([[-0.5, y]])[0], rel=1e-9)
     # the rows live in the Legendre basis of the search interval
     rows = app.y_coefficients([-0.5])
     for t in (0.1, 0.5, 0.9):
-        assert float(sos_value(rows, t, (0.0, 1.0))) == pytest.approx(app.kernel.eval_q([-0.5, t]), rel=1e-9)
+        assert float(sos_value(rows, t, (0.0, 1.0))) == pytest.approx(app.kernel.eval_q_batch([[-0.5, t]])[0], rel=1e-9)

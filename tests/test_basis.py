@@ -18,7 +18,6 @@ from cdapprox.basis import (
     basis_product,
     basis_size,
     basis_sqnorm,
-    eval_basis,
     eval_basis_batch,
 )
 
@@ -150,7 +149,7 @@ def test_monomial_values_match_naive_products(p, d, data):
         [data.draw(st.floats(min_value=-1, max_value=1, allow_nan=False)) for _ in range(p)]
     )
     spec = BasisSpec(p, d, family=Family.MONOMIAL_GREVLEX)
-    vals = eval_basis(spec, z)
+    vals = eval_basis_batch(spec, z[None, :])[0]
     naive = [math.prod(z[k] ** a[k] for k in range(p)) for a in spec.indices]
     np.testing.assert_allclose(vals, naive, rtol=1e-12, atol=1e-12)
 
@@ -184,25 +183,8 @@ def test_orthonormality_under_quadrature(domain):
     np.testing.assert_allclose(gram, np.eye(spec.size), atol=1e-12)
 
 
-def test_eval_basis_warns_outside_box():
-    spec = BasisSpec(2, 2)
-    with pytest.warns(RuntimeWarning):
-        eval_basis(spec, np.array([1.5, 0.0]))
-    # monomials are global; no warning
-    mono = BasisSpec(2, 2, family=Family.MONOMIAL_GREVLEX)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        eval_basis(mono, np.array([1.5, 0.0]))
-
-
 def test_eval_basis_input_validation():
     spec = BasisSpec(2, 2)
-    with pytest.raises(ValueError):
-        eval_basis(spec, np.array([0.1, 0.2, 0.3]))
-    with pytest.raises(ValueError):
-        eval_basis(spec, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         eval_basis_batch(spec, np.zeros((4, 3)))
 

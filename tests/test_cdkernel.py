@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdapprox import basis, cdkernel
-from cdapprox.basis import _BLOCK, BasisSpec, Family, axis_tables, basis_sqnorm, eval_basis, eval_basis_batch
+from cdapprox.basis import _BLOCK, BasisSpec, Family, axis_tables, basis_sqnorm, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import (
     _BOUND_MARGIN,
@@ -79,7 +78,7 @@ def test_eval_q_matches_dense_solve():
     sol = np.linalg.solve(M.entries + beta * np.eye(M.n), B.T)
     oracle = np.einsum("ij,ji->i", B, sol)
     np.testing.assert_allclose(kern.eval_q_batch(Z), oracle, rtol=1e-8)
-    assert kern.eval_q(Z[0]) == pytest.approx(oracle[0], rel=1e-8)
+    assert kern.eval_q_batch(Z[:1])[0] == pytest.approx(oracle[0], rel=1e-8)
 
 
 @pytest.mark.parametrize("kind", list(FilterKind))
@@ -104,23 +103,6 @@ def test_eval_q_batch_shapes_and_validation():
     assert kern.eval_q_batch(np.zeros((0, 2))).shape == (0,)
     with pytest.raises(ValueError):
         kern.eval_q_batch(np.zeros((5, 3)))
-
-
-def test_eval_q_checks_its_point():
-    M = get_benchmark("sign").moment_matrix(4)
-    kern = CDKernel(M, 1e-3)
-    z = np.array([0.3, -0.2])
-    assert kern.eval_q(z) == kern.eval_q_batch(z[None, :])[0]
-    with pytest.raises(ValueError):
-        kern.eval_q(np.array([0.1, 0.2, 0.3]))
-    with pytest.raises(ValueError):
-        kern.eval_q(np.array([np.inf, 0.0]))
-    with pytest.warns(RuntimeWarning):
-        kern.eval_q(np.array([1.5, 0.0]))
-    mono = CDKernel(get_benchmark("sign").moment_matrix(4, family=Family.MONOMIAL_GREVLEX), 1e-3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        mono.eval_q(np.array([1.5, 0.0]))
 
 
 def test_eval_q_batch_memory_stays_below_the_whole_basis():
@@ -268,7 +250,7 @@ def test_q_at_least_settles_every_finite_row_box_wide_without_tables(name, d, fa
     M = get_benchmark(name).moment_matrix(d, family=family)
     kern = CDKernel(M, beta_schedule(d))
     gamma = gamma_threshold(d, threshold_params(M))
-    b0 = eval_basis(M.spec, np.zeros(M.spec.p))[0]
+    b0 = eval_basis_batch(M.spec, np.zeros((1, M.spec.p)))[0, 0]
     tensor = rho(d // M.spec.p) ** M.spec.p if family is Family.LEGENDRE_ORTHONORMAL else 1.0
     assert kern.filter_values.min() * b0**2 * tensor > gamma
     Z = _box_points(M.spec, _BLOCK + 7, d)
@@ -477,9 +459,9 @@ def test_sos_decomposition_reconstructs_kernel():
         kern = CDKernel(M, 1e-4, kind)
         W = kern.sos_decomposition()
         assert W.shape == (M.n, M.n)
-        z = np.array([0.3, -0.6])
-        b = eval_basis(M.spec, z)
-        assert float(np.sum((W @ b) ** 2)) == pytest.approx(kern.eval_q(z), rel=1e-10)
+        z = np.array([[0.3, -0.6]])
+        b = eval_basis_batch(M.spec, z)[0]
+        assert float(np.sum((W @ b) ** 2)) == pytest.approx(kern.eval_q_batch(z)[0], rel=1e-10)
     # rows follow ascending eigenvalues, so squared row norms are nonincreasing
     kern = CDKernel(M, 1e-4)
     norms = np.sum(kern.sos_decomposition() ** 2, axis=1)

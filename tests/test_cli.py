@@ -105,14 +105,14 @@ def test_approx_sos_certificate(tmp_path, sign_matrix_file):
     evals = data[:, 0]
     assert np.all(np.diff(evals) >= 0)  # ascending eigenvalue order
     # rows reconstruct q = sum (w . b)^2 at a sample point
-    from cdapprox.basis import eval_basis
+    from cdapprox.basis import eval_basis_batch
     from cdapprox.cdkernel import CDKernel
 
     M = get_benchmark("sign").moment_matrix(3)
     kern = CDKernel(M, 1e-6)
-    b = eval_basis(M.spec, [0.3, -0.4])
+    b = eval_basis_batch(M.spec, [[0.3, -0.4]])[0]
     q_csv = float(np.sum((data[:, 1:] @ b) ** 2))
-    assert q_csv == pytest.approx(kern.eval_q([0.3, -0.4]), rel=1e-10)
+    assert q_csv == pytest.approx(kern.eval_q_batch([[0.3, -0.4]])[0], rel=1e-10)
 
 
 def test_approx_error_exits(tmp_path):
@@ -133,6 +133,37 @@ def test_approx_error_exits(tmp_path):
     res = run_cli("approx", "--matrix", str(uni), "--grid", "3")
     assert res.returncode == 2
     assert "p >= 2" in res.stderr
+
+
+@pytest.mark.parametrize("field,value", [("entry", "nan"), ("entry", "inf"), ("mass", "nan")])
+def test_matrix_files_with_non_finite_values_exit_2(tmp_path, sign_matrix_file, field, value, capsys):
+    # a nan or inf entry used to exit 3 from the eigensolver, and a nan mass to exit 0
+    lines = sign_matrix_file.read_text().splitlines()
+    if field == "mass":
+        lines = [f"mass {value}" if line.startswith("mass ") else line for line in lines]
+    else:
+        lines[-1] = " ".join(lines[-1].split()[:-1] + [value])
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    for argv in (["approx", "--matrix", str(bad), "--grid", "3"], ["support", "--name", "sign", "--matrix", str(bad)]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error:") and "finite" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "-3"])
+def test_grid_counts_below_one_exit_2(tmp_path, sign_matrix_file, count, capsys):
+    # --eval-grid 0 used to divide by zero (exit 3), and approx --grid 0 wrote a header-only CSV
+    out = tmp_path / "out.csv"
+    for argv in (
+        ["benchmark", "--name", "sign", "--degree", "3", "--eval-grid", count],
+        ["rates", "--name", "sign", "--degrees", "2", "--eval-grid", count],
+        ["approx", "--matrix", str(sign_matrix_file), "--grid", count, "--out", str(out)],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least 1" in err
+    assert not out.exists()
 
 
 def test_benchmark_command_reports_errors(tmp_path):

@@ -40,6 +40,14 @@ def test_moment_matrix_validation():
         MomentMatrix(spec, bad, Provenance.ANALYTIC, 1.0)
     with pytest.raises(ValueError, match="mass"):
         MomentMatrix(spec, np.eye(3), Provenance.ANALYTIC, 0.0)
+    # nan compares False in the skew and mass tests, so it must be refused on its own
+    for v in (math.nan, math.inf, -math.inf):
+        spoiled = np.eye(3)
+        spoiled[1, 1] = v
+        with pytest.raises(ValueError, match="non-finite"):
+            MomentMatrix(spec, spoiled, Provenance.ANALYTIC, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            MomentMatrix(spec, np.eye(3), Provenance.ANALYTIC, v)
 
 
 def test_check_psd():
@@ -317,6 +325,35 @@ def test_loaders_reject_structural_errors(tmp_path):
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{not json")
         load_json(bad_json)
+
+
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+@pytest.mark.parametrize("field,value", [("entry", "nan"), ("entry", "inf"), ("mass", "nan")])
+def test_loaders_reject_non_finite_entries_and_mass(tmp_path, suffix, field, value):
+    # such files used to load: a nan or inf entry then failed in the eigensolver
+    # as a numerical error, and a nan mass passed every check
+    import json
+
+    path = tmp_path / f"m{suffix}"
+    M = get_benchmark("sign").moment_matrix(2)
+    if suffix == ".json":
+        save_json(M, path)
+        doc = json.loads(path.read_text())
+        if field == "mass":
+            doc["mass"] = float(value)
+        else:
+            doc["entries"][-1][-1] = float(value)
+        path.write_text(json.dumps(doc))
+    else:
+        save_text(M, path)
+        lines = path.read_text().splitlines()
+        if field == "mass":
+            lines = [f"mass {value}" if line.startswith("mass ") else line for line in lines]
+        else:
+            lines[-1] = " ".join(lines[-1].split()[:-1] + [value])
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MomentFileError, match="finite"):
+        load(path)
 
 
 def test_load_rejects_indefinite_file(tmp_path):
