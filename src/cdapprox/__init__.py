@@ -21,7 +21,7 @@ from .cdkernel import (
 )
 from .errors import BoundViolationError, IndefiniteMatrixError, MomentFileError
 from .metrics import bv_rate_bound, l1_error, lipschitz_rate_bound, overshoot
-from .moments import MomentMatrix, load, save_json, save_text
+from .moments import MomentMatrix, load, save_text
 from .support import distance_bound, outside_mass_bound, support_report
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "outside_mass_bound",
     "overshoot",
     "perturbation_alpha",
-    "save_json",
     "save_text",
     "support_report",
     "threshold_params",

@@ -104,6 +104,8 @@ class GraphFunction:
             if grid is not None:
                 X = self.grid_x(grid)
             elif samples is not None:
+                if samples < 1:
+                    raise ValueError(f"samples must be at least 1, got {samples}")
                 if rng is None:
                     raise ValueError("empirical sampling needs an rng")
                 X = self.random_x(samples, rng)

@@ -51,7 +51,7 @@ from .basis import (
     table_blocks,
 )
 from .errors import IndefiniteMatrixError
-from .moments import _PSD_REL_TOL, MomentMatrix
+from .moments import MomentMatrix, require_psd
 
 # relative slack on min(g)||b||^2 and on its box-wide minimum: the rounding of q and of the bound is
 # about 1e-13, that of rho(m) about 1e-15
@@ -121,12 +121,7 @@ class CDKernel:
     def __init__(self, matrix: MomentMatrix, beta: float, kind: FilterKind = FilterKind.TIKHONOV):
         _check_beta(beta)
         evals, P = np.linalg.eigh(matrix.entries)
-        lam_max = max(float(evals[-1]), 0.0)
-        floor = -_PSD_REL_TOL * lam_max
-        if evals[0] < floor:
-            raise IndefiniteMatrixError(
-                f"moment matrix eigenvalue {evals[0]:.3e} below clip tolerance {floor:.3e}"
-            )
+        require_psd(evals)
         self.matrix = matrix
         self.spec = matrix.spec
         self.beta = float(beta)

@@ -1,12 +1,14 @@
-"""Moment matrices of measures supported on function graphs, plus file round-trip.
+"""Moment matrices of measures supported on function graphs, plus their file formats.
 
 The central object is ``MomentMatrix``: the Gram matrix M[i, j] = int b_i b_j dmu
 for a basis b of degree <= d and a positive measure mu on R^p.  Matrices come
 from a weighted rule (Z, w) on the graph, either exact for the degree or a
 Gauss-Legendre quadrature along it, or from plain sample averages; every route
-accumulates the same blocked Gram sum.  They can be serialized to a
-line-oriented text format (lower triangle, 17 significant digits, bit-exact
-round trip) or JSON.
+accumulates the same blocked Gram sum.  ``save_text`` writes a line-oriented
+text format (lower triangle, 17 significant digits, bit-exact round trip).
+``load`` reads it, or a JSON document of the same header with the full matrix,
+as written by other tools; both go through one decoder, so any malformed file
+raises MomentFileError.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import IndefiniteMatrixError, MomentFileError
 
 _FORMAT_TAG = "cdmoments"
 _FORMAT_VERSION = 1
-# eigenvalues in [-tol * lambda_max, 0) are rounding noise: the PSD check and CDKernel's clip share it
 _PSD_REL_TOL = 1e-8
 
 
@@ -70,12 +71,17 @@ class MomentMatrix:
 
     def check_psd(self) -> None:
         """Raise if the matrix has an eigenvalue below -1e-8 * lambda_max."""
-        evals = np.linalg.eigvalsh(self.entries)
-        floor = -_PSD_REL_TOL * max(float(evals[-1]), 0.0)
-        if evals[0] < floor:
-            raise IndefiniteMatrixError(
-                f"moment matrix has eigenvalue {evals[0]:.3e}, below tolerance {floor:.3e}"
-            )
+        require_psd(np.linalg.eigvalsh(self.entries))
+
+
+def require_psd(evals: np.ndarray) -> None:
+    """Raise IndefiniteMatrixError if the ascending ``evals`` of a moment matrix fall below -1e-8 * lambda_max.
+
+    Eigenvalues in [-1e-8 * lambda_max, 0) are rounding noise, which CDKernel clips to zero.
+    """
+    floor = -_PSD_REL_TOL * max(float(evals[-1]), 0.0)
+    if evals[0] < floor:
+        raise IndefiniteMatrixError(f"moment matrix has eigenvalue {evals[0]:.3e}, below tolerance {floor:.3e}")
 
 
 def graph_quadrature_rule(
@@ -175,22 +181,31 @@ def empirical_moment_matrix(spec: BasisSpec, Z, note: str = "") -> MomentMatrix:
 
 # --- serialization ---------------------------------------------------------
 
+# The header: each key with the type of its value and its text form for a matrix m.
+# A text file has one "key value" line per key, except that the version follows
+# the format tag ("cdmoments 1") and the domain is 2p numbers.  A JSON document
+# holds the same keys with typed values, the domain as p [lo, hi] pairs, plus
+# "format": "cdmoments" and the full matrix as "entries".  Only "note" is optional.
+_HEADER = {
+    "version": (int, lambda m: str(_FORMAT_VERSION)),
+    "p": (int, lambda m: str(m.spec.p)),
+    "d": (int, lambda m: str(m.spec.d)),
+    "family": (str, lambda m: m.spec.family.value),
+    "ordering": (str, lambda m: "grevlex"),
+    "domain": (list, lambda m: " ".join(f"{lo!r} {hi!r}" for lo, hi in m.spec.domain)),
+    "mass": (float, lambda m: f"{float(m.mass_m):.16e}"),
+    "provenance": (str, lambda m: m.provenance.value),
+    "note": (str, lambda m: m.note),
+}
+
 
 def save_text(matrix: MomentMatrix, path) -> None:
     """Write the header and lower triangle; reload is bit-exact."""
-    spec = matrix.spec
     lines = [
-        f"{_FORMAT_TAG} {_FORMAT_VERSION}",
-        f"p {spec.p}",
-        f"d {spec.d}",
-        f"family {spec.family.value}",
-        "ordering grevlex",
-        "domain " + " ".join(f"{lo!r} {hi!r}" for lo, hi in spec.domain),
-        f"mass {float(matrix.mass_m):.16e}",
-        f"provenance {matrix.provenance.value}",
+        f"{_FORMAT_TAG if key == 'version' else key} {text(matrix)}"
+        for key, (_, text) in _HEADER.items()
+        if key != "note" or matrix.note
     ]
-    if matrix.note:
-        lines.append(f"note {matrix.note}")
     lines.append("entries lower")
     M = matrix.entries
     for i in range(matrix.n):
@@ -212,37 +227,72 @@ def _parse_header(lines) -> tuple:
                 raise MomentFileError(f"unsupported entries layout: {line!r}")
             body_start = k + 1
             break
-        fields[key] = parts[1].strip() if len(parts) > 1 else ""
+        fields["version" if key == _FORMAT_TAG else key] = parts[1].strip() if len(parts) > 1 else ""
     if body_start is None:
         raise MomentFileError("missing 'entries lower' marker")
     return fields, body_start
 
 
-def _spec_from_fields(fields: dict) -> tuple:
-    for key in (_FORMAT_TAG, "p", "d", "family", "ordering", "domain", "mass", "provenance"):
-        if key not in fields:
+def _text_value(key: str, text: str):
+    """The typed value of a text header line: the domain's 2p numbers become p pairs."""
+    if key == "domain":
+        vals = [float(v) for v in text.split()]
+        return [vals[i : i + 2] for i in range(0, len(vals), 2)]
+    return _HEADER[key][0](text)
+
+
+def _typed(value, kind, key: str):
+    """``value`` as ``kind``; a float field also takes an int, and no field takes a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(f"header field {key!r} holds {type(value).__name__}, expected {kind.__name__}")
+    return kind(value)
+
+
+def _decode(fields: dict, entries, text: bool) -> MomentMatrix:
+    """The checked MomentMatrix of a file's header ``fields`` and ``entries``.
+
+    A text file gives its header as strings and its entries as the flat lower
+    triangle; a JSON document gives typed values and the full matrix, whose
+    mild asymmetry is symmetrized with a warning.  Every fault in the file
+    raises MomentFileError, an indefinite matrix IndefiniteMatrixError.
+    """
+    for key in _HEADER:
+        if key not in fields and key != "note":
             raise MomentFileError(f"missing header field {key!r}")
-    if fields[_FORMAT_TAG].split()[0] != str(_FORMAT_VERSION):
-        raise MomentFileError(f"unsupported format version {fields[_FORMAT_TAG]!r}")
-    if fields["ordering"] != "grevlex":
-        raise MomentFileError(f"unsupported ordering {fields['ordering']!r}")
     try:
-        p = int(fields["p"])
-        d = int(fields["d"])
-        dom_vals = [float(v) for v in fields["domain"].split()]
-        mass = float(fields["mass"])
-        family = Family(fields["family"])
-        provenance = Provenance(fields["provenance"])
-    except (ValueError, KeyError) as exc:
-        raise MomentFileError(f"malformed header field: {exc}") from exc
-    if len(dom_vals) != 2 * p:
-        raise MomentFileError(f"domain lists {len(dom_vals)} numbers, expected {2 * p}")
-    domain = tuple((dom_vals[2 * i], dom_vals[2 * i + 1]) for i in range(p))
-    try:
-        spec = BasisSpec(p, d, family, domain)
-    except (ValueError, OverflowError) as exc:
-        raise MomentFileError(f"invalid basis parameters: {exc}") from exc
-    return spec, mass, provenance, fields.get("note", "")
+        h = {
+            key: _typed(_text_value(key, fields[key]) if text else fields[key], kind, key)
+            for key, (kind, _) in _HEADER.items()
+            if key in fields
+        }
+        if h["version"] != _FORMAT_VERSION:
+            raise MomentFileError(f"unsupported format version {h['version']!r}")
+        if h["ordering"] != "grevlex":
+            raise MomentFileError(f"unsupported ordering {h['ordering']!r}")
+        domain = [[_typed(v, float, "domain") for v in pair] for pair in h["domain"]]
+        spec = BasisSpec(h["p"], h["d"], Family(h["family"]), domain)  # checks p pairs of lo < hi
+        n = spec.size
+        if text:
+            if len(entries) != n * (n + 1) // 2:
+                raise MomentFileError(f"expected {n * (n + 1) // 2} lower-triangle entries, found {len(entries)}")
+            M = np.zeros((n, n))
+            M[np.tril_indices(n)] = np.array([float(v) for v in entries])
+            M = np.where(np.tri(n, dtype=bool), M, M.T)  # a copy, not a sum, so -0.0 keeps its sign
+        else:
+            if not all(type(v) in (int, float) for row in entries for v in row):
+                raise TypeError("entries must be rows of numbers")
+            M = np.asarray(entries, dtype=float)
+        out = MomentMatrix(spec, M, Provenance(h["provenance"]), h["mass"], h.get("note", ""))
+    except MomentFileError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MomentFileError(f"malformed moment file: {exc}") from exc
+    M = out.entries
+    if not text and np.any(M != M.T):
+        warnings.warn("symmetrizing mildly asymmetric JSON entries", RuntimeWarning, stacklevel=3)
+        out.entries = 0.5 * (M + M.T)
+    out.check_psd()
+    return out
 
 
 def load_text(path) -> MomentMatrix:
@@ -250,49 +300,11 @@ def load_text(path) -> MomentMatrix:
     with open(path) as fh:
         lines = fh.read().splitlines()
     fields, body_start = _parse_header(lines)
-    spec, mass, provenance, note = _spec_from_fields(fields)
-    body = " ".join(lines[body_start:]).split()
-    n = spec.size
-    expected = n * (n + 1) // 2
-    if len(body) != expected:
-        raise MomentFileError(f"expected {expected} lower-triangle entries, found {len(body)}")
-    try:
-        vals = np.array([float(v) for v in body])
-    except ValueError as exc:
-        raise MomentFileError(f"non-numeric entry: {exc}") from exc
-    M = np.zeros((n, n))
-    M[np.tril_indices(n)] = vals
-    M = np.where(np.tri(n, dtype=bool), M, M.T)  # a copy, not a sum, so -0.0 keeps its sign
-    try:
-        out = MomentMatrix(spec, M, provenance, mass, note)
-    except ValueError as exc:
-        raise MomentFileError(str(exc)) from exc
-    out.check_psd()
-    return out
-
-
-def save_json(matrix: MomentMatrix, path) -> None:
-    spec = matrix.spec
-    doc = {
-        "format": _FORMAT_TAG,
-        "version": _FORMAT_VERSION,
-        "p": spec.p,
-        "d": spec.d,
-        "family": spec.family.value,
-        "ordering": "grevlex",
-        "domain": [[lo, hi] for lo, hi in spec.domain],
-        "mass": matrix.mass_m,
-        "provenance": matrix.provenance.value,
-        "note": matrix.note,
-        "entries": [[float(v) for v in row] for row in matrix.entries],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    return _decode(fields, " ".join(lines[body_start:]).split(), text=True)
 
 
 def load_json(path) -> MomentMatrix:
-    """Read the JSON variant; a full matrix with mild asymmetry is symmetrized."""
+    """Read a JSON moment document, as other tools write it; see ``_HEADER`` for its keys."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -300,28 +312,9 @@ def load_json(path) -> MomentMatrix:
             raise MomentFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_TAG:
         raise MomentFileError("not a moment-matrix document")
-    fields = {
-        _FORMAT_TAG: str(doc.get("version")),
-        "p": str(doc.get("p")),
-        "d": str(doc.get("d")),
-        "family": str(doc.get("family")),
-        "ordering": str(doc.get("ordering")),
-        "domain": " ".join(str(v) for pair in doc.get("domain", []) for v in pair),
-        "mass": str(doc.get("mass")),
-        "provenance": str(doc.get("provenance")),
-        "note": str(doc.get("note", "")),
-    }
-    spec, mass, provenance, note = _spec_from_fields(fields)
-    try:
-        out = MomentMatrix(spec, doc.get("entries"), provenance, mass, note)
-    except ValueError as exc:
-        raise MomentFileError(str(exc)) from exc
-    M = out.entries
-    if np.any(M != M.T):
-        warnings.warn("symmetrizing mildly asymmetric JSON entries", RuntimeWarning, stacklevel=2)
-        out.entries = 0.5 * (M + M.T)
-    out.check_psd()
-    return out
+    if "entries" not in doc:
+        raise MomentFileError("missing 'entries'")
+    return _decode(doc, doc["entries"], text=False)
 
 
 def load(path) -> MomentMatrix:

@@ -151,6 +151,41 @@ def test_matrix_files_with_non_finite_values_exit_2(tmp_path, sign_matrix_file, 
         assert out.err.startswith("error:") and "finite" in out.err and out.out == ""
 
 
+@pytest.mark.parametrize(
+    "key,value", [("entries", {"a": 1}), ("domain", 3), ("entries", [[1.0, 0.0], [0.0]]), ("note", None)]
+)
+def test_json_matrices_with_wrong_value_types_exit_2(tmp_path, key, value, capsys):
+    # a dict of entries or an int domain used to escape as TypeError (traceback, exit 1), a null note to load
+    doc = {
+        "format": "cdmoments",
+        "version": 1,
+        "p": 2,
+        "d": 1,
+        "family": "legendre-orthonormal",
+        "ordering": "grevlex",
+        "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+        "mass": 4.0,
+        "provenance": "analytic",
+        "note": "eye",
+        "entries": np.eye(3).tolist(),
+        key: value,
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["approx", "--matrix", str(bad), "--grid", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and out.out == ""
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_benchmark_rejects_samples_below_one(samples, capsys):
+    # -5 used to fail in numpy with "negative dimensions are not allowed"
+    argv = ["benchmark", "--name", "sign", "--degree", "3", "--mode", "empirical", "--samples", samples]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "samples must be at least 1" in err
+
+
 @pytest.mark.parametrize("count", ["0", "-2", "-3"])
 def test_grid_counts_below_one_exit_2(tmp_path, sign_matrix_file, count, capsys):
     # --eval-grid 0 used to divide by zero (exit 3), and approx --grid 0 wrote a header-only CSV

@@ -1,6 +1,7 @@
 """Moment matrix construction and file round-trips."""
 
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -25,7 +26,6 @@ from cdapprox.moments import (
     load_text,
     quadrature_moment_matrix,
     rule_moment_matrix,
-    save_json,
     save_text,
 )
 
@@ -260,12 +260,28 @@ def test_text_round_trip_property(tmp_path_factory, seed):
     assert np.array_equal(load_text(path).entries, M.entries)
 
 
-def test_json_round_trip(tmp_path):
-    from cdapprox.benchmarks import get_benchmark
+def json_doc(M: MomentMatrix) -> dict:
+    """A JSON moment document built by hand, sharing no code with the loader."""
+    spec = M.spec
+    return {
+        "format": "cdmoments",
+        "version": 1,
+        "p": spec.p,
+        "d": spec.d,
+        "family": spec.family.value,
+        "ordering": "grevlex",
+        "domain": [[lo, hi] for lo, hi in spec.domain],
+        "mass": M.mass_m,
+        "provenance": M.provenance.value,
+        "note": M.note,
+        "entries": M.entries.tolist(),
+    }
 
+
+def test_json_round_trip(tmp_path):
     M = get_benchmark("sign").moment_matrix(2)
     path = tmp_path / "m.json"
-    save_json(M, path)
+    path.write_text(json.dumps(json_doc(M)))
     back = load_json(path)
     np.testing.assert_array_equal(back.entries, M.entries)
     assert back.spec == M.spec
@@ -273,13 +289,9 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_symmetrizes_mild_skew(tmp_path):
-    import json
-
     spec = BasisSpec(2, 1)
-    M = MomentMatrix(spec, np.eye(3), Provenance.ANALYTIC, 2.0)
+    doc = json_doc(MomentMatrix(spec, np.eye(3), Provenance.ANALYTIC, 2.0))
     path = tmp_path / "m.json"
-    save_json(M, path)
-    doc = json.loads(path.read_text())
     doc["entries"][0][1] = 1e-8
     path.write_text(json.dumps(doc))
     with pytest.warns(RuntimeWarning, match="symmetrizing"):
@@ -312,6 +324,10 @@ def test_loaders_reject_structural_errors(tmp_path):
     with pytest.raises(MomentFileError, match="version"):
         load_text(bad)
 
+    bad.write_text(text.replace("cdmoments 1", "cdmoments"))  # used to escape as IndexError
+    with pytest.raises(MomentFileError, match="malformed"):
+        load_text(bad)
+
     lines = text.splitlines()
     bad.write_text("\n".join(lines[:-1]) + "\n")  # drop one entry row
     with pytest.raises(MomentFileError, match="entries"):
@@ -332,13 +348,10 @@ def test_loaders_reject_structural_errors(tmp_path):
 def test_loaders_reject_non_finite_entries_and_mass(tmp_path, suffix, field, value):
     # such files used to load: a nan or inf entry then failed in the eigensolver
     # as a numerical error, and a nan mass passed every check
-    import json
-
     path = tmp_path / f"m{suffix}"
     M = get_benchmark("sign").moment_matrix(2)
     if suffix == ".json":
-        save_json(M, path)
-        doc = json.loads(path.read_text())
+        doc = json_doc(M)
         if field == "mass":
             doc["mass"] = float(value)
         else:
@@ -366,10 +379,58 @@ def test_load_rejects_indefinite_file(tmp_path):
 
 
 def test_load_dispatches_on_extension(tmp_path):
-    from cdapprox.benchmarks import get_benchmark
-
-    M = get_benchmark("sign").moment_matrix(2)
+    # a hand-written JSON document and the text file of one matrix load to the same bits
+    M = get_benchmark("disk1").moment_matrix(3, mode="empirical", grid=9)
     t, j = tmp_path / "m.txt", tmp_path / "m.json"
     save_text(M, t)
-    save_json(M, j)
-    np.testing.assert_array_equal(load(t).entries, load(j).entries)
+    j.write_text(json.dumps(json_doc(M), indent=1))
+    a, b = load(t), load(j)
+    assert a.entries.tobytes() == b.entries.tobytes() == M.entries.tobytes()
+    assert a.spec == b.spec == M.spec
+    assert a.mass_m == b.mass_m == M.mass_m
+    assert a.provenance is b.provenance is Provenance.EMPIRICAL
+    assert a.note == b.note == "disk1"
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("entries", {"a": 1}),
+        ("entries", [[1.0, 0.0], [0.0]]),
+        ("entries", [["1", "0", "0"]] * 3),
+        ("entries", [[True, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ("entries", None),
+        ("domain", 3),
+        ("domain", [[-1.0, 1.0], [-1.0]]),
+        ("domain", [[-1.0, 1.0]]),
+        ("domain", [["-1", "1"], ["-1", "1"]]),
+        ("p", "2"),
+        ("p", 2.0),
+        ("d", True),
+        ("mass", "2.0"),
+        ("version", True),
+        ("family", 3),
+        ("provenance", None),
+        ("note", None),
+        ("note", 7),
+    ],
+)
+def test_json_loader_rejects_wrong_value_types(tmp_path, key, value):
+    # the loader used to pass each value through str() and the text parser: a dict of
+    # entries or an int domain escaped as TypeError, and strings for numbers or a null note loaded
+    doc = json_doc(MomentMatrix(BasisSpec(2, 1), np.eye(3), Provenance.ANALYTIC, 4.0))
+    doc[key] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MomentFileError):
+        load(path)
+
+
+@pytest.mark.parametrize("key", ["version", "p", "domain", "mass", "entries"])
+def test_json_loader_rejects_missing_keys(tmp_path, key):
+    doc = json_doc(MomentMatrix(BasisSpec(2, 1), np.eye(3), Provenance.ANALYTIC, 4.0))
+    del doc[key]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MomentFileError, match="missing"):
+        load(path)
