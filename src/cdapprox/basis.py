@@ -107,6 +107,8 @@ class BasisSpec:
         for lo, hi in dom:
             if not lo < hi:
                 raise ValueError(f"degenerate domain axis [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"domain axis [{lo}, {hi}] is not a finite interval")
         object.__setattr__(self, "domain", dom)
 
     @property

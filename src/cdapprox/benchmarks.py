@@ -37,6 +37,25 @@ def midpoint_grid(box, counts) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def uniform_box(rng: np.random.Generator, box, n: int) -> np.ndarray:
+    """n uniform draws over a finite box of (lo, hi) rows, as an (n, k) array.
+
+    The draws equal ``rng.uniform(box[:, 0], box[:, 1], (n, k))`` bit for bit:
+    both form lo + (hi - lo) u from the same doubles u in the same order, but
+    scaling the columns in place skips the slow broadcast path that array
+    bounds send ``rng.uniform`` down.
+    """
+    box = np.asarray(box, dtype=float)
+    with np.errstate(over="ignore"):
+        lo, width = box[:, 0], box[:, 1] - box[:, 0]
+    if not np.isfinite(width).all():
+        raise ValueError(f"cannot sample a box with an infinite side: {box.tolist()}")
+    U = rng.random((n, box.shape[0]))
+    U *= width
+    U += lo
+    return U
+
+
 @dataclass(frozen=True)
 class GraphFunction:
     """A target function together with its graph box and known structure."""
@@ -67,13 +86,18 @@ class GraphFunction:
         return midpoint_grid(self.x_box(), counts)
 
     def random_x(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        box = self.x_box()
-        return rng.uniform(box[:, 0], box[:, 1], size=(n, box.shape[0]))
+        return uniform_box(rng, self.x_box(), n)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """f at the rows of an (n, p-1) float array, as n floats."""
+        y = np.asarray(self.f(X), dtype=float).reshape(-1)
+        if y.shape[0] != X.shape[0]:
+            raise ValueError(f"f of benchmark {self.name!r} gave {y.shape[0]} values for {X.shape[0]} points")
+        return y
 
     def graph_points(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(self.f(X), dtype=float).reshape(-1)
-        return np.concatenate([X, y[:, None]], axis=1)
+        return np.column_stack((X, self.values(X)))
 
     def moment_matrix(
         self,

@@ -200,7 +200,14 @@ _HEADER = {
 
 
 def save_text(matrix: MomentMatrix, path) -> None:
-    """Write the header and lower triangle; reload is bit-exact."""
+    """Write the header and lower triangle; reload is bit-exact.
+
+    The note is one header line, so a note that spans lines or has blanks at
+    either end would not reload as written: it raises ValueError.
+    """
+    note = matrix.note
+    if note and (note.splitlines() != [note] or note != note.strip()):
+        raise ValueError(f"note {note!r} must be one line with no blanks at either end to reload as written")
     lines = [
         f"{_FORMAT_TAG if key == 'version' else key} {text(matrix)}"
         for key, (_, text) in _HEADER.items()

@@ -5,11 +5,13 @@ threshold gamma_d: the measure of the graph that escapes the sublevel set
 {q < gamma_d} is small, and every point of the sublevel set lies close to the
 support of mu.  Both the escaping mass and the maximal distance decay at
 explicit rates in the degree d.  Where the kernel's certified floor
-``CDKernel.q_floor`` reaches gamma_d the sublevel set is provably empty, and
-``support_report`` draws no sublevel probes; the graph samples for the
-escaping mass are always drawn.  The escaping-mass bound is summed in log
-space, as ``gamma_threshold`` is: its factor (3r)^(2r) overflows double
-precision for moderate r even where the bound itself does not.
+``CDKernel.q_floor`` reaches gamma_d the sublevel set is provably empty:
+``support_report`` then draws no sublevel probes, and if f is finite on every
+graph sample it counts them all as escaping without a q test.  The graph
+samples are always drawn, so the random stream is the same either way.  The
+escaping-mass bound is summed in log space, as ``gamma_threshold`` is: its
+factor (3r)^(2r) overflows double precision for moderate r even where the
+bound itself does not.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .benchmarks import GraphFunction
+from .benchmarks import GraphFunction, uniform_box
 from .cdkernel import CDKernel, ThresholdParams, gamma_threshold, threshold_params
 from .moments import MomentMatrix
 
@@ -130,11 +132,15 @@ def support_report(
     sublevel-set member distances against a ``mesh_points`` graph mesh.
     Where ``CDKernel.q_floor`` reaches gamma_d, as at every desk-scale degree,
     the sublevel set is provably empty: no probe is drawn, ``n_members`` is 0
-    and ``sublevel_empty`` is True.  Otherwise ``n_probes`` uniform box points
-    are drawn and tested.  Each q >= gamma_d test goes through
-    ``CDKernel.q_at_least``, which forms exact q only where the lower bound
-    min(g) ||b||^2 falls short.  Every field but ``sublevel_empty`` equals
-    that of a report that draws every probe and tests it with ``eval_q_batch``.
+    and ``sublevel_empty`` is True.  If f is also finite on every mass sample,
+    the floor settles q >= gamma_d there too and the escaping fraction is 1
+    with no q test; this is the answer ``q_at_least``'s box-wide tier gives.
+    Otherwise the graph samples, and ``n_probes`` uniform box points where the
+    floor falls short, are tested with ``CDKernel.q_at_least``, which forms
+    exact q only where the lower bound min(g) ||b||^2 falls short and at rows
+    with a non-finite coordinate.  Every field but ``sublevel_empty`` equals
+    that of a report that draws every probe and tests each sample and probe
+    with ``eval_q_batch``.
     """
     d = matrix.spec.d
     if d <= 1:
@@ -145,24 +151,30 @@ def support_report(
         )
     if mesh_points < 2:
         raise ValueError(f"the graph mesh needs at least 2 points, got {mesh_points}")
+    if bench.p != matrix.spec.p:
+        raise ValueError(f"benchmark {bench.name!r} has p={bench.p}, the matrix p={matrix.spec.p}")
     kernel = CDKernel(matrix, beta)
     params = threshold_params(matrix, r=r, alpha=alpha)
     gamma = gamma_threshold(d, params)
     rng = np.random.default_rng(seed)
+    # the floor bounds q below at every finite z, so where it reaches gamma it settles
+    # both the mass samples and the probes the way q_at_least's box-wide tier would
+    sublevel_empty = kernel.q_floor() >= gamma
 
     X = bench.random_x(n_mass_samples, rng)
-    fraction = float(np.mean(kernel.q_at_least(bench.graph_points(X), gamma)))
+    y = bench.values(X)
+    if sublevel_empty and np.isfinite(y).all():
+        fraction = 1.0
+    else:
+        fraction = float(np.mean(kernel.q_at_least(np.column_stack((X, y)), gamma)))
     outside = fraction * matrix.mass_m
     mass_bound = outside_mass_bound(d, params)
 
-    # the floor holds at every finite z and the rng is not drawn from after the probes,
-    # so skipping them changes no other field
-    sublevel_empty = kernel.q_floor() >= gamma
+    # the rng is not drawn from after the probes, so skipping them changes no other field
     if sublevel_empty:
         members = np.empty((0, matrix.spec.p))
     else:
-        box = matrix.spec.domain_array()
-        probes = rng.uniform(box[:, 0], box[:, 1], size=(n_probes, matrix.spec.p))
+        probes = uniform_box(rng, matrix.spec.domain_array(), n_probes)
         members = probes[~kernel.q_at_least(probes, gamma)]
     mesh, slack = graph_mesh(bench, mesh_points)
     if members.shape[0]:

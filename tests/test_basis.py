@@ -117,6 +117,9 @@ def test_spec_validation():
         BasisSpec(2, 2, domain=((-1.0, 1.0),))  # wrong axis count
     with pytest.raises(ValueError):
         BasisSpec(1, 2, domain=((1.0, 1.0),))  # degenerate axis
+    for axis in ((-math.inf, 1.0), (-1.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="domain axis .* is not a finite interval"):
+            BasisSpec(2, 2, domain=(axis, (-1.0, 1.0)))
     spec = BasisSpec(2, 3)
     assert spec.domain == ((-1.0, 1.0), (-1.0, 1.0))
     assert spec.domain_volume() == pytest.approx(4.0)

@@ -8,8 +8,8 @@ from moment_oracle import MOMENTS, NAMES, hankel, orthonormal_entry
 from scipy import integrate
 
 from cdapprox.basis import Family
-from cdapprox.benchmarks import BENCHMARKS, get_benchmark, step_benchmark
-from cdapprox.moments import Provenance
+from cdapprox.benchmarks import BENCHMARKS, get_benchmark, step_benchmark, uniform_box
+from cdapprox.moments import Provenance, empirical_moment_matrix
 
 MONO = Family.MONOMIAL_GREVLEX
 
@@ -106,6 +106,38 @@ def test_grids_and_graph_points():
     R = disk.random_x(100, rng)
     assert R.shape == (100, 2)
     assert np.all(np.abs(R) <= 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_uniform_box_draws_what_rng_uniform_draws(k, seed):
+    # widths that are not powers of two round in the scaling, so equal bits
+    # mean the same two operations in the same order
+    setup = np.random.default_rng(100 + seed)
+    for _ in range(10):
+        lo = setup.normal(scale=3.0, size=k)
+        box = np.c_[lo, lo + setup.uniform(0.1, 5.0, size=k)]
+        assert not np.any(np.log2(box[:, 1] - box[:, 0]) % 1 == 0)
+        got = uniform_box(np.random.default_rng(seed), box, 1000)
+        want = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], (1000, k))
+        assert got.shape == (1000, k)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("box", [[[-np.inf, 1.0]], [[-1.0, 1.0], [0.0, np.inf]], [[-1e308, 1e308]]])
+def test_uniform_box_rejects_infinite_sides(box):
+    with pytest.raises(ValueError, match="infinite side"):
+        uniform_box(np.random.default_rng(0), np.asarray(box), 10)
+
+
+@pytest.mark.parametrize("name", ["sign", "disk1"])
+def test_sampled_empirical_matrix_is_the_rng_uniform_one(name):
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(3, mode="empirical", samples=500, rng=np.random.default_rng(5))
+    box = bench.x_box()
+    X = np.random.default_rng(5).uniform(box[:, 0], box[:, 1], size=(500, box.shape[0]))
+    ref = empirical_moment_matrix(bench.spec(3), bench.graph_points(X), note=name)
+    np.testing.assert_array_equal(M.entries.view(np.int64), ref.entries.view(np.int64))
 
 
 def test_moment_matrix_modes():

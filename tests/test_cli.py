@@ -151,6 +151,18 @@ def test_matrix_files_with_non_finite_values_exit_2(tmp_path, sign_matrix_file, 
         assert out.err.startswith("error:") and "finite" in out.err and out.out == ""
 
 
+@pytest.mark.parametrize("domain", ["-inf 1.0 -1.0 1.0", "-1.0 1.0 -1.0 inf", "-1e308 1e308 -1.0 1.0"])
+def test_matrix_files_with_an_infinite_domain_exit_2(tmp_path, sign_matrix_file, domain, capsys):
+    # such a file used to load, and approx then failed on "non-finite fiber coefficients"
+    lines = sign_matrix_file.read_text().splitlines()
+    lines = [f"domain {domain}" if line.startswith("domain ") else line for line in lines]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["approx", "--matrix", str(bad), "--grid", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and "is not a finite interval" in out.err and out.out == ""
+
+
 @pytest.mark.parametrize(
     "key,value", [("entries", {"a": 1}), ("domain", 3), ("entries", [[1.0, 0.0], [0.0]]), ("note", None)]
 )

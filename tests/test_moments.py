@@ -209,6 +209,23 @@ def test_cached_gauss_rule_is_shared_and_read_only():
     assert np.array_equal(first.entries, bench.moment_matrix(8, mode="quad").entries)
 
 
+@pytest.mark.parametrize("note", ["two\nlines", "two\r\nlines", "trailing\n", "  padded  ", "padded ", "\tpadded"])
+def test_save_text_rejects_notes_that_do_not_reload(tmp_path, note):
+    # such a note used to reload cut at its first line break, or stripped
+    M = MomentMatrix(BasisSpec(1, 1), np.eye(2), Provenance.FILE, 1.0, note=note)
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="note"):
+        save_text(M, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("note", ["one line", "with  inner   blanks", "x"])
+def test_save_text_keeps_one_line_notes(tmp_path, note):
+    path = tmp_path / "m.txt"
+    save_text(MomentMatrix(BasisSpec(1, 1), np.eye(2), Provenance.FILE, 1.0, note=note), path)
+    assert load_text(path).note == note
+
+
 def test_text_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     spec = BasisSpec(2, 3, domain=((-1.0, 1.0), (-0.25, 1.75)))

@@ -1,5 +1,8 @@
 """Support-localization bounds and the Monte Carlo evidence report."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -174,9 +177,47 @@ def test_support_report_equals_the_eval_q_batch_report(name, d, seed, monkeypatc
     rows = _count_q_at_least_rows(monkeypatch)
     rep = support_report(bench, M, beta_schedule(d), **kwargs)
     assert calls == []
-    assert rows == [3000]
+    assert rows == []  # the floor settles the mass samples too, where f is finite on all of them
     assert rep.sublevel_empty
     assert _without_certificate(rep) == _without_certificate(expected)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("d", [4, 8])
+def test_certified_report_tests_non_finite_graph_samples(d, monkeypatch):
+    # f is inf for x > 0.9 and nan for x < -0.95: those graph points are not
+    # finite, so the floor does not settle them and every mass sample goes
+    # through q_at_least, which gives the non-finite rows exact q
+    sign = get_benchmark("sign")
+
+    def f(X):
+        return np.where(X[:, 0] > 0.9, np.inf, np.where(X[:, 0] < -0.95, np.nan, sign.f(X)))
+
+    bench = dataclasses.replace(sign, f=f)
+    M = sign.moment_matrix(d)
+    kwargs = dict(r=2.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
+    expected = _eval_q_report(bench, M, beta_schedule(d), **kwargs)
+    rows = _count_q_at_least_rows(monkeypatch)
+    rep = support_report(bench, M, beta_schedule(d), **kwargs)
+    assert rows == [3000]
+    assert rep.sublevel_empty
+    assert 0.0 < rep.outside_mass / M.mass_m < 1.0  # nan q compares False
+    # json.dumps writes nan as NaN, so equal reports give equal text
+    assert json.dumps(_without_certificate(rep)) == json.dumps(_without_certificate(expected))
+
+
+def test_certified_report_rejects_a_mismatched_benchmark():
+    # where the floor settles the mass samples no graph array is built and no
+    # q is formed, so support_report itself must refuse a benchmark that does
+    # not fit the matrix or whose f gives the wrong number of values
+    sign = get_benchmark("sign")
+    M = sign.moment_matrix(4)
+    kwargs = dict(n_mass_samples=100, n_probes=100, mesh_points=50)
+    with pytest.raises(ValueError, match="p=2"):
+        support_report(sign, get_benchmark("disk1").moment_matrix(2), 1e-3, **kwargs)
+    short = dataclasses.replace(sign, f=lambda X: np.ones(X.shape[0] - 1))
+    with pytest.raises(ValueError, match="99 values for 100 points"):
+        support_report(short, M, beta_schedule(4), **kwargs)
 
 
 @pytest.mark.parametrize("d,seed,ratio", [(12, 0, 0.83), (12, 1, 0.83), (16, 0, 0.40)])
