@@ -5,10 +5,11 @@ threshold gamma_d: the measure of the graph that escapes the sublevel set
 {q < gamma_d} is small, and every point of the sublevel set lies close to the
 support of mu.  Both the escaping mass and the maximal distance decay at
 explicit rates in the degree d.  Where the kernel's certified floor
-``CDKernel.q_floor`` reaches gamma_d the sublevel set is provably empty:
-``support_report`` then draws no sublevel probes, and if f is finite on every
-graph sample it counts them all as escaping without a q test.  The graph
-samples are always drawn, so the random stream is the same either way.  The
+``CDKernel.q_floor`` reaches gamma_d the sublevel set is provably empty on all
+of R^p: ``support_report`` then draws nothing, the escaping mass is exactly
+the graph's mass m and no probe is a member.  Elsewhere both are estimated by
+Monte Carlo.  On either path a graph point where f is inf or nan is not a
+point of R^p: it escapes, and it is not part of the graph mesh.  The
 escaping-mass bound is summed in log space, as ``gamma_threshold`` is: its
 factor (3r)^(2r) overflows double precision for moderate r even where the
 bound itself does not.
@@ -63,24 +64,27 @@ def graph_mesh(bench: GraphFunction, n: int = 10_000) -> tuple[np.ndarray, float
     not straddle a declared jump; distances measured against the mesh can
     undershoot distances to the true support by at most this much.  For p > 2
     the gap along x is reported instead (jump curves are not parameterized).
+    A grid point where f is inf or nan is not a point of the graph, so it is
+    dropped from the mesh, and a gap across a dropped run is not counted, just
+    as a gap across a declared jump is not.
     """
-    if bench.p == 2:
-        X = bench.grid_x(n)
-        Z = bench.graph_points(X)
-        gaps = np.linalg.norm(np.diff(Z, axis=0), axis=1)
-        if bench.jumps:
-            xmid = 0.5 * (X[:-1, 0] + X[1:, 0])
-            straddle = np.zeros(xmid.shape[0], dtype=bool)
-            for t in bench.jumps:
-                straddle |= (X[:-1, 0] < t) & (X[1:, 0] >= t)
-            gaps = gaps[~straddle]
-        slack = 0.5 * float(np.max(gaps)) if gaps.size else 0.0
-        return Z, slack
-    per_axis = max(2, int(round(n ** (1.0 / (bench.p - 1)))))
-    X = bench.grid_x(per_axis)
-    Z = bench.graph_points(X)
-    box = bench.x_box()
-    slack = 0.5 * float(np.max((box[:, 1] - box[:, 0]) / per_axis)) * np.sqrt(bench.p - 1)
+    per_axis = n if bench.p == 2 else max(2, int(round(n ** (1.0 / (bench.p - 1)))))
+    Z = bench.graph_points(bench.grid_x(per_axis))
+    finite = np.isfinite(Z[:, -1])
+    if not finite.all():
+        Z = np.compress(finite, Z, axis=0)
+    if not Z.shape[0]:
+        raise ValueError(f"f of benchmark {bench.name!r} is not finite at any of the {finite.size} mesh points")
+    if bench.p > 2:
+        box = bench.x_box()
+        return Z, 0.5 * float(np.max((box[:, 1] - box[:, 0]) / per_axis)) * np.sqrt(bench.p - 1)
+    counted = np.diff(np.flatnonzero(finite)) == 1
+    for t in bench.jumps:
+        counted &= ~((Z[:-1, 0] < t) & (Z[1:, 0] >= t))
+    D = np.diff(Z, axis=0)
+    D *= D
+    gaps = np.sqrt(D[:, 0] + D[:, 1])[counted]  # bit for bit np.linalg.norm(D, axis=1)
+    slack = 0.5 * float(np.max(gaps)) if gaps.size else 0.0
     return Z, slack
 
 
@@ -126,21 +130,19 @@ def support_report(
     mesh_points: int = 10_000,
     seed: int = 0,
 ) -> SupportReport:
-    """Check both guarantees by Monte Carlo and return the full evidence.
+    """Check both guarantees and return the full evidence.
 
-    Draws ``n_mass_samples`` graph points for the escaping mass and measures
-    sublevel-set member distances against a ``mesh_points`` graph mesh.
     Where ``CDKernel.q_floor`` reaches gamma_d, as at every desk-scale degree,
-    the sublevel set is provably empty: no probe is drawn, ``n_members`` is 0
-    and ``sublevel_empty`` is True.  If f is also finite on every mass sample,
-    the floor settles q >= gamma_d there too and the escaping fraction is 1
-    with no q test; this is the answer ``q_at_least``'s box-wide tier gives.
-    Otherwise the graph samples, and ``n_probes`` uniform box points where the
-    floor falls short, are tested with ``CDKernel.q_at_least``, which forms
-    exact q only where the lower bound min(g) ||b||^2 falls short and at rows
-    with a non-finite coordinate.  Every field but ``sublevel_empty`` equals
-    that of a report that draws every probe and tests each sample and probe
-    with ``eval_q_batch``.
+    the sublevel set is provably empty on all of R^p: the escaping fraction is
+    exactly 1, no graph sample or probe is drawn, ``n_members`` is 0 and
+    ``sublevel_empty`` is True.  Otherwise ``n_mass_samples`` graph points are
+    drawn for the escaping mass and ``n_probes`` uniform box points for the
+    sublevel set, both tested with ``CDKernel.q_at_least``, which equals
+    ``eval_q_batch(Z) >= gamma`` but forms exact q only where the lower bound
+    min(g) ||b||^2 falls short.  A sample where f is inf or nan counts as
+    escaping on both paths.  Member distances are measured against a
+    ``mesh_points`` graph mesh, which is built on both paths; it drops the
+    points where f is not finite.
     """
     d = matrix.spec.d
     if d <= 1:
@@ -156,26 +158,26 @@ def support_report(
     kernel = CDKernel(matrix, beta)
     params = threshold_params(matrix, r=r, alpha=alpha)
     gamma = gamma_threshold(d, params)
-    rng = np.random.default_rng(seed)
-    # the floor bounds q below at every finite z, so where it reaches gamma it settles
-    # both the mass samples and the probes the way q_at_least's box-wide tier would
+    # the floor bounds q below at every finite z, so where it reaches gamma the sublevel
+    # set is empty on all of R^p: every graph point escapes it and no probe is a member
     sublevel_empty = kernel.q_floor() >= gamma
-
-    X = bench.random_x(n_mass_samples, rng)
-    y = bench.values(X)
-    if sublevel_empty and np.isfinite(y).all():
-        fraction = 1.0
-    else:
-        fraction = float(np.mean(kernel.q_at_least(np.column_stack((X, y)), gamma)))
-    outside = fraction * matrix.mass_m
-    mass_bound = outside_mass_bound(d, params)
-
-    # the rng is not drawn from after the probes, so skipping them changes no other field
     if sublevel_empty:
+        fraction = 1.0
         members = np.empty((0, matrix.spec.p))
     else:
+        rng = np.random.default_rng(seed)
+        X = bench.random_x(n_mass_samples, rng)
+        y = bench.values(X)
+        # a sample where f is inf or nan is not a point of R^p, so it escapes
+        escaping = ~np.isfinite(y)
+        finite = ~escaping
+        escaping[finite] = kernel.q_at_least(np.compress(finite, np.column_stack((X, y)), axis=0), gamma)
+        fraction = float(np.mean(escaping))
         probes = uniform_box(rng, matrix.spec.domain_array(), n_probes)
         members = probes[~kernel.q_at_least(probes, gamma)]
+    outside = fraction * matrix.mass_m
+    mass_bound = outside_mass_bound(d, params)
+    # built on both paths, so a malformed f is refused either way
     mesh, slack = graph_mesh(bench, mesh_points)
     if members.shape[0]:
         from scipy.spatial import cKDTree  # loaded on first use

@@ -1,12 +1,11 @@
 """Support-localization bounds and the Monte Carlo evidence report."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
-from cdapprox import basis
+from cdapprox import basis, benchmarks, support
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import CDKernel, ThresholdParams, beta_schedule
 from cdapprox.support import (
@@ -182,28 +181,114 @@ def test_support_report_equals_the_eval_q_batch_report(name, d, seed, monkeypatc
     assert _without_certificate(rep) == _without_certificate(expected)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("d", [4, 8])
-def test_certified_report_tests_non_finite_graph_samples(d, monkeypatch):
-    # f is inf for x > 0.9 and nan for x < -0.95: those graph points are not
-    # finite, so the floor does not settle them and every mass sample goes
-    # through q_at_least, which gives the non-finite rows exact q
+def _sign_with_non_finite_f():
+    """The sign bench with f = inf for x > 0.9 and nan for x < -0.95."""
     sign = get_benchmark("sign")
 
     def f(X):
         return np.where(X[:, 0] > 0.9, np.inf, np.where(X[:, 0] < -0.95, np.nan, sign.f(X)))
 
-    bench = dataclasses.replace(sign, f=f)
-    M = sign.moment_matrix(d)
-    kwargs = dict(r=2.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
+    return dataclasses.replace(sign, f=f)
+
+
+def _counting_f(bench):
+    """The benchmark with an f that records the row count of each call, and that list."""
+    rows = []
+
+    def f(X):
+        rows.append(len(X))
+        return bench.f(X)
+
+    return dataclasses.replace(bench, f=f), rows
+
+
+def _refuse_draws(monkeypatch):
+    def refuse(rng, box, n):
+        raise AssertionError(f"drew {n} points where nothing should be drawn")
+
+    monkeypatch.setattr(benchmarks, "uniform_box", refuse)
+    monkeypatch.setattr(support, "uniform_box", refuse)
+
+
+@pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("sign", 8), ("disk1", 4)])
+def test_certified_report_draws_no_graph_sample(name, d, monkeypatch):
+    # where q_floor reaches gamma_d every graph point escapes, so the mass is
+    # exactly m: nothing is drawn, and f sees the graph mesh only
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(d)
+    kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
     expected = _eval_q_report(bench, M, beta_schedule(d), **kwargs)
+    mesh, _ = graph_mesh(bench, kwargs["mesh_points"])
+    counted, f_rows = _counting_f(bench)
+    _refuse_draws(monkeypatch)
+    rows = _count_q_at_least_rows(monkeypatch)
+    rep = support_report(counted, M, beta_schedule(d), **kwargs)
+    assert f_rows == [mesh.shape[0]]
+    assert rows == []
+    assert rep.sublevel_empty and rep.outside_mass == M.mass_m
+    assert _without_certificate(rep) == _without_certificate(expected)
+
+
+def test_graph_mesh_drops_non_finite_points():
+    sign = get_benchmark("sign")
+    bench = _sign_with_non_finite_f()
+    Z, slack = graph_mesh(bench, 1000)
+    X = sign.grid_x(1000)
+    keep = (X[:, 0] <= 0.9) & (X[:, 0] >= -0.95)
+    np.testing.assert_array_equal(Z, sign.graph_points(X[keep]))
+    # the gaps across the dropped runs are not counted, so the slack is the finite f's
+    assert slack == graph_mesh(sign, 1000)[1]
+
+    disk = get_benchmark("disk1")
+    holed = dataclasses.replace(disk, f=lambda X: np.where(X[:, 0] > 0.5, np.nan, disk.f(X)))
+    Z3, slack3 = graph_mesh(holed, 900)
+    full, full_slack = graph_mesh(disk, 900)
+    np.testing.assert_array_equal(Z3, full[full[:, 0] <= 0.5])
+    assert slack3 == full_slack
+
+    nowhere = dataclasses.replace(sign, f=lambda X: np.full(X.shape[0], np.nan))
+    with pytest.raises(ValueError, match="not finite at any of the 50 mesh points"):
+        graph_mesh(nowhere, 50)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_certified_report_counts_non_finite_graph_samples_as_escaping(d, monkeypatch):
+    # f is inf for x > 0.9 and nan for x < -0.95: those graph points are not
+    # points of R^p, so they escape as every finite one does where the floor
+    # certifies, and the mesh leaves them out, so its slack stays finite
+    bench = _sign_with_non_finite_f()
+    M = bench.moment_matrix(d)
+    kwargs = dict(r=2.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
     rows = _count_q_at_least_rows(monkeypatch)
     rep = support_report(bench, M, beta_schedule(d), **kwargs)
-    assert rows == [3000]
+    assert rows == []
     assert rep.sublevel_empty
-    assert 0.0 < rep.outside_mass / M.mass_m < 1.0  # nan q compares False
-    # json.dumps writes nan as NaN, so equal reports give equal text
-    assert json.dumps(_without_certificate(rep)) == json.dumps(_without_certificate(expected))
+    assert rep.outside_mass == M.mass_m
+    assert np.isfinite(rep.mesh_slack) and rep.distance_ok
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_uncertified_report_counts_non_finite_graph_samples_as_escaping(seed, monkeypatch):
+    # sign at d = 12, where q_floor is about 0.83 of gamma_d: the finite graph
+    # samples go through q_at_least, the others escape without a q test
+    bench = _sign_with_non_finite_f()
+    d = 12
+    M = bench.moment_matrix(d)
+    beta = beta_schedule(d)
+    kwargs = dict(r=2.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=seed)
+    rows = _count_q_at_least_rows(monkeypatch)
+    rep = support_report(bench, M, beta, **kwargs)
+    assert not rep.sublevel_empty
+
+    X = bench.random_x(3000, np.random.default_rng(seed))
+    y = bench.f(X)
+    finite = np.isfinite(y)
+    escaping = ~finite
+    escaping[finite] = CDKernel(M, beta).eval_q_batch(np.column_stack((X[finite], y[finite]))) >= rep.gamma
+    assert 0 < np.count_nonzero(~finite) < 3000
+    assert rows == [np.count_nonzero(finite), 2000]
+    assert rep.outside_mass == M.mass_m * np.mean(escaping)
+    assert np.isfinite(rep.mesh_slack) and rep.distance_ok
 
 
 def test_certified_report_rejects_a_mismatched_benchmark():
@@ -216,7 +301,7 @@ def test_certified_report_rejects_a_mismatched_benchmark():
     with pytest.raises(ValueError, match="p=2"):
         support_report(sign, get_benchmark("disk1").moment_matrix(2), 1e-3, **kwargs)
     short = dataclasses.replace(sign, f=lambda X: np.ones(X.shape[0] - 1))
-    with pytest.raises(ValueError, match="99 values for 100 points"):
+    with pytest.raises(ValueError, match="49 values for 50 points"):
         support_report(short, M, beta_schedule(4), **kwargs)
 
 
