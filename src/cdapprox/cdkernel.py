@@ -30,6 +30,10 @@ settled at once, with no table built.  Otherwise ``basis_sqnorm`` gives
 ||b(z)||^2 from the per-axis tables in O(p d^2) per point, in blocks of
 ``_BOUND_BLOCK`` points.  Only the points that bound leaves open get exact q,
 from the rows of their block's own tables.
+
+``certified_floor`` gives the Tikhonov ``q_floor`` from the eigenvalues
+alone, since min(g) = 1/(beta + lambda_max) needs no eigenvector: a caller
+that needs only the floor skips the eigenvectors that ``CDKernel`` computes.
 """
 
 from __future__ import annotations
@@ -101,6 +105,32 @@ def _legendre_christoffel_min(m: int) -> float:
 
     # on [-1, 1] the orthonormal Legendre basis is sqrt((2j+1)/2) P_j, so its squares sum to half the target
     return 2.0 * partial_argmin(np.eye(m + 1), (-1.0, 1.0))[1]
+
+
+def _sqnorm_floor(spec) -> float:
+    """Certified minimum of ||b(z)||^2 over every finite z: b_0^2 rho(d // p)^p, or 1 for monomials.
+
+    b_0^2 = 1/vol and rho = ``_legendre_christoffel_min``; see
+    ``CDKernel.q_at_least`` for why it holds outside the box too.
+    """
+    if spec.family is Family.LEGENDRE_ORTHONORMAL:
+        return _legendre_christoffel_min(spec.d // spec.p) ** spec.p / spec.domain_volume()
+    return 1.0
+
+
+def certified_floor(matrix: MomentMatrix, beta: float) -> float:
+    """``CDKernel(matrix, beta).q_floor()`` from the eigenvalues alone, with no eigenvector computed.
+
+    It is min(g) (1 - 1e-8) times ``_sqnorm_floor`` for the Tikhonov filter,
+    whose min(g) = 1/(beta + lambda_max) needs no eigenvector.  It refuses
+    what ``CDKernel`` refuses, and matches ``q_floor`` to eigenvalue rounding
+    (about 1e-15 relative), far inside the 1e-8 margin.
+    """
+    _check_beta(beta)
+    evals = np.linalg.eigvalsh(matrix.entries)
+    require_psd(evals)
+    g = apply_filter(FilterKind.TIKHONOV, np.clip(evals, 0.0, None), beta)
+    return float(g.min()) * (1.0 - _BOUND_MARGIN) * _sqnorm_floor(matrix.spec)
 
 
 def beta_schedule(d: int) -> float:
@@ -208,11 +238,7 @@ class CDKernel:
         it holds outside the box too.  Where it reaches a level, the sublevel
         set {q < level} is empty on all of R^p.  Zero for the low-pass filter.
         """
-        spec = self.spec
-        sqnorm_min = 1.0
-        if spec.family is Family.LEGENDRE_ORTHONORMAL:
-            sqnorm_min = _legendre_christoffel_min(spec.d // spec.p) ** spec.p / spec.domain_volume()
-        return self._g_floor() * sqnorm_min
+        return self._g_floor() * _sqnorm_floor(self.spec)
 
     def _finite_q_at_least(self, Z, level: float) -> np.ndarray:
         """``q_at_least`` on rows that are all finite, where both tiers of the bound hold."""

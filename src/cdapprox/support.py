@@ -5,14 +5,17 @@ threshold gamma_d: the measure of the graph that escapes the sublevel set
 {q < gamma_d} is small, and every point of the sublevel set lies close to the
 support of mu.  Both the escaping mass and the maximal distance decay at
 explicit rates in the degree d.  Where the kernel's certified floor
-``CDKernel.q_floor`` reaches gamma_d the sublevel set is provably empty on all
-of R^p: ``support_report`` then draws nothing, the escaping mass is exactly
+``certified_floor`` (``CDKernel.q_floor`` from the eigenvalues alone) reaches
+gamma_d the sublevel set is provably empty on all of R^p: ``support_report``
+then computes no eigenvector and draws nothing, the escaping mass is exactly
 the graph's mass m and no probe is a member.  Elsewhere both are estimated by
 Monte Carlo.  On either path a graph point where f is inf or nan is not a
-point of R^p: it escapes, and it is not part of the graph mesh.  The
-escaping-mass bound is summed in log space, as ``gamma_threshold`` is: its
-factor (3r)^(2r) overflows double precision for moderate r even where the
-bound itself does not.
+point of R^p: it escapes, and it is not part of the graph mesh.  The mesh
+itself is built only where there are members to measure against it; with
+none, the mesh slack alone is computed, from the mesh's x grid and f for
+p = 2 and in closed form above.  The escaping-mass bound is summed in log
+space, as ``gamma_threshold`` is: its factor (3r)^(2r) overflows double
+precision for moderate r even where the bound itself does not.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .benchmarks import GraphFunction, uniform_box
-from .cdkernel import CDKernel, ThresholdParams, gamma_threshold, threshold_params
+from .cdkernel import CDKernel, ThresholdParams, certified_floor, gamma_threshold, threshold_params
 from .moments import MomentMatrix
 
 
@@ -57,6 +60,44 @@ def distance_bound(d: int, delta0: float) -> float:
     return float(delta0 / (np.sqrt(d) - 1.0))
 
 
+def _mesh_per_axis(bench: GraphFunction, n: int) -> int:
+    """Per-axis midpoint count of an n-point graph mesh: n for p = 2, about n^(1/(p-1)) above."""
+    return n if bench.p == 2 else max(2, int(round(n ** (1.0 / (bench.p - 1)))))
+
+
+def _grid_slack(bench: GraphFunction, per_axis: int) -> float:
+    """Slack for p > 2: half the diagonal of the largest x-cell of a per_axis midpoint grid."""
+    box = bench.x_box()
+    return 0.5 * float(np.max((box[:, 1] - box[:, 0]) / per_axis)) * np.sqrt(bench.p - 1)
+
+
+def _finite_graph(bench: GraphFunction, per_axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The midpoint x grid, f on it and where f is finite; raises where it is finite nowhere."""
+    X = bench.grid_x(per_axis)
+    y = bench.values(X)
+    finite = np.isfinite(y)
+    if not finite.any():
+        raise ValueError(f"f of benchmark {bench.name!r} is not finite at any of the {finite.size} mesh points")
+    return X, y, finite
+
+
+def _path_slack(bench: GraphFunction, x: np.ndarray, y: np.ndarray, finite: np.ndarray) -> float:
+    """Slack for p = 2: half the largest gap between neighbouring graph points (x, y).
+
+    x and y hold the points where f is finite, in grid order, and ``finite``
+    marks them on the full grid.  A gap across a dropped run of grid points or
+    across a declared jump is not counted.
+    """
+    counted = np.diff(np.flatnonzero(finite)) == 1
+    for t in bench.jumps:
+        counted &= ~((x[:-1] < t) & (x[1:] >= t))
+    dx, dy = np.diff(x), np.diff(y)
+    dx *= dx
+    dy *= dy
+    gaps = np.sqrt(dx + dy)[counted]  # bit for bit np.linalg.norm of the mesh differences
+    return 0.5 * float(np.max(gaps)) if gaps.size else 0.0
+
+
 def graph_mesh(bench: GraphFunction, n: int = 10_000) -> tuple[np.ndarray, float]:
     """Dense discretization of the graph plus a resolution slack.
 
@@ -68,24 +109,26 @@ def graph_mesh(bench: GraphFunction, n: int = 10_000) -> tuple[np.ndarray, float
     dropped from the mesh, and a gap across a dropped run is not counted, just
     as a gap across a declared jump is not.
     """
-    per_axis = n if bench.p == 2 else max(2, int(round(n ** (1.0 / (bench.p - 1)))))
-    Z = bench.graph_points(bench.grid_x(per_axis))
-    finite = np.isfinite(Z[:, -1])
+    per_axis = _mesh_per_axis(bench, n)
+    X, y, finite = _finite_graph(bench, per_axis)
+    Z = np.column_stack((X, y))
     if not finite.all():
         Z = np.compress(finite, Z, axis=0)
-    if not Z.shape[0]:
-        raise ValueError(f"f of benchmark {bench.name!r} is not finite at any of the {finite.size} mesh points")
     if bench.p > 2:
-        box = bench.x_box()
-        return Z, 0.5 * float(np.max((box[:, 1] - box[:, 0]) / per_axis)) * np.sqrt(bench.p - 1)
-    counted = np.diff(np.flatnonzero(finite)) == 1
-    for t in bench.jumps:
-        counted &= ~((Z[:-1, 0] < t) & (Z[1:, 0] >= t))
-    D = np.diff(Z, axis=0)
-    D *= D
-    gaps = np.sqrt(D[:, 0] + D[:, 1])[counted]  # bit for bit np.linalg.norm(D, axis=1)
-    slack = 0.5 * float(np.max(gaps)) if gaps.size else 0.0
-    return Z, slack
+        return Z, _grid_slack(bench, per_axis)
+    return Z, _path_slack(bench, Z[:, 0], Z[:, 1], finite)
+
+
+def _mesh_slack(bench: GraphFunction, n: int) -> float:
+    """``graph_mesh(bench, n)[1]`` without the mesh: from the x grid and f for p = 2, closed-form above."""
+    per_axis = _mesh_per_axis(bench, n)
+    if bench.p > 2:
+        return _grid_slack(bench, per_axis)
+    X, y, finite = _finite_graph(bench, per_axis)
+    x = X[:, 0]
+    if not finite.all():
+        x, y = x[finite], y[finite]
+    return _path_slack(bench, x, y, finite)
 
 
 @dataclass
@@ -111,7 +154,7 @@ class SupportReport:
     distance_bound: float
     mesh_slack: float
     distance_ok: bool
-    # True when q_floor reached gamma: {q < gamma} is then empty on all of R^p.
+    # True when certified_floor reached gamma: {q < gamma} is then empty on all of R^p.
     # False means "not proven", not "non-empty".
     sublevel_empty: bool
 
@@ -132,17 +175,22 @@ def support_report(
 ) -> SupportReport:
     """Check both guarantees and return the full evidence.
 
-    Where ``CDKernel.q_floor`` reaches gamma_d, as at every desk-scale degree,
+    Where ``certified_floor`` reaches gamma_d, as at every desk-scale degree,
     the sublevel set is provably empty on all of R^p: the escaping fraction is
-    exactly 1, no graph sample or probe is drawn, ``n_members`` is 0 and
-    ``sublevel_empty`` is True.  Otherwise ``n_mass_samples`` graph points are
+    exactly 1, no eigenvector or ``CDKernel`` is computed, no graph sample or
+    probe is drawn, ``n_members`` is 0 and ``sublevel_empty`` is True.
+    Otherwise a ``CDKernel`` is built, ``n_mass_samples`` graph points are
     drawn for the escaping mass and ``n_probes`` uniform box points for the
     sublevel set, both tested with ``CDKernel.q_at_least``, which equals
     ``eval_q_batch(Z) >= gamma`` but forms exact q only where the lower bound
     min(g) ||b||^2 falls short.  A sample where f is inf or nan counts as
     escaping on both paths.  Member distances are measured against a
-    ``mesh_points`` graph mesh, which is built on both paths; it drops the
-    points where f is not finite.
+    ``mesh_points`` graph mesh, which drops the points where f is not finite
+    and is built only where there are members; otherwise only its slack is
+    computed, bit for bit ``graph_mesh``'s.  So the mesh grid is read, and an
+    f that is finite nowhere on it is refused, only for p = 2 or where there
+    are members; an f that gives the wrong number of values is refused
+    wherever it is called.
     """
     d = matrix.spec.d
     if d <= 1:
@@ -155,16 +203,17 @@ def support_report(
         raise ValueError(f"the graph mesh needs at least 2 points, got {mesh_points}")
     if bench.p != matrix.spec.p:
         raise ValueError(f"benchmark {bench.name!r} has p={bench.p}, the matrix p={matrix.spec.p}")
-    kernel = CDKernel(matrix, beta)
+    floor = certified_floor(matrix, beta)
     params = threshold_params(matrix, r=r, alpha=alpha)
     gamma = gamma_threshold(d, params)
     # the floor bounds q below at every finite z, so where it reaches gamma the sublevel
     # set is empty on all of R^p: every graph point escapes it and no probe is a member
-    sublevel_empty = kernel.q_floor() >= gamma
+    sublevel_empty = floor >= gamma
     if sublevel_empty:
         fraction = 1.0
         members = np.empty((0, matrix.spec.p))
     else:
+        kernel = CDKernel(matrix, beta)
         rng = np.random.default_rng(seed)
         X = bench.random_x(n_mass_samples, rng)
         y = bench.values(X)
@@ -177,14 +226,14 @@ def support_report(
         members = probes[~kernel.q_at_least(probes, gamma)]
     outside = fraction * matrix.mass_m
     mass_bound = outside_mass_bound(d, params)
-    # built on both paths, so a malformed f is refused either way
-    mesh, slack = graph_mesh(bench, mesh_points)
     if members.shape[0]:
         from scipy.spatial import cKDTree  # loaded on first use
 
+        mesh, slack = graph_mesh(bench, mesh_points)
         dists, _ = cKDTree(mesh).query(members)
         max_dist = float(np.max(dists))
     else:
+        slack = _mesh_slack(bench, mesh_points)
         max_dist = 0.0
     dist_bound = distance_bound(d, matrix.spec.domain_diameter())
 

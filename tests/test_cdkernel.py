@@ -18,6 +18,7 @@ from cdapprox.cdkernel import (
     ThresholdParams,
     apply_filter,
     beta_schedule,
+    certified_floor,
     gamma_threshold,
     perturbation_alpha,
     threshold_params,
@@ -422,6 +423,37 @@ def test_q_floor_is_the_box_wide_tier_of_q_at_least(name, d, family, monkeypatch
     kern.q_at_least(Z, np.nextafter(floor, np.inf))
     assert sum(calls) == Z.shape[0]
     assert CDKernel(M, beta_schedule(d), FilterKind.LOWPASS).q_floor() == 0.0
+
+
+@pytest.mark.parametrize(
+    "name,d,family",
+    [("sign", d, Family.LEGENDRE_ORTHONORMAL) for d in range(4, 17)]
+    + [(name, d, Family.LEGENDRE_ORTHONORMAL) for name, d in [("step", 8), ("disk1", 4), ("disk1", 8)]]
+    + [("sign", 8, Family.MONOMIAL_GREVLEX)],
+)
+def test_certified_floor_is_q_floor_from_the_eigenvalues(name, d, family):
+    # the same min(g) (1 - 1e-8) ||b||^2 floor from eigvalsh instead of eigh: equal
+    # to eigenvalue rounding, far inside the 1e-8 margin that both carry
+    M = get_benchmark(name).moment_matrix(d, family=family)
+    beta = beta_schedule(d)
+    assert certified_floor(M, beta) == pytest.approx(CDKernel(M, beta).q_floor(), rel=1e-13, abs=0.0)
+
+
+def test_certified_floor_refuses_what_cdkernel_refuses():
+    spec = BasisSpec(2, 1)
+    base = np.diag([2.0, 1.0, 0.0])
+    mild = MomentMatrix(spec, base + np.diag([0, 0, -1e-9]), Provenance.EMPIRICAL, 1.0)
+    assert certified_floor(mild, 1e-3) == pytest.approx(CDKernel(mild, 1e-3).q_floor(), rel=1e-13, abs=0.0)
+    bad = MomentMatrix(spec, base + np.diag([0, 0, -1e-3]), Provenance.EMPIRICAL, 1.0)
+    M = get_benchmark("sign").moment_matrix(2)
+    for matrix, beta, error in [(bad, 1e-3, IndefiniteMatrixError)] + [
+        (M, beta, ValueError) for beta in (0.0, math.nan, math.inf)
+    ]:
+        with pytest.raises(error) as by_kernel:
+            CDKernel(matrix, beta)
+        with pytest.raises(error) as by_floor:
+            certified_floor(matrix, beta)
+        assert str(by_floor.value) == str(by_kernel.value)
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])

@@ -128,7 +128,7 @@ def test_support_report_rejects_empty_samples_and_meshes(sizes):
 def _eval_q_report(bench, M, beta, **kwargs):
     """The report that draws every probe and makes each q >= gamma test on the exact q of eval_q_batch."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CDKernel, "q_floor", lambda self: -np.inf)
+        mp.setattr(support, "certified_floor", lambda matrix, beta: -np.inf)
         mp.setattr(CDKernel, "q_at_least", lambda self, Z, level: self.eval_q_batch(Z) >= level)
         rep = support_report(bench, M, beta, **kwargs)
     assert not rep.sublevel_empty
@@ -160,7 +160,7 @@ def test_support_report_equals_the_eval_q_batch_report(name, d, seed, monkeypatc
     # at r = p + 1/2 and the beta schedule the box-wide certificate
     # min(g) b_0^2 rho(d // p)^p reaches gamma_d in every case here (for sign
     # at d = 6 and 8 only with the tensor factor rho): no table is built, no
-    # probe is drawn, and q_at_least sees the mass samples only
+    # graph sample or probe is drawn, and q_at_least is never called
     bench = get_benchmark(name)
     M = bench.moment_matrix(d)
     kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=seed)
@@ -176,8 +176,39 @@ def test_support_report_equals_the_eval_q_batch_report(name, d, seed, monkeypatc
     rows = _count_q_at_least_rows(monkeypatch)
     rep = support_report(bench, M, beta_schedule(d), **kwargs)
     assert calls == []
-    assert rows == []  # the floor settles the mass samples too, where f is finite on all of them
+    assert rows == []  # the floor settles the escaping mass with no graph sample drawn
     assert rep.sublevel_empty
+    assert _without_certificate(rep) == _without_certificate(expected)
+
+
+@pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 8), ("disk1", 4)])
+def test_certified_report_computes_no_eigenvector_and_no_kernel(name, d, monkeypatch):
+    # the certificate needs only the eigenvalues, through certified_floor: neither
+    # eigh nor a CDKernel is called, and the report is still the exact-q one
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(d)
+    kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
+    expected = _eval_q_report(bench, M, beta_schedule(d), **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certified path needs no eigenvector")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(CDKernel, "__init__", refuse)
+    rep = support_report(bench, M, beta_schedule(d), **kwargs)
+    assert rep.sublevel_empty
+    assert _without_certificate(rep) == _without_certificate(expected)
+
+
+@pytest.mark.parametrize("name,d", [("sign", 6), ("disk1", 4)])
+def test_support_report_with_alpha_equals_the_eval_q_batch_report(name, d):
+    # alpha scales gamma_d by 1 - alpha and the mass bound by (1 + alpha)/(1 - alpha)
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(d)
+    kwargs = dict(alpha=0.3, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
+    expected = _eval_q_report(bench, M, beta_schedule(d), **kwargs)
+    rep = support_report(bench, M, beta_schedule(d), **kwargs)
+    assert rep.alpha == 0.3 and rep.sublevel_empty
     assert _without_certificate(rep) == _without_certificate(expected)
 
 
@@ -213,7 +244,8 @@ def _refuse_draws(monkeypatch):
 @pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("sign", 8), ("disk1", 4)])
 def test_certified_report_draws_no_graph_sample(name, d, monkeypatch):
     # where q_floor reaches gamma_d every graph point escapes, so the mass is
-    # exactly m: nothing is drawn, and f sees the graph mesh only
+    # exactly m: nothing is drawn, and f sees only the mesh's x grid, for the
+    # slack of p = 2; for p > 2 the slack is closed-form and f is not called
     bench = get_benchmark(name)
     M = bench.moment_matrix(d)
     kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
@@ -223,7 +255,7 @@ def test_certified_report_draws_no_graph_sample(name, d, monkeypatch):
     _refuse_draws(monkeypatch)
     rows = _count_q_at_least_rows(monkeypatch)
     rep = support_report(counted, M, beta_schedule(d), **kwargs)
-    assert f_rows == [mesh.shape[0]]
+    assert f_rows == ([mesh.shape[0]] if bench.p == 2 else [])
     assert rows == []
     assert rep.sublevel_empty and rep.outside_mass == M.mass_m
     assert _without_certificate(rep) == _without_certificate(expected)
@@ -249,6 +281,41 @@ def test_graph_mesh_drops_non_finite_points():
     nowhere = dataclasses.replace(sign, f=lambda X: np.full(X.shape[0], np.nan))
     with pytest.raises(ValueError, match="not finite at any of the 50 mesh points"):
         graph_mesh(nowhere, 50)
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, n) for name in ("sign", "step", "abs", "sign-non-finite") for n in (50, 500, 10_000)]
+    + [("disk1", 900), ("disk1", 10_000)],
+)
+def test_certified_report_slack_is_the_graph_mesh_slack(name, n, monkeypatch):
+    # with no member to measure, the report takes the slack from the x grid and
+    # f alone (p = 2) or in closed form (p > 2), bit for bit graph_mesh's, and
+    # builds no mesh
+    bench = _sign_with_non_finite_f() if name == "sign-non-finite" else get_benchmark(name)
+    M = bench.moment_matrix(4)
+    _, slack = graph_mesh(bench, n)
+
+    def refuse(bench, n):
+        raise AssertionError("a mesh was built with no member to measure")
+
+    monkeypatch.setattr(support, "graph_mesh", refuse)
+    rep = support_report(bench, M, beta_schedule(4), n_mass_samples=100, n_probes=100, mesh_points=n)
+    assert rep.sublevel_empty and rep.n_members == 0
+    assert rep.mesh_slack == slack
+
+
+def test_report_refuses_an_f_finite_nowhere():
+    # for p = 2 the slack reads f on the mesh's x grid, so an f that is finite
+    # nowhere is refused as graph_mesh refuses it
+    sign = get_benchmark("sign")
+    nowhere = dataclasses.replace(sign, f=lambda X: np.full(X.shape[0], np.nan))
+    kwargs = dict(n_mass_samples=100, n_probes=100, mesh_points=50)
+    with pytest.raises(ValueError) as by_mesh:
+        graph_mesh(nowhere, 50)
+    with pytest.raises(ValueError, match="not finite at any of the 50 mesh points") as by_report:
+        support_report(nowhere, sign.moment_matrix(4), beta_schedule(4), **kwargs)
+    assert str(by_report.value) == str(by_mesh.value)
 
 
 @pytest.mark.parametrize("d", [4, 8])
