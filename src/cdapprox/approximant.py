@@ -25,6 +25,7 @@ the batch it was sent in: one point is a one-row batch of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +39,14 @@ _CHUNK = 128  # points per stacked solve; bounds the (chunk, rows, d+1) work arr
 # alpha window: allowance on q at a computed crossing, times max q on the fiber;
 # the colleague roots leave residuals up to 5e-13 of max q at d = 20
 _CROSS_TOL = 1e-11
+
+
+def _check_knobs(alpha: float, tie_tol: float) -> None:
+    """Refuse an alpha outside [0, 1) and a tie_tol that is negative, nan or inf."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if not (math.isfinite(tie_tol) and tie_tol >= 0):
+        raise ValueError(f"tie_tol must be non-negative and finite, got {tie_tol}")
 
 
 @dataclass
@@ -66,8 +75,7 @@ class ApproxConfig:
     max_refinements: int = 24
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
+        _check_knobs(self.alpha, self.tie_tol)
 
     def resolve_epsilon(self) -> float | None:
         if self.epsilon is not None:
@@ -194,6 +202,7 @@ def partial_argmin(
     exact up to rounding, which meets any ``epsilon``;
     ``coarse_points`` and ``max_refinements`` are accepted and ignored.
     """
+    _check_knobs(alpha, tie_tol)
     A = np.atleast_2d(np.asarray(rows, dtype=float))
     if A.ndim > 2:
         raise ValueError(f"rows must be one row or a 2-D array of rows, got shape {A.shape}")

@@ -19,21 +19,15 @@ sum of squares of C = S B, with S the sum-of-squares rows.  Memory is
 O(block * n) whatever the number of points N, and the result matches a
 one-shot evaluation up to rounding.
 
-``CDKernel.q_at_least`` answers q(z) >= level without forming q where it
-can: q(z) >= min(g) ||b(z)||^2.  In the orthonormal family the basis holds
-the tensor products of the per-axis degrees <= m = d // p, so
-||b(z)||^2 >= b_0^2 rho(m)^p at every finite z, with b_0^2 = 1/vol and
-rho(m) the minimum over [-1, 1] of sum_{j<=m} (2j+1) P_j(u)^2; in the
-monomial family the constant term gives ||b(z)||^2 >= 1.  Where min(g)
-times that minimum, ``CDKernel.q_floor``, reaches the level every point is
-settled at once, with no table built.  Otherwise ``basis_sqnorm`` gives
-||b(z)||^2 from the per-axis tables in O(p d^2) per point, in blocks of
-``_BOUND_BLOCK`` points.  Only the points that bound leaves open get exact q,
-from the rows of their block's own tables.
+``certified_floor`` is the one certified lower bound of q over all of R^p:
+min(g) times the least ||b(z)||^2, from the eigenvalues alone.  Where it
+reaches a level the sublevel set is empty, and no kernel need be built.
 
-``certified_floor`` gives the Tikhonov ``q_floor`` from the eigenvalues
-alone, since min(g) = 1/(beta + lambda_max) needs no eigenvector: a caller
-that needs only the floor skips the eigenvectors that ``CDKernel`` computes.
+``CDKernel.q_at_least`` answers q(z) >= level without forming q where it
+can: in blocks of ``_BOUND_BLOCK`` points, ``basis_sqnorm`` gives
+||b(z)||^2 from the per-axis tables in O(p d^2) per point, and only the
+points that min(g) ||b(z)||^2 leaves open get exact q, from the rows of
+their block's own tables.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ from .basis import (
 from .errors import IndefiniteMatrixError
 from .moments import MomentMatrix, require_psd
 
-# relative slack on min(g)||b||^2 and on its box-wide minimum: the rounding of q and of the bound is
+# relative slack on min(g)||b||^2 and on its certified minimum: the rounding of q and of the bound is
 # about 1e-13, that of rho(m) about 1e-15
 _BOUND_MARGIN = 1e-8
 # points per block of the bound: its tables cost p (d+1) 8 bytes a point against n 8 for a basis
@@ -107,30 +101,31 @@ def _legendre_christoffel_min(m: int) -> float:
     return 2.0 * partial_argmin(np.eye(m + 1), (-1.0, 1.0))[1]
 
 
-def _sqnorm_floor(spec) -> float:
-    """Certified minimum of ||b(z)||^2 over every finite z: b_0^2 rho(d // p)^p, or 1 for monomials.
-
-    b_0^2 = 1/vol and rho = ``_legendre_christoffel_min``; see
-    ``CDKernel.q_at_least`` for why it holds outside the box too.
-    """
-    if spec.family is Family.LEGENDRE_ORTHONORMAL:
-        return _legendre_christoffel_min(spec.d // spec.p) ** spec.p / spec.domain_volume()
-    return 1.0
-
-
 def certified_floor(matrix: MomentMatrix, beta: float) -> float:
-    """``CDKernel(matrix, beta).q_floor()`` from the eigenvalues alone, with no eigenvector computed.
+    """Certified lower bound of the Tikhonov q over every finite z, from the eigenvalues alone.
 
-    It is min(g) (1 - 1e-8) times ``_sqnorm_floor`` for the Tikhonov filter,
-    whose min(g) = 1/(beta + lambda_max) needs no eigenvector.  It refuses
-    what ``CDKernel`` refuses, and matches ``q_floor`` to eigenvalue rounding
-    (about 1e-15 relative), far inside the 1e-8 margin.
+    With P orthogonal, q(z) = sum_i g_i (p_i . b(z))^2 >= min(g) ||b(z)||^2,
+    and min(g) = 1/(beta + lambda_max) needs no eigenvector.  In the
+    orthonormal family the exponents with every per-axis degree <= m = d // p
+    lie in the basis, and dropping the others gives
+    ||b(z)||^2 >= prod_k K_m(z_k) >= b_0^2 rho(m)^p, with b_0^2 = 1/vol and
+    rho = ``_legendre_christoffel_min``.  This holds at every finite z:
+    outside the box |P_j(u)| >= 1 on an axis with |u| >= 1, so that axis's
+    factor is at least (m+1)^2 / h, its largest value inside the box.  In the
+    monomial family the constant term 1 gives ||b(z)||^2 >= 1.  The result is
+    min(g) shrunk by a relative margin of 1e-8 times that minimum; where it
+    reaches a level, the sublevel set {q < level} is empty on all of R^p.  It
+    refuses what ``CDKernel`` refuses.
     """
     _check_beta(beta)
     evals = np.linalg.eigvalsh(matrix.entries)
     require_psd(evals)
     g = apply_filter(FilterKind.TIKHONOV, np.clip(evals, 0.0, None), beta)
-    return float(g.min()) * (1.0 - _BOUND_MARGIN) * _sqnorm_floor(matrix.spec)
+    spec = matrix.spec
+    sqnorm = 1.0
+    if spec.family is Family.LEGENDRE_ORTHONORMAL:
+        sqnorm = _legendre_christoffel_min(spec.d // spec.p) ** spec.p / spec.domain_volume()
+    return float(g.min()) * (1.0 - _BOUND_MARGIN) * sqnorm
 
 
 def beta_schedule(d: int) -> float:
@@ -193,63 +188,27 @@ class CDKernel:
     def q_at_least(self, Z, level: float) -> np.ndarray:
         """Boolean array: q(z) >= level at each row of Z, equal to ``eval_q_batch(Z) >= level``.
 
-        With P orthogonal, q(z) = sum_i g_i (p_i . b(z))^2 >= min(g) ||b(z)||^2;
-        for the Tikhonov filter min(g) = 1/(beta + lambda_max).  The bound is
-        shrunk by a relative margin of 1e-8 and used in two tiers:
-
-        * box-wide: in the orthonormal family the exponents with every
-          per-axis degree <= m = d // p lie in the basis, and dropping the
-          others gives ||b(z)||^2 >= prod_k K_m(z_k) >= b_0^2 rho(m)^p, with
-          b_0^2 = 1/vol and rho = ``_legendre_christoffel_min``.  This holds at
-          every finite z: outside the box |P_j(u)| >= 1 on an axis with
-          |u| >= 1, so that axis's factor is at least (m+1)^2 / h, its largest
-          value inside the box.  In the monomial family the constant term 1
-          gives ||b(z)||^2 >= 1.  Where min(g) times this minimum,
-          ``q_floor``, reaches ``level`` every finite row is settled at once
-          and no table is built;
-        * per point: in blocks of ``_BOUND_BLOCK`` points the bound settles each
-          point where it reaches ``level``; the others get exact q as in
-          ``eval_q_batch``, from the rows of the block's own tables, ``_BLOCK``
-          points at a time.
-
-        Rows with a non-finite coordinate get exact q, which may be nan and
-        then compares False.  The low-pass filter has min(g) = 0, so at a
-        positive level every point is evaluated exactly.  Memory is O(block * n).
+        q(z) >= min(g) ||b(z)||^2 (see ``certified_floor``), and the bound is
+        shrunk by a relative margin of 1e-8.  In blocks of ``_BOUND_BLOCK``
+        points it settles each row where it reaches ``level`` and ||b(z)||^2 is
+        finite, which needs every coordinate finite; every other row gets exact
+        q as in ``eval_q_batch``, from the rows of the block's own tables,
+        ``_BLOCK`` points at a time.  A row with a non-finite coordinate may get
+        nan, which compares False.  The low-pass filter has min(g) = 0, so at a
+        positive level every point is evaluated exactly.  Memory is
+        O(block * n).
         """
-        Z = as_points(self.spec, Z)
-        if np.isfinite(Z).all():
-            return self._finite_q_at_least(Z, level)
-        finite = np.isfinite(Z).all(axis=1)
-        out = np.empty(Z.shape[0], dtype=bool)
-        out[finite] = self._finite_q_at_least(Z[finite], level)
-        out[~finite] = self.eval_q_batch(Z[~finite]) >= level
-        return out
-
-    def _g_floor(self) -> float:
-        """min(g) shrunk by the relative margin: q(z) >= this times ||b(z)||^2 at every z."""
-        return float(self.filter_values.min()) * (1.0 - _BOUND_MARGIN)
-
-    def q_floor(self) -> float:
-        """Certified lower bound of q over every finite z, the box-wide tier of ``q_at_least``.
-
-        It is min(g) (1 - 1e-8) b_0^2 rho(d // p)^p in the orthonormal family,
-        with b_0^2 = 1/vol and rho = ``_legendre_christoffel_min``, and
-        min(g) (1 - 1e-8) in the monomial family; see ``q_at_least`` for why
-        it holds outside the box too.  Where it reaches a level, the sublevel
-        set {q < level} is empty on all of R^p.  Zero for the low-pass filter.
-        """
-        return self._g_floor() * _sqnorm_floor(self.spec)
-
-    def _finite_q_at_least(self, Z, level: float) -> np.ndarray:
-        """``q_at_least`` on rows that are all finite, where both tiers of the bound hold."""
-        if self.q_floor() >= level:
-            return np.ones(Z.shape[0], dtype=bool)
         spec = self.spec
-        floor = self._g_floor()
+        Z = as_points(spec, Z)
+        floor = float(self.filter_values.min()) * (1.0 - _BOUND_MARGIN)
         S = self.sos_decomposition()
         out = np.empty(Z.shape[0], dtype=bool)
         for rows, tabs in table_blocks(spec, Z, _BOUND_BLOCK):
-            sure = floor * basis_sqnorm(spec, tabs) >= level
+            with np.errstate(invalid="ignore", over="ignore"):
+                sqnorm = basis_sqnorm(spec, tabs)
+            # the bound holds at finite z only, and a non-finite coordinate makes ||b(z)||^2
+            # non-finite through its degree-1 member: one test per point, not per coordinate
+            sure = np.isfinite(sqnorm) & (floor * sqnorm >= level)
             open_ = np.flatnonzero(~sure)
             for start in range(0, open_.size, _BLOCK):
                 part = open_[start : start + _BLOCK]

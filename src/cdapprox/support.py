@@ -4,18 +4,18 @@ Two statements are checked for a kernel built from a graph measure mu at the
 threshold gamma_d: the measure of the graph that escapes the sublevel set
 {q < gamma_d} is small, and every point of the sublevel set lies close to the
 support of mu.  Both the escaping mass and the maximal distance decay at
-explicit rates in the degree d.  Where the kernel's certified floor
-``certified_floor`` (``CDKernel.q_floor`` from the eigenvalues alone) reaches
-gamma_d the sublevel set is provably empty on all of R^p: ``support_report``
-then computes no eigenvector and draws nothing, the escaping mass is exactly
-the graph's mass m and no probe is a member.  Elsewhere both are estimated by
-Monte Carlo.  On either path a graph point where f is inf or nan is not a
-point of R^p: it escapes, and it is not part of the graph mesh.  The mesh
-itself is built only where there are members to measure against it; with
-none, the mesh slack alone is computed, from the mesh's x grid and f for
-p = 2 and in closed form above.  The escaping-mass bound is summed in log
-space, as ``gamma_threshold`` is: its factor (3r)^(2r) overflows double
-precision for moderate r even where the bound itself does not.
+explicit rates in the degree d.  Where ``certified_floor``, a lower bound of
+q at every finite z from the eigenvalues alone, reaches gamma_d the sublevel
+set is provably empty on all of R^p: ``support_report`` then computes no
+eigenvector and draws nothing, the escaping mass is exactly the graph's mass
+m and no probe is a member.  Elsewhere both are estimated by Monte Carlo.
+On either path a graph point where f is inf or nan is not a point of R^p: it
+escapes, and it is not part of the graph mesh.  The mesh itself is built only
+where there are members to measure against it; with none, the mesh slack
+alone is computed, from the mesh's x grid and f for p = 2 and in closed form
+above.  The escaping-mass bound is summed in log space, as
+``gamma_threshold`` is: its factor (3r)^(2r) overflows double precision for
+moderate r even where the bound itself does not.
 """
 
 from __future__ import annotations
@@ -190,7 +190,8 @@ def support_report(
     computed, bit for bit ``graph_mesh``'s.  So the mesh grid is read, and an
     f that is finite nowhere on it is refused, only for p = 2 or where there
     are members; an f that gives the wrong number of values is refused
-    wherever it is called.
+    wherever it is called.  A ``seed`` that ``np.random.default_rng`` would
+    refuse is refused up front, on both paths.
     """
     d = matrix.spec.d
     if d <= 1:
@@ -203,6 +204,7 @@ def support_report(
         raise ValueError(f"the graph mesh needs at least 2 points, got {mesh_points}")
     if bench.p != matrix.spec.p:
         raise ValueError(f"benchmark {bench.name!r} has p={bench.p}, the matrix p={matrix.spec.p}")
+    seeds = np.random.SeedSequence(seed)  # refuses a bad seed as default_rng would, on both paths
     floor = certified_floor(matrix, beta)
     params = threshold_params(matrix, r=r, alpha=alpha)
     gamma = gamma_threshold(d, params)
@@ -214,7 +216,7 @@ def support_report(
         members = np.empty((0, matrix.spec.p))
     else:
         kernel = CDKernel(matrix, beta)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seeds)  # the stream of default_rng(seed)
         X = bench.random_x(n_mass_samples, rng)
         y = bench.values(X)
         # a sample where f is inf or nan is not a point of R^p, so it escapes

@@ -162,6 +162,25 @@ def test_config_validation_and_resolution():
     assert ApproxConfig().resolve_epsilon() is None
 
 
+@pytest.mark.parametrize("tie_tol", [-1.0, -1e-300, np.nan, np.inf])
+def test_config_refuses_a_tie_tol_that_is_negative_or_not_finite(tie_tol):
+    # a negative or nan tie window admits no candidate as the minimum, and an
+    # infinite one admits every candidate: sign d=8 at x = 0.5 then gave
+    # y = -0.996 with q = 2.9e7 against the true minimum q = 4.84 at y = 1;
+    # partial_argmin takes the same knobs and refuses them too
+    with pytest.raises(ValueError, match="tie_tol"):
+        ApproxConfig(tie_tol=tie_tol)
+    app = Approximant(CDKernel(get_benchmark("sign").moment_matrix(8), 1e-8), ApproxConfig(tie_tol=0.0))
+    y, q = app.evaluate_batch(np.array([[0.5]]))
+    assert y[0] == 1.0 and q[0] == pytest.approx(4.8448, rel=1e-4)
+    rows = app.y_coefficients([0.5])
+    assert partial_argmin(rows, (-1.0, 1.0), tie_tol=0.0) == (y[0], q[0])
+    with pytest.raises(ValueError, match="tie_tol"):
+        partial_argmin(rows, (-1.0, 1.0), tie_tol=tie_tol)
+    with pytest.raises(ValueError, match="alpha"):
+        partial_argmin(rows, (-1.0, 1.0), alpha=1.0)  # was a ZeroDivisionError
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_y_coefficients_reproduce_kernel(family):
     # the sum-of-squares rows must reproduce direct kernel evaluation

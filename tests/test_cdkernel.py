@@ -241,31 +241,37 @@ def _box_points(spec, N, seed):
     return np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(N, spec.p))
 
 
+def _kernel_floor(kern):
+    """min(g) (1 - 1e-8) b_0^2 rho(d // p)^p of a kernel (rho = 1 and b_0 = 1 in the monomial family)."""
+    spec = kern.spec
+    tensor = 1.0
+    if spec.family is Family.LEGENDRE_ORTHONORMAL:
+        tensor = rho(spec.d // spec.p) ** spec.p / spec.domain_volume()
+    return kern.filter_values.min() * (1.0 - _BOUND_MARGIN) * tensor
+
+
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("name,d", [("sign", 4), ("disk1", 8)])
-def test_q_at_least_settles_every_finite_row_box_wide_without_tables(name, d, family, monkeypatch):
-    # q(z) >= min(g) ||b(z)||^2 >= min(g) b_0^2 rho(d // p)^p with b_0 the
-    # constant basis element (rho = 1 in the monomial family); where that
-    # reaches gamma_d no table is built, and rows with a nan or inf coordinate
-    # still get eval_q_batch's answer
+def test_q_at_least_at_the_certified_floor_forms_no_exact_q(name, d, family, monkeypatch):
+    # q(z) >= min(g) ||b(z)||^2 >= certified_floor at every finite z: at that level
+    # the per-point bound settles every finite row with no exact-q product, and rows
+    # with a nan or inf coordinate still get eval_q_batch's answer
     M = get_benchmark(name).moment_matrix(d, family=family)
     kern = CDKernel(M, beta_schedule(d))
-    gamma = gamma_threshold(d, threshold_params(M))
-    b0 = eval_basis_batch(M.spec, np.zeros((1, M.spec.p)))[0, 0]
-    tensor = rho(d // M.spec.p) ** M.spec.p if family is Family.LEGENDRE_ORTHONORMAL else 1.0
-    assert kern.filter_values.min() * b0**2 * tensor > gamma
+    level = certified_floor(M, beta_schedule(d))
+    assert level > gamma_threshold(d, threshold_params(M))  # the level support_report certifies at
     Z = _box_points(M.spec, _BLOCK + 7, d)
     bad = Z.copy()
     bad[3, 0], bad[10, -1], bad[11, 0] = np.nan, np.inf, -np.inf
     with np.errstate(invalid="ignore", over="ignore"):
         q, q_bad = kern.eval_q_batch(Z), kern.eval_q_batch(bad)
-        calls = _count_table_calls(monkeypatch)
-        got = kern.q_at_least(Z, gamma)
-        assert calls == []
-        assert np.array_equal(got, q >= gamma) and got.all()
-        got_bad = kern.q_at_least(bad, gamma)
-    assert calls == [3]  # only the non-finite rows are tabulated, for exact q
-    assert np.array_equal(got_bad, q_bad >= gamma) and not got_bad[3]
+        sent = _count_exact_points(monkeypatch)
+        got = kern.q_at_least(Z, level)
+        assert sent == []
+        assert np.array_equal(got, q >= level) and got.all()
+        got_bad = kern.q_at_least(bad, level)
+    assert sent == [3]  # only the non-finite rows get exact q
+    assert np.array_equal(got_bad, q_bad >= level) and not got_bad[3]
 
 
 @pytest.mark.parametrize("name,d", [("sign", 4), ("disk1", 8)])
@@ -284,7 +290,7 @@ def test_q_at_least_lowpass_never_takes_the_box_certificate(name, d, monkeypatch
 
 
 def test_q_at_least_bounds_in_blocks_larger_than_a_basis_block(monkeypatch):
-    # sign d=8 at 1.5 times the box-wide certificate min(g) rho(4)^2 / vol:
+    # sign d=8 at 1.5 times the certified minimum min(g) rho(4)^2 / vol:
     # the per-point bound runs and settles every point; it tabulates in blocks
     # above _BLOCK points, which pays numpy's per-call cost less often than one
     # table call per basis block would
@@ -385,44 +391,40 @@ def test_tensor_certificate_is_below_the_squared_basis_norm_inside_and_outside_t
 
 
 @pytest.mark.parametrize("kind", [FilterKind.TIKHONOV, FilterKind.CUTOFF])
-def test_q_at_least_box_certificate_holds_outside_the_box(kind, monkeypatch):
-    # sign d=8: just below min(g) b_0^2 rho(4)^2 every finite row is settled
-    # without tables, points far outside the box included, and the answer is
-    # still eval_q_batch's
+def test_q_at_least_bound_settles_points_outside_the_box(kind, monkeypatch):
+    # sign d=8: just below min(g) b_0^2 rho(4)^2 the per-point bound settles
+    # every row, points far outside the box included, with no exact-q product,
+    # and the answer is still eval_q_batch's
     M = get_benchmark("sign").moment_matrix(8)
     kern = CDKernel(M, beta_schedule(8), kind)
     level = kern.filter_values.min() * rho(4) ** 2 / M.spec.domain_volume() * (1.0 - 2 * _BOUND_MARGIN)
     rng = np.random.default_rng(5)
     Z = np.vstack([_box_points(M.spec, 500, 5), rng.uniform(-4.0, 4.0, size=(1500, 2))])
     q = kern.eval_q_batch(Z)
-    calls = _count_table_calls(monkeypatch)
+    sent = _count_exact_points(monkeypatch)
     got = kern.q_at_least(Z, level)
-    assert calls == []
+    assert sent == []
     assert np.array_equal(got, q >= level) and got.all()
 
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("name,d", [("sign", 8), ("disk1", 6)])
-def test_q_floor_is_the_box_wide_tier_of_q_at_least(name, d, family, monkeypatch):
-    # q_floor is min(g) (1 - 1e-8) b_0^2 rho(d // p)^p (rho = 1 in the monomial
-    # family), below q inside the box and out; q_at_least settles every finite
-    # row without tables exactly at levels up to it, and tabulates just above
+def test_certified_floor_is_below_q_inside_and_outside_the_box(name, d, family, monkeypatch):
+    # certified_floor is below q in the box and at points up to 4 outside it;
+    # q_at_least settles every such row at that level with no exact-q product,
+    # and halfway to min q it forms exact q where the bound is tightest
     M = get_benchmark(name).moment_matrix(d, family=family)
-    kern = CDKernel(M, beta_schedule(d))
-    tensor = 1.0
-    if family is Family.LEGENDRE_ORTHONORMAL:
-        tensor = rho(d // M.spec.p) ** M.spec.p / M.spec.domain_volume()
-    floor = kern.q_floor()
-    assert floor == pytest.approx(kern.filter_values.min() * tensor, rel=2 * _BOUND_MARGIN)
-    assert floor < kern.filter_values.min() * tensor
+    beta = beta_schedule(d)
+    kern = CDKernel(M, beta)
+    floor = certified_floor(M, beta)
     rng = np.random.default_rng(d)
     Z = np.vstack([_box_points(M.spec, 1000, d), rng.uniform(-4.0, 4.0, size=(1000, M.spec.p))])
-    assert kern.eval_q_batch(Z).min() >= floor
-    calls = _count_table_calls(monkeypatch)
-    assert kern.q_at_least(Z, floor).all() and calls == []
-    kern.q_at_least(Z, np.nextafter(floor, np.inf))
-    assert sum(calls) == Z.shape[0]
-    assert CDKernel(M, beta_schedule(d), FilterKind.LOWPASS).q_floor() == 0.0
+    q = kern.eval_q_batch(Z)
+    assert q.min() >= floor
+    sent = _count_exact_points(monkeypatch)
+    assert kern.q_at_least(Z, floor).all() and sent == []
+    level = 0.5 * (floor + q.min())
+    assert np.array_equal(kern.q_at_least(Z, level), q >= level) and sent
 
 
 @pytest.mark.parametrize(
@@ -431,19 +433,19 @@ def test_q_floor_is_the_box_wide_tier_of_q_at_least(name, d, family, monkeypatch
     + [(name, d, Family.LEGENDRE_ORTHONORMAL) for name, d in [("step", 8), ("disk1", 4), ("disk1", 8)]]
     + [("sign", 8, Family.MONOMIAL_GREVLEX)],
 )
-def test_certified_floor_is_q_floor_from_the_eigenvalues(name, d, family):
-    # the same min(g) (1 - 1e-8) ||b||^2 floor from eigvalsh instead of eigh: equal
-    # to eigenvalue rounding, far inside the 1e-8 margin that both carry
+def test_certified_floor_is_the_kernel_floor_from_the_eigenvalues(name, d, family):
+    # the min(g) (1 - 1e-8) b_0^2 rho(d // p)^p floor from eigvalsh instead of eigh:
+    # equal to eigenvalue rounding, far inside the 1e-8 margin
     M = get_benchmark(name).moment_matrix(d, family=family)
     beta = beta_schedule(d)
-    assert certified_floor(M, beta) == pytest.approx(CDKernel(M, beta).q_floor(), rel=1e-13, abs=0.0)
+    assert certified_floor(M, beta) == pytest.approx(_kernel_floor(CDKernel(M, beta)), rel=1e-13, abs=0.0)
 
 
 def test_certified_floor_refuses_what_cdkernel_refuses():
     spec = BasisSpec(2, 1)
     base = np.diag([2.0, 1.0, 0.0])
     mild = MomentMatrix(spec, base + np.diag([0, 0, -1e-9]), Provenance.EMPIRICAL, 1.0)
-    assert certified_floor(mild, 1e-3) == pytest.approx(CDKernel(mild, 1e-3).q_floor(), rel=1e-13, abs=0.0)
+    assert certified_floor(mild, 1e-3) == pytest.approx(_kernel_floor(CDKernel(mild, 1e-3)), rel=1e-13, abs=0.0)
     bad = MomentMatrix(spec, base + np.diag([0, 0, -1e-3]), Provenance.EMPIRICAL, 1.0)
     M = get_benchmark("sign").moment_matrix(2)
     for matrix, beta, error in [(bad, 1e-3, IndefiniteMatrixError)] + [

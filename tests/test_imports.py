@@ -42,7 +42,7 @@ def test_cold_start_loads_neither_scipy_nor_mpmath(argv):
 
 def test_vacuous_support_report_loads_no_scipy():
     # the q >= gamma_d tests are settled by the bound min(g) ||b||^2 in numpy
-    # alone (at d = 8 by its box-wide minimum, from the fiber solver), and an
+    # alone (at d = 8 by certified_floor, from eigvalsh and the fiber solver), and an
     # empty sublevel set needs no mesh query: scipy (and its BLAS wrappers,
     # tens of MB of resident memory) stays unloaded
     code = (

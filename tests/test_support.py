@@ -7,7 +7,7 @@ import pytest
 
 from cdapprox import basis, benchmarks, support
 from cdapprox.benchmarks import get_benchmark
-from cdapprox.cdkernel import CDKernel, ThresholdParams, beta_schedule
+from cdapprox.cdkernel import CDKernel, ThresholdParams, beta_schedule, certified_floor
 from cdapprox.support import (
     SupportReport,
     distance_bound,
@@ -157,7 +157,7 @@ def _without_certificate(report):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("sign", 8), ("disk1", 4)])
 def test_support_report_equals_the_eval_q_batch_report(name, d, seed, monkeypatch):
-    # at r = p + 1/2 and the beta schedule the box-wide certificate
+    # at r = p + 1/2 and the beta schedule the certified floor
     # min(g) b_0^2 rho(d // p)^p reaches gamma_d in every case here (for sign
     # at d = 6 and 8 only with the tensor factor rho): no table is built, no
     # graph sample or probe is drawn, and q_at_least is never called
@@ -243,7 +243,7 @@ def _refuse_draws(monkeypatch):
 
 @pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("sign", 8), ("disk1", 4)])
 def test_certified_report_draws_no_graph_sample(name, d, monkeypatch):
-    # where q_floor reaches gamma_d every graph point escapes, so the mass is
+    # where certified_floor reaches gamma_d every graph point escapes, so the mass is
     # exactly m: nothing is drawn, and f sees only the mesh's x grid, for the
     # slack of p = 2; for p > 2 the slack is closed-form and f is not called
     bench = get_benchmark(name)
@@ -336,7 +336,7 @@ def test_certified_report_counts_non_finite_graph_samples_as_escaping(d, monkeyp
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_uncertified_report_counts_non_finite_graph_samples_as_escaping(seed, monkeypatch):
-    # sign at d = 12, where q_floor is about 0.83 of gamma_d: the finite graph
+    # sign at d = 12, where certified_floor is about 0.83 of gamma_d: the finite graph
     # samples go through q_at_least, the others escape without a q test
     bench = _sign_with_non_finite_f()
     d = 12
@@ -358,6 +358,18 @@ def test_uncertified_report_counts_non_finite_graph_samples_as_escaping(seed, mo
     assert np.isfinite(rep.mesh_slack) and rep.distance_ok
 
 
+@pytest.mark.parametrize("d", [6, 12])
+def test_support_report_refuses_a_negative_seed_on_both_paths(d):
+    # sign at r = 2.5: d = 6 is certified and draws nothing, d = 12 draws; both
+    # refuse the seed that np.random.default_rng refuses, before any work
+    bench = get_benchmark("sign")
+    M = bench.moment_matrix(d)
+    kwargs = dict(r=2.5, n_mass_samples=100, n_probes=100, mesh_points=50)
+    assert support_report(bench, M, beta_schedule(d), seed=0, **kwargs).sublevel_empty == (d == 6)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        support_report(bench, M, beta_schedule(d), seed=-1, **kwargs)
+
+
 def test_certified_report_rejects_a_mismatched_benchmark():
     # where the floor settles the mass samples no graph array is built and no
     # q is formed, so support_report itself must refuse a benchmark that does
@@ -374,9 +386,9 @@ def test_certified_report_rejects_a_mismatched_benchmark():
 
 @pytest.mark.parametrize("d,seed,ratio", [(12, 0, 0.83), (12, 1, 0.83), (16, 0, 0.40)])
 def test_support_report_probes_where_the_certificate_falls_short(d, seed, ratio, monkeypatch):
-    # sign at r = 2.5 and the beta schedule: q_floor is about 0.83 of gamma_d
+    # sign at r = 2.5 and the beta schedule: certified_floor is about 0.83 of gamma_d
     # at d = 12 and 0.40 at d = 16, so the probes are drawn and q_at_least's
-    # per-point tier decides them (at d = 16 about a quarter of them by exact
+    # per-point bound decides them (at d = 16 about a quarter of them by exact
     # q); the report is still the exact-q one
     bench = get_benchmark("sign")
     M = bench.moment_matrix(d)
@@ -385,7 +397,7 @@ def test_support_report_probes_where_the_certificate_falls_short(d, seed, ratio,
     expected = _eval_q_report(bench, M, beta, **kwargs)
     rows = _count_q_at_least_rows(monkeypatch)
     rep = support_report(bench, M, beta, **kwargs)
-    assert CDKernel(M, beta).q_floor() / rep.gamma == pytest.approx(ratio, abs=0.01)
+    assert certified_floor(M, beta) / rep.gamma == pytest.approx(ratio, abs=0.01)
     assert rows == [3000, 2000]
     assert not rep.sublevel_empty
     assert rep.to_dict() == expected.to_dict()
