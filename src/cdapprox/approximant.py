@@ -16,11 +16,15 @@ values at 2d+1 Gauss-Legendre nodes, the critical points from the stacked
 colleague matrices of dq/dy (Good 1961; Boyd, SIAM Rev. 55, 2013) in one
 eigenvalue call, and the candidates -- critical points plus the ends of Y --
 are scored in the sum-of-squares form.  The minimum is therefore exact up to
-rounding.  Values within the tie window of the minimum count as ties and the
-smallest y wins, which reproduces the min-argmin convention on symmetric
-fibers.  Every step works row by row, so a point's result does not depend on
-the batch it was sent in: one point is a one-row batch of
-``Approximant.evaluate_batch``.
+rounding.  The squared row sums are einsum contractions: they add the rows in
+the same order as a sum over the row axis, without that strided reduction's
+cost.  The fixed tridiagonal part of each size of colleague matrix is cached
+as a template, so a chunk copies it and fills only the last column.
+
+Values within the tie window of the minimum count as ties and the smallest y
+wins, which reproduces the min-argmin convention on symmetric fibers.  Every
+step works row by row, so a point's result does not depend on the batch it
+was sent in: one point is a one-row batch of ``Approximant.evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -102,26 +106,40 @@ def _fiber_maps(d: int) -> tuple:
     return nodes, project, derive
 
 
+@lru_cache(maxsize=64)
+def _colleague_template(n: int) -> tuple:
+    """The fixed part of the size-n colleague matrix: its tridiagonal and the last-column scale."""
+    scl = 1.0 / np.sqrt(2.0 * np.arange(n) + 1.0)
+    k = np.arange(n - 1)
+    mat = np.zeros((n, n))
+    mat[k, k + 1] = mat[k + 1, k] = (k + 1) * scl[:-1] * scl[1:]
+    last = scl / scl[-1]
+    for a in (mat, last):
+        a.setflags(write=False)
+    return mat, last
+
+
 def _colleague(c: np.ndarray) -> np.ndarray:
     """Stacked symmetric-scaled colleague matrices of Legendre series rows c (as numpy's legcompanion)."""
     n = c.shape[1] - 1
-    scl = 1.0 / np.sqrt(2.0 * np.arange(n) + 1.0)
-    k = np.arange(n - 1)
-    mat = np.zeros((c.shape[0], n, n))
-    mat[:, k, k + 1] = mat[:, k + 1, k] = (k + 1) * scl[:-1] * scl[1:]
-    mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * (n / (2.0 * n - 1.0))
+    template, last = _colleague_template(n)
+    mat = np.repeat(template[None], c.shape[0], axis=0)
+    mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * last * (n / (2.0 * n - 1.0))
     return mat
 
 
 def _real_roots(c: np.ndarray) -> np.ndarray:
     """Real parts of the roots of each Legendre series row, clipped to [-1, 1].
 
-    A row's degree is that of its last nonzero coefficient, so a vanishing
-    leading coefficient lowers the degree instead of dividing by zero; rows are
-    grouped by degree and a missing root reads -1.  Real parts of complex roots
-    are kept too: scoring them costs little and covers roots that rounding
-    split off the real axis.
+    When every row has a nonzero last coefficient, one eigenvalue call solves
+    the whole stack.  Otherwise a row's degree is that of its last nonzero
+    coefficient, so a vanishing leading coefficient lowers the degree instead
+    of dividing by zero; rows are grouped by degree and a missing root reads
+    -1.  Real parts of complex roots are kept too: scoring them costs little
+    and covers roots that rounding split off the real axis.
     """
+    if c.shape[1] > 1 and c[:, -1].all():
+        return np.clip(np.linalg.eigvals(_colleague(c)).real, -1.0, 1.0)
     out = np.full((c.shape[0], c.shape[1] - 1), -1.0)
     live = c != 0.0
     deg = np.where(live.any(axis=1), c.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1), 0)
@@ -133,14 +151,25 @@ def _real_roots(c: np.ndarray) -> np.ndarray:
 
 def _sos_values(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """q(u) = sum_i (rows_i . P(u))^2 for rows (B, r, d+1) at points u (B, k)."""
-    terms = rows @ legendre.legvander(u, rows.shape[2] - 1).transpose(0, 2, 1)
-    return (terms * terms).sum(axis=1)
+    d = rows.shape[2] - 1
+    # P_j(u) by legvander's recurrence into a degree-major buffer, so each degree is one contiguous write
+    V = np.empty((d + 1, *u.shape))
+    V[0] = 1.0
+    if d > 0:
+        V[1] = u
+    for i in range(2, d + 1):
+        V[i] = (V[i - 1] * u * (2 * i - 1) - V[i - 2] * (i - 1)) / i
+    terms = rows @ V.transpose(1, 0, 2)
+    return np.einsum("brk,brk->bk", terms, terms)
 
 
 def _interval(interval) -> tuple[float, float]:
+    """(lo, hi) of a search interval; refuses an empty one and one whose ends or width are not finite."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):  # an infinite end, or ends so far apart that the width overflows
+        raise ValueError(f"search interval [{lo}, {hi}] is not a finite interval")
     return lo, hi
 
 
@@ -157,7 +186,7 @@ def _fiber_argmin(A: np.ndarray, interval, alpha: float, tie_tol: float) -> tupl
     rows = A * np.sqrt((2.0 * np.arange(d + 1) + 1.0) / (hi - lo))  # now in P_k(u), u on [-1, 1]
     nodes, project, derive = _fiber_maps(d)
     at_nodes = rows @ nodes
-    c = ((at_nodes * at_nodes).sum(axis=1)[:, None, :] @ project)[:, 0]
+    c = (np.einsum("brk,brk->bk", at_nodes, at_nodes)[:, None, :] @ project)[:, 0]
     ends = np.broadcast_to([-1.0, 1.0], (A.shape[0], 2))
     u = np.concatenate([_real_roots((c[:, None, :] @ derive)[:, 0]), ends], axis=1)
     q = _sos_values(rows, u)
@@ -251,6 +280,9 @@ class Approximant:
     def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized evaluation over rows of X; returns (values, fiber minima)."""
         X = as_points(self._x_spec, X)
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"point row {bad[0]} has a non-finite coordinate: {X[bad[0]].tolist()}")
         cfg = self.config
         ys, qs = np.empty(X.shape[0]), np.empty(X.shape[0])
         for s in range(0, X.shape[0], _CHUNK):

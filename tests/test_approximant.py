@@ -1,5 +1,6 @@
 """Fiber minimization and the graph approximant."""
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
-from cdapprox.approximant import _CHUNK, ApproxConfig, Approximant, partial_argmin
+from cdapprox import approximant
+from cdapprox.approximant import _CHUNK, ApproxConfig, Approximant, _fiber_argmin, _fiber_maps, _real_roots, partial_argmin
 from cdapprox.basis import BasisSpec, Family
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import CDKernel
@@ -154,6 +156,29 @@ def test_degenerate_fibers():
             assert q == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (-1e308, 1e308)])
+def test_infinite_or_overflowing_search_intervals_are_refused(interval):
+    # such an interval used to give (nan, 0.0) from partial_argmin, and an
+    # Approximant that failed every call on "non-finite fiber coefficients"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not a finite interval"):
+            partial_argmin(np.array([1.0, 2.0]), interval)
+        kern = CDKernel(get_benchmark("sign").moment_matrix(4), 1e-8)
+        with pytest.raises(ValueError, match="not a finite interval"):
+            Approximant(kern, ApproxConfig(y_interval=interval))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_refused_by_row(bad):
+    # these used to fail on "non-finite fiber coefficients", after a matmul RuntimeWarning for inf
+    app = Approximant(CDKernel(get_benchmark("disk1").moment_matrix(2), 1e-4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"point row 2 has a non-finite coordinate"):
+            app.evaluate_batch([[0.1, 0.2], [0.3, 0.4], [0.5, bad], [bad, 0.0]])
+
+
 def test_config_validation_and_resolution():
     with pytest.raises(ValueError):
         ApproxConfig(alpha=1.0)
@@ -293,3 +318,110 @@ def test_custom_y_interval_restricts_search():
     rows = app.y_coefficients([-0.5])
     for t in (0.1, 0.5, 0.9):
         assert float(sos_value(rows, t, (0.0, 1.0))) == pytest.approx(app.kernel.eval_q_batch([[-0.5, t]])[0], rel=1e-9)
+
+
+def test_mixed_degree_stacks_match_their_one_row_calls(monkeypatch):
+    # a stack holding a fiber whose dq/du loses its top coefficient solves its
+    # roots degree by degree; each row must still match its one-row call, which
+    # takes the single eigenvalue call, and the dense-grid minimum
+    full = [legendre_rows([[0.3, -1.0, 0.2, 0.5, 1.0], [0.1, 0.4]]), legendre_rows([[0.5, 0.3, -1.5, 0.0, 2.0]])]
+    low = [sos_rows(sign_argmin_coeffs(-0.5)), sos_rows(abs_argmin_coeffs(0.6)), legendre_rows([[-0.2, 1.0]])]
+    fibers = full + low + [np.zeros((2, 5))]
+    A = np.zeros((len(fibers), 2, 5))
+    for i, rows in enumerate(fibers):
+        A[i, : rows.shape[0], : rows.shape[1]] = rows
+    tops = []
+
+    def spy(c):
+        tops.append(c[:, -1].copy())
+        return _real_roots(c)
+
+    monkeypatch.setattr(approximant, "_real_roots", spy)
+    for alpha in (0.0, 0.3):
+        tops.clear()
+        ys, qs = _fiber_argmin(A, (-1.0, 1.0), alpha, 1e-13)
+        assert not tops[0].all() and tops[0][:2].all()  # the stack took the degree-grouped path
+        for i in range(A.shape[0]):
+            y, q = _fiber_argmin(A[i : i + 1], (-1.0, 1.0), alpha, 1e-13)
+            np.testing.assert_array_equal(y, ys[i : i + 1])
+            np.testing.assert_array_equal(q, qs[i : i + 1])
+    ys, qs = _fiber_argmin(A, (-1.0, 1.0), 0.0, 1e-13)
+    grid = np.linspace(-1.0, 1.0, 200_001)
+    for i in range(A.shape[0]):
+        dense = sos_value(A[i], grid)
+        j = int(np.argmin(dense))
+        assert qs[i] <= dense[j] + 1e-12 * max(1.0, dense[j])
+        assert ys[i] == pytest.approx(grid[j], abs=1e-4)
+    # rows of several exact degrees, in one call: the roots of each row, as numpy finds them alone
+    c = np.array([[0.5, -1.0, 0.25, 1.0], [0.1, 1.0, 0.0, 0.0], [0.3, -0.2, 2.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    roots = _real_roots(c)
+    for row, got in zip(c, roots):
+        n = np.flatnonzero(row)[-1]
+        want = np.sort(np.clip(legendre.legroots(row[: n + 1]).real, -1.0, 1.0))
+        np.testing.assert_allclose(np.sort(got[:n]), want, rtol=0.0, atol=1e-14)
+        assert np.all(got[n:] == -1.0)
+
+
+def _plain_fiber_argmin(A, interval, alpha, tie_tol):
+    # the fiber solver in its plain formulation: legvander candidates, axis-1
+    # square sums, and numpy's legcompanion matrices solved degree by degree
+    def roots(c):
+        out = np.full((c.shape[0], c.shape[1] - 1), -1.0)
+        live = c != 0.0
+        deg = np.where(live.any(axis=1), c.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1), 0)
+        for n in sorted(set(deg.tolist()) - {0}):
+            sel = deg == n
+            mats = np.stack([legendre.legcompanion(row) for row in c[sel, : n + 1]])
+            out[sel, :n] = np.linalg.eigvals(mats).real
+        return np.clip(out, -1.0, 1.0)
+
+    def values(rows, u):
+        t = rows @ legendre.legvander(u, rows.shape[2] - 1).transpose(0, 2, 1)
+        return (t * t).sum(axis=1)
+
+    lo, hi = interval
+    d = A.shape[2] - 1
+    rows = A * np.sqrt((2.0 * np.arange(d + 1) + 1.0) / (hi - lo))
+    nodes, project, derive = _fiber_maps(d)
+    at_nodes = rows @ nodes
+    c = ((at_nodes * at_nodes).sum(axis=1)[:, None, :] @ project)[:, 0]
+    u = np.concatenate([roots((c[:, None, :] @ derive)[:, 0]), np.broadcast_to([-1.0, 1.0], (A.shape[0], 2))], axis=1)
+    q = values(rows, u)
+    qmin, qmax = q.min(axis=1), q.max(axis=1)
+    window = tie_tol * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
+    if alpha > 0.0:
+        thresh = (1.0 + alpha) / (1.0 - alpha) * np.maximum(qmin, 0.0) + window
+        shifted = c.copy()
+        shifted[:, 0] -= thresh
+        cross = roots(shifted)
+        u, q = np.concatenate([u, cross], axis=1), np.concatenate([q, values(rows, cross)], axis=1)
+        thresh = thresh + approximant._CROSS_TOL * np.abs(qmax)
+    else:
+        thresh = qmin + window
+    pick = np.argmin(np.where(q <= thresh[:, None], u, np.inf), axis=1)
+    at = np.arange(A.shape[0])
+    return np.clip(lo + 0.5 * (u[at, pick] + 1.0) * (hi - lo), lo, hi), q[at, pick]
+
+
+@lru_cache(maxsize=None)
+def empirical_disk_kernel():
+    return CDKernel(get_benchmark("disk1").moment_matrix(8, mode="empirical", grid=100), 1e-3)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(name, d, 0.0) for name in ("sign", "step") for d in (4, 8, 12, 16, 20)] + [("disk1", 8, 0.0), ("step", 12, 0.1)],
+    ids=lambda case: f"{case[0]}-d{case[1]}-alpha{case[2]}",
+)
+def test_evaluate_batch_is_bit_equal_to_the_plain_formulation(case):
+    name, d, alpha = case
+    kern = empirical_disk_kernel() if name == "disk1" else quad_kernel(name, d)
+    app = Approximant(kern, ApproxConfig(alpha=alpha))
+    X = get_benchmark(name).grid_x(16 if name != "disk1" else (4, 4))
+    A = np.stack([app.y_coefficients(x) for x in X])
+    for size in (1, 8, 16):
+        for s in range(0, X.shape[0], size):
+            y, q = app.evaluate_batch(X[s : s + size])
+            y_ref, q_ref = _plain_fiber_argmin(A[s : s + size], (-1.0, 1.0), alpha, app.config.tie_tol)
+            np.testing.assert_array_equal(y, y_ref)
+            np.testing.assert_array_equal(q, q_ref)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ def test_approx_points_csv(tmp_path, sign_matrix_file):
     ys, qs = app.evaluate_batch(np.linspace(-0.9, 0.9, 7)[:, None])
     np.testing.assert_allclose(data[:, 1], ys, atol=1e-12)
     np.testing.assert_allclose(data[:, 2], qs, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_approx_points_with_a_non_finite_row_exit_2(tmp_path, sign_matrix_file, bad, capsys):
+    # such a file used to fail on "non-finite fiber coefficients", after a matmul RuntimeWarning for inf
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"-0.5\n0.25\n{bad}\n0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["approx", "--matrix", str(sign_matrix_file), "--points", str(pts)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: point row 2 has a non-finite coordinate") and out.out == ""
 
 
 def test_approx_stdout_and_grid(sign_matrix_file):
