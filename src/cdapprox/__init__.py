@@ -13,7 +13,6 @@ from .approximant import Approximant, ApproxConfig
 from .benchmarks import BENCHMARKS, get_benchmark
 from .cdkernel import (
     CDKernel,
-    FilterKind,
     beta_schedule,
     gamma_threshold,
     perturbation_alpha,
@@ -30,7 +29,6 @@ __all__ = [
     "BENCHMARKS",
     "BoundViolationError",
     "CDKernel",
-    "FilterKind",
     "IndefiniteMatrixError",
     "MomentFileError",
     "MomentMatrix",

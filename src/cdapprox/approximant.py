@@ -30,6 +30,7 @@ was sent in: one point is a one-row batch of ``Approximant.evaluate_batch``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -163,13 +164,21 @@ def _sos_values(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("brk,brk->bk", terms, terms)
 
 
-def _interval(interval) -> tuple[float, float]:
-    """(lo, hi) of a search interval; refuses an empty one and one whose ends or width are not finite."""
+def _interval(interval, d: int) -> tuple[float, float]:
+    """(lo, hi) of a search interval for fibers of degree d.
+
+    Refuses an empty interval, one whose ends or width are not finite, and one
+    whose width is subnormal or so small that the squared Legendre scale
+    (2d+1)/(hi - lo) overflows.
+    """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    if not math.isfinite(hi - lo):  # an infinite end, or ends so far apart that the width overflows
+    width = hi - lo
+    if not math.isfinite(width):  # an infinite end, or ends so far apart that the width overflows
         raise ValueError(f"search interval [{lo}, {hi}] is not a finite interval")
+    if width < sys.float_info.min or not math.isfinite((2 * d + 1) / width):
+        raise ValueError(f"search interval [{lo}, {hi}] is too narrow for degree {d}: width {width}")
     return lo, hi
 
 
@@ -179,10 +188,10 @@ def _fiber_argmin(A: np.ndarray, interval, alpha: float, tie_tol: float) -> tupl
     A has shape (B, r, d+1) and holds orthonormal Legendre coefficients on the
     interval.  Returns the arrays (y, q(y)).
     """
-    lo, hi = _interval(interval)
+    d = A.shape[2] - 1
+    lo, hi = _interval(interval, d)
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite fiber coefficients")
-    d = A.shape[2] - 1
     rows = A * np.sqrt((2.0 * np.arange(d + 1) + 1.0) / (hi - lo))  # now in P_k(u), u on [-1, 1]
     nodes, project, derive = _fiber_maps(d)
     at_nodes = rows @ nodes
@@ -257,7 +266,7 @@ class Approximant:
         self.kernel = kernel
         self.config = config or ApproxConfig()
         self.spec = spec
-        self._y_interval = _interval(self.config.y_interval or spec.domain[-1])
+        self._y_interval = _interval(self.config.y_interval or spec.domain[-1], spec.d)
         self._x_spec = spec.x_spec()
         # rows map: x-basis values times this give the fiber rows A(x) directly
         W = kernel.sos_decomposition()

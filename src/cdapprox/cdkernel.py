@@ -3,14 +3,14 @@
 Given the degree-d moment matrix M of a measure mu and a regularization level
 beta > 0, the central quantity is
 
-    q(z) = b(z)^T g_beta(M) b(z),
+    q(z) = b(z)^T (M + beta I)^-1 b(z) = sum_i g_i (p_i . b(z))^2,
 
-where g_beta is a spectral filter applied to the eigenvalues of M.  With the
-Tikhonov filter g_beta(s) = 1/(beta + s) this is the Christoffel-Darboux
-polynomial of the mixed measure mu + beta * mu0 whenever the basis is
-orthonormal for mu0.  Small q flags points near the support of mu; the
-``gamma_threshold`` level separates graph from non-graph points at a rate
-controlled by the degree.
+with (lambda_i, p_i) the eigenpairs of M and g_i = 1/(beta + lambda_i), the
+Tikhonov values.  This is the Christoffel-Darboux polynomial of the mixed
+measure mu + beta * mu0 whenever the basis is orthonormal for mu0, and the
+only kernel the library builds: every guarantee it checks is stated for it.
+Small q flags points near the support of mu; the ``gamma_threshold`` level
+separates graph from non-graph points at a rate controlled by the degree.
 
 ``CDKernel.eval_q_batch``, the one evaluation of q (one point is a one-row
 batch), works in blocks of ``_BLOCK`` points: each block builds its own
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -59,29 +58,21 @@ _BOUND_MARGIN = 1e-8
 _BOUND_BLOCK = 2 * _BLOCK
 
 
-class FilterKind(Enum):
-    TIKHONOV = "tikhonov"
-    CUTOFF = "cutoff"
-    LOWPASS = "lowpass"
-
-
 def _check_beta(beta: float) -> None:
     """Reject a regularization level that is not a positive finite number (nan, inf, <= 0)."""
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
-def apply_filter(kind: FilterKind, evals: np.ndarray, beta: float) -> np.ndarray:
-    """Filter values g_beta(s) for each eigenvalue; input must be >= 0."""
-    _check_beta(beta)
-    s = np.asarray(evals, dtype=float)
-    if kind is FilterKind.TIKHONOV:
-        return 1.0 / (beta + s)
-    if kind is FilterKind.CUTOFF:
-        return np.where(s <= beta, 1.0 / beta, 1.0 / np.maximum(s, beta))
-    if kind is FilterKind.LOWPASS:
-        return np.where(s <= beta, 1.0 / beta, 0.0)
-    raise ValueError(f"unknown filter kind {kind!r}")
+def _tikhonov(evals: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, 1/(beta + s)) for the ascending eigenvalues of a moment matrix, s clipped at zero.
+
+    Negative eigenvalues within the PSD tolerance of ``moments`` are rounding
+    and clip to zero; anything below it raises IndefiniteMatrixError.
+    """
+    require_psd(evals)
+    s = np.clip(evals, 0.0, None)
+    return s, 1.0 / (beta + s)
 
 
 @lru_cache(maxsize=None)
@@ -95,10 +86,10 @@ def _legendre_christoffel_min(m: int) -> float:
     one of the fiber solver, within rounding (about 1e-15 relative);
     rho(0) = rho(1) = 1.
     """
-    from .approximant import partial_argmin  # loaded here: approximant imports this module
+    from .approximant import _fiber_argmin  # loaded here: approximant imports this module
 
     # on [-1, 1] the orthonormal Legendre basis is sqrt((2j+1)/2) P_j, so its squares sum to half the target
-    return 2.0 * partial_argmin(np.eye(m + 1), (-1.0, 1.0))[1]
+    return 2.0 * float(_fiber_argmin(np.eye(m + 1)[None], (-1.0, 1.0), 0.0, 1e-13)[1][0])
 
 
 def certified_floor(matrix: MomentMatrix, beta: float) -> float:
@@ -118,9 +109,7 @@ def certified_floor(matrix: MomentMatrix, beta: float) -> float:
     refuses what ``CDKernel`` refuses.
     """
     _check_beta(beta)
-    evals = np.linalg.eigvalsh(matrix.entries)
-    require_psd(evals)
-    g = apply_filter(FilterKind.TIKHONOV, np.clip(evals, 0.0, None), beta)
+    g = _tikhonov(np.linalg.eigvalsh(matrix.entries), beta)[1]
     spec = matrix.spec
     sqnorm = 1.0
     if spec.family is Family.LEGENDRE_ORTHONORMAL:
@@ -140,20 +129,18 @@ class CDKernel:
 
     Eigenvalues are sorted ascending; negative ones within the PSD tolerance
     of ``moments`` are rounding and clipped to zero, anything below it raises
-    IndefiniteMatrixError.
+    IndefiniteMatrixError.  ``filter_values`` holds the Tikhonov values
+    g_i = 1/(beta + lambda_i).
     """
 
-    def __init__(self, matrix: MomentMatrix, beta: float, kind: FilterKind = FilterKind.TIKHONOV):
+    def __init__(self, matrix: MomentMatrix, beta: float):
         _check_beta(beta)
         evals, P = np.linalg.eigh(matrix.entries)
-        require_psd(evals)
         self.matrix = matrix
         self.spec = matrix.spec
         self.beta = float(beta)
-        self.kind = kind
-        self.eigenvalues = np.clip(evals, 0.0, None)
+        self.eigenvalues, self.filter_values = _tikhonov(evals, self.beta)
         self.eigenvectors = P
-        self.filter_values = apply_filter(kind, self.eigenvalues, self.beta)
         self._filtered = None
 
     @property
@@ -161,7 +148,7 @@ class CDKernel:
         return self.eigenvalues.shape[0]
 
     def filtered_matrix(self) -> np.ndarray:
-        """g_beta(M) = P diag(g) P^T; the Tikhonov case is (M + beta I)^-1."""
+        """(M + beta I)^-1, as P diag(g) P^T."""
         if self._filtered is None:
             P = self.eigenvectors
             self._filtered = (P * self.filter_values) @ P.T
@@ -194,9 +181,7 @@ class CDKernel:
         finite, which needs every coordinate finite; every other row gets exact
         q as in ``eval_q_batch``, from the rows of the block's own tables,
         ``_BLOCK`` points at a time.  A row with a non-finite coordinate may get
-        nan, which compares False.  The low-pass filter has min(g) = 0, so at a
-        positive level every point is evaluated exactly.  Memory is
-        O(block * n).
+        nan, which compares False.  Memory is O(block * n).
         """
         spec = self.spec
         Z = as_points(spec, Z)
@@ -220,13 +205,12 @@ class CDKernel:
     def sos_decomposition(self) -> np.ndarray:
         """Rows w_i with q(z) = sum_i (w_i . b(z))^2, ascending eigenvalue order.
 
-        Row i is sqrt(g(lambda_i)) times the i-th eigenvector; for the low-pass
-        filter rows above the cutoff are identically zero.
+        Row i is sqrt(g_i) = 1/sqrt(beta + lambda_i) times the i-th eigenvector.
         """
         return (self.eigenvectors * np.sqrt(self.filter_values)).T
 
     def markov_mass(self) -> float:
-        """int q dmu = sum_i lambda_i g(lambda_i); at most n for all filters."""
+        """int q dmu = sum_i lambda_i / (beta + lambda_i); at most n."""
         return float(np.dot(self.eigenvalues, self.filter_values))
 
 

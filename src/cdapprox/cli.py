@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -19,12 +20,7 @@ import numpy as np
 from . import __version__
 from .approximant import Approximant, ApproxConfig
 from .benchmarks import BENCHMARKS, get_benchmark, midpoint_grid
-from .cdkernel import (
-    CDKernel,
-    FilterKind,
-    beta_schedule,
-    threshold_params,
-)
+from .cdkernel import CDKernel, beta_schedule, threshold_params
 from .errors import BoundViolationError, MomentFileError
 from .metrics import bv_rate_bound, l1_error, lipschitz_rate_bound, overshoot
 from .moments import load as load_matrix
@@ -89,11 +85,15 @@ def cmd_approx(args) -> int:
     if spec.p < 2:
         raise ValueError("approximation needs a matrix with p >= 2")
     beta = _resolve_beta(args, spec.d)
-    kernel = CDKernel(matrix, beta, FilterKind(args.filter))
+    kernel = CDKernel(matrix, beta)
     approx = Approximant(kernel, ApproxConfig(alpha=args.alpha))
 
     if args.points is not None:
-        X = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused just below
+            X = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        if X.shape[0] == 0:
+            raise ValueError(f"points file {args.points} holds no points")
         if X.shape[1] != spec.p - 1:
             raise ValueError(f"points file has {X.shape[1]} columns, matrix needs {spec.p - 1}")
     elif args.grid is not None:
@@ -123,7 +123,7 @@ def cmd_benchmark(args) -> int:
     if args.matrix_out:
         save_text(matrix, args.matrix_out)
     beta = _resolve_beta(args, args.degree)
-    kernel = CDKernel(matrix, beta, FilterKind(args.filter))
+    kernel = CDKernel(matrix, beta)
     approx = Approximant(kernel, ApproxConfig(alpha=args.alpha))
 
     X, f_true, ys, qs, l1 = _evaluate(args, bench, approx)
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--grid", type=int, default=None, help="midpoint grid per x axis")
     ap.add_argument("--out", default=None, help="output CSV (default: stdout)")
     ap.add_argument("--sos-out", default=None, help="write the SOS certificate rows here")
-    ap.add_argument("--filter", choices=[k.value for k in FilterKind], default="tikhonov")
     _add_common(ap)
     ap.set_defaults(func=cmd_approx)
 
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--name", required=True, choices=sorted(BENCHMARKS))
     bp.add_argument("--degree", type=int, required=True)
     bp.add_argument("--eval-grid", type=int, default=None, help="evaluation points per x axis")
-    bp.add_argument("--filter", choices=[k.value for k in FilterKind], default="tikhonov")
     bp.add_argument("--out", default=None, help="per-point CSV output")
     bp.add_argument("--matrix-out", default=None, help="save the built matrix here")
     _add_build(bp)

@@ -169,6 +169,22 @@ def test_infinite_or_overflowing_search_intervals_are_refused(interval):
             Approximant(kern, ApproxConfig(y_interval=interval))
 
 
+@pytest.mark.parametrize("interval", [(0.0, 5e-324), (0.0, 1e-310), (0.0, 1e-308)])
+def test_too_narrow_search_intervals_are_refused(interval):
+    # a subnormal width, or one where (2d+1)/width overflows at d = 20, used to
+    # warn "overflow encountered in divide" and then fail in eigvals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"search interval \[0.0, .*\] is too narrow for degree 20"):
+            partial_argmin(np.ones((2, 21)), interval)
+        kern = CDKernel(get_benchmark("sign").moment_matrix(20), 1e-8)
+        with pytest.raises(ValueError, match=r"search interval \[0.0, .*\] is too narrow for degree 20"):
+            Approximant(kern, ApproxConfig(y_interval=interval))
+        # a narrow width whose squared scale stays finite is still solved: L_0 = 1/sqrt(width)
+        y, q = partial_argmin(np.eye(21)[:1], (0.0, 1e-300))
+    assert y == 0.0 and q == pytest.approx(1e300, rel=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_are_refused_by_row(bad):
     # these used to fail on "non-finite fiber coefficients", after a matmul RuntimeWarning for inf

@@ -1,4 +1,4 @@
-"""Spectral kernel, filters, thresholds, and the perturbation bound."""
+"""Spectral kernel, its Tikhonov values, thresholds, and the perturbation bound."""
 
 import math
 import tracemalloc
@@ -14,9 +14,7 @@ from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import (
     _BOUND_MARGIN,
     CDKernel,
-    FilterKind,
     ThresholdParams,
-    apply_filter,
     beta_schedule,
     certified_floor,
     gamma_threshold,
@@ -34,27 +32,21 @@ def random_psd_matrix(spec, seed, n_samples=60):
     return MomentMatrix(spec, B.T @ B / n_samples, Provenance.EMPIRICAL, 1.0)
 
 
-def test_filter_values():
-    s = np.array([0.0, 0.5, 2.0])
-    np.testing.assert_allclose(
-        apply_filter(FilterKind.TIKHONOV, s, 0.5), [2.0, 1.0, 0.4]
-    )
-    np.testing.assert_allclose(apply_filter(FilterKind.CUTOFF, s, 0.5), [2.0, 2.0, 0.5])
-    np.testing.assert_allclose(apply_filter(FilterKind.LOWPASS, s, 0.5), [2.0, 2.0, 0.0])
-    with pytest.raises(ValueError):
-        apply_filter(FilterKind.TIKHONOV, s, 0.0)
-
-
-@given(
-    s=st.floats(min_value=0.0, max_value=1e6),
-    beta=st.floats(min_value=1e-9, max_value=10.0),
-)
-def test_filters_dominated_by_tikhonov_shape(s, beta):
-    # all three filters satisfy s * g(s) <= 1 and g(s) <= 1/beta
-    for kind in FilterKind:
-        g = float(apply_filter(kind, np.array([s]), beta)[0])
-        assert 0.0 <= g <= 1.0 / beta + 1e-12
-        assert s * g <= 1.0 + 1e-9
+@pytest.mark.parametrize("family", list(Family))
+def test_filter_values_are_the_tikhonov_values(family):
+    # g = 1/(beta + s) bit for bit, on the eigenvalues clipped at zero, and
+    # certified_floor's min(g) factor is 1/(beta + lambda_max) from eigvalsh
+    mild = MomentMatrix(BasisSpec(2, 1, family=family), np.diag([2.0, 1.0, -1e-9]), Provenance.EMPIRICAL, 1.0)
+    for M, beta in [(mild, 0.5), (get_benchmark("sign").moment_matrix(6, family=family), beta_schedule(6))]:
+        kern = CDKernel(M, beta)
+        assert np.array_equal(kern.eigenvalues, np.clip(np.linalg.eigh(M.entries)[0], 0.0, None))
+        assert np.array_equal(kern.filter_values, 1.0 / (beta + kern.eigenvalues))
+        sqnorm = 1.0
+        if family is Family.LEGENDRE_ORTHONORMAL:
+            sqnorm = rho(M.spec.d // M.spec.p) ** M.spec.p / M.spec.domain_volume()
+        g_min = 1.0 / (beta + np.linalg.eigvalsh(M.entries)[-1])
+        assert certified_floor(M, beta) == g_min * (1.0 - _BOUND_MARGIN) * sqnorm
+    assert np.array_equal(CDKernel(mild, 0.5).filter_values, [2.0, 1.0 / 1.5, 0.4])
 
 
 def test_beta_schedule_values():
@@ -82,15 +74,12 @@ def test_eval_q_matches_dense_solve():
     assert kern.eval_q_batch(Z[:1])[0] == pytest.approx(oracle[0], rel=1e-8)
 
 
-@pytest.mark.parametrize("kind", list(FilterKind))
 @pytest.mark.parametrize("name", ["disk1", "sign"])
-def test_blocked_eval_q_batch_matches_one_shot_spectral_form(name, kind):
+def test_blocked_eval_q_batch_matches_one_shot_spectral_form(name):
     # oracle: the whole (N, n) basis projected on the eigenvectors at once
     bench = get_benchmark(name)
     M = bench.moment_matrix(8)
-    kern = CDKernel(M, beta_schedule(8), kind)
-    if kind is FilterKind.LOWPASS:
-        assert np.any(kern.filter_values == 0.0)  # zero rows in the SOS form
+    kern = CDKernel(M, beta_schedule(8))
     rng = np.random.default_rng(3)
     Z = rng.uniform(-1, 1, size=(2 * _BLOCK + 3, bench.p))
     C = eval_basis_batch(M.spec, Z) @ kern.eigenvectors
@@ -150,12 +139,11 @@ def _count_exact_points(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("kind", list(FilterKind))
 @pytest.mark.parametrize("name,d", [("sign", 6), ("disk1", 4)])
-def test_q_at_least_equals_the_exact_comparison(name, d, kind, family, monkeypatch):
+def test_q_at_least_equals_the_exact_comparison(name, d, family, monkeypatch):
     bench = get_benchmark(name)
     M = bench.moment_matrix(d, family=family)
-    kern = CDKernel(M, beta_schedule(d), kind)
+    kern = CDKernel(M, beta_schedule(d))
     rng = np.random.default_rng(d)
     N = 2 * _BLOCK + 5  # the last block is partial
     box = M.spec.domain_array()
@@ -174,9 +162,8 @@ def test_q_at_least_equals_the_exact_comparison(name, d, kind, family, monkeypat
         assert got.dtype == bool and got.shape == (N,)
         assert np.array_equal(got, q >= level)
         if level == gamma:
-            # gamma_d is vacuous: the bound settles every point unless min(g) = 0
-            assert sum(sent) == (N if kind is FilterKind.LOWPASS else 0)
-        elif level == quantiles[1] and kind is not FilterKind.LOWPASS:
+            assert sum(sent) == 0  # gamma_d is vacuous: the bound settles every point
+        elif level == quantiles[1]:
             assert 0 < sum(sent) < N  # the bound settles some points, exact q the rest
         elif level > qs[-1]:
             assert sum(sent) == N  # above every q the bound settles none
@@ -272,21 +259,6 @@ def test_q_at_least_at_the_certified_floor_forms_no_exact_q(name, d, family, mon
         got_bad = kern.q_at_least(bad, level)
     assert sent == [3]  # only the non-finite rows get exact q
     assert np.array_equal(got_bad, q_bad >= level) and not got_bad[3]
-
-
-@pytest.mark.parametrize("name,d", [("sign", 4), ("disk1", 8)])
-def test_q_at_least_lowpass_never_takes_the_box_certificate(name, d, monkeypatch):
-    # min(g) = 0 for the low-pass filter: every point is tabulated and gets exact q
-    M = get_benchmark(name).moment_matrix(d)
-    kern = CDKernel(M, beta_schedule(d), FilterKind.LOWPASS)
-    gamma = gamma_threshold(d, threshold_params(M))
-    Z = _box_points(M.spec, _BLOCK + 7, d)
-    q = kern.eval_q_batch(Z)
-    calls = _count_table_calls(monkeypatch)
-    sent = _count_exact_points(monkeypatch)
-    got = kern.q_at_least(Z, gamma)
-    assert sum(calls) == Z.shape[0] and sum(sent) == Z.shape[0]
-    assert np.array_equal(got, q >= gamma)
 
 
 def test_q_at_least_bounds_in_blocks_larger_than_a_basis_block(monkeypatch):
@@ -390,13 +362,12 @@ def test_tensor_certificate_is_below_the_squared_basis_norm_inside_and_outside_t
     assert np.all(_sqnorm(spec, Z) >= cert * (1.0 - 1e-12))
 
 
-@pytest.mark.parametrize("kind", [FilterKind.TIKHONOV, FilterKind.CUTOFF])
-def test_q_at_least_bound_settles_points_outside_the_box(kind, monkeypatch):
+def test_q_at_least_bound_settles_points_outside_the_box(monkeypatch):
     # sign d=8: just below min(g) b_0^2 rho(4)^2 the per-point bound settles
     # every row, points far outside the box included, with no exact-q product,
     # and the answer is still eval_q_batch's
     M = get_benchmark("sign").moment_matrix(8)
-    kern = CDKernel(M, beta_schedule(8), kind)
+    kern = CDKernel(M, beta_schedule(8))
     level = kern.filter_values.min() * rho(4) ** 2 / M.spec.domain_volume() * (1.0 - 2 * _BOUND_MARGIN)
     rng = np.random.default_rng(5)
     Z = np.vstack([_box_points(M.spec, 500, 5), rng.uniform(-4.0, 4.0, size=(1500, 2))])
@@ -465,8 +436,6 @@ def test_beta_must_be_positive_and_finite(beta):
     with pytest.raises(ValueError, match="finite"):
         CDKernel(M, beta)
     with pytest.raises(ValueError, match="finite"):
-        apply_filter(FilterKind.TIKHONOV, np.ones(3), beta)
-    with pytest.raises(ValueError, match="finite"):
         perturbation_alpha(M, M, beta)
 
 
@@ -489,15 +458,13 @@ def test_kernel_is_nonnegative(seed):
 
 def test_sos_decomposition_reconstructs_kernel():
     M = get_benchmark("sign").moment_matrix(2)
-    for kind in FilterKind:
-        kern = CDKernel(M, 1e-4, kind)
-        W = kern.sos_decomposition()
-        assert W.shape == (M.n, M.n)
-        z = np.array([[0.3, -0.6]])
-        b = eval_basis_batch(M.spec, z)[0]
-        assert float(np.sum((W @ b) ** 2)) == pytest.approx(kern.eval_q_batch(z)[0], rel=1e-10)
-    # rows follow ascending eigenvalues, so squared row norms are nonincreasing
     kern = CDKernel(M, 1e-4)
+    W = kern.sos_decomposition()
+    assert W.shape == (M.n, M.n)
+    z = np.array([[0.3, -0.6]])
+    b = eval_basis_batch(M.spec, z)[0]
+    assert float(np.sum((W @ b) ** 2)) == pytest.approx(kern.eval_q_batch(z)[0], rel=1e-10)
+    # rows follow ascending eigenvalues, so squared row norms are nonincreasing
     norms = np.sum(kern.sos_decomposition() ** 2, axis=1)
     assert np.all(np.diff(norms) <= 1e-12)
 
@@ -522,9 +489,8 @@ def test_eigenvalue_clip_rule():
 @settings(max_examples=30, deadline=None)
 def test_markov_mass_at_most_n(seed):
     M = random_psd_matrix(BasisSpec(2, 3), seed, n_samples=30)
-    for kind in FilterKind:
-        kern = CDKernel(M, 10.0 ** -(seed % 6 + 1), kind)
-        assert kern.markov_mass() <= M.n + 1e-9
+    kern = CDKernel(M, 10.0 ** -(seed % 6 + 1))
+    assert kern.markov_mass() <= M.n + 1e-9
 
 
 def test_threshold_params_validation():

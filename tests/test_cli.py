@@ -44,6 +44,8 @@ def test_missing_subcommand_and_flags_exit_2():
     assert run_cli().returncode == 2
     assert run_cli("approx").returncode == 2  # --matrix is required
     assert run_cli("benchmark", "--name", "sign").returncode == 2  # --degree required
+    # the kernel is always the Tikhonov one: there is no --filter flag
+    assert run_cli("benchmark", "--name", "sign", "--degree", "2", "--filter", "tikhonov").returncode == 2
 
 
 def test_approx_points_csv(tmp_path, sign_matrix_file):
@@ -86,6 +88,20 @@ def test_approx_points_with_a_non_finite_row_exit_2(tmp_path, sign_matrix_file, 
         assert main(["approx", "--matrix", str(sign_matrix_file), "--points", str(pts)]) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: point row 2 has a non-finite coordinate") and out.out == ""
+
+
+@pytest.mark.parametrize("text", ["", "# no rows\n\n"])
+def test_approx_points_file_without_points_exits_2(tmp_path, sign_matrix_file, text, capsys):
+    # such a file used to exit 0 with a numpy UserWarning and a header-only CSV
+    pts = tmp_path / "empty.csv"
+    pts.write_text(text)
+    out_csv = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["approx", "--matrix", str(sign_matrix_file), "--points", str(pts), "--out", str(out_csv)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: points file {pts} holds no points\n" and out.out == ""
+    assert not out_csv.exists()
 
 
 def test_approx_stdout_and_grid(sign_matrix_file):
