@@ -74,11 +74,12 @@ def test_eval_q_matches_dense_solve():
     assert kern.eval_q_batch(Z[:1])[0] == pytest.approx(oracle[0], rel=1e-8)
 
 
+@pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("name", ["disk1", "sign"])
-def test_blocked_eval_q_batch_matches_one_shot_spectral_form(name):
+def test_blocked_eval_q_batch_matches_one_shot_spectral_form(name, family):
     # oracle: the whole (N, n) basis projected on the eigenvectors at once
     bench = get_benchmark(name)
-    M = bench.moment_matrix(8)
+    M = bench.moment_matrix(8, family=family)
     kern = CDKernel(M, beta_schedule(8))
     rng = np.random.default_rng(3)
     Z = rng.uniform(-1, 1, size=(2 * _BLOCK + 3, bench.p))
@@ -139,7 +140,7 @@ def _count_exact_points(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("name,d", [("sign", 6), ("disk1", 4)])
+@pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("sign", 10), ("disk1", 4), ("disk1", 8)])
 def test_q_at_least_equals_the_exact_comparison(name, d, family, monkeypatch):
     bench = get_benchmark(name)
     M = bench.moment_matrix(d, family=family)
@@ -456,8 +457,9 @@ def test_kernel_is_nonnegative(seed):
     assert np.all(kern.eval_q_batch(Z) >= 0.0)
 
 
-def test_sos_decomposition_reconstructs_kernel():
-    M = get_benchmark("sign").moment_matrix(2)
+@pytest.mark.parametrize("family", list(Family))
+def test_sos_decomposition_reconstructs_kernel(family):
+    M = get_benchmark("sign").moment_matrix(2, family=family)
     kern = CDKernel(M, 1e-4)
     W = kern.sos_decomposition()
     assert W.shape == (M.n, M.n)

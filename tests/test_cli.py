@@ -48,6 +48,23 @@ def test_missing_subcommand_and_flags_exit_2():
     assert run_cli("benchmark", "--name", "sign", "--degree", "2", "--filter", "tikhonov").returncode == 2
 
 
+@pytest.mark.parametrize("command", ["approx", "benchmark"])
+def test_manifest_has_no_filter_entry_and_filter_flag_is_refused(tmp_path, sign_matrix_file, command, capsys):
+    # the Tikhonov kernel is the only kernel: its manifest names no filter,
+    # and --filter is an unknown flag on both subcommands that built a kernel with it
+    man = tmp_path / "m.json"
+    argv = {
+        "approx": ["approx", "--matrix", str(sign_matrix_file), "--grid", "3"],
+        "benchmark": ["benchmark", "--name", "sign", "--degree", "2", "--grid", "3", "--eval-grid", "3"],
+    }[command]
+    assert main([*argv, "--manifest", str(man)]) == 0
+    params = json.loads(man.read_text())["params"]
+    assert params["command"] == command and "filter" not in params
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--filter", "tikhonov"])
+    assert exc.value.code == 2 and "--filter" in capsys.readouterr().err
+
+
 def test_approx_points_csv(tmp_path, sign_matrix_file):
     pts = tmp_path / "pts.csv"
     np.savetxt(pts, np.linspace(-0.9, 0.9, 7)[:, None], delimiter=",")
