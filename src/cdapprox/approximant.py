@@ -10,6 +10,15 @@ w_i of ``CDKernel.sos_decomposition`` and b(x, y) = b_x(x) * b_y(y), the fiber
 is q(x, y) = sum_i (A_i(x) . L(y))^2, where L is the orthonormal Legendre
 basis of the search interval Y and A(x) = W diag(b_x(x)) S R collects the
 basis entries by their y-degree (S) and maps them into L (R, fixed at set-up).
+The j-th member phi_j of the last-axis family has degree j, so R is
+lower-triangular, and it is kept so: its quadrature's noise above the
+diagonal, about 1e-16, is dropped.  Output degree k then receives only the
+x-indices of degree <= d - k, which are a prefix of the grevlex x-basis.  The
+map is therefore stored as d+1 y-degree blocks, M_k of shape (n_{d-k}, r), and
+A(x)[:, k] = b_x(x)[:n_{d-k}] @ M_k is one stacked GEMV per block.  The blocks
+hold n r doubles, the weighted (x-index, y-degree) pairs only, against
+n_x r (d+1) for a dense map: 52% of it at p = 2, d = 20, and 37% at p = 3,
+d = 16.  Each point streams the blocks once.
 
 Points are minimized in chunks.  The Legendre coefficients of q come from its
 values at 2d+1 Gauss-Legendre nodes, the critical points from the stacked
@@ -37,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from .basis import as_points, axis_table, eval_basis_batch, leggauss
+from .basis import _grevlex_indices, as_points, axis_table, basis_size, eval_basis_batch, leggauss
 from .cdkernel import CDKernel
 
 _CHUNK = 128  # points per stacked solve; bounds the (chunk, rows, d+1) work arrays
@@ -192,10 +201,13 @@ def _fiber_argmin(A: np.ndarray, interval, alpha: float, tie_tol: float) -> tupl
     lo, hi = _interval(interval, d)
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite fiber coefficients")
-    rows = A * np.sqrt((2.0 * np.arange(d + 1) + 1.0) / (hi - lo))  # now in P_k(u), u on [-1, 1]
     nodes, project, derive = _fiber_maps(d)
-    at_nodes = rows @ nodes
-    c = (np.einsum("brk,brk->bk", at_nodes, at_nodes)[:, None, :] @ project)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = A * np.sqrt((2.0 * np.arange(d + 1) + 1.0) / (hi - lo))  # now in P_k(u), u on [-1, 1]
+        at_nodes = rows @ nodes
+        c = (np.einsum("brk,brk->bk", at_nodes, at_nodes)[:, None, :] @ project)[:, 0]
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"q overflows on the search interval [{lo}, {hi}]")
     ends = np.broadcast_to([-1.0, 1.0], (A.shape[0], 2))
     u = np.concatenate([_real_roots((c[:, None, :] @ derive)[:, 0]), ends], axis=1)
     q = _sos_values(rows, u)
@@ -256,8 +268,63 @@ def _change_of_basis(spec, lo: float, hi: float) -> np.ndarray:
     return (axis_table(spec, spec.p - 1, y) * (0.5 * (hi - lo) * w)[:, None]).T @ L
 
 
+@lru_cache(maxsize=64)
+def _block_layout(p: int, d: int) -> tuple:
+    """Where each basis column goes in the y-degree blocks, for the grevlex basis of (p, d).
+
+    Basis column (a, j) has x-index a, of degree t, and y-degree j.  Returns
+    (src, groups, dst, spans).  ``src`` orders the columns by t, then j, then
+    a, and ``groups`` holds each t's (start, stop, d-t+1) in that order.  Once
+    mapped into L, the row from column (a, j) is row a of block j, and ``dst``
+    is its row in the stacked blocks M_0, ..., M_d; ``spans[k]`` is block k's
+    slice of them.  Block k has n_{d-k} rows, because the x-indices of degree
+    <= s are the first n_s of the grevlex x-basis.
+    """
+    full, xs = _grevlex_indices(p, d), _grevlex_indices(p - 1, d)
+    pos = {a: i for i, a in enumerate(map(tuple, xs.tolist()))}
+    a = np.array([pos[x] for x in map(tuple, full[:, :-1].tolist())], dtype=np.intp)
+    j = full[:, -1]
+    t = full.sum(axis=1) - j
+    src = np.lexsort((a, j, t))
+    first = np.cumsum([0] + [basis_size(p - 1, d - k) for k in range(d + 1)])  # first row of each block
+    dst = (first[j] + a)[src]
+    stops = np.cumsum(np.bincount(t, minlength=d + 1)).tolist()
+    groups = tuple((start, stop, d - deg + 1) for deg, (start, stop) in enumerate(zip([0] + stops[:-1], stops)))
+    for x in (src, dst):
+        x.setflags(write=False)
+    return src, groups, dst, tuple(slice(lo, hi) for lo, hi in zip(first[:-1].tolist(), first[1:].tolist()))
+
+
+def _degree_blocks(spec, W: np.ndarray, interval: tuple) -> tuple:
+    """The fiber rows by y-degree: blocks M_k, k = 0..d, with A(x)[:, k] = b_x(x)[:n_{d-k}] @ M_k.
+
+    W holds the sum-of-squares rows (r, n).  Column (a, j) of W, x-index a of
+    degree t and y-degree j <= d - t, reaches output degree k through
+    R[j, k].  R is lower-triangular, as phi_j has degree j, so k <= j <= d - t
+    and M_k needs only the n_{d-k} x-indices of degree <= d - k.  W's columns
+    are gathered once, grouped by t; each group is mapped by R's leading
+    (d-t+1) block, and one scatter lays the rows out by block.  The blocks are
+    views of one (n, r) array, so they hold n r doubles in all.
+    """
+    src, groups, dst, spans = _block_layout(spec.p, spec.d)
+    Rt = np.tril(_change_of_basis(spec, *interval)).T
+    G = W.T[src]
+    out = np.empty_like(G)
+    for start, stop, m in groups:
+        np.matmul(Rt[:m, :m], G[start:stop].reshape(m, -1), out=out[start:stop].reshape(m, -1))
+    G[dst] = out
+    return tuple(G[span] for span in spans)
+
+
 class Approximant:
-    """Evaluates f(x) = min argmin_y q(x, y) for a kernel on a graph box."""
+    """Evaluates f(x) = min argmin_y q(x, y) for a kernel on a graph box.
+
+    Working set, with n the basis size and r = n sum-of-squares rows: the
+    y-degree blocks take 8 n r bytes, and the kernel holds M and its
+    eigenvectors at 8 n^2 bytes each.  Evaluation adds, per chunk of 128
+    points, a few (128, r, d+1) work arrays and one (128, r, 2d+1).  At disk1
+    d = 20 (n = 1,771) the blocks take 24 MiB and a chunk's largest array 71 MiB.
+    """
 
     def __init__(self, kernel: CDKernel, config: ApproxConfig | None = None):
         spec = kernel.spec
@@ -268,19 +335,15 @@ class Approximant:
         self.spec = spec
         self._y_interval = _interval(self.config.y_interval or spec.domain[-1], spec.d)
         self._x_spec = spec.x_spec()
-        # rows map: x-basis values times this give the fiber rows A(x) directly
-        W = kernel.sos_decomposition()
-        pos = {a: i for i, a in enumerate(map(tuple, self._x_spec.indices.tolist()))}
-        xcol = [pos[a] for a in map(tuple, spec.indices[:, :-1].tolist())]
-        T = np.zeros((self._x_spec.size, W.shape[0], spec.d + 1))
-        T[xcol, :, spec.indices[:, -1]] = W.T
-        T = T @ _change_of_basis(spec, *self._y_interval)
-        self._shape = T.shape[1:]
-        self._rows_map = T.reshape(T.shape[0], -1)
+        self._blocks = _degree_blocks(spec, kernel.sos_decomposition(), self._y_interval)
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
-        bx = eval_basis_batch(self._x_spec, X)
-        return (bx[:, None, :] @ self._rows_map).reshape(X.shape[0], *self._shape)
+        bx = eval_basis_batch(self._x_spec, X)[:, None, :]
+        r = self._blocks[0].shape[1]
+        out = np.empty((len(self._blocks), X.shape[0], 1, r))
+        for k, M in enumerate(self._blocks):  # one stacked (B, 1, n_k) @ (n_k, r) GEMV per y-degree
+            np.matmul(bx[:, :, : M.shape[0]], M, out=out[k])
+        return np.ascontiguousarray(out[:, :, 0].transpose(1, 2, 0))
 
     def y_coefficients(self, x) -> np.ndarray:
         """Sum-of-squares rows A(x): q(x, y) = sum_i (A_i . L(y))^2, L orthonormal on the search interval."""

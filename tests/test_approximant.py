@@ -12,7 +12,7 @@ from numpy.polynomial import polynomial as npoly
 
 from cdapprox import approximant
 from cdapprox.approximant import _CHUNK, ApproxConfig, Approximant, _fiber_argmin, _fiber_maps, _real_roots, partial_argmin
-from cdapprox.basis import BasisSpec, Family
+from cdapprox.basis import BasisSpec, Family, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import CDKernel
 from cdapprox.moments import MomentMatrix, Provenance
@@ -185,6 +185,19 @@ def test_too_narrow_search_intervals_are_refused(interval):
     assert y == 0.0 and q == pytest.approx(1e300, rel=1e-12)
 
 
+@pytest.mark.parametrize("rows, interval", [(np.ones((2, 21)), (0.0, 1e-305)), (np.full((2, 3), 1e160), (-1.0, 1.0))])
+def test_search_intervals_where_q_overflows_are_refused(rows, interval):
+    # (2d+1)/width is finite here but q is not: these used to warn "invalid value
+    # encountered in matmul" and then fail in eigvals on infs or nans
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"q overflows on the search interval \[{interval[0]}, {interval[1]}\]"):
+            partial_argmin(rows, interval)
+        # a width at which q stays finite is still solved
+        y, q = partial_argmin(np.ones((2, 21)), (0.0, 1e-300))
+    assert 0.0 <= y <= 1e-300 and np.isfinite(q) and q > 1e270
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_are_refused_by_row(bad):
     # these used to fail on "non-finite fiber coefficients", after a matmul RuntimeWarning for inf
@@ -255,11 +268,70 @@ def quad_kernel(name, d):
     return CDKernel(get_benchmark(name).moment_matrix(d, mode="quad"), 1e-8)
 
 
-def test_evaluate_batch_is_bit_identical_per_point():
+def dense_rows_map(app):
+    # the dense (n_x, r, d+1) rows map: W's column (a, j) placed at x-index a and
+    # y-degree j, then mapped into the Legendre basis of the search interval
+    spec, W = app.spec, app.kernel.sos_decomposition()
+    x_spec = spec.x_spec()
+    pos = {a: i for i, a in enumerate(map(tuple, x_spec.indices.tolist()))}
+    xcol = [pos[a] for a in map(tuple, spec.indices[:, :-1].tolist())]
+    T = np.zeros((x_spec.size, W.shape[0], spec.d + 1))
+    T[xcol, :, spec.indices[:, -1]] = W.T
+    return x_spec, T @ approximant._change_of_basis(spec, *app._y_interval)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("sign", 4, "quad"), ("step", 4, "quad"), ("sign", 12, "quad"), ("step", 12, "quad"), ("sign", 20, "quad"),
+     ("step", 20, "quad"), ("disk1", 8, "empirical"), ("sign", 8, "monomial"), ("sign", 8, "interval")],
+    ids=lambda case: f"{case[0]}-d{case[1]}-{case[2]}",
+)
+def test_y_coefficients_match_the_dense_rows_map(case):
+    # the y-degree blocks drop only the (x-index, y-degree) pairs that carry no
+    # weight and R's rounding noise above its diagonal
+    name, d, how = case
+    if name == "disk1":
+        app = Approximant(empirical_disk_kernel())
+    elif how == "monomial":
+        app = Approximant(CDKernel(get_benchmark(name).moment_matrix(d, family=Family.MONOMIAL_GREVLEX), 1e-8))
+    else:
+        config = ApproxConfig(y_interval=(-0.3, 0.7)) if how == "interval" else None
+        app = Approximant(quad_kernel(name, d), config)
+    x_spec, T = dense_rows_map(app)
+    X = get_benchmark(name).random_x(9, np.random.default_rng(d))
+    for x in X:
+        want = np.einsum("a,ark->rk", eval_basis_batch(x_spec, x[None])[0], T)
+        got = app.y_coefficients(x)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("name, d", [("sign", 20), ("disk1", 8)])
+def test_approximant_stores_n_r_doubles_of_fiber_rows(name, d):
+    # the blocks keep one double per (basis column, row) pair; a dense
+    # (n_x, r, d+1) map would hold 1.9x this at sign d = 20 and 2.5x at disk1 d = 8
+    kern = quad_kernel(name, d) if name == "sign" else empirical_disk_kernel()
+    app = Approximant(kern)
+    n = kern.spec.size
+    arrays = [v for v in vars(app).values() if isinstance(v, np.ndarray)]
+    arrays += [b for v in vars(app).values() if isinstance(v, tuple) for b in v if isinstance(b, np.ndarray)]
+    bases = {id(a.base if a.base is not None else a): a.base if a.base is not None else a for a in arrays}
+    assert sum(a.nbytes for a in bases.values()) == 8 * n * n
+    assert sum(b.size for b in app._blocks) == n * n
+
+
+@pytest.mark.parametrize("case", ["sign-d20", "disk1-d8", "step-d8-monomial"])
+def test_evaluate_batch_is_bit_identical_per_point(case):
     # evaluate_batch at any batch size, one point included, and y_coefficients followed
     # by partial_argmin share one routine whose per-point arithmetic ignores the batch
-    app = Approximant(quad_kernel("sign", 20))
-    X = get_benchmark("sign").grid_x(2 * _CHUNK + 6)
+    if case == "disk1-d8":
+        app, X = Approximant(empirical_disk_kernel()), get_benchmark("disk1").grid_x((22, 12))
+    elif case == "sign-d20":
+        app, X = Approximant(quad_kernel("sign", 20)), get_benchmark("sign").grid_x(2 * _CHUNK + 6)
+    else:
+        kern = CDKernel(get_benchmark("step").moment_matrix(8, mode="quad", family=Family.MONOMIAL_GREVLEX), 1e-8)
+        app, X = Approximant(kern), get_benchmark("step").grid_x(2 * _CHUNK + 6)
+    assert X.shape[0] > 2 * _CHUNK
     ys, qs = app.evaluate_batch(X)
     for size in (1, 7):
         for s in range(0, X.shape[0], size):
@@ -267,7 +339,7 @@ def test_evaluate_batch_is_bit_identical_per_point():
             np.testing.assert_array_equal(y, ys[s : s + size])
             np.testing.assert_array_equal(q, qs[s : s + size])
     for i in range(0, X.shape[0], 17):
-        assert partial_argmin(app.y_coefficients(X[i]), (-1.0, 1.0)) == (ys[i], qs[i])
+        assert partial_argmin(app.y_coefficients(X[i]), app.spec.domain[-1]) == (ys[i], qs[i])
 
 
 def _check_fibers_against_spectral_brute_force(kern, name):
