@@ -20,7 +20,9 @@ hold n r doubles, the weighted (x-index, y-degree) pairs only, against
 n_x r (d+1) for a dense map: 52% of it at p = 2, d = 20, and 37% at p = 3,
 d = 16.  Each point streams the blocks once.
 
-Points are minimized in chunks.  The Legendre coefficients of q come from its
+Points are minimized in chunks sized by bytes: a chunk takes as many points
+as keep one (chunk, r, 2d+1) work array within a fixed budget, and each work
+array is freed once it is dead.  The Legendre coefficients of q come from its
 values at 2d+1 Gauss-Legendre nodes, the critical points from the stacked
 colleague matrices of dq/dy (Good 1961; Boyd, SIAM Rev. 55, 2013) in one
 eigenvalue call, and the candidates -- critical points plus the ends of Y --
@@ -49,7 +51,11 @@ from numpy.polynomial import legendre
 from .basis import _grevlex_indices, as_points, axis_table, basis_size, eval_basis_batch, leggauss
 from .cdkernel import CDKernel
 
-_CHUNK = 128  # points per stacked solve; bounds the (chunk, rows, d+1) work arrays
+# bytes of one (chunk, r, 2d+1) work array, the largest the fiber solver makes;
+# it sets the points per chunk (see Approximant).  At disk1 d = 12-20, 2, 4 and
+# 8 MiB ran at one speed and 1 MiB (1-4 points) slower; at low degrees, chunks
+# of more than 128 points were not slower than 128
+_CHUNK_BYTES = 4 << 20
 # alpha window: allowance on q at a computed crossing, times max q on the fiber;
 # the colleague roots leave residuals up to 5e-13 of max q at d = 20
 _CROSS_TOL = 1e-11
@@ -197,18 +203,20 @@ def _fiber_argmin(A: np.ndarray, interval, alpha: float, tie_tol: float) -> tupl
     A has shape (B, r, d+1) and holds orthonormal Legendre coefficients on the
     interval.  Returns the arrays (y, q(y)).
     """
-    d = A.shape[2] - 1
+    B, d = A.shape[0], A.shape[2] - 1
     lo, hi = _interval(interval, d)
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite fiber coefficients")
     nodes, project, derive = _fiber_maps(d)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = A * np.sqrt((2.0 * np.arange(d + 1) + 1.0) / (hi - lo))  # now in P_k(u), u on [-1, 1]
+        del A  # frees a caller's temporary, such as evaluate_batch's rows
         at_nodes = rows @ nodes
         c = (np.einsum("brk,brk->bk", at_nodes, at_nodes)[:, None, :] @ project)[:, 0]
+        del at_nodes  # dead before _sos_values makes the other (B, r, 2d+1) array
     if not np.all(np.isfinite(c)):
         raise ValueError(f"q overflows on the search interval [{lo}, {hi}]")
-    ends = np.broadcast_to([-1.0, 1.0], (A.shape[0], 2))
+    ends = np.broadcast_to([-1.0, 1.0], (B, 2))
     u = np.concatenate([_real_roots((c[:, None, :] @ derive)[:, 0]), ends], axis=1)
     q = _sos_values(rows, u)
     qmin, qmax = q.min(axis=1), q.max(axis=1)
@@ -227,7 +235,7 @@ def _fiber_argmin(A: np.ndarray, interval, alpha: float, tie_tol: float) -> tupl
     else:
         thresh = qmin + window
     pick = np.argmin(np.where(q <= thresh[:, None], u, np.inf), axis=1)
-    at = np.arange(A.shape[0])
+    at = np.arange(B)
     y = np.clip(lo + 0.5 * (u[at, pick] + 1.0) * (hi - lo), lo, hi)
     return y, q[at, pick]
 
@@ -321,9 +329,14 @@ class Approximant:
 
     Working set, with n the basis size and r = n sum-of-squares rows: the
     y-degree blocks take 8 n r bytes, and the kernel holds M and its
-    eigenvectors at 8 n^2 bytes each.  Evaluation adds, per chunk of 128
-    points, a few (128, r, d+1) work arrays and one (128, r, 2d+1).  At disk1
-    d = 20 (n = 1,771) the blocks take 24 MiB and a chunk's largest array 71 MiB.
+    eigenvectors at 8 n^2 bytes each.  Evaluation runs in chunks of
+    max(1, _CHUNK_BYTES // (8 r (2d+1))) points, so each of its largest work
+    arrays, the (chunk, r, 2d+1) node values and candidate terms, takes at
+    most _CHUNK_BYTES (4 MiB).  The two are never alive together: beside one
+    of them a chunk holds the (chunk, r, d+1) scaled rows.  At disk1 d = 20
+    (n = 1,771) the blocks take 24 MiB and a chunk has 7 points; 128-point
+    chunks, with both large arrays and two (128, r, d+1) arrays alive at
+    once, added 215 MiB to the peak.
     """
 
     def __init__(self, kernel: CDKernel, config: ApproxConfig | None = None):
@@ -336,6 +349,7 @@ class Approximant:
         self._y_interval = _interval(self.config.y_interval or spec.domain[-1], spec.d)
         self._x_spec = spec.x_spec()
         self._blocks = _degree_blocks(spec, kernel.sos_decomposition(), self._y_interval)
+        self._chunk = max(1, _CHUNK_BYTES // (8 * self._blocks[0].shape[1] * (2 * spec.d + 1)))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         bx = eval_basis_batch(self._x_spec, X)[:, None, :]
@@ -357,7 +371,7 @@ class Approximant:
             raise ValueError(f"point row {bad[0]} has a non-finite coordinate: {X[bad[0]].tolist()}")
         cfg = self.config
         ys, qs = np.empty(X.shape[0]), np.empty(X.shape[0])
-        for s in range(0, X.shape[0], _CHUNK):
-            part = slice(s, s + _CHUNK)
+        for s in range(0, X.shape[0], self._chunk):
+            part = slice(s, s + self._chunk)
             ys[part], qs[part] = _fiber_argmin(self._rows(X[part]), self._y_interval, cfg.alpha, cfg.tie_tol)
         return ys, qs

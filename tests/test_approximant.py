@@ -1,5 +1,6 @@
 """Fiber minimization and the graph approximant."""
 
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -11,7 +12,7 @@ from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
 from cdapprox import approximant
-from cdapprox.approximant import _CHUNK, ApproxConfig, Approximant, _fiber_argmin, _fiber_maps, _real_roots, partial_argmin
+from cdapprox.approximant import _CHUNK_BYTES, ApproxConfig, Approximant, _fiber_argmin, _fiber_maps, _real_roots, partial_argmin
 from cdapprox.basis import BasisSpec, Family, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import CDKernel
@@ -320,26 +321,45 @@ def test_approximant_stores_n_r_doubles_of_fiber_rows(name, d):
     assert sum(b.size for b in app._blocks) == n * n
 
 
-@pytest.mark.parametrize("case", ["sign-d20", "disk1-d8", "step-d8-monomial"])
+@pytest.mark.parametrize("case", ["sign-d20", "disk1-d8", "step-d8-monomial", "sign-d32"])
 def test_evaluate_batch_is_bit_identical_per_point(case):
     # evaluate_batch at any batch size, one point included, and y_coefficients followed
-    # by partial_argmin share one routine whose per-point arithmetic ignores the batch
+    # by partial_argmin share one routine whose per-point arithmetic ignores the batch;
+    # the grid spans more than two of the approximant's chunks, and batches of chunk + 1
+    # points straddle the whole-grid call's chunk boundaries
     if case == "disk1-d8":
-        app, X = Approximant(empirical_disk_kernel()), get_benchmark("disk1").grid_x((22, 12))
-    elif case == "sign-d20":
-        app, X = Approximant(quad_kernel("sign", 20)), get_benchmark("sign").grid_x(2 * _CHUNK + 6)
+        app = Approximant(empirical_disk_kernel())
+    elif case == "step-d8-monomial":
+        app = Approximant(CDKernel(get_benchmark("step").moment_matrix(8, mode="quad", family=Family.MONOMIAL_GREVLEX), 1e-8))
     else:
-        kern = CDKernel(get_benchmark("step").moment_matrix(8, mode="quad", family=Family.MONOMIAL_GREVLEX), 1e-8)
-        app, X = Approximant(kern), get_benchmark("step").grid_x(2 * _CHUNK + 6)
-    assert X.shape[0] > 2 * _CHUNK
+        app = Approximant(quad_kernel("sign", int(case[-2:])))
+    m = 2 * app._chunk + 6
+    X = get_benchmark(case.split("-")[0]).grid_x(m if app.spec.p == 2 else (m // 12 + 1, 12))
+    assert X.shape[0] > 2 * app._chunk
     ys, qs = app.evaluate_batch(X)
-    for size in (1, 7):
+    for size in (1, 7, app._chunk + 1):
         for s in range(0, X.shape[0], size):
             y, q = app.evaluate_batch(X[s : s + size])
             np.testing.assert_array_equal(y, ys[s : s + size])
             np.testing.assert_array_equal(q, qs[s : s + size])
     for i in range(0, X.shape[0], 17):
         assert partial_argmin(app.y_coefficients(X[i]), app.spec.domain[-1]) == (ys[i], qs[i])
+
+
+def test_evaluate_batch_working_set_stays_within_the_chunk_budget():
+    # chunks are sized so one (chunk, r, 2d+1) work array takes at most _CHUNK_BYTES,
+    # and the solver frees each work array once it is dead: the traced peak was 1.5x
+    # the budget at sign d = 32 (n = 561), and 110 MiB with 128-point chunks that
+    # held two (128, r, 2d+1) and two (128, r, d+1) arrays at once
+    app = Approximant(quad_kernel("sign", 32))
+    X = get_benchmark("sign").random_x(300, np.random.default_rng(32))
+    tracemalloc.start()
+    try:
+        app.evaluate_batch(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _CHUNK_BYTES
 
 
 def _check_fibers_against_spectral_brute_force(kern, name):
