@@ -5,32 +5,33 @@ For a graph variable z = (x, y) the approximant is
     f(x) = min argmin_{y in Y} q(x, y),
 
 the smallest of the near-minimizers of the kernel along the y-fiber.  Every
-fiber is kept in one representation: its sum-of-squares rows.  With the rows
-w_i of ``CDKernel.sos_decomposition`` and b(x, y) = b_x(x) * b_y(y), the fiber
-is q(x, y) = sum_i (A_i(x) . L(y))^2, where L is the orthonormal Legendre
-basis of the search interval Y and A(x) = W diag(b_x(x)) S R collects the
-basis entries by their y-degree (S) and maps them into L (R, fixed at set-up).
-The j-th member phi_j of the last-axis family has degree j, so R is
-lower-triangular, and it is kept so: its quadrature's noise above the
-diagonal, about 1e-16, is dropped.  Output degree k then receives only the
-x-indices of degree <= d - k, which are a prefix of the grevlex x-basis.  The
-map is therefore stored as d+1 y-degree blocks, M_k of shape (n_{d-k}, r), and
-A(x)[:, k] = b_x(x)[:n_{d-k}] @ M_k is one stacked GEMV per block.  The blocks
+fiber is kept in one representation: its sum-of-squares rows in the kernel's
+own last-axis family.  With the rows w_i of ``CDKernel.sos_decomposition`` and
+b(x, y) = b_x(x) * phi(y), the fiber is q(x, y) = sum_i (A_i(x) . phi(y))^2,
+where phi is the basis family's univariate family on the domain's y-axis and
+A(x) = W diag(b_x(x)) S collects the basis entries by their y-degree (S).  The
+y-degree j pairs only with the x-indices of degree <= d - j, which are a
+prefix of the grevlex x-basis.  The map is therefore stored as d+1 y-degree
+blocks, M_j of shape (n_{d-j}, r), one permutation of W's columns, and
+A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j is one stacked GEMV per block.  The blocks
 hold n r doubles, the weighted (x-index, y-degree) pairs only, against
 n_x r (d+1) for a dense map: 52% of it at p = 2, d = 20, and 37% at p = 3,
 d = 16.  Each point streams the blocks once.
 
 Points are minimized in chunks sized by bytes: a chunk takes as many points
 as keep one (chunk, r, 2d+1) work array within a fixed budget, and each work
-array is freed once it is dead.  The Legendre coefficients of q come from its
-values at 2d+1 Gauss-Legendre nodes, the critical points from the stacked
-colleague matrices of dq/dy (Good 1961; Boyd, SIAM Rev. 55, 2013) in one
+array is freed once it is dead.  The Legendre coefficients of q, in the
+variable u that maps Y onto [-1, 1], come from its values at 2d+1
+Gauss-Legendre nodes, where phi's values are cached per family, degree,
+domain axis and interval.  The critical points come from the stacked
+colleague matrices of dq/du (Good 1961; Boyd, SIAM Rev. 55, 2013) in one
 eigenvalue call, and the candidates -- critical points plus the ends of Y --
-are scored in the sum-of-squares form.  The minimum is therefore exact up to
-rounding.  The squared row sums are einsum contractions: they add the rows in
-the same order as a sum over the row axis, without that strided reduction's
-cost.  The fixed tridiagonal part of each size of colleague matrix is cached
-as a template, so a chunk copies it and fills only the last column.
+are scored in the sum-of-squares form at y itself, so the reported q is q at
+the reported y and the minimum is exact up to rounding.  The squared row sums
+are einsum contractions: they add the rows in the same order as a sum over
+the row axis, without that strided reduction's cost.  The fixed tridiagonal
+part of each size of colleague matrix is cached as a template, so a chunk
+copies it and fills only the last column.
 
 Values within the tie window of the minimum count as ties and the smallest y
 wins, which reproduces the min-argmin convention on symmetric fibers.  Every
@@ -48,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from .basis import _grevlex_indices, as_points, axis_table, basis_size, eval_basis_batch, leggauss
+from .basis import Family, _grevlex_indices, _stacked_tables, as_points, basis_size, eval_basis_batch, leggauss
 from .cdkernel import CDKernel
 
 # bytes of one (chunk, r, 2d+1) work array, the largest the fiber solver makes;
@@ -107,19 +108,32 @@ class ApproxConfig:
 
 @lru_cache(maxsize=64)
 def _fiber_maps(d: int) -> tuple:
-    """Fixed maps for rows of degree d in the Legendre basis P_k(u) on [-1, 1].
+    """Fixed maps for a fiber q of degree 2d in the Legendre basis P_k(u) on [-1, 1].
 
-    ``nodes`` evaluates a row at the 2d+1 Gauss-Legendre nodes, ``project``
-    turns values of q at those nodes into its Legendre coefficients (exact, as
-    q has degree 2d), and ``derive`` turns those into the coefficients of dq/du.
+    ``project`` turns values of q at the 2d+1 Gauss-Legendre nodes into its
+    Legendre coefficients (exact, as q has degree 2d), and ``derive`` turns
+    those into the coefficients of dq/du.
     """
     u, w = leggauss(2 * d + 1)
-    nodes = legendre.legvander(u, d).T
     project = legendre.legvander(u, 2 * d) * w[:, None] * (np.arange(2 * d + 1) + 0.5)
     derive = legendre.legder(np.eye(2 * d + 1)).T
-    for a in (nodes, project, derive):
+    for a in (project, derive):
         a.setflags(write=False)
-    return nodes, project, derive
+    return project, derive
+
+
+def _phi(family: Family, d: int, axis: tuple, y: np.ndarray) -> np.ndarray:
+    """Degree-major (d+1, *y.shape) values at y of the family's members of degree <= d on axis = (lo, hi)."""
+    return _stacked_tables(family, d, y.reshape(1, -1), np.array([axis]))[:, 0].reshape(d + 1, *y.shape)
+
+
+@lru_cache(maxsize=64)
+def _node_values(family: Family, d: int, axis: tuple, interval: tuple) -> np.ndarray:
+    """phi on ``axis`` at the 2d+1 Gauss-Legendre nodes of ``interval``, (d+1, 2d+1), read-only; not per Approximant."""
+    lo, hi = interval
+    out = _phi(family, d, axis, lo + 0.5 * (leggauss(2 * d + 1)[0] + 1.0) * (hi - lo))
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -165,17 +179,9 @@ def _real_roots(c: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
-def _sos_values(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """q(u) = sum_i (rows_i . P(u))^2 for rows (B, r, d+1) at points u (B, k)."""
-    d = rows.shape[2] - 1
-    # P_j(u) by legvander's recurrence into a degree-major buffer, so each degree is one contiguous write
-    V = np.empty((d + 1, *u.shape))
-    V[0] = 1.0
-    if d > 0:
-        V[1] = u
-    for i in range(2, d + 1):
-        V[i] = (V[i - 1] * u * (2 * i - 1) - V[i - 2] * (i - 1)) / i
-    terms = rows @ V.transpose(1, 0, 2)
+def _sos_values(rows: np.ndarray, family: Family, axis: tuple, y: np.ndarray) -> np.ndarray:
+    """q(y) = sum_i (rows_i . phi(y))^2 for rows (B, r, d+1) in phi on ``axis``, at points y (B, k)."""
+    terms = rows @ _phi(family, rows.shape[2] - 1, axis, y).transpose(1, 0, 2)
     return np.einsum("brk,brk->bk", terms, terms)
 
 
@@ -197,28 +203,32 @@ def _interval(interval, d: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _fiber_argmin(A: np.ndarray, interval, alpha: float, tie_tol: float) -> tuple:
-    """Min-argmin of q = sum_i (A[b, i] . L(y))^2 over the interval, for each b.
+def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, alpha: float, tie_tol: float) -> tuple:
+    """Min-argmin of q = sum_i (A[b, i] . phi(y))^2 over the interval, for each b.
 
-    A has shape (B, r, d+1) and holds orthonormal Legendre coefficients on the
-    interval.  Returns the arrays (y, q(y)).
+    A has shape (B, r, d+1) and holds coefficients in phi, the members of
+    degree <= d of ``family`` on ``axis`` = (lo, hi); ``interval`` is a search
+    interval that ``_interval`` accepted.  The solver reads phi only through
+    its values at the interval's Gauss nodes and at the candidates.  Returns
+    the arrays (y, q(y)), q evaluated at the returned y.
     """
     B, d = A.shape[0], A.shape[2] - 1
-    lo, hi = _interval(interval, d)
+    lo, hi = interval
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite fiber coefficients")
-    nodes, project, derive = _fiber_maps(d)
+    project, derive = _fiber_maps(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = A * np.sqrt((2.0 * np.arange(d + 1) + 1.0) / (hi - lo))  # now in P_k(u), u on [-1, 1]
-        del A  # frees a caller's temporary, such as evaluate_batch's rows
-        at_nodes = rows @ nodes
+        at_nodes = A @ _node_values(family, d, axis, interval)
         c = (np.einsum("brk,brk->bk", at_nodes, at_nodes)[:, None, :] @ project)[:, 0]
         del at_nodes  # dead before _sos_values makes the other (B, r, 2d+1) array
     if not np.all(np.isfinite(c)):
         raise ValueError(f"q overflows on the search interval [{lo}, {hi}]")
-    ends = np.broadcast_to([-1.0, 1.0], (B, 2))
-    u = np.concatenate([_real_roots((c[:, None, :] @ derive)[:, 0]), ends], axis=1)
-    q = _sos_values(rows, u)
+
+    def at_y(u):  # roots in u on [-1, 1], mapped into the interval
+        return np.clip(lo + 0.5 * (u + 1.0) * (hi - lo), lo, hi)
+
+    y = np.concatenate([at_y(_real_roots((c[:, None, :] @ derive)[:, 0])), np.broadcast_to([lo, hi], (B, 2))], axis=1)
+    q = _sos_values(A, family, axis, y)
     qmin, qmax = q.min(axis=1), q.max(axis=1)
     # the 1e-14 * qmax floor absorbs rounding noise of order eps * (fiber range)
     # in the spectral factorization, so exactly symmetric fibers tie cleanly
@@ -228,16 +238,15 @@ def _fiber_argmin(A: np.ndarray, interval, alpha: float, tie_tol: float) -> tupl
         thresh = (1.0 + alpha) / (1.0 - alpha) * np.maximum(qmin, 0.0) + window
         shifted = c.copy()
         shifted[:, 0] -= thresh
-        cross = _real_roots(shifted)
-        u = np.concatenate([u, cross], axis=1)
-        q = np.concatenate([q, _sos_values(rows, cross)], axis=1)
+        cross = at_y(_real_roots(shifted))
+        y = np.concatenate([y, cross], axis=1)
+        q = np.concatenate([q, _sos_values(A, family, axis, cross)], axis=1)
         thresh = thresh + _CROSS_TOL * np.abs(qmax)
     else:
         thresh = qmin + window
-    pick = np.argmin(np.where(q <= thresh[:, None], u, np.inf), axis=1)
+    pick = np.argmin(np.where(q <= thresh[:, None], y, np.inf), axis=1)
     at = np.arange(B)
-    y = np.clip(lo + 0.5 * (u[at, pick] + 1.0) * (hi - lo), lo, hi)
-    return y, q[at, pick]
+    return y[at, pick], q[at, pick]
 
 
 def partial_argmin(
@@ -251,89 +260,70 @@ def partial_argmin(
 ) -> tuple[float, float]:
     """Smallest near-minimizer of a sum-of-squares polynomial on an interval.
 
-    ``rows`` is an (r, k) array, or one row, of coefficients in the
-    orthonormal Legendre basis L of the interval; the polynomial is
-    q(y) = sum_i (rows_i . L(y))^2, as returned by
-    ``Approximant.y_coefficients``.  Returns (y, q(y)) with y the smallest
-    candidate inside the tie window of the minimum (or, for alpha > 0, the
-    leftmost point with q(y) <= (1+alpha)/(1-alpha) min q).  The minimum is
-    exact up to rounding, which meets any ``epsilon``;
-    ``coarse_points`` and ``max_refinements`` are accepted and ignored.
+    ``rows`` is an (r, k) array with k >= 1, or one row, of coefficients in
+    the orthonormal Legendre basis L of the interval; the polynomial is
+    q(y) = sum_i (rows_i . L(y))^2.  ``Approximant.y_coefficients`` returns
+    such rows for the orthonormal family searched over its y-axis.  Returns
+    (y, q(y)) with y the smallest candidate inside the tie window of the
+    minimum (or, for alpha > 0, the leftmost point with
+    q(y) <= (1+alpha)/(1-alpha) min q).  The minimum is exact up to rounding,
+    which meets any ``epsilon``; ``coarse_points`` and ``max_refinements`` are
+    accepted and ignored.
     """
     _check_knobs(alpha, tie_tol)
     A = np.atleast_2d(np.asarray(rows, dtype=float))
     if A.ndim > 2:
         raise ValueError(f"rows must be one row or a 2-D array of rows, got shape {A.shape}")
-    y, q = _fiber_argmin(A[None], interval, alpha, tie_tol)
+    if A.shape[1] == 0:
+        raise ValueError(f"rows must have at least one coefficient, got shape {np.shape(rows)}")
+    interval = _interval(interval, A.shape[1] - 1)
+    y, q = _fiber_argmin(A[None], Family.LEGENDRE_ORTHONORMAL, interval, interval, alpha, tie_tol)
     return float(y[0]), float(q[0])
-
-
-def _change_of_basis(spec, lo: float, hi: float) -> np.ndarray:
-    """R with phi_j(y) = sum_k R[j, k] L_k(y): last-axis family into the orthonormal Legendre basis of [lo, hi]."""
-    t, w = leggauss(spec.d + 1)
-    y = lo + 0.5 * (t + 1.0) * (hi - lo)
-    L = legendre.legvander(t, spec.d) * np.sqrt((2.0 * np.arange(spec.d + 1) + 1.0) / (hi - lo))
-    return (axis_table(spec, spec.p - 1, y) * (0.5 * (hi - lo) * w)[:, None]).T @ L
 
 
 @lru_cache(maxsize=64)
 def _block_layout(p: int, d: int) -> tuple:
-    """Where each basis column goes in the y-degree blocks, for the grevlex basis of (p, d).
+    """The y-degree block order of the basis columns, for the grevlex basis of (p, d).
 
-    Basis column (a, j) has x-index a, of degree t, and y-degree j.  Returns
-    (src, groups, dst, spans).  ``src`` orders the columns by t, then j, then
-    a, and ``groups`` holds each t's (start, stop, d-t+1) in that order.  Once
-    mapped into L, the row from column (a, j) is row a of block j, and ``dst``
-    is its row in the stacked blocks M_0, ..., M_d; ``spans[k]`` is block k's
-    slice of them.  Block k has n_{d-k} rows, because the x-indices of degree
-    <= s are the first n_s of the grevlex x-basis.
+    Basis column (a, j) has x-index a and y-degree j, and is row a of block j.
+    Returns (order, spans): ``order`` sorts the columns by j, then a, and
+    ``spans[j]`` is block j's slice of the sorted columns.  Block j has
+    n_{d-j} rows, because the x-indices of degree <= d - j are the first
+    n_{d-j} of the grevlex x-basis.
     """
     full, xs = _grevlex_indices(p, d), _grevlex_indices(p - 1, d)
     pos = {a: i for i, a in enumerate(map(tuple, xs.tolist()))}
     a = np.array([pos[x] for x in map(tuple, full[:, :-1].tolist())], dtype=np.intp)
-    j = full[:, -1]
-    t = full.sum(axis=1) - j
-    src = np.lexsort((a, j, t))
-    first = np.cumsum([0] + [basis_size(p - 1, d - k) for k in range(d + 1)])  # first row of each block
-    dst = (first[j] + a)[src]
-    stops = np.cumsum(np.bincount(t, minlength=d + 1)).tolist()
-    groups = tuple((start, stop, d - deg + 1) for deg, (start, stop) in enumerate(zip([0] + stops[:-1], stops)))
-    for x in (src, dst):
-        x.setflags(write=False)
-    return src, groups, dst, tuple(slice(lo, hi) for lo, hi in zip(first[:-1].tolist(), first[1:].tolist()))
+    order = np.lexsort((a, full[:, -1]))
+    order.setflags(write=False)
+    first = np.cumsum([0] + [basis_size(p - 1, d - j) for j in range(d + 1)]).tolist()  # first row of each block
+    return order, tuple(slice(lo, hi) for lo, hi in zip(first[:-1], first[1:]))
 
 
-def _degree_blocks(spec, W: np.ndarray, interval: tuple) -> tuple:
-    """The fiber rows by y-degree: blocks M_k, k = 0..d, with A(x)[:, k] = b_x(x)[:n_{d-k}] @ M_k.
+def _degree_blocks(spec, W: np.ndarray) -> tuple:
+    """The fiber rows by y-degree: blocks M_j, j = 0..d, with A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j.
 
-    W holds the sum-of-squares rows (r, n).  Column (a, j) of W, x-index a of
-    degree t and y-degree j <= d - t, reaches output degree k through
-    R[j, k].  R is lower-triangular, as phi_j has degree j, so k <= j <= d - t
-    and M_k needs only the n_{d-k} x-indices of degree <= d - k.  W's columns
-    are gathered once, grouped by t; each group is mapped by R's leading
-    (d-t+1) block, and one scatter lays the rows out by block.  The blocks are
-    views of one (n, r) array, so they hold n r doubles in all.
+    W holds the sum-of-squares rows (r, n).  One gather permutes its columns
+    into block order, and the blocks are views of that one (n, r) array, so
+    they hold n r doubles in all.
     """
-    src, groups, dst, spans = _block_layout(spec.p, spec.d)
-    Rt = np.tril(_change_of_basis(spec, *interval)).T
-    G = W.T[src]
-    out = np.empty_like(G)
-    for start, stop, m in groups:
-        np.matmul(Rt[:m, :m], G[start:stop].reshape(m, -1), out=out[start:stop].reshape(m, -1))
-    G[dst] = out
+    order, spans = _block_layout(spec.p, spec.d)
+    G = W.T[order]
     return tuple(G[span] for span in spans)
 
 
 class Approximant:
     """Evaluates f(x) = min argmin_y q(x, y) for a kernel on a graph box.
 
+    The fiber rows stay in phi, the kernel's last-axis family on the domain's
+    y-axis, whatever the search interval; the solver evaluates phi itself.
     Working set, with n the basis size and r = n sum-of-squares rows: the
     y-degree blocks take 8 n r bytes, and the kernel holds M and its
     eigenvectors at 8 n^2 bytes each.  Evaluation runs in chunks of
     max(1, _CHUNK_BYTES // (8 r (2d+1))) points, so each of its largest work
     arrays, the (chunk, r, 2d+1) node values and candidate terms, takes at
     most _CHUNK_BYTES (4 MiB).  The two are never alive together: beside one
-    of them a chunk holds the (chunk, r, d+1) scaled rows.  At disk1 d = 20
+    of them a chunk holds its (chunk, r, d+1) rows.  At disk1 d = 20
     (n = 1,771) the blocks take 24 MiB and a chunk has 7 points; 128-point
     chunks, with both large arrays and two (128, r, d+1) arrays alive at
     once, added 215 MiB to the peak.
@@ -348,7 +338,7 @@ class Approximant:
         self.spec = spec
         self._y_interval = _interval(self.config.y_interval or spec.domain[-1], spec.d)
         self._x_spec = spec.x_spec()
-        self._blocks = _degree_blocks(spec, kernel.sos_decomposition(), self._y_interval)
+        self._blocks = _degree_blocks(spec, kernel.sos_decomposition())
         self._chunk = max(1, _CHUNK_BYTES // (8 * self._blocks[0].shape[1] * (2 * spec.d + 1)))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
@@ -360,7 +350,9 @@ class Approximant:
         return np.ascontiguousarray(out[:, :, 0].transpose(1, 2, 0))
 
     def y_coefficients(self, x) -> np.ndarray:
-        """Sum-of-squares rows A(x): q(x, y) = sum_i (A_i . L(y))^2, L orthonormal on the search interval."""
+        """Sum-of-squares rows A(x): q(x, y) = sum_i (A_i . phi(y))^2, phi the last-axis family on the domain's y-axis.
+
+        In the orthonormal family phi is the basis ``partial_argmin`` reads on that axis."""
         return self._rows(as_points(self._x_spec, np.reshape(x, (1, -1))))[0]
 
     def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -369,9 +361,11 @@ class Approximant:
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise ValueError(f"point row {bad[0]} has a non-finite coordinate: {X[bad[0]].tolist()}")
-        cfg = self.config
+        cfg, spec = self.config, self.spec
         ys, qs = np.empty(X.shape[0]), np.empty(X.shape[0])
         for s in range(0, X.shape[0], self._chunk):
             part = slice(s, s + self._chunk)
-            ys[part], qs[part] = _fiber_argmin(self._rows(X[part]), self._y_interval, cfg.alpha, cfg.tie_tol)
+            ys[part], qs[part] = _fiber_argmin(
+                self._rows(X[part]), spec.family, spec.domain[-1], self._y_interval, cfg.alpha, cfg.tie_tol
+            )
         return ys, qs

@@ -89,7 +89,8 @@ def _legendre_christoffel_min(m: int) -> float:
     from .approximant import _fiber_argmin  # loaded here: approximant imports this module
 
     # on [-1, 1] the orthonormal Legendre basis is sqrt((2j+1)/2) P_j, so its squares sum to half the target
-    return 2.0 * float(_fiber_argmin(np.eye(m + 1)[None], (-1.0, 1.0), 0.0, 1e-13)[1][0])
+    unit = (-1.0, 1.0)
+    return 2.0 * float(_fiber_argmin(np.eye(m + 1)[None], Family.LEGENDRE_ORTHONORMAL, unit, unit, 0.0, 1e-13)[1][0])
 
 
 def certified_floor(matrix: MomentMatrix, beta: float) -> float:
@@ -271,21 +272,25 @@ def gamma_threshold(d: int, params: ThresholdParams) -> float:
 def perturbation_alpha(exact: MomentMatrix, approx: MomentMatrix, beta: float) -> float:
     """Relative spectral distortion between two regularized moment matrices.
 
-    Returns ||I - (Me + beta I)^(1/2) (Ma + beta I)^(-1) (Me + beta I)^(1/2)||.
+    Returns ||I - (Me + beta I)^(1/2) (Ma + beta I)^(-1) (Me + beta I)^(1/2)||,
+    the largest |1 - w| over the eigenvalues w of the pencil
+    (Me + beta I) v = w (Ma + beta I) v, from one ``scipy.linalg.eigh`` call.
     When this is alpha < 1, the approximate Tikhonov kernel satisfies
-    sup_z |1 - q_approx(z)/q_exact(z)| <= alpha.
+    sup_z |1 - q_approx(z)/q_exact(z)| <= alpha.  Refuses an approximate
+    matrix whose Cholesky factorization with beta fails, and an exact one
+    with beta that has a pencil eigenvalue w <= 0, which is then not positive
+    definite.
     """
+    from scipy.linalg import eigh  # loaded here: a cold start imports no scipy
+
     _check_beta(beta)
     if exact.spec != approx.spec:
         raise ValueError("moment matrices use different bases")
-    ee, Pe = np.linalg.eigh(exact.entries)
-    if ee[0] + beta <= 0:
-        raise IndefiniteMatrixError(f"exact matrix plus beta is not positive definite (min {ee[0]:.3e})")
-    ea = np.linalg.eigvalsh(approx.entries)
-    if ea[0] + beta <= 0:
-        raise IndefiniteMatrixError(f"approximate matrix plus beta is not positive definite (min {ea[0]:.3e})")
-    S = (Pe * np.sqrt(np.maximum(ee + beta, 0.0))) @ Pe.T
-    T = np.eye(exact.n) - S @ np.linalg.inv(approx.entries + beta * np.eye(exact.n)) @ S
-    T = 0.5 * (T + T.T)
-    w = np.linalg.eigvalsh(T)
-    return float(max(abs(w[0]), abs(w[-1])))
+    shift = beta * np.eye(exact.n)
+    try:
+        w = eigh(exact.entries + shift, approx.entries + shift, eigvals_only=True)
+    except np.linalg.LinAlgError as err:
+        raise IndefiniteMatrixError(f"approximate matrix plus beta is not positive definite: {err}") from err
+    if w[0] <= 0:
+        raise IndefiniteMatrixError(f"exact matrix plus beta is not positive definite (pencil eigenvalue {w[0]:.3e})")
+    return float(max(abs(1.0 - w[0]), abs(1.0 - w[-1])))

@@ -13,7 +13,7 @@ from numpy.polynomial import polynomial as npoly
 
 from cdapprox import approximant
 from cdapprox.approximant import _CHUNK_BYTES, ApproxConfig, Approximant, _fiber_argmin, _fiber_maps, _real_roots, partial_argmin
-from cdapprox.basis import BasisSpec, Family, eval_basis_batch
+from cdapprox.basis import BasisSpec, Family, axis_table, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import CDKernel
 from cdapprox.moments import MomentMatrix, Provenance
@@ -28,6 +28,14 @@ def legendre_rows(polys):
         leg = legendre.poly2leg(h)  # drops trailing zeros
         out[i, : len(leg)] = leg
     return out / np.sqrt(np.arange(k) + 0.5)
+
+
+UNIT = (-1.0, 1.0)
+
+
+def legendre_argmin(A, alpha):
+    # the stacked solver on rows in the orthonormal Legendre basis of [-1, 1]
+    return _fiber_argmin(A, Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, alpha, 1e-13)
 
 
 def sos_value(rows, y, interval=(-1.0, 1.0)):
@@ -141,6 +149,10 @@ def test_partial_argmin_validation():
         partial_argmin(np.array([1.0, np.nan]), (-1.0, 1.0))
     with pytest.raises(ValueError):
         partial_argmin(np.ones((2, 2, 3)), (-1.0, 1.0))
+    # rows with no coefficients used to fail inside numpy's leggauss on "deg must be a positive integer"
+    for rows in (np.zeros(0), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match=rf"at least one coefficient, got shape \({rows.shape[0]},"):
+            partial_argmin(rows, (-1.0, 1.0))
 
 
 def test_degenerate_fibers():
@@ -238,7 +250,8 @@ def test_config_refuses_a_tie_tol_that_is_negative_or_not_finite(tie_tol):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_y_coefficients_reproduce_kernel(family):
-    # the sum-of-squares rows must reproduce direct kernel evaluation
+    # the sum-of-squares rows, in the kernel's last-axis family phi on the
+    # domain's y-axis, must reproduce direct kernel evaluation
     M = get_benchmark("sign").moment_matrix(3, family=family)
     kern = CDKernel(M, 1e-4)
     app = Approximant(kern)
@@ -248,7 +261,11 @@ def test_y_coefficients_reproduce_kernel(family):
         assert rows.shape == (M.n, 4)
         for y in rng.uniform(-1, 1, size=5):
             direct = kern.eval_q_batch([[x, y]])[0]
-            assert float(sos_value(rows, y)) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+            if family is Family.MONOMIAL_GREVLEX:
+                value = float(np.sum((rows @ y ** np.arange(4)) ** 2))  # phi_j(y) = y^j
+            else:
+                value = float(sos_value(rows, y))
+            assert value == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
 def test_y_coefficients_reproduce_kernel_p3():
@@ -270,15 +287,15 @@ def quad_kernel(name, d):
 
 
 def dense_rows_map(app):
-    # the dense (n_x, r, d+1) rows map: W's column (a, j) placed at x-index a and
-    # y-degree j, then mapped into the Legendre basis of the search interval
+    # the dense (n_x, r, d+1) rows map in phi: W's column (a, j) placed at
+    # x-index a and y-degree j
     spec, W = app.spec, app.kernel.sos_decomposition()
     x_spec = spec.x_spec()
     pos = {a: i for i, a in enumerate(map(tuple, x_spec.indices.tolist()))}
     xcol = [pos[a] for a in map(tuple, spec.indices[:, :-1].tolist())]
     T = np.zeros((x_spec.size, W.shape[0], spec.d + 1))
     T[xcol, :, spec.indices[:, -1]] = W.T
-    return x_spec, T @ approximant._change_of_basis(spec, *app._y_interval)
+    return x_spec, T
 
 
 @pytest.mark.parametrize(
@@ -289,7 +306,7 @@ def dense_rows_map(app):
 )
 def test_y_coefficients_match_the_dense_rows_map(case):
     # the y-degree blocks drop only the (x-index, y-degree) pairs that carry no
-    # weight and R's rounding noise above its diagonal
+    # weight, and a custom search interval leaves the rows as they are
     name, d, how = case
     if name == "disk1":
         app = Approximant(empirical_disk_kernel())
@@ -323,9 +340,9 @@ def test_approximant_stores_n_r_doubles_of_fiber_rows(name, d):
 
 @pytest.mark.parametrize("case", ["sign-d20", "disk1-d8", "step-d8-monomial", "sign-d32"])
 def test_evaluate_batch_is_bit_identical_per_point(case):
-    # evaluate_batch at any batch size, one point included, and y_coefficients followed
-    # by partial_argmin share one routine whose per-point arithmetic ignores the batch;
-    # the grid spans more than two of the approximant's chunks, and batches of chunk + 1
+    # evaluate_batch at any batch size, one point included, and, in the orthonormal family,
+    # y_coefficients followed by partial_argmin share one routine whose per-point arithmetic
+    # ignores the batch; the grid spans more than two of the approximant's chunks, and batches of chunk + 1
     # points straddle the whole-grid call's chunk boundaries
     if case == "disk1-d8":
         app = Approximant(empirical_disk_kernel())
@@ -342,8 +359,25 @@ def test_evaluate_batch_is_bit_identical_per_point(case):
             y, q = app.evaluate_batch(X[s : s + size])
             np.testing.assert_array_equal(y, ys[s : s + size])
             np.testing.assert_array_equal(q, qs[s : s + size])
-    for i in range(0, X.shape[0], 17):
-        assert partial_argmin(app.y_coefficients(X[i]), app.spec.domain[-1]) == (ys[i], qs[i])
+    if app.spec.family is Family.LEGENDRE_ORTHONORMAL:  # the basis partial_argmin reads
+        for i in range(0, X.shape[0], 17):
+            assert partial_argmin(app.y_coefficients(X[i]), app.spec.domain[-1]) == (ys[i], qs[i])
+
+
+@pytest.mark.parametrize(
+    "d, family", [(20, Family.LEGENDRE_ORTHONORMAL), (32, Family.LEGENDRE_ORTHONORMAL), (32, Family.MONOMIAL_GREVLEX)]
+)
+def test_reported_q_is_the_kernel_at_the_reported_y(d, family):
+    # the candidates are scored at y itself; mapping the rows into the Legendre
+    # basis of the search interval first put q off by up to 1.8e-11 relative
+    bench = get_benchmark("sign")
+    if family is Family.MONOMIAL_GREVLEX:
+        kern = CDKernel(bench.moment_matrix(d, family=family), 1e-8)
+    else:
+        kern = quad_kernel("sign", d)
+    X = bench.grid_x(64)
+    ys, qs = Approximant(kern).evaluate_batch(X)
+    np.testing.assert_allclose(qs, kern.eval_q_batch(np.c_[X, ys]), rtol=2e-12, atol=0.0)
 
 
 def test_evaluate_batch_working_set_stays_within_the_chunk_budget():
@@ -422,10 +456,10 @@ def test_custom_y_interval_restricts_search():
     (y,), (q,) = app.evaluate_batch([[-0.5]])
     assert 0.0 <= y <= 1.0
     assert q == pytest.approx(app.kernel.eval_q_batch([[-0.5, y]])[0], rel=1e-9)
-    # the rows live in the Legendre basis of the search interval
+    # the rows live in the Legendre basis of the domain's y-axis, not of the search interval
     rows = app.y_coefficients([-0.5])
-    for t in (0.1, 0.5, 0.9):
-        assert float(sos_value(rows, t, (0.0, 1.0))) == pytest.approx(app.kernel.eval_q_batch([[-0.5, t]])[0], rel=1e-9)
+    for t in (-0.9, 0.1, 0.5, 0.9):
+        assert float(sos_value(rows, t, app.spec.domain[-1])) == pytest.approx(app.kernel.eval_q_batch([[-0.5, t]])[0], rel=1e-9)
 
 
 def test_mixed_degree_stacks_match_their_one_row_calls(monkeypatch):
@@ -447,13 +481,13 @@ def test_mixed_degree_stacks_match_their_one_row_calls(monkeypatch):
     monkeypatch.setattr(approximant, "_real_roots", spy)
     for alpha in (0.0, 0.3):
         tops.clear()
-        ys, qs = _fiber_argmin(A, (-1.0, 1.0), alpha, 1e-13)
+        ys, qs = legendre_argmin(A, alpha)
         assert not tops[0].all() and tops[0][:2].all()  # the stack took the degree-grouped path
         for i in range(A.shape[0]):
-            y, q = _fiber_argmin(A[i : i + 1], (-1.0, 1.0), alpha, 1e-13)
+            y, q = legendre_argmin(A[i : i + 1], alpha)
             np.testing.assert_array_equal(y, ys[i : i + 1])
             np.testing.assert_array_equal(q, qs[i : i + 1])
-    ys, qs = _fiber_argmin(A, (-1.0, 1.0), 0.0, 1e-13)
+    ys, qs = legendre_argmin(A, 0.0)
     grid = np.linspace(-1.0, 1.0, 200_001)
     for i in range(A.shape[0]):
         dense = sos_value(A[i], grid)
@@ -470,9 +504,10 @@ def test_mixed_degree_stacks_match_their_one_row_calls(monkeypatch):
         assert np.all(got[n:] == -1.0)
 
 
-def _plain_fiber_argmin(A, interval, alpha, tie_tol):
-    # the fiber solver in its plain formulation: legvander candidates, axis-1
-    # square sums, and numpy's legcompanion matrices solved degree by degree
+def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
+    # the fiber solver in its plain formulation: phi from axis_table at the Gauss nodes
+    # and the candidates, axis-1 square sums, and numpy's legcompanion matrices solved
+    # degree by degree
     def roots(c):
         out = np.full((c.shape[0], c.shape[1] - 1), -1.0)
         live = c != 0.0
@@ -481,20 +516,22 @@ def _plain_fiber_argmin(A, interval, alpha, tie_tol):
             sel = deg == n
             mats = np.stack([legendre.legcompanion(row) for row in c[sel, : n + 1]])
             out[sel, :n] = np.linalg.eigvals(mats).real
-        return np.clip(out, -1.0, 1.0)
+        return np.clip(lo + 0.5 * (np.clip(out, -1.0, 1.0) + 1.0) * (hi - lo), lo, hi)
 
-    def values(rows, u):
-        t = rows @ legendre.legvander(u, rows.shape[2] - 1).transpose(0, 2, 1)
+    def phi(y):
+        return axis_table(spec, spec.p - 1, y)
+
+    def values(y):
+        t = A @ phi(y.ravel()).reshape(*y.shape, -1).transpose(0, 2, 1)
         return (t * t).sum(axis=1)
 
     lo, hi = interval
     d = A.shape[2] - 1
-    rows = A * np.sqrt((2.0 * np.arange(d + 1) + 1.0) / (hi - lo))
-    nodes, project, derive = _fiber_maps(d)
-    at_nodes = rows @ nodes
+    project, derive = _fiber_maps(d)
+    at_nodes = A @ phi(lo + 0.5 * (legendre.leggauss(2 * d + 1)[0] + 1.0) * (hi - lo)).T
     c = ((at_nodes * at_nodes).sum(axis=1)[:, None, :] @ project)[:, 0]
-    u = np.concatenate([roots((c[:, None, :] @ derive)[:, 0]), np.broadcast_to([-1.0, 1.0], (A.shape[0], 2))], axis=1)
-    q = values(rows, u)
+    y = np.concatenate([roots((c[:, None, :] @ derive)[:, 0]), np.broadcast_to([lo, hi], (A.shape[0], 2))], axis=1)
+    q = values(y)
     qmin, qmax = q.min(axis=1), q.max(axis=1)
     window = tie_tol * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
     if alpha > 0.0:
@@ -502,13 +539,13 @@ def _plain_fiber_argmin(A, interval, alpha, tie_tol):
         shifted = c.copy()
         shifted[:, 0] -= thresh
         cross = roots(shifted)
-        u, q = np.concatenate([u, cross], axis=1), np.concatenate([q, values(rows, cross)], axis=1)
+        y, q = np.concatenate([y, cross], axis=1), np.concatenate([q, values(cross)], axis=1)
         thresh = thresh + approximant._CROSS_TOL * np.abs(qmax)
     else:
         thresh = qmin + window
-    pick = np.argmin(np.where(q <= thresh[:, None], u, np.inf), axis=1)
+    pick = np.argmin(np.where(q <= thresh[:, None], y, np.inf), axis=1)
     at = np.arange(A.shape[0])
-    return np.clip(lo + 0.5 * (u[at, pick] + 1.0) * (hi - lo), lo, hi), q[at, pick]
+    return y[at, pick], q[at, pick]
 
 
 @lru_cache(maxsize=None)
@@ -518,18 +555,26 @@ def empirical_disk_kernel():
 
 @pytest.mark.parametrize(
     "case",
-    [(name, d, 0.0) for name in ("sign", "step") for d in (4, 8, 12, 16, 20)] + [("disk1", 8, 0.0), ("step", 12, 0.1)],
-    ids=lambda case: f"{case[0]}-d{case[1]}-alpha{case[2]}",
+    [(name, d, 0.0, "") for name in ("sign", "step") for d in (4, 8, 12, 16, 20)]
+    + [("disk1", 8, 0.0, ""), ("step", 12, 0.1, ""), ("sign", 8, 0.0, "-monomial"), ("step", 8, 0.1, "-interval")],
+    ids=lambda case: f"{case[0]}-d{case[1]}-alpha{case[2]}{case[3]}",
 )
 def test_evaluate_batch_is_bit_equal_to_the_plain_formulation(case):
-    name, d, alpha = case
-    kern = empirical_disk_kernel() if name == "disk1" else quad_kernel(name, d)
-    app = Approximant(kern, ApproxConfig(alpha=alpha))
+    # the monomial case reads phi_j(y) = y^j at the nodes, and the interval case
+    # searches (-0.3, 0.7) with rows still in phi on the domain's y-axis
+    name, d, alpha, how = case
+    if name == "disk1":
+        kern = empirical_disk_kernel()
+    elif how == "-monomial":
+        kern = CDKernel(get_benchmark(name).moment_matrix(d, family=Family.MONOMIAL_GREVLEX), 1e-8)
+    else:
+        kern = quad_kernel(name, d)
+    app = Approximant(kern, ApproxConfig(alpha=alpha, y_interval=(-0.3, 0.7) if how == "-interval" else None))
     X = get_benchmark(name).grid_x(16 if name != "disk1" else (4, 4))
     A = np.stack([app.y_coefficients(x) for x in X])
     for size in (1, 8, 16):
         for s in range(0, X.shape[0], size):
             y, q = app.evaluate_batch(X[s : s + size])
-            y_ref, q_ref = _plain_fiber_argmin(A[s : s + size], (-1.0, 1.0), alpha, app.config.tie_tol)
+            y_ref, q_ref = _plain_fiber_argmin(A[s : s + size], app.spec, app._y_interval, alpha, app.config.tie_tol)
             np.testing.assert_array_equal(y, y_ref)
             np.testing.assert_array_equal(q, q_ref)

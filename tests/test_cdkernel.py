@@ -571,8 +571,10 @@ def test_perturbation_alpha_rejects_non_pd_shift():
     spec = BasisSpec(2, 1)
     Me = MomentMatrix(spec, np.eye(3), Provenance.ANALYTIC, 1.0)
     Ma = MomentMatrix(spec, np.diag([1.0, 1.0, -0.5]), Provenance.EMPIRICAL, 1.0)
-    with pytest.raises(IndefiniteMatrixError):
+    with pytest.raises(IndefiniteMatrixError, match="approximate matrix"):
         perturbation_alpha(Me, Ma, 0.1)
+    with pytest.raises(IndefiniteMatrixError, match="exact matrix"):
+        perturbation_alpha(Ma, Me, 0.1)
     # a beta restoring definiteness is accepted; alpha >= 1 means no guarantee
     alpha = perturbation_alpha(Me, Ma, 1.0)
     assert math.isfinite(alpha) and alpha == pytest.approx(3.0, rel=1e-12)
