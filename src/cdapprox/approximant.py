@@ -319,7 +319,7 @@ class Approximant:
     y-axis, whatever the search interval; the solver evaluates phi itself.
     Working set, with n the basis size and r = n sum-of-squares rows: the
     y-degree blocks take 8 n r bytes, and the kernel holds M and its
-    eigenvectors at 8 n^2 bytes each.  Evaluation runs in chunks of
+    sum-of-squares rows at 8 n^2 bytes each.  Evaluation runs in chunks of
     max(1, _CHUNK_BYTES // (8 r (2d+1))) points, so each of its largest work
     arrays, the (chunk, r, 2d+1) node values and candidate terms, takes at
     most _CHUNK_BYTES (4 MiB).  The two are never alive together: beside one

@@ -169,15 +169,6 @@ def _stacked_tables(family: Family, d: int, T: np.ndarray, box: np.ndarray) -> n
     return out
 
 
-def axis_table(spec: BasisSpec, k: int, t: np.ndarray) -> np.ndarray:
-    """Values of axis k's univariate family up to degree d at the points t.
-
-    Shape (m, d+1), a view of a degree-major buffer: column j is contiguous.
-    """
-    box = spec.domain_array()[k : k + 1]
-    return _stacked_tables(spec.family, spec.d, np.asarray(t, dtype=float)[None, :], box)[:, 0].T
-
-
 def as_points(spec: BasisSpec, Z) -> np.ndarray:
     """Z as a float array of shape (m, p); points of another dimension raise ValueError."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))

@@ -126,12 +126,13 @@ def beta_schedule(d: int) -> float:
 
 
 class CDKernel:
-    """Spectral form of the regularized Christoffel-Darboux polynomial.
+    """Sum-of-squares form of the regularized Christoffel-Darboux polynomial.
 
     Eigenvalues are sorted ascending; negative ones within the PSD tolerance
     of ``moments`` are rounding and clipped to zero, anything below it raises
-    IndefiniteMatrixError.  ``filter_values`` holds the Tikhonov values
-    g_i = 1/(beta + lambda_i).
+    IndefiniteMatrixError.  The kernel holds M, the clipped eigenvalues and
+    one factor, the sum-of-squares rows S = (P sqrt(g))^T of
+    ``sos_decomposition``, formed once and read-only.
     """
 
     def __init__(self, matrix: MomentMatrix, beta: float):
@@ -140,20 +141,18 @@ class CDKernel:
         self.matrix = matrix
         self.spec = matrix.spec
         self.beta = float(beta)
-        self.eigenvalues, self.filter_values = _tikhonov(evals, self.beta)
-        self.eigenvectors = P
-        self._filtered = None
+        self.eigenvalues, g = _tikhonov(evals, self.beta)
+        self._sos = (P * np.sqrt(g)).T
+        self._sos.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
     def filtered_matrix(self) -> np.ndarray:
-        """(M + beta I)^-1, as P diag(g) P^T."""
-        if self._filtered is None:
-            P = self.eigenvectors
-            self._filtered = (P * self.filter_values) @ P.T
-        return self._filtered
+        """(M + beta I)^-1 = P diag(g) P^T, as S^T S."""
+        S = self._sos
+        return S.T @ S
 
     def eval_q_batch(self, Z) -> np.ndarray:
         """q at each row of Z, as sum_i (w_i . b(z))^2 over the rows of the SOS form.
@@ -164,7 +163,7 @@ class CDKernel:
         tables are ever held whole; memory is O(block * n).  Matches the
         one-shot evaluation up to rounding.
         """
-        S = self.sos_decomposition()
+        S = self._sos
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         q = np.empty(Z.shape[0])
         for rows, B in basis_blocks(self.spec, Z):
@@ -186,8 +185,9 @@ class CDKernel:
         """
         spec = self.spec
         Z = as_points(spec, Z)
-        floor = float(self.filter_values.min()) * (1.0 - _BOUND_MARGIN)
-        S = self.sos_decomposition()
+        # min(g) = 1/(beta + lambda_max) bit for bit: rounded sums and quotients are monotone
+        floor = float(1.0 / (self.beta + self.eigenvalues[-1])) * (1.0 - _BOUND_MARGIN)
+        S = self._sos
         out = np.empty(Z.shape[0], dtype=bool)
         for rows, tabs in table_blocks(spec, Z, _BOUND_BLOCK):
             with np.errstate(invalid="ignore", over="ignore"):
@@ -207,12 +207,15 @@ class CDKernel:
         """Rows w_i with q(z) = sum_i (w_i . b(z))^2, ascending eigenvalue order.
 
         Row i is sqrt(g_i) = 1/sqrt(beta + lambda_i) times the i-th eigenvector.
+        The rows are formed once, with the kernel; every call returns that one
+        read-only array.
         """
-        return (self.eigenvectors * np.sqrt(self.filter_values)).T
+        return self._sos
 
     def markov_mass(self) -> float:
         """int q dmu = sum_i lambda_i / (beta + lambda_i); at most n."""
-        return float(np.dot(self.eigenvalues, self.filter_values))
+        s = self.eigenvalues
+        return float(np.dot(s, 1.0 / (self.beta + s)))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,22 @@
-"""Approximation-error metrics and the theoretical convergence-rate bounds.
+"""Approximation-error metrics, the L2 projection baseline and the theoretical convergence-rate bounds.
 
 The L1 distance is estimated from function values on a weighted grid.  The
-rate bounds mirror the two regularity regimes: a Lipschitz regime with rate
-driven by the sublevel-set radius, and a bounded-variation regime (univariate
-x, r > 2) that pays an extra d^(-1/4) for the jump neighborhoods.  Both add
-the sublevel-set radius ``distance_bound`` to the escaping-mass tail
-``outside_mass_bound`` in plain floats; the tail is inf where it exceeds
-double range, and so is the bound.
+L2 projection of f of the same degree, the Gibbs baseline, is read off the
+moment matrix the approximant uses.  The rate bounds mirror the two
+regularity regimes: a Lipschitz regime with rate driven by the sublevel-set
+radius, and a bounded-variation regime (univariate x, r > 2) that pays an
+extra d^(-1/4) for the jump neighborhoods.  Both add the sublevel-set radius
+``distance_bound`` to the escaping-mass tail ``outside_mass_bound`` in plain
+floats; the tail is inf where it exceeds double range, and so is the bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import BasisSpec, axis_table, gauss_pieces
+from .basis import eval_basis_batch
 from .cdkernel import ThresholdParams
+from .moments import MomentMatrix
 from .support import distance_bound, outside_mass_bound
 
 
@@ -39,32 +41,32 @@ def overshoot(values, bounds) -> float:
     return float(max(0.0, float(np.max(v)) - hi, lo - float(np.min(v))))
 
 
-def legendre_projection(f, degree: int, interval=(-1.0, 1.0), jumps=()) -> np.ndarray:
-    """Coefficients of the degree-``degree`` L2 projection of f on the interval.
+def l2_projection(matrix: MomentMatrix) -> np.ndarray:
+    """Coefficients c, in the basis ``matrix.spec.x_spec()``, of the degree-d L2 projection of f.
 
-    Returned in the orthonormal Legendre family of the interval.  Quadrature
-    is piecewise Gauss-Legendre between the declared cuts in ``jumps`` (pass
-    a benchmark's ``breakpoints``: its jumps and kinks), so piecewise-smooth f
-    is integrated accurately; nothing here tries to locate them.
+    mu lies on the graph y = f(x), so the L2(mu) projection of the coordinate
+    y onto the basis members of y-degree 0 is the projection of f onto the
+    x-polynomials of degree <= d, read off M alone: c solves
+    M[X, X] c = M[X, :] e, with X those members and e the coefficients of y
+    in the basis, and the y-axis family's constant phi_0 folds in at the end.
+    The solve does not see the scale of M, so the mass convention does not
+    matter.  Evaluate it as ``eval_basis_batch(x_spec, X) @ c``.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    cuts = [lo] + sorted(t for t in jumps if lo < t < hi) + [hi]
-    spec = BasisSpec(1, degree, domain=((lo, hi),))
-    coeffs = np.zeros(degree + 1)
-    for t, wt in zip(*gauss_pieces(cuts, max(2 * (degree + 1), 64))):
-        fv = np.asarray(f(t), dtype=float).reshape(-1)
-        table = axis_table(spec, 0, t)
-        coeffs += table.T @ (wt * fv)
-    return coeffs
-
-
-def eval_projection(coeffs, interval, t) -> np.ndarray:
-    """Evaluate a projection returned by ``legendre_projection``."""
-    c = np.asarray(coeffs, dtype=float).reshape(-1)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    spec = BasisSpec(1, c.shape[0] - 1, domain=(tuple(interval),))
-    table = axis_table(spec, 0, t)
-    return table @ c
+    spec = matrix.spec
+    x_spec = spec.x_spec()
+    if spec.d < 1:
+        raise ValueError("the projection reads the moments of y, which need degree d >= 1")
+    idx = spec.indices
+    flat = np.flatnonzero(idx[:, -1] == 0)  # the y-degree-0 members, in x_spec's order
+    y_member = int(np.flatnonzero((idx[:, -1] == 1) & (idx.sum(axis=1) == 1))[0])
+    # y = e_0 b_0 + e_y b_y, solved from both members at the two ends of the y-axis
+    lo, hi = spec.domain[-1]
+    corner = list(x_spec.domain_array()[:, 0])
+    B = eval_basis_batch(spec, [corner + [lo], corner + [hi]])[:, [0, y_member]]
+    e0, ey = np.linalg.solve(B, [lo, hi])
+    M = matrix.entries
+    c = np.linalg.solve(M[np.ix_(flat, flat)], e0 * M[flat, 0] + ey * M[flat, y_member])
+    return c * (B[0, 0] / eval_basis_batch(x_spec, [corner])[0, 0])  # b_0 = phi_0 times x_spec's b_0
 
 
 def lipschitz_rate_bound(

@@ -136,23 +136,16 @@ def rule_moment_matrix(
     return MomentMatrix(spec, 0.5 * (M + M.T), provenance, float(mass), note)
 
 
-def quadrature_moment_matrix(
-    spec: BasisSpec,
-    f,
-    nodes_per_axis: int | None = None,
-    breakpoints=None,
-    note: str = "",
-) -> MomentMatrix:
+def quadrature_moment_matrix(spec: BasisSpec, f, breakpoints=None, note: str = "") -> MomentMatrix:
     """Moment matrix of the graph measure of f by Gauss-Legendre quadrature.
 
     mu is the image of Lebesgue measure on the x-box under x -> (x, f(x)), so
     its mass is the x-box volume.
-    ``f`` maps an (n, p-1) array to n values.  The default node count is exact
-    for polynomial f of modest degree; discontinuous f needs ``breakpoints``.
+    ``f`` maps an (n, p-1) array to n values.  The max(4d + 4, 32) nodes per
+    piece and axis are exact for polynomial f of modest degree; discontinuous
+    f needs ``breakpoints``.
     """
-    if nodes_per_axis is None:
-        nodes_per_axis = max(4 * spec.d + 4, 32)
-    X, w = graph_quadrature_rule(spec, nodes_per_axis, breakpoints)
+    X, w = graph_quadrature_rule(spec, max(4 * spec.d + 4, 32), breakpoints)
     y = np.asarray(f(X), dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError("f returned a value count different from the node count")

@@ -23,7 +23,7 @@ from cdapprox.cdkernel import (
     perturbation_alpha,
     threshold_params,
 )
-from cdapprox.metrics import bv_rate_bound, eval_projection, l1_error, legendre_projection
+from cdapprox.metrics import bv_rate_bound, l1_error, l2_projection
 from cdapprox.moments import MomentMatrix, Provenance, save_text
 from cdapprox.support import support_report
 
@@ -107,10 +107,11 @@ def test_criterion_03_sign_recovery_degree_4(capsys, sign_d4_values):
 def test_criterion_04_no_gibbs_overshoot(capsys, sign_d4_values):
     t0 = time.monotonic()
     app, _, _ = sign_d4_values
-    bench = get_benchmark("sign")
-    coeffs = legendre_projection(lambda t: bench.f(t[:, None]), 20, jumps=bench.breakpoints)
+    # the baseline: the degree-20 L2 projection read off the same route's moment matrix
+    M = get_benchmark("sign").moment_matrix(20)
+    coeffs = l2_projection(M)
     band = np.concatenate([np.linspace(-0.2, -0.05, 200), np.linspace(0.05, 0.2, 200)])
-    proj_err = float(np.max(np.abs(eval_projection(coeffs, (-1, 1), band) - np.sign(band))))
+    proj_err = float(np.max(np.abs(eval_basis_batch(M.spec.x_spec(), band[:, None]) @ coeffs - np.sign(band))))
     ys, _ = app.evaluate_batch(band[:, None])
     app_err = float(np.max(np.abs(ys - np.sign(band))))
     dt = time.monotonic() - t0

@@ -13,7 +13,7 @@ from numpy.polynomial import polynomial as npoly
 
 from cdapprox import approximant
 from cdapprox.approximant import _CHUNK_BYTES, ApproxConfig, Approximant, _fiber_argmin, _fiber_maps, _real_roots, partial_argmin
-from cdapprox.basis import BasisSpec, Family, axis_table, eval_basis_batch
+from cdapprox.basis import BasisSpec, Family, axis_tables, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import CDKernel
 from cdapprox.moments import MomentMatrix, Provenance
@@ -505,7 +505,7 @@ def test_mixed_degree_stacks_match_their_one_row_calls(monkeypatch):
 
 
 def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
-    # the fiber solver in its plain formulation: phi from axis_table at the Gauss nodes
+    # the fiber solver in its plain formulation: phi from a one-axis table at the Gauss nodes
     # and the candidates, axis-1 square sums, and numpy's legcompanion matrices solved
     # degree by degree
     def roots(c):
@@ -518,8 +518,10 @@ def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
             out[sel, :n] = np.linalg.eigvals(mats).real
         return np.clip(lo + 0.5 * (np.clip(out, -1.0, 1.0) + 1.0) * (hi - lo), lo, hi)
 
+    y_axis = BasisSpec(1, spec.d, family=spec.family, domain=(spec.domain[-1],))
+
     def phi(y):
-        return axis_table(spec, spec.p - 1, y)
+        return axis_tables(y_axis, y[:, None])[0]
 
     def values(y):
         t = A @ phi(y.ravel()).reshape(*y.shape, -1).transpose(0, 2, 1)

@@ -12,7 +12,6 @@ from cdapprox.basis import (
     _BLOCK,
     BasisSpec,
     Family,
-    axis_table,
     axis_tables,
     basis_blocks,
     basis_product,
@@ -228,7 +227,8 @@ def test_stacked_axis_tables_equal_the_one_axis_recurrence(p, family, domain, d)
         ref = _one_axis_table(spec, k, Z[:, k])
         assert tab.shape == (Z.shape[0], d + 1) and tab.T[d].flags.c_contiguous  # column j is contiguous
         assert np.array_equal(tab, ref)
-        assert np.array_equal(axis_table(spec, k, Z[:, k]), ref)
+        one_axis = BasisSpec(1, d, family=family, domain=(spec.domain[k],))
+        assert np.array_equal(axis_tables(one_axis, Z[:, k : k + 1])[0], ref)
 
 
 def _column_recurrence_basis(spec, Z):

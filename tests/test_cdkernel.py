@@ -1,4 +1,4 @@
-"""Spectral kernel, its Tikhonov values, thresholds, and the perturbation bound."""
+"""The kernel, its sum-of-squares rows, thresholds, and the perturbation bound."""
 
 import math
 import tracemalloc
@@ -33,20 +33,26 @@ def random_psd_matrix(spec, seed, n_samples=60):
 
 
 @pytest.mark.parametrize("family", list(Family))
-def test_filter_values_are_the_tikhonov_values(family):
-    # g = 1/(beta + s) bit for bit, on the eigenvalues clipped at zero, and
+def test_sos_rows_are_stored_once_with_the_tikhonov_norms(family):
+    # the eigenvalues are eigh's clipped at zero, sos_decomposition hands out one
+    # read-only array, its squared row norms are g = 1/(beta + s), and
     # certified_floor's min(g) factor is 1/(beta + lambda_max) from eigvalsh
     mild = MomentMatrix(BasisSpec(2, 1, family=family), np.diag([2.0, 1.0, -1e-9]), Provenance.EMPIRICAL, 1.0)
     for M, beta in [(mild, 0.5), (get_benchmark("sign").moment_matrix(6, family=family), beta_schedule(6))]:
         kern = CDKernel(M, beta)
         assert np.array_equal(kern.eigenvalues, np.clip(np.linalg.eigh(M.entries)[0], 0.0, None))
-        assert np.array_equal(kern.filter_values, 1.0 / (beta + kern.eigenvalues))
+        S = kern.sos_decomposition()
+        assert kern.sos_decomposition() is S and not S.flags.writeable
+        with pytest.raises(ValueError):
+            S[0, 0] = 0.0
+        np.testing.assert_allclose(np.sum(S**2, axis=1), 1.0 / (beta + kern.eigenvalues), rtol=1e-12, atol=0.0)
         sqnorm = 1.0
         if family is Family.LEGENDRE_ORTHONORMAL:
             sqnorm = rho(M.spec.d // M.spec.p) ** M.spec.p / M.spec.domain_volume()
         g_min = 1.0 / (beta + np.linalg.eigvalsh(M.entries)[-1])
         assert certified_floor(M, beta) == g_min * (1.0 - _BOUND_MARGIN) * sqnorm
-    assert np.array_equal(CDKernel(mild, 0.5).filter_values, [2.0, 1.0 / 1.5, 0.4])
+    norms = np.sum(CDKernel(mild, 0.5).sos_decomposition() ** 2, axis=1)
+    np.testing.assert_allclose(norms, [2.0, 1.0 / 1.5, 0.4], rtol=1e-12)
 
 
 def test_beta_schedule_values():
@@ -77,14 +83,17 @@ def test_eval_q_matches_dense_solve():
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("name", ["disk1", "sign"])
 def test_blocked_eval_q_batch_matches_one_shot_spectral_form(name, family):
-    # oracle: the whole (N, n) basis projected on the eigenvectors at once
+    # oracle: the whole (N, n) basis projected at once on eigenpairs of M from
+    # numpy's own eigh, not on the kernel's factor
     bench = get_benchmark(name)
     M = bench.moment_matrix(8, family=family)
-    kern = CDKernel(M, beta_schedule(8))
+    beta = beta_schedule(8)
+    kern = CDKernel(M, beta)
     rng = np.random.default_rng(3)
     Z = rng.uniform(-1, 1, size=(2 * _BLOCK + 3, bench.p))
-    C = eval_basis_batch(M.spec, Z) @ kern.eigenvectors
-    oracle = np.einsum("ij,ij,j->i", C, C, kern.filter_values)
+    lam, P = np.linalg.eigh(M.entries)
+    C = eval_basis_batch(M.spec, Z) @ P
+    oracle = np.einsum("ij,ij,j->i", C, C, 1.0 / (beta + np.clip(lam, 0.0, None)))
     np.testing.assert_allclose(kern.eval_q_batch(Z), oracle, rtol=1e-13)
 
 
@@ -183,7 +192,7 @@ def test_q_at_least_at_levels_the_bound_never_settles(name, d, monkeypatch):
     N = _BLOCK + 7
     Z = np.random.default_rng(d).uniform(box[:, 0], box[:, 1], size=(N, bench.p))
     q = kern.eval_q_batch(Z)
-    bound = kern.filter_values.min() * basis_sqnorm(kern.spec, axis_tables(kern.spec, Z))
+    bound = (1.0 / (kern.beta + kern.eigenvalues)).min() * basis_sqnorm(kern.spec, axis_tables(kern.spec, Z))
     sent = _count_exact_points(monkeypatch)
     for level in (np.inf, 1.01 * bound.max()):
         sent.clear()
@@ -235,7 +244,7 @@ def _kernel_floor(kern):
     tensor = 1.0
     if spec.family is Family.LEGENDRE_ORTHONORMAL:
         tensor = rho(spec.d // spec.p) ** spec.p / spec.domain_volume()
-    return kern.filter_values.min() * (1.0 - _BOUND_MARGIN) * tensor
+    return (1.0 / (kern.beta + kern.eigenvalues)).min() * (1.0 - _BOUND_MARGIN) * tensor
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -269,7 +278,7 @@ def test_q_at_least_bounds_in_blocks_larger_than_a_basis_block(monkeypatch):
     # table call per basis block would
     M = get_benchmark("sign").moment_matrix(8)
     kern = CDKernel(M, beta_schedule(8))
-    floor = kern.filter_values.min()
+    floor = (1.0 / (kern.beta + kern.eigenvalues)).min()
     level = 1.5 * floor * rho(4) ** 2 / M.spec.domain_volume()
     N = 8 * _BLOCK + 5
     Z = _box_points(M.spec, N, 8)
@@ -369,7 +378,8 @@ def test_q_at_least_bound_settles_points_outside_the_box(monkeypatch):
     # and the answer is still eval_q_batch's
     M = get_benchmark("sign").moment_matrix(8)
     kern = CDKernel(M, beta_schedule(8))
-    level = kern.filter_values.min() * rho(4) ** 2 / M.spec.domain_volume() * (1.0 - 2 * _BOUND_MARGIN)
+    g_min = (1.0 / (kern.beta + kern.eigenvalues)).min()
+    level = g_min * rho(4) ** 2 / M.spec.domain_volume() * (1.0 - 2 * _BOUND_MARGIN)
     rng = np.random.default_rng(5)
     Z = np.vstack([_box_points(M.spec, 500, 5), rng.uniform(-4.0, 4.0, size=(1500, 2))])
     q = kern.eval_q_batch(Z)
@@ -478,7 +488,7 @@ def test_eigenvalue_clip_rule():
     mild = MomentMatrix(spec, base + np.diag([0, 0, -1e-9]), Provenance.EMPIRICAL, 1.0)
     kern = CDKernel(mild, 1e-3)
     assert kern.eigenvalues[0] == 0.0
-    assert np.all(np.isfinite(kern.filter_values))
+    assert np.all(np.isfinite(1.0 / (kern.beta + kern.eigenvalues)))
     # clearly indefinite: rejected
     bad = MomentMatrix(spec, base + np.diag([0, 0, -1e-3]), Provenance.EMPIRICAL, 1.0)
     with pytest.raises(IndefiniteMatrixError):
