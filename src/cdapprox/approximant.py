@@ -11,10 +11,13 @@ b(x, y) = b_x(x) * phi(y), the fiber is q(x, y) = sum_i (A_i(x) . phi(y))^2,
 where phi is the basis family's univariate family on the domain's y-axis and
 A(x) = W diag(b_x(x)) S collects the basis entries by their y-degree (S).  The
 y-degree j pairs only with the x-indices of degree <= d - j, which are a
-prefix of the grevlex x-basis.  The map is therefore stored as d+1 y-degree
-blocks, M_j of shape (n_{d-j}, r), one permutation of W's columns, and
-A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j is one stacked GEMV per block.  The blocks
-hold n r doubles, the weighted (x-index, y-degree) pairs only, against
+prefix of the grevlex x-basis.  Grevlex already lists the members of y-degree
+j in that x-index order: its members of total degree t and last exponent j
+are the x-members of degree t - j in x-grevlex order, and t ascends.  One
+stable sort of W's columns by y-degree therefore gives the d+1 y-degree
+blocks, M_j of shape (n_{d-j}, r), and A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j is
+one stacked GEMV per block.  The blocks are views of the one gathered array
+and hold n r doubles, the weighted (x-index, y-degree) pairs only, against
 n_x r (d+1) for a dense map: 52% of it at p = 2, d = 20, and 37% at p = 3,
 d = 16.  Each point streams the blocks once.
 
@@ -45,12 +48,15 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from .basis import Family, _grevlex_indices, _stacked_tables, as_points, basis_size, eval_basis_batch, leggauss
-from .cdkernel import CDKernel
+from .basis import Family, _stacked_tables, as_points, eval_basis_batch, leggauss
+
+if TYPE_CHECKING:
+    from .cdkernel import CDKernel
 
 # bytes of one (chunk, r, 2d+1) work array, the largest the fiber solver makes;
 # it sets the points per chunk (see Approximant).  At disk1 d = 12-20, 2, 4 and
@@ -281,37 +287,6 @@ def partial_argmin(
     return float(y[0]), float(q[0])
 
 
-@lru_cache(maxsize=64)
-def _block_layout(p: int, d: int) -> tuple:
-    """The y-degree block order of the basis columns, for the grevlex basis of (p, d).
-
-    Basis column (a, j) has x-index a and y-degree j, and is row a of block j.
-    Returns (order, spans): ``order`` sorts the columns by j, then a, and
-    ``spans[j]`` is block j's slice of the sorted columns.  Block j has
-    n_{d-j} rows, because the x-indices of degree <= d - j are the first
-    n_{d-j} of the grevlex x-basis.
-    """
-    full, xs = _grevlex_indices(p, d), _grevlex_indices(p - 1, d)
-    pos = {a: i for i, a in enumerate(map(tuple, xs.tolist()))}
-    a = np.array([pos[x] for x in map(tuple, full[:, :-1].tolist())], dtype=np.intp)
-    order = np.lexsort((a, full[:, -1]))
-    order.setflags(write=False)
-    first = np.cumsum([0] + [basis_size(p - 1, d - j) for j in range(d + 1)]).tolist()  # first row of each block
-    return order, tuple(slice(lo, hi) for lo, hi in zip(first[:-1], first[1:]))
-
-
-def _degree_blocks(spec, W: np.ndarray) -> tuple:
-    """The fiber rows by y-degree: blocks M_j, j = 0..d, with A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j.
-
-    W holds the sum-of-squares rows (r, n).  One gather permutes its columns
-    into block order, and the blocks are views of that one (n, r) array, so
-    they hold n r doubles in all.
-    """
-    order, spans = _block_layout(spec.p, spec.d)
-    G = W.T[order]
-    return tuple(G[span] for span in spans)
-
-
 class Approximant:
     """Evaluates f(x) = min argmin_y q(x, y) for a kernel on a graph box.
 
@@ -324,9 +299,7 @@ class Approximant:
     arrays, the (chunk, r, 2d+1) node values and candidate terms, takes at
     most _CHUNK_BYTES (4 MiB).  The two are never alive together: beside one
     of them a chunk holds its (chunk, r, d+1) rows.  At disk1 d = 20
-    (n = 1,771) the blocks take 24 MiB and a chunk has 7 points; 128-point
-    chunks, with both large arrays and two (128, r, d+1) arrays alive at
-    once, added 215 MiB to the peak.
+    (n = 1,771) the blocks take 24 MiB and a chunk has 7 points.
     """
 
     def __init__(self, kernel: CDKernel, config: ApproxConfig | None = None):
@@ -338,7 +311,9 @@ class Approximant:
         self.spec = spec
         self._y_interval = _interval(self.config.y_interval or spec.domain[-1], spec.d)
         self._x_spec = spec.x_spec()
-        self._blocks = _degree_blocks(spec, kernel.sos_decomposition())
+        ydeg = spec.indices[:, -1]
+        rows = kernel.sos_decomposition().T[np.argsort(ydeg, kind="stable")]  # one (n, r) gather
+        self._blocks = tuple(np.split(rows, np.cumsum(np.bincount(ydeg))[:-1]))
         self._chunk = max(1, _CHUNK_BYTES // (8 * self._blocks[0].shape[1] * (2 * spec.d + 1)))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
@@ -356,7 +331,12 @@ class Approximant:
         return self._rows(as_points(self._x_spec, np.reshape(x, (1, -1))))[0]
 
     def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized evaluation over rows of X; returns (values, fiber minima)."""
+        """Vectorized evaluation over rows of X; returns (values, fiber minima).
+
+        A point with a non-finite coordinate is refused by its row.  A finite
+        point so far out that its fiber rows overflow raises the solver's
+        ``ValueError`` ("non-finite fiber coefficients"), with no RuntimeWarning.
+        """
         X = as_points(self._x_spec, X)
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
@@ -365,7 +345,9 @@ class Approximant:
         ys, qs = np.empty(X.shape[0]), np.empty(X.shape[0])
         for s in range(0, X.shape[0], self._chunk):
             part = slice(s, s + self._chunk)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are refused by _fiber_argmin
+                A = self._rows(X[part])
             ys[part], qs[part] = _fiber_argmin(
-                self._rows(X[part]), spec.family, spec.domain[-1], self._y_interval, cfg.alpha, cfg.tie_tol
+                A, spec.family, spec.domain[-1], self._y_interval, cfg.alpha, cfg.tie_tol
             )
         return ys, qs

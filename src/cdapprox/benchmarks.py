@@ -27,9 +27,11 @@ from .moments import (
 
 
 def midpoint_grid(box, counts) -> np.ndarray:
-    """Midpoint grid over a box of (lo, hi) rows; counts is per-axis or a single int, each >= 1."""
+    """Midpoint grid over a box of (lo, hi) rows; counts is an int or one integer per axis, each >= 1, or ValueError."""
     if np.isscalar(counts):
         counts = (int(counts),) * len(box)
+    if len(counts) != len(box) or not all(isinstance(n, (int, np.integer)) for n in counts):
+        raise ValueError(f"grid counts must be one integer per axis of the {len(box)}-axis box, got {counts}")
     if min(counts) < 1:
         raise ValueError(f"grid counts must be at least 1, got {counts}")
     axes = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for (lo, hi), n in zip(box, counts)]
@@ -82,7 +84,7 @@ class GraphFunction:
         return np.asarray(self.domain[:-1], dtype=float)
 
     def grid_x(self, counts) -> np.ndarray:
-        """Midpoint grid over the x-box; counts is per-axis or a single int."""
+        """Midpoint grid over the x-box; counts is one integer per x-axis or a single int."""
         return midpoint_grid(self.x_box(), counts)
 
     def random_x(self, n: int, rng: np.random.Generator) -> np.ndarray:

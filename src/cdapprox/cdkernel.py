@@ -38,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .approximant import partial_argmin
 from .basis import (
     _BLOCK,
     Family,
@@ -75,6 +76,14 @@ def _tikhonov(evals: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return s, 1.0 / (beta + s)
 
 
+def _column_q(C: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """q = sum_i C[i]^2 per column, with C = S B at the points Z; nan reads inf where Z's row is finite."""
+    q = np.einsum("ij,ij->j", C, C)
+    # at a finite z only an overflowing basis entry gives nan, and then q >= min(g) ||b(z)||^2 overflows too
+    q[np.isnan(q) & np.isfinite(Z).all(axis=1)] = np.inf
+    return q
+
+
 @lru_cache(maxsize=None)
 def _legendre_christoffel_min(m: int) -> float:
     """rho(m) = min over u in [-1, 1] of sum_{j<=m} (2j+1) P_j(u)^2, with P_j the Legendre polynomials.
@@ -83,14 +92,11 @@ def _legendre_christoffel_min(m: int) -> float:
     sqrt((2j+1)/h) P_j(u) on the mapped variable u, so rho(m)/h is the least
     value of that axis's univariate Christoffel-Darboux diagonal
     K_m(t) = sum_{j<=m} Ltilde_j(t)^2 over the axis.  The minimum is the exact
-    one of the fiber solver, within rounding (about 1e-15 relative);
+    one of ``partial_argmin``, within rounding (about 1e-15 relative);
     rho(0) = rho(1) = 1.
     """
-    from .approximant import _fiber_argmin  # loaded here: approximant imports this module
-
     # on [-1, 1] the orthonormal Legendre basis is sqrt((2j+1)/2) P_j, so its squares sum to half the target
-    unit = (-1.0, 1.0)
-    return 2.0 * float(_fiber_argmin(np.eye(m + 1)[None], Family.LEGENDRE_ORTHONORMAL, unit, unit, 0.0, 1e-13)[1][0])
+    return 2 * partial_argmin(np.eye(m + 1), (-1.0, 1.0))[1]
 
 
 def certified_floor(matrix: MomentMatrix, beta: float) -> float:
@@ -161,15 +167,17 @@ class CDKernel:
         S the SOS rows and B the basis-major (n, block) basis, and q is the sum
         of squares down each column of C.  Neither the (N, n) basis nor its
         tables are ever held whole; memory is O(block * n).  Matches the
-        one-shot evaluation up to rounding.
+        one-shot evaluation up to rounding.  A finite z whose basis overflows
+        has q beyond double range and reads inf; a row with a nan or inf
+        coordinate may read nan.  Neither raises a RuntimeWarning.
         """
         S = self._sos
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         q = np.empty(Z.shape[0])
-        for rows, B in basis_blocks(self.spec, Z):
-            C = S @ B
-            q[rows] = np.einsum("ij,ij->j", C, C)
-            del B, C  # free this block before the next one is built: about two blocks live at once
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, B in basis_blocks(self.spec, Z):
+                q[rows] = _column_q(S @ B, Z[rows])
+                del B  # free this block before the next one is built: about two blocks live at once
         return q
 
     def q_at_least(self, Z, level: float) -> np.ndarray:
@@ -180,8 +188,10 @@ class CDKernel:
         points it settles each row where it reaches ``level`` and ||b(z)||^2 is
         finite, which needs every coordinate finite; every other row gets exact
         q as in ``eval_q_batch``, from the rows of the block's own tables,
-        ``_BLOCK`` points at a time.  A row with a non-finite coordinate may get
-        nan, which compares False.  Memory is O(block * n).
+        ``_BLOCK`` points at a time.  A finite row whose basis overflows has q
+        beyond double range, reads inf there and answers True; a row with a
+        non-finite coordinate may get nan, which compares False.  Neither raises
+        a RuntimeWarning.  Memory is O(block * n).
         """
         spec = self.spec
         Z = as_points(spec, Z)
@@ -189,18 +199,18 @@ class CDKernel:
         floor = float(1.0 / (self.beta + self.eigenvalues[-1])) * (1.0 - _BOUND_MARGIN)
         S = self._sos
         out = np.empty(Z.shape[0], dtype=bool)
-        for rows, tabs in table_blocks(spec, Z, _BOUND_BLOCK):
-            with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            for rows, tabs in table_blocks(spec, Z, _BOUND_BLOCK):
                 sqnorm = basis_sqnorm(spec, tabs)
-            # the bound holds at finite z only, and a non-finite coordinate makes ||b(z)||^2
-            # non-finite through its degree-1 member: one test per point, not per coordinate
-            sure = np.isfinite(sqnorm) & (floor * sqnorm >= level)
-            open_ = np.flatnonzero(~sure)
-            for start in range(0, open_.size, _BLOCK):
-                part = open_[start : start + _BLOCK]
-                C = S @ basis_product(spec, [t.T[:, part].T for t in tabs])  # gathered degree-major
-                sure[part] = np.einsum("ij,ij->j", C, C) >= level
-            out[rows] = sure
+                # the bound holds at finite z only, and a non-finite coordinate makes ||b(z)||^2
+                # non-finite through its degree-1 member: one test per point, not per coordinate
+                sure = np.isfinite(sqnorm) & (floor * sqnorm >= level)
+                open_ = np.flatnonzero(~sure)
+                for start in range(0, open_.size, _BLOCK):
+                    part = open_[start : start + _BLOCK]
+                    C = S @ basis_product(spec, [t.T[:, part].T for t in tabs])  # gathered degree-major
+                    sure[part] = _column_q(C, Z[rows][part]) >= level
+                out[rows] = sure
         return out
 
     def sos_decomposition(self) -> np.ndarray:

@@ -338,6 +338,43 @@ def test_approximant_stores_n_r_doubles_of_fiber_rows(name, d):
     assert sum(b.size for b in app._blocks) == n * n
 
 
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.name.lower())
+def test_evaluate_batch_refuses_an_overflowing_point_without_a_warning(family):
+    # the x-basis overflows at x = 1e40, so the fiber rows are not finite: the solver's
+    # ValueError, not the RuntimeWarning of the overflow, reaches the caller
+    app = Approximant(CDKernel(get_benchmark("sign").moment_matrix(8, family=family), 1e-8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite fiber coefficients"):
+            app.evaluate_batch([[0.5], [1e40]])
+
+
+@lru_cache(maxsize=None)
+def _gram_entries(n):
+    # a dense, well-conditioned PSD matrix of size n: every sum-of-squares column differs
+    A = np.random.default_rng(n).standard_normal((n, n))
+    return A @ A.T / n + np.eye(n)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.name.lower())
+@pytest.mark.parametrize("p, d", [(p, d) for p in (2, 3, 4) for d in (0, 1, 8)] + [(2, 20), (3, 20)])
+def test_blocks_equal_the_lexsorted_layout(p, d, family):
+    # the blocks are one stable sort of the basis by y-degree; the reference builds the
+    # layout by hand: each column's x-index from the (p-1)-variable grevlex table, then
+    # a lexsort by (y-degree, x-index), and block j takes the next n_{d-j} columns
+    spec = BasisSpec(p, d, family)
+    kern = CDKernel(MomentMatrix(spec, _gram_entries(spec.size), Provenance.EMPIRICAL, 1.0), 1e-8)
+    x_spec = spec.x_spec()
+    pos = {a: i for i, a in enumerate(map(tuple, x_spec.indices.tolist()))}
+    xcol = np.array([pos[a] for a in map(tuple, spec.indices[:, :-1].tolist())])
+    G = kern.sos_decomposition().T[np.lexsort((xcol, spec.indices[:, -1]))]
+    first = np.cumsum([0] + [BasisSpec(p - 1, d - j).size for j in range(d + 1)])
+    blocks = Approximant(kern)._blocks
+    assert len(blocks) == d + 1
+    for j, M in enumerate(blocks):
+        assert np.array_equal(M, G[first[j] : first[j + 1]])
+
+
 @pytest.mark.parametrize("case", ["sign-d20", "disk1-d8", "step-d8-monomial", "sign-d32"])
 def test_evaluate_batch_is_bit_identical_per_point(case):
     # evaluate_batch at any batch size, one point included, and, in the orthonormal family,

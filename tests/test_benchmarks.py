@@ -8,7 +8,7 @@ from moment_oracle import MOMENTS, NAMES, hankel, orthonormal_entry
 from scipy import integrate
 
 from cdapprox.basis import Family
-from cdapprox.benchmarks import BENCHMARKS, get_benchmark, step_benchmark, uniform_box
+from cdapprox.benchmarks import BENCHMARKS, get_benchmark, midpoint_grid, step_benchmark, uniform_box
 from cdapprox.moments import Provenance, empirical_moment_matrix
 
 MONO = Family.MONOMIAL_GREVLEX
@@ -106,6 +106,20 @@ def test_grids_and_graph_points():
     R = disk.random_x(100, rng)
     assert R.shape == (100, 2)
     assert np.all(np.abs(R) <= 1.0)
+
+
+def test_midpoint_grid_refuses_counts_that_do_not_fit_the_box():
+    # per-axis counts must name every axis of the box with an integer: a short tuple used to
+    # drop axes, and 2.5 points put one on the box edge; scalar and integer counts still work
+    square = [(-1.0, 1.0), (-1.0, 1.0)]
+    assert midpoint_grid(square, 3).shape == (9, 2)
+    assert midpoint_grid(square, (2, np.int64(3))).shape == (6, 2)
+    assert get_benchmark("disk1").grid_x((4, 5)).shape == (20, 2)
+    for box, counts in [(square, (3,)), (square, (2, 3, 4)), (square[:1], (2.5,)), (square, (2, 2.0))]:
+        with pytest.raises(ValueError, match="one integer per axis"):
+            midpoint_grid(box, counts)
+    with pytest.raises(ValueError, match="one integer per axis"):
+        get_benchmark("disk1").grid_x((4,))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

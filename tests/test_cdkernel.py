@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,23 @@ def test_q_at_least_at_the_certified_floor_forms_no_exact_q(name, d, family, mon
         got_bad = kern.q_at_least(bad, level)
     assert sent == [3]  # only the non-finite rows get exact q
     assert np.array_equal(got_bad, q_bad >= level) and not got_bad[3]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_q_is_inf_at_finite_points_whose_basis_overflows(family):
+    # at these finite points the basis overflows, so q lies beyond double range: it reads inf and
+    # clears any level, with no RuntimeWarning; rows with a nan or inf coordinate still read nan
+    kern = CDKernel(get_benchmark("sign").moment_matrix(8, family=family), 1e-8)
+    far = [[1e200, 0.0], [0.0, 1e200], [1e160, 1e160], [1e20, 0.0], [1e40, 0.0], [-1e200, -1e200]]
+    bad = [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]]
+    Z = np.array(far + bad + [[0.3, 0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, at_least = kern.eval_q_batch(Z), kern.q_at_least(Z, 1e6)
+    k = len(far)
+    assert np.isposinf(q[:k]).all() and at_least[:k].all()
+    assert np.isnan(q[k:-1]).all() and not at_least[k:-1].any()
+    assert np.isfinite(q[-1]) and at_least[-1] == (q[-1] >= 1e6)
 
 
 def test_q_at_least_bounds_in_blocks_larger_than_a_basis_block(monkeypatch):

@@ -2,13 +2,18 @@
 
 The bound constants are plain float arithmetic, so no run imports mpmath, and
 the fiber solver groups its rows without ``np.unique``, so neither fiber
-evaluation nor a support check loads ``numpy.ma``.
+evaluation nor a support check loads ``numpy.ma``.  The package's own modules
+import each other at module level only, and those imports form no cycle.
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cdapprox"
 
 
 def _imported_modules(*argv):
@@ -90,3 +95,66 @@ def test_fiber_evaluation_and_vacuous_support_report_load_no_numpy_ma():
     modules = _imported_modules("-c", code)
     assert "cdapprox.approximant" in modules and "cdapprox.support" in modules
     assert _under(modules, "numpy.ma") == []
+
+
+def _package_imports(path, modules):
+    """(line, module, in a function) for each import of a package module in one source file.
+
+    Imports under ``if TYPE_CHECKING:`` never run and are skipped.
+    """
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            for child in node.orelse:
+                visit(child, in_function)
+            return
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        targets = []
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 1 or base == "cdapprox":
+                targets = [base] if node.level and base else [a.name for a in node.names]
+            elif base.startswith("cdapprox."):
+                targets = [base.split(".")[1]]
+        elif isinstance(node, ast.Import):
+            targets = [a.name.split(".")[1] for a in node.names if a.name.startswith("cdapprox.")]
+        found.extend((node.lineno, t, in_function) for t in targets if t in modules)
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse(path.read_text()), False)
+    return found
+
+
+def _module_graph():
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
+    return {name: _package_imports(path, modules) for name, path in modules.items()}
+
+
+def test_no_package_module_is_imported_inside_a_function():
+    # a function-level import of a package module hides a dependency, usually to dodge a cycle;
+    # lazy imports of third-party modules (scipy) stay allowed
+    late = [f"{name}.py:{line} imports {target}" for name, found in _module_graph().items()
+            for line, target, in_function in found if in_function]
+    assert late == []
+
+
+def test_package_imports_form_no_cycle():
+    # an import inside a function only defers a cycle, so it counts as an edge too
+    edges = {name: {t for _, t, _ in found} for name, found in _module_graph().items()}
+    cycles, done = [], set()
+
+    def walk(name, path):
+        if name in path:
+            cycles.append(path[path.index(name) :] + [name])
+            return
+        if name in done:
+            return
+        for target in sorted(edges[name]):
+            walk(target, path + [name])
+        done.add(name)
+
+    for name in sorted(edges):
+        walk(name, [])
+    assert cycles == []
