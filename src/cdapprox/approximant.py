@@ -185,9 +185,9 @@ def _real_roots(c: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
-def _sos_values(rows: np.ndarray, family: Family, axis: tuple, y: np.ndarray) -> np.ndarray:
-    """q(y) = sum_i (rows_i . phi(y))^2 for rows (B, r, d+1) in phi on ``axis``, at points y (B, k)."""
-    terms = rows @ _phi(family, rows.shape[2] - 1, axis, y).transpose(1, 0, 2)
+def _sos_values(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """q = sum_i (rows_i . phi)^2, (B, k), for rows (B, r, d+1) and phi values (d+1, k) or, per row b, (B, d+1, k)."""
+    terms = rows @ phi
     return np.einsum("brk,brk->bk", terms, terms)
 
 
@@ -214,19 +214,15 @@ def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, a
 
     A has shape (B, r, d+1) and holds coefficients in phi, the members of
     degree <= d of ``family`` on ``axis`` = (lo, hi); ``interval`` is a search
-    interval that ``_interval`` accepted.  The solver reads phi only through
-    its values at the interval's Gauss nodes and at the candidates.  Returns
-    the arrays (y, q(y)), q evaluated at the returned y.
+    interval that ``_interval`` accepted, and A is finite.  The solver reads
+    phi only through its values at the interval's Gauss nodes and at the
+    candidates.  Returns the arrays (y, q(y)), q evaluated at the returned y.
     """
     B, d = A.shape[0], A.shape[2] - 1
     lo, hi = interval
-    if not np.all(np.isfinite(A)):
-        raise ValueError("non-finite fiber coefficients")
     project, derive = _fiber_maps(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        at_nodes = A @ _node_values(family, d, axis, interval)
-        c = (np.einsum("brk,brk->bk", at_nodes, at_nodes)[:, None, :] @ project)[:, 0]
-        del at_nodes  # dead before _sos_values makes the other (B, r, 2d+1) array
+        c = (_sos_values(A, _node_values(family, d, axis, interval))[:, None, :] @ project)[:, 0]
     if not np.all(np.isfinite(c)):
         raise ValueError(f"q overflows on the search interval [{lo}, {hi}]")
 
@@ -234,7 +230,7 @@ def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, a
         return np.clip(lo + 0.5 * (u + 1.0) * (hi - lo), lo, hi)
 
     y = np.concatenate([at_y(_real_roots((c[:, None, :] @ derive)[:, 0])), np.broadcast_to([lo, hi], (B, 2))], axis=1)
-    q = _sos_values(A, family, axis, y)
+    q = _sos_values(A, _phi(family, d, axis, y).transpose(1, 0, 2))
     qmin, qmax = q.min(axis=1), q.max(axis=1)
     # the 1e-14 * qmax floor absorbs rounding noise of order eps * (fiber range)
     # in the spectral factorization, so exactly symmetric fibers tie cleanly
@@ -246,7 +242,7 @@ def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, a
         shifted[:, 0] -= thresh
         cross = at_y(_real_roots(shifted))
         y = np.concatenate([y, cross], axis=1)
-        q = np.concatenate([q, _sos_values(A, family, axis, cross)], axis=1)
+        q = np.concatenate([q, _sos_values(A, _phi(family, d, axis, cross).transpose(1, 0, 2))], axis=1)
         thresh = thresh + _CROSS_TOL * np.abs(qmax)
     else:
         thresh = qmin + window
@@ -282,6 +278,8 @@ def partial_argmin(
         raise ValueError(f"rows must be one row or a 2-D array of rows, got shape {A.shape}")
     if A.shape[1] == 0:
         raise ValueError(f"rows must have at least one coefficient, got shape {np.shape(rows)}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("non-finite fiber coefficients")
     interval = _interval(interval, A.shape[1] - 1)
     y, q = _fiber_argmin(A[None], Family.LEGENDRE_ORTHONORMAL, interval, interval, alpha, tie_tol)
     return float(y[0]), float(q[0])
@@ -317,11 +315,15 @@ class Approximant:
         self._chunk = max(1, _CHUNK_BYTES // (8 * self._blocks[0].shape[1] * (2 * spec.d + 1)))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
-        bx = eval_basis_batch(self._x_spec, X)[:, None, :]
+        """Fiber rows (B, r, d+1) at the points X; rows that overflow raise ValueError, with no RuntimeWarning."""
         r = self._blocks[0].shape[1]
         out = np.empty((len(self._blocks), X.shape[0], 1, r))
-        for k, M in enumerate(self._blocks):  # one stacked (B, 1, n_k) @ (n_k, r) GEMV per y-degree
-            np.matmul(bx[:, :, : M.shape[0]], M, out=out[k])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            bx = eval_basis_batch(self._x_spec, X)[:, None, :]
+            for k, M in enumerate(self._blocks):  # one stacked (B, 1, n_k) @ (n_k, r) GEMV per y-degree
+                np.matmul(bx[:, :, : M.shape[0]], M, out=out[k])
+        if not np.all(np.isfinite(out)):
+            raise ValueError("non-finite fiber coefficients")
         return np.ascontiguousarray(out[:, :, 0].transpose(1, 2, 0))
 
     def y_coefficients(self, x) -> np.ndarray:
@@ -334,8 +336,9 @@ class Approximant:
         """Vectorized evaluation over rows of X; returns (values, fiber minima).
 
         A point with a non-finite coordinate is refused by its row.  A finite
-        point so far out that its fiber rows overflow raises the solver's
-        ``ValueError`` ("non-finite fiber coefficients"), with no RuntimeWarning.
+        point so far out that its fiber rows overflow raises ``ValueError``
+        ("non-finite fiber coefficients"), with no RuntimeWarning, as
+        ``y_coefficients`` does.
         """
         X = as_points(self._x_spec, X)
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
@@ -345,9 +348,7 @@ class Approximant:
         ys, qs = np.empty(X.shape[0]), np.empty(X.shape[0])
         for s in range(0, X.shape[0], self._chunk):
             part = slice(s, s + self._chunk)
-            with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are refused by _fiber_argmin
-                A = self._rows(X[part])
             ys[part], qs[part] = _fiber_argmin(
-                A, spec.family, spec.domain[-1], self._y_interval, cfg.alpha, cfg.tie_tol
+                self._rows(X[part]), spec.family, spec.domain[-1], self._y_interval, cfg.alpha, cfg.tie_tol
             )
         return ys, qs

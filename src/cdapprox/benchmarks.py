@@ -27,14 +27,14 @@ from .moments import (
 
 
 def midpoint_grid(box, counts) -> np.ndarray:
-    """Midpoint grid over a box of (lo, hi) rows; counts is an int or one integer per axis, each >= 1, or ValueError."""
-    if np.isscalar(counts):
-        counts = (int(counts),) * len(box)
-    if len(counts) != len(box) or not all(isinstance(n, (int, np.integer)) for n in counts):
-        raise ValueError(f"grid counts must be one integer per axis of the {len(box)}-axis box, got {counts}")
-    if min(counts) < 1:
-        raise ValueError(f"grid counts must be at least 1, got {counts}")
-    axes = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for (lo, hi), n in zip(box, counts)]
+    """Midpoint grid over a box of (lo, hi) rows; counts is an integer (no bool) or one per axis, each >= 1."""
+    per_axis = (counts,) * len(box) if np.isscalar(counts) else counts
+    whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in per_axis)
+    if len(per_axis) != len(box) or not whole:
+        raise ValueError(f"grid counts must be one integer per axis of the {len(box)}-axis box, got {counts!r}")
+    if min(per_axis) < 1:
+        raise ValueError(f"grid counts must be at least 1, got {counts!r}")
+    axes = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for (lo, hi), n in zip(box, per_axis)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -180,18 +180,10 @@ def abs_benchmark() -> GraphFunction:
     return GraphFunction("abs", 2, _box_pairs(2), f, rule=rule, kinks=(0.0,), lipschitz=1.0, variation=2.0)
 
 
-def step_benchmark(
-    breakpoints: tuple = (-0.5, 0.3), values: tuple = (-0.6, 0.8, -0.2)
-) -> GraphFunction:
-    """Piecewise-constant f on [-1, 1]; right-continuous at the breakpoints."""
-    breaks = tuple(float(t) for t in breakpoints)
-    vals = np.asarray(values, dtype=float)
-    if len(breaks) + 1 != vals.shape[0]:
-        raise ValueError("need one more value than breakpoints")
-    if list(breaks) != sorted(set(breaks)):
-        raise ValueError("breakpoints must be strictly increasing")
-    if np.min(vals) < -1.0 or np.max(vals) > 1.0:
-        raise ValueError("step values must stay inside the y-box [-1, 1]")
+def step_benchmark() -> GraphFunction:
+    """f = -0.6 on [-1, -0.5), 0.8 on [-0.5, 0.3) and -0.2 on [0.3, 1]: jumps at -0.5 and 0.3, variation 2.4."""
+    breaks = (-0.5, 0.3)
+    vals = np.array([-0.6, 0.8, -0.2])
 
     def f(X):
         return vals[np.searchsorted(np.asarray(breaks), X[:, 0], side="right")]

@@ -151,10 +151,6 @@ class CDKernel:
         self._sos = (P * np.sqrt(g)).T
         self._sos.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def filtered_matrix(self) -> np.ndarray:
         """(M + beta I)^-1 = P diag(g) P^T, as S^T S."""
         S = self._sos

@@ -82,8 +82,6 @@ def _evaluate(args, bench, approx) -> tuple:
 def cmd_approx(args) -> int:
     matrix = load_matrix(args.matrix)
     spec = matrix.spec
-    if spec.p < 2:
-        raise ValueError("approximation needs a matrix with p >= 2")
     beta = _resolve_beta(args, spec.d)
     kernel = CDKernel(matrix, beta)
     approx = Approximant(kernel, ApproxConfig(alpha=args.alpha))

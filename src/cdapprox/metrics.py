@@ -8,6 +8,7 @@ radius, and a bounded-variation regime (univariate x, r > 2) that pays an
 extra d^(-1/4) for the jump neighborhoods.  Both add the sublevel-set radius
 ``distance_bound`` to the escaping-mass tail ``outside_mass_bound`` in plain
 floats; the tail is inf where it exceeds double range, and so is the bound.
+Those two refuse what they cannot bound: d <= 1, r <= p and delta0 <= 0.
 """
 
 from __future__ import annotations
@@ -78,9 +79,6 @@ def lipschitz_rate_bound(
     lipschitz: float,
 ) -> float:
     """L1 rate bound for an L-Lipschitz target: O(d^(-1/2)) + tail term."""
-    params.validate_rate()
-    if d <= 1:
-        raise ValueError(f"rate bounds need degree d > 1, got {d}")
     radius = distance_bound(d, delta0)
     return float(vol_x * radius * (1.0 + lipschitz) + diam_y * outside_mass_bound(d, params))
 
@@ -98,8 +96,6 @@ def bv_rate_bound(
         raise ValueError(f"the variation bound applies to p = 2, got p = {params.p}")
     if params.r <= 2:
         raise ValueError(f"the variation bound needs r > 2, got r = {params.r}")
-    if d <= 1:
-        raise ValueError(f"rate bounds need degree d > 1, got {d}")
     radius = distance_bound(d, delta0)
     jump_term = 4.0 * d**0.25 * variation * radius
     return float(vol_x * (2.0 * radius + d**-0.25) + diam_y * (outside_mass_bound(d, params) + jump_term))

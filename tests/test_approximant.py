@@ -349,6 +349,17 @@ def test_evaluate_batch_refuses_an_overflowing_point_without_a_warning(family):
             app.evaluate_batch([[0.5], [1e40]])
 
 
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.name.lower())
+def test_y_coefficients_refuses_an_overflowing_point_without_a_warning(family):
+    # the same point through the one-point entry: it used to return the non-finite rows,
+    # after the RuntimeWarning of the overflow
+    app = Approximant(CDKernel(get_benchmark("sign").moment_matrix(8, family=family), 1e-8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite fiber coefficients"):
+            app.y_coefficients([1e40])
+
+
 @lru_cache(maxsize=None)
 def _gram_entries(n):
     # a dense, well-conditioned PSD matrix of size n: every sum-of-squares column differs

@@ -8,7 +8,7 @@ from moment_oracle import MOMENTS, NAMES, hankel, orthonormal_entry
 from scipy import integrate
 
 from cdapprox.basis import Family
-from cdapprox.benchmarks import BENCHMARKS, get_benchmark, midpoint_grid, step_benchmark, uniform_box
+from cdapprox.benchmarks import BENCHMARKS, get_benchmark, midpoint_grid, uniform_box
 from cdapprox.moments import Provenance, empirical_moment_matrix
 
 MONO = Family.MONOMIAL_GREVLEX
@@ -36,7 +36,8 @@ def test_function_values():
     step = get_benchmark("step")
     X = np.array([[-0.9], [-0.5], [0.0], [0.3], [0.9]])
     np.testing.assert_allclose(step.f(X), [-0.6, 0.8, 0.8, -0.2, -0.2])
-    assert step.variation == pytest.approx(2.4)  # |0.8 + 0.6| + |-0.2 - 0.8|
+    assert step.jumps == (-0.5, 0.3)
+    assert step.variation == float(np.sum(np.abs(np.diff([-0.6, 0.8, -0.2]))))  # |0.8 + 0.6| + |-0.2 - 0.8|
 
     disk = get_benchmark("disk1")
     np.testing.assert_array_equal(
@@ -48,15 +49,6 @@ def test_function_values():
         disk2.f(np.array([[0.0, 0.0], [-0.5, -0.5], [0.9, 0.9], [-0.3, -0.3]])),
         [1.0, -0.5, 0.0, 0.5],  # overlap region scores 1 - 0.5
     )
-
-
-def test_step_benchmark_validation():
-    with pytest.raises(ValueError, match="one more value"):
-        step_benchmark((0.0,), (1.0,))
-    with pytest.raises(ValueError, match="increasing"):
-        step_benchmark((0.3, -0.5), (0.1, 0.2, 0.3))
-    with pytest.raises(ValueError, match="y-box"):
-        step_benchmark((0.0,), (-2.0, 0.5))
 
 
 @pytest.mark.parametrize("name", ["sign", "abs", "step"])
@@ -120,6 +112,16 @@ def test_midpoint_grid_refuses_counts_that_do_not_fit_the_box():
             midpoint_grid(box, counts)
     with pytest.raises(ValueError, match="one integer per axis"):
         get_benchmark("disk1").grid_x((4,))
+
+
+def test_midpoint_grid_refuses_a_count_that_is_not_an_integer_or_is_a_bool():
+    # a scalar count went through int(): 2.5 gave 2 points per axis, np.float64(3.9) gave 3,
+    # "3" gave 3 and True gave 1; a bool passed as an integer, alone or in a tuple
+    square = [(-1.0, 1.0), (-1.0, 1.0)]
+    assert midpoint_grid(square, np.int64(2)).shape == (4, 2)
+    for counts in [2.5, np.float64(3.9), "3", True, np.True_, (True, 2), (2, np.False_)]:
+        with pytest.raises(ValueError, match="one integer per axis"):
+            midpoint_grid(square, counts)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

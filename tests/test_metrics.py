@@ -137,3 +137,13 @@ def test_rate_bound_preconditions():
     tp_p3 = ThresholdParams(p=3, r=3.5, m=1.0, m0=1.0)
     with pytest.raises(ValueError, match="p = 2"):
         bv_rate_bound(4, tp_p3, 2.0, 2.0, delta0, 2.0)
+    # the degree and rate checks belong to distance_bound and outside_mass_bound
+    tp = ThresholdParams(p=2, r=2.5, m=1.0, m0=1.0)
+    for d in (0, 1):
+        with pytest.raises(ValueError, match="d > 1"):
+            lipschitz_rate_bound(d, tp, 2.0, 2.0, delta0, 1.0)
+        with pytest.raises(ValueError, match="d > 1"):
+            bv_rate_bound(d, tp, 2.0, 2.0, delta0, 2.0)
+    for r in (1.5, 2.0):
+        with pytest.raises(ValueError, match="r > p"):
+            lipschitz_rate_bound(4, ThresholdParams(p=2, r=r, m=1.0, m0=1.0), 2.0, 2.0, delta0, 1.0)
