@@ -28,7 +28,10 @@ from .moments import (
 
 def midpoint_grid(box, counts) -> np.ndarray:
     """Midpoint grid over a box of (lo, hi) rows; counts is an integer (no bool) or one per axis, each >= 1."""
-    per_axis = (counts,) * len(box) if np.isscalar(counts) else counts
+    if np.isscalar(counts):
+        per_axis = (counts,) * len(box)
+    else:  # a 0-d array is neither a scalar to np.isscalar nor a sequence: refused as no counts at all
+        per_axis = () if isinstance(counts, np.ndarray) and counts.ndim == 0 else counts
     whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in per_axis)
     if len(per_axis) != len(box) or not whole:
         raise ValueError(f"grid counts must be one integer per axis of the {len(box)}-axis box, got {counts!r}")

@@ -22,6 +22,9 @@ one-shot evaluation up to rounding.
 ``certified_floor`` is the one certified lower bound of q over all of R^p:
 min(g) times the least ||b(z)||^2, from the eigenvalues alone.  Where it
 reaches a level the sublevel set is empty, and no kernel need be built.
+``_floor_reaches`` decides that in two tiers: a norm bound on lambda_max
+first, which never gives a higher floor, and ``eigvalsh`` only where the
+norm floor falls short of the level.
 
 ``CDKernel.q_at_least`` answers q(z) >= level without forming q where it
 can: in blocks of ``_BOUND_BLOCK`` points, ``basis_sqnorm`` gives
@@ -117,11 +120,35 @@ def certified_floor(matrix: MomentMatrix, beta: float) -> float:
     """
     _check_beta(beta)
     g = _tikhonov(np.linalg.eigvalsh(matrix.entries), beta)[1]
-    spec = matrix.spec
-    sqnorm = 1.0
+    return float(g.min()) * (1.0 - _BOUND_MARGIN) * _least_sqnorm(matrix.spec)
+
+
+def _least_sqnorm(spec) -> float:
+    """The lower bound of ||b(z)||^2 over every finite z of ``certified_floor``: b_0^2 rho(d // p)^p, or 1."""
     if spec.family is Family.LEGENDRE_ORTHONORMAL:
-        sqnorm = _legendre_christoffel_min(spec.d // spec.p) ** spec.p / spec.domain_volume()
-    return float(g.min()) * (1.0 - _BOUND_MARGIN) * sqnorm
+        return _legendre_christoffel_min(spec.d // spec.p) ** spec.p / spec.domain_volume()
+    return 1.0
+
+
+def _floor_reaches(matrix: MomentMatrix, beta: float, level: float) -> bool:
+    """``certified_floor(matrix, beta) >= level``, with no eigenvalue where a norm bound settles it.
+
+    For a symmetric M, lambda_max <= min(||M||_inf, ||M||_F).  That bound,
+    inflated by a relative 1e-12 n, is at least the lambda_max of eigvalsh:
+    the rounding of either norm is at most n^2 eps / 2 relative, and that of
+    eigvalsh about n eps.  The floor from it is computed as
+    ``certified_floor``'s, and rounded sums, quotients and products are
+    monotone, so it is never above ``certified_floor`` and where it reaches
+    ``level`` so does the exact floor.  Only where it falls short is
+    ``certified_floor`` called.  For a ``beta`` that ``_check_beta`` accepts
+    and a matrix that ``MomentMatrix.check_psd`` accepts; the refusals are
+    theirs.
+    """
+    M = matrix.entries
+    bound = min(float(np.abs(M).sum(axis=1).max()), float(np.linalg.norm(M))) * (1.0 + 1e-12 * M.shape[0])
+    if 1.0 / (beta + bound) * (1.0 - _BOUND_MARGIN) * _least_sqnorm(matrix.spec) >= level:
+        return True
+    return certified_floor(matrix, beta) >= level
 
 
 def beta_schedule(d: int) -> float:

@@ -5,10 +5,12 @@ threshold gamma_d: the measure of the graph that escapes the sublevel set
 {q < gamma_d} is small, and every point of the sublevel set lies close to the
 support of mu.  Both the escaping mass and the maximal distance decay at
 explicit rates in the degree d.  Where ``certified_floor``, a lower bound of
-q at every finite z from the eigenvalues alone, reaches gamma_d the sublevel
-set is provably empty on all of R^p: ``support_report`` then computes no
+q at every finite z from lambda_max alone, reaches gamma_d the sublevel set
+is provably empty on all of R^p: ``support_report`` then computes no
 eigenvector and draws nothing, the escaping mass is exactly the graph's mass
-m and no probe is a member.  Elsewhere both are estimated by Monte Carlo.
+m and no probe is a member.  It settles that with a Cholesky proof that M is
+PSD and a norm bound on lambda_max, and calls ``eigvalsh`` only where they
+fall short.  Elsewhere both are estimated by Monte Carlo.
 On either path a graph point where f is inf or nan is not a point of R^p: it
 escapes, and it is not part of the graph mesh.  The mesh itself is built only
 where there are members to measure against it; with none, the mesh slack
@@ -26,7 +28,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .benchmarks import GraphFunction, uniform_box
-from .cdkernel import CDKernel, ThresholdParams, certified_floor, gamma_threshold, threshold_params
+from .cdkernel import CDKernel, ThresholdParams, _check_beta, _floor_reaches, gamma_threshold, threshold_params
 from .moments import MomentMatrix
 
 
@@ -177,8 +179,11 @@ def support_report(
 
     Where ``certified_floor`` reaches gamma_d, as at every desk-scale degree,
     the sublevel set is provably empty on all of R^p: the escaping fraction is
-    exactly 1, no eigenvector or ``CDKernel`` is computed, no graph sample or
-    probe is drawn, ``n_members`` is 0 and ``sublevel_empty`` is True.
+    exactly 1, no ``CDKernel`` is built, no eigenvalue is computed where the
+    norm bound of ``_floor_reaches`` settles it, no graph sample or probe is
+    drawn, ``n_members`` is 0 and ``sublevel_empty`` is True.  A bad beta is
+    refused first, then an indefinite matrix (``MomentMatrix.check_psd``),
+    then r.
     Otherwise a ``CDKernel`` is built, ``n_mass_samples`` graph points are
     drawn for the escaping mass and ``n_probes`` uniform box points for the
     sublevel set, both tested with ``CDKernel.q_at_least``, which equals
@@ -205,12 +210,13 @@ def support_report(
     if bench.p != matrix.spec.p:
         raise ValueError(f"benchmark {bench.name!r} has p={bench.p}, the matrix p={matrix.spec.p}")
     seeds = np.random.SeedSequence(seed)  # refuses a bad seed as default_rng would, on both paths
-    floor = certified_floor(matrix, beta)
+    _check_beta(beta)
+    matrix.check_psd()
     params = threshold_params(matrix, r=r, alpha=alpha)
     gamma = gamma_threshold(d, params)
     # the floor bounds q below at every finite z, so where it reaches gamma the sublevel
     # set is empty on all of R^p: every graph point escapes it and no probe is a member
-    sublevel_empty = floor >= gamma
+    sublevel_empty = _floor_reaches(matrix, beta, gamma)
     if sublevel_empty:
         fraction = 1.0
         members = np.empty((0, matrix.spec.p))

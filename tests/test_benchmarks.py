@@ -124,6 +124,19 @@ def test_midpoint_grid_refuses_a_count_that_is_not_an_integer_or_is_a_bool():
             midpoint_grid(square, counts)
 
 
+def test_midpoint_grid_refuses_a_zero_dimensional_array_count():
+    # np.isscalar is False for a 0-d array, which was then iterated as per-axis counts: a TypeError
+    line, square = [(-1.0, 1.0)], [(-1.0, 1.0), (-1.0, 1.0)]
+    for box in (line, square):
+        for counts in [np.array(3), np.array(2.5), np.array(True)]:
+            with pytest.raises(ValueError, match="one integer per axis"):
+                midpoint_grid(box, counts)
+    assert midpoint_grid(line, 3).shape == (3, 1)
+    assert midpoint_grid(square, np.int32(3)).shape == (9, 2)
+    assert midpoint_grid(square, (2, np.int64(3))).shape == (6, 2)
+    assert midpoint_grid(square, np.array([2, 3])).shape == (6, 2)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_uniform_box_draws_what_rng_uniform_draws(k, seed):

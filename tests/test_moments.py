@@ -25,6 +25,7 @@ from cdapprox.moments import (
     load_json,
     load_text,
     quadrature_moment_matrix,
+    require_psd,
     rule_moment_matrix,
     save_text,
 )
@@ -60,6 +61,82 @@ def test_check_psd():
         mm.check_psd()
     # tiny negative eigenvalues are rounding noise, not rejected
     MomentMatrix(spec, np.diag([1.0, 1.0, -1e-10]), Provenance.EMPIRICAL, 1.0).check_psd()
+
+
+def _refusal(check, *args):
+    """None where ``check(*args)`` accepts, else its IndefiniteMatrixError message."""
+    try:
+        check(*args)
+    except IndefiniteMatrixError as err:
+        return str(err)
+    return None
+
+
+def _assert_check_psd_is_the_eigvalsh_rule(entries):
+    """check_psd accepts and refuses as require_psd(eigvalsh(M)), with the same message."""
+    d = {3: 1, 6: 2, 10: 3}[entries.shape[0]]
+    mm = MomentMatrix(BasisSpec(2, d), entries, Provenance.EMPIRICAL, 1.0)
+    expected = _refusal(require_psd, np.linalg.eigvalsh(mm.entries))
+    assert _refusal(mm.check_psd) == expected
+    return expected
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("c", [0.25, 0.45, 0.55, 0.75, 0.95, 1.05, 1.5, 3.0])
+def test_check_psd_decides_as_eigvalsh_on_both_sides_of_the_tolerance(c, rotated, monkeypatch):
+    # lambda_min = -c 1e-8 lambda_max: accepted for c < 1 and refused above.  The Cholesky
+    # proof shifts by s = 1/2 1e-8 max(diag M), so between -s and -1e-8 lambda_max only the
+    # eigvalsh fallback can accept; the diagonal matrix has max(diag M) = lambda_max = 1
+    evals = np.array([1.0, 0.7, 0.5, 0.3, 0.2, 0.1, 1e-3, 0.0, 0.0, -c * 1e-8])
+    Q = np.linalg.qr(np.random.default_rng(3).normal(size=(10, 10)))[0] if rotated else np.eye(10)
+    M = (Q * evals) @ Q.T
+    M = np.tril(M) + np.tril(M, -1).T
+    s = 0.5e-8 * float(M.diagonal().max())
+    calls = _count_eigvalsh(monkeypatch)
+    refusal = _assert_check_psd_is_the_eigvalsh_rule(M)
+    assert (refusal is None) == (c < 1)
+    if c * 1e-8 > s:  # M + s I is indefinite: the fallback decides
+        assert len(calls) == 2
+    if not rotated and c < 0.5:  # proven by the factor alone
+        assert len(calls) == 1
+
+
+def test_check_psd_on_the_zero_matrix_and_a_negative_diagonal(monkeypatch):
+    # max(diag M) <= 0 leaves nothing to shift by: eigvalsh decides and words the refusal
+    calls = _count_eigvalsh(monkeypatch)
+    assert _assert_check_psd_is_the_eigvalsh_rule(np.zeros((3, 3))) is None
+    assert _assert_check_psd_is_the_eigvalsh_rule(np.diag([-1.0, -2.0, -3.0])) is not None
+    assert len(calls) == 4
+    # a positive diagonal with a negative entry fails the factor and falls back
+    assert _assert_check_psd_is_the_eigvalsh_rule(np.diag([1.0, -1.0, 2.0])) is not None
+
+
+@given(
+    n=st.sampled_from([3, 6, 10]),
+    rank=st.integers(min_value=0, max_value=10),
+    scale=st.integers(min_value=-60, max_value=60),
+    c=st.floats(min_value=0.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_check_psd_decides_as_eigvalsh_on_random_psd_matrices(n, rank, scale, c, seed):
+    # B B^T of any rank and scale, shifted down by c 1e-8 of its largest eigenvalue
+    B = np.random.default_rng(seed).normal(size=(n, min(rank, n))) * 10.0 ** (scale / 2)
+    G = B @ B.T
+    M = G - c * 1e-8 * max(float(np.linalg.eigvalsh(G)[-1]), 0.0) * np.eye(n)
+    _assert_check_psd_is_the_eigvalsh_rule(np.tril(M) + np.tril(M, -1).T)
 
 
 def _box_rule(spec, nodes):

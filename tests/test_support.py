@@ -128,7 +128,7 @@ def test_support_report_rejects_empty_samples_and_meshes(sizes):
 def _eval_q_report(bench, M, beta, **kwargs):
     """The report that draws every probe and makes each q >= gamma test on the exact q of eval_q_batch."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(support, "certified_floor", lambda matrix, beta: -np.inf)
+        mp.setattr(support, "_floor_reaches", lambda matrix, beta, level: False)
         mp.setattr(CDKernel, "q_at_least", lambda self, Z, level: self.eval_q_batch(Z) >= level)
         rep = support_report(bench, M, beta, **kwargs)
     assert not rep.sublevel_empty
@@ -181,23 +181,60 @@ def test_support_report_equals_the_eval_q_batch_report(name, d, seed, monkeypatc
     assert _without_certificate(rep) == _without_certificate(expected)
 
 
-@pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 8), ("disk1", 4)])
+@pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("sign", 8), ("disk1", 4), ("disk1", 8)])
 def test_certified_report_computes_no_eigenvector_and_no_kernel(name, d, monkeypatch):
-    # the certificate needs only the eigenvalues, through certified_floor: neither
-    # eigh nor a CDKernel is called, and the report is still the exact-q one
+    # the support benchmark's four cases and disk1 at d = 4: a Cholesky PSD proof and the
+    # norm bound on lambda_max settle the certificate, so no eigenvalue, eigenvector or
+    # CDKernel is computed, and the report is still the exact-q one
     bench = get_benchmark(name)
     M = bench.moment_matrix(d)
     kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
     expected = _eval_q_report(bench, M, beta_schedule(d), **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the certified path needs no eigenvector")
+        raise AssertionError("the norm bound should settle the certificate with no eigenvalue")
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for attr in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, attr, refuse)
     monkeypatch.setattr(CDKernel, "__init__", refuse)
     rep = support_report(bench, M, beta_schedule(d), **kwargs)
     assert rep.sublevel_empty
     assert _without_certificate(rep) == _without_certificate(expected)
+
+
+def test_certificate_falls_back_to_eigvalsh_where_the_norm_bound_falls_short(monkeypatch):
+    # sign at d = 10: the norm floor is about 0.84 of gamma_d and certified_floor about 1.26,
+    # so the one eigvalsh call is certified_floor's; the PSD proof needs none
+    bench = get_benchmark("sign")
+    M = bench.moment_matrix(10)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rep = support_report(bench, M, beta_schedule(10), n_mass_samples=200, n_probes=200, mesh_points=100)
+    assert calls == [(M.n, M.n)]
+    assert rep.sublevel_empty
+
+
+_SWEEP = (
+    [("sign", d) for d in range(2, 17)]
+    + [(name, d) for name in ("step", "abs") for d in range(2, 13)]
+    + [("disk1", d) for d in range(2, 11)]
+)
+
+
+@pytest.mark.parametrize("name,d", _SWEEP)
+def test_certificate_decides_as_certified_floor(name, d):
+    # the two tiers change the cost of the certificate, never its decision
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(d)
+    beta = beta_schedule(d)
+    rep = support_report(bench, M, beta, r=bench.p + 0.5, n_mass_samples=200, n_probes=200, mesh_points=100)
+    assert rep.sublevel_empty == (certified_floor(M, beta) >= rep.gamma)
 
 
 @pytest.mark.parametrize("name,d", [("sign", 6), ("disk1", 4)])
@@ -243,9 +280,10 @@ def _refuse_draws(monkeypatch):
 
 @pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("sign", 8), ("disk1", 4)])
 def test_certified_report_draws_no_graph_sample(name, d, monkeypatch):
-    # where certified_floor reaches gamma_d every graph point escapes, so the mass is
-    # exactly m: nothing is drawn, and f sees only the mesh's x grid, for the
-    # slack of p = 2; for p > 2 the slack is closed-form and f is not called
+    # where the certified floor reaches gamma_d (here its norm bound already does)
+    # every graph point escapes, so the mass is exactly m: nothing is drawn, and f
+    # sees only the mesh's x grid, for the slack of p = 2; for p > 2 the slack is
+    # closed-form and f is not called
     bench = get_benchmark(name)
     M = bench.moment_matrix(d)
     kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
