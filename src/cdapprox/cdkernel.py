@@ -29,8 +29,8 @@ norm floor falls short of the level.
 ``CDKernel.q_at_least`` answers q(z) >= level without forming q where it
 can: in blocks of ``_BOUND_BLOCK`` points, ``basis_sqnorm`` gives
 ||b(z)||^2 from the per-axis tables in O(p d^2) per point, and only the
-points that min(g) ||b(z)||^2 leaves open get exact q, from the rows of
-their block's own tables.
+points that min(g) ||b(z)||^2 leaves open get exact q, from
+``eval_q_batch``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .basis import (
     Family,
     as_points,
     basis_blocks,
-    basis_product,
     basis_sqnorm,
     table_blocks,
 )
@@ -210,8 +209,7 @@ class CDKernel:
         shrunk by a relative margin of 1e-8.  In blocks of ``_BOUND_BLOCK``
         points it settles each row where it reaches ``level`` and ||b(z)||^2 is
         finite, which needs every coordinate finite; every other row gets exact
-        q as in ``eval_q_batch``, from the rows of the block's own tables,
-        ``_BLOCK`` points at a time.  A finite row whose basis overflows has q
+        q from ``eval_q_batch``.  A finite row whose basis overflows has q
         beyond double range, reads inf there and answers True; a row with a
         non-finite coordinate may get nan, which compares False.  Neither raises
         a RuntimeWarning.  Memory is O(block * n).
@@ -220,7 +218,6 @@ class CDKernel:
         Z = as_points(spec, Z)
         # min(g) = 1/(beta + lambda_max) bit for bit: rounded sums and quotients are monotone
         floor = float(1.0 / (self.beta + self.eigenvalues[-1])) * (1.0 - _BOUND_MARGIN)
-        S = self._sos
         out = np.empty(Z.shape[0], dtype=bool)
         with np.errstate(invalid="ignore", over="ignore"):
             for rows, tabs in table_blocks(spec, Z, _BOUND_BLOCK):
@@ -228,11 +225,8 @@ class CDKernel:
                 # the bound holds at finite z only, and a non-finite coordinate makes ||b(z)||^2
                 # non-finite through its degree-1 member: one test per point, not per coordinate
                 sure = np.isfinite(sqnorm) & (floor * sqnorm >= level)
-                open_ = np.flatnonzero(~sure)
-                for start in range(0, open_.size, _BLOCK):
-                    part = open_[start : start + _BLOCK]
-                    C = S @ basis_product(spec, [t.T[:, part].T for t in tabs])  # gathered degree-major
-                    sure[part] = _column_q(C, Z[rows][part]) >= level
+                open_ = ~sure
+                sure[open_] = self.eval_q_batch(Z[rows][open_]) >= level
                 out[rows] = sure
         return out
 

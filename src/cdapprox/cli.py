@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, default=6)
     sp.add_argument("--matrix", default=None, help="load this matrix instead of building one")
     sp.add_argument("--probes", type=int, default=100_000)
-    sp.add_argument("--mesh", type=int, default=10_000)
+    sp.add_argument("--mesh", type=int, default=10_000, help="mesh size, read only where the sublevel set has members")
     sp.add_argument("--out", default=None, help="JSON report path")
     sp.add_argument("--r", type=float, default=None, help="threshold exponent (default p+1/2)")
     _add_build(sp)

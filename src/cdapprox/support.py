@@ -12,12 +12,11 @@ m and no probe is a member.  It settles that with a Cholesky proof that M is
 PSD and a norm bound on lambda_max, and calls ``eigvalsh`` only where they
 fall short.  Elsewhere both are estimated by Monte Carlo.
 On either path a graph point where f is inf or nan is not a point of R^p: it
-escapes, and it is not part of the graph mesh.  The mesh itself is built only
-where there are members to measure against it; with none, the mesh slack
-alone is computed, from the mesh's x grid and f for p = 2 and in closed form
-above.  The escaping-mass bound is summed in log space, as
-``gamma_threshold`` is: its factor (3r)^(2r) overflows double precision for
-moderate r even where the bound itself does not.
+escapes, and it is not part of the graph mesh.  Only a distance reads the
+graph: the mesh is built, and f read on it, only where the sublevel set has
+members to measure against it.  The escaping-mass bound is summed in log
+space, as ``gamma_threshold`` is: its factor (3r)^(2r) overflows double
+precision for moderate r even where the bound itself does not.
 """
 
 from __future__ import annotations
@@ -62,34 +61,33 @@ def distance_bound(d: int, delta0: float) -> float:
     return float(delta0 / (np.sqrt(d) - 1.0))
 
 
-def _mesh_per_axis(bench: GraphFunction, n: int) -> int:
-    """Per-axis midpoint count of an n-point graph mesh: n for p = 2, about n^(1/(p-1)) above."""
-    return n if bench.p == 2 else max(2, int(round(n ** (1.0 / (bench.p - 1)))))
+def graph_mesh(bench: GraphFunction, n: int = 10_000) -> tuple[np.ndarray, float]:
+    """Dense discretization of the graph plus a resolution slack.
 
-
-def _grid_slack(bench: GraphFunction, per_axis: int) -> float:
-    """Slack for p > 2: half the diagonal of the largest x-cell of a per_axis midpoint grid."""
-    box = bench.x_box()
-    return 0.5 * float(np.max((box[:, 1] - box[:, 0]) / per_axis)) * np.sqrt(bench.p - 1)
-
-
-def _finite_graph(bench: GraphFunction, per_axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The midpoint x grid, f on it and where f is finite; raises where it is finite nowhere."""
+    The mesh is f on a midpoint x grid of n points for p = 2 and about
+    n^(1/(p-1)) per axis above.  The slack is half the largest gap between
+    neighboring mesh points that do not straddle a declared jump; distances
+    measured against the mesh can undershoot distances to the true support by
+    at most this much.  For p > 2 half the diagonal of the largest x-cell is
+    reported instead (jump curves are not parameterized).  A grid point where
+    f is inf or nan is not a point of the graph, so it is dropped from the
+    mesh, and a gap across a dropped run is not counted, just as a gap across
+    a declared jump is not.  An f that is finite nowhere on the grid is
+    refused.
+    """
+    per_axis = n if bench.p == 2 else max(2, int(round(n ** (1.0 / (bench.p - 1)))))
     X = bench.grid_x(per_axis)
     y = bench.values(X)
     finite = np.isfinite(y)
     if not finite.any():
         raise ValueError(f"f of benchmark {bench.name!r} is not finite at any of the {finite.size} mesh points")
-    return X, y, finite
-
-
-def _path_slack(bench: GraphFunction, x: np.ndarray, y: np.ndarray, finite: np.ndarray) -> float:
-    """Slack for p = 2: half the largest gap between neighbouring graph points (x, y).
-
-    x and y hold the points where f is finite, in grid order, and ``finite``
-    marks them on the full grid.  A gap across a dropped run of grid points or
-    across a declared jump is not counted.
-    """
+    Z = np.column_stack((X, y))
+    if not finite.all():
+        Z = np.compress(finite, Z, axis=0)
+    if bench.p > 2:
+        box = bench.x_box()
+        return Z, 0.5 * float(np.max((box[:, 1] - box[:, 0]) / per_axis)) * np.sqrt(bench.p - 1)
+    x, y = Z[:, 0], Z[:, 1]
     counted = np.diff(np.flatnonzero(finite)) == 1
     for t in bench.jumps:
         counted &= ~((x[:-1] < t) & (x[1:] >= t))
@@ -97,40 +95,7 @@ def _path_slack(bench: GraphFunction, x: np.ndarray, y: np.ndarray, finite: np.n
     dx *= dx
     dy *= dy
     gaps = np.sqrt(dx + dy)[counted]  # bit for bit np.linalg.norm of the mesh differences
-    return 0.5 * float(np.max(gaps)) if gaps.size else 0.0
-
-
-def graph_mesh(bench: GraphFunction, n: int = 10_000) -> tuple[np.ndarray, float]:
-    """Dense discretization of the graph plus a resolution slack.
-
-    The slack is half the largest gap between neighboring mesh points that do
-    not straddle a declared jump; distances measured against the mesh can
-    undershoot distances to the true support by at most this much.  For p > 2
-    the gap along x is reported instead (jump curves are not parameterized).
-    A grid point where f is inf or nan is not a point of the graph, so it is
-    dropped from the mesh, and a gap across a dropped run is not counted, just
-    as a gap across a declared jump is not.
-    """
-    per_axis = _mesh_per_axis(bench, n)
-    X, y, finite = _finite_graph(bench, per_axis)
-    Z = np.column_stack((X, y))
-    if not finite.all():
-        Z = np.compress(finite, Z, axis=0)
-    if bench.p > 2:
-        return Z, _grid_slack(bench, per_axis)
-    return Z, _path_slack(bench, Z[:, 0], Z[:, 1], finite)
-
-
-def _mesh_slack(bench: GraphFunction, n: int) -> float:
-    """``graph_mesh(bench, n)[1]`` without the mesh: from the x grid and f for p = 2, closed-form above."""
-    per_axis = _mesh_per_axis(bench, n)
-    if bench.p > 2:
-        return _grid_slack(bench, per_axis)
-    X, y, finite = _finite_graph(bench, per_axis)
-    x = X[:, 0]
-    if not finite.all():
-        x, y = x[finite], y[finite]
-    return _path_slack(bench, x, y, finite)
+    return Z, (0.5 * float(np.max(gaps)) if gaps.size else 0.0)
 
 
 @dataclass
@@ -190,13 +155,11 @@ def support_report(
     ``eval_q_batch(Z) >= gamma`` but forms exact q only where the lower bound
     min(g) ||b||^2 falls short.  A sample where f is inf or nan counts as
     escaping on both paths.  Member distances are measured against a
-    ``mesh_points`` graph mesh, which drops the points where f is not finite
-    and is built only where there are members; otherwise only its slack is
-    computed, bit for bit ``graph_mesh``'s.  So the mesh grid is read, and an
-    f that is finite nowhere on it is refused, only for p = 2 or where there
-    are members; an f that gives the wrong number of values is refused
-    wherever it is called.  A ``seed`` that ``np.random.default_rng`` would
-    refuse is refused up front, on both paths.
+    ``mesh_points`` graph mesh, which is built only where there are members;
+    with none, ``max_distance`` and ``mesh_slack`` are 0 and the mesh's f is
+    never called.  A ``mesh_points`` that is not an integer >= 2 and a
+    ``seed`` that ``np.random.default_rng`` would refuse are refused up
+    front, on both paths.
     """
     d = matrix.spec.d
     if d <= 1:
@@ -205,8 +168,8 @@ def support_report(
         raise ValueError(
             f"support checks need at least one mass sample and one probe, got {n_mass_samples} and {n_probes}"
         )
-    if mesh_points < 2:
-        raise ValueError(f"the graph mesh needs at least 2 points, got {mesh_points}")
+    if not isinstance(mesh_points, (int, np.integer)) or mesh_points < 2:  # a bool is 0 or 1
+        raise ValueError(f"the graph mesh needs an integer count of at least 2 points, got {mesh_points!r}")
     if bench.p != matrix.spec.p:
         raise ValueError(f"benchmark {bench.name!r} has p={bench.p}, the matrix p={matrix.spec.p}")
     seeds = np.random.SeedSequence(seed)  # refuses a bad seed as default_rng would, on both paths
@@ -234,15 +197,12 @@ def support_report(
         members = probes[~kernel.q_at_least(probes, gamma)]
     outside = fraction * matrix.mass_m
     mass_bound = outside_mass_bound(d, params)
-    if members.shape[0]:
+    max_dist = slack = 0.0
+    if members.shape[0]:  # with no member there is no distance to measure, so the graph is not read
         from scipy.spatial import cKDTree  # loaded on first use
 
         mesh, slack = graph_mesh(bench, mesh_points)
-        dists, _ = cKDTree(mesh).query(members)
-        max_dist = float(np.max(dists))
-    else:
-        slack = _mesh_slack(bench, mesh_points)
-        max_dist = 0.0
+        max_dist = float(np.max(cKDTree(mesh).query(members)[0]))
     dist_bound = distance_bound(d, matrix.spec.domain_diameter())
 
     return SupportReport(

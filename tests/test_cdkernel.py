@@ -137,15 +137,16 @@ def test_eval_q_batch_memory_does_not_grow_with_the_point_count():
 
 
 def _count_exact_points(monkeypatch) -> list:
-    """Make q_at_least record how many points each of its exact-q basis products receives."""
+    """Make q_at_least record how many points each of its exact-q basis blocks holds."""
     sent = []
-    product = cdkernel.basis_product
+    blocks = cdkernel.basis_blocks
 
-    def counting(spec, tabs):
-        sent.append(len(tabs[0]))
-        return product(spec, tabs)
+    def counting(spec, Z):
+        for rows, B in blocks(spec, Z):
+            sent.append(B.shape[1])
+            yield rows, B
 
-    monkeypatch.setattr(cdkernel, "basis_product", counting)
+    monkeypatch.setattr(cdkernel, "basis_blocks", counting)
     return sent
 
 
@@ -185,8 +186,8 @@ def test_q_at_least_equals_the_exact_comparison(name, d, family, monkeypatch):
 
 @pytest.mark.parametrize("name,d", [("sign", 8), ("disk1", 6)])
 def test_q_at_least_at_levels_the_bound_never_settles(name, d, monkeypatch):
-    # above max min(g)||b||^2 every point takes exact q from its block's own
-    # tables, and the answer is still eval_q_batch's, bit for bit
+    # above max min(g)||b||^2 every point takes exact q from eval_q_batch in
+    # the bound's blocks, and the answer is still eval_q_batch's, bit for bit
     bench = get_benchmark(name)
     kern = CDKernel(bench.moment_matrix(d), beta_schedule(d))
     box = kern.spec.domain_array()

@@ -77,6 +77,22 @@ def test_graph_mesh_lies_on_graph_and_reports_slack():
     assert Z3.shape == (900, 3)
     assert slack3 > 0.0
 
+    # p = 2 against an independent computation: half the largest np.linalg.norm of the
+    # mesh differences, skipping the gaps across a declared jump or a dropped grid point
+    # (the non-finite sign drops two end runs, the holed one a run inside)
+    holed = dataclasses.replace(bench, f=lambda X: np.where(np.abs(X[:, 0] - 0.3) < 0.1, np.nan, bench.f(X)))
+    for graph in (bench, get_benchmark("step"), get_benchmark("abs"), _sign_with_non_finite_f(), holed):
+        for n in (50, 500, 10_000):
+            Z, slack = graph_mesh(graph, n)
+            x = Z[:, 0]
+            gaps = np.linalg.norm(np.diff(Z, axis=0), axis=1)
+            adjacent = np.diff(x) < 1.5 * 2.0 / n  # the x-box is [-1, 1], so the grid step is 2/n
+            clear = np.array([not any(a < t <= b for t in graph.jumps) for a, b in zip(x[:-1], x[1:])])
+            assert slack == 0.5 * np.max(gaps[adjacent & clear])
+    # p = 3 in closed form: half the diagonal of a cell of the 30 x 30 and 100 x 100 grids on [-1, 1]^2
+    assert slack3 == 0.5 * (2.0 / 30) * np.sqrt(2.0)
+    assert graph_mesh(disk, 10_000)[1] == 0.5 * (2.0 / 100) * np.sqrt(2.0)
+
 
 def test_support_report_fields_and_determinism():
     bench = get_benchmark("sign")
@@ -123,6 +139,19 @@ def test_support_report_rejects_empty_samples_and_meshes(sizes):
     kwargs = {**dict(n_mass_samples=100, n_probes=100, mesh_points=50), **sizes}
     with pytest.raises(ValueError, match="at least"):
         support_report(bench, M, beta_schedule(4), **kwargs)
+
+
+@pytest.mark.parametrize("name", ["sign", "disk1"])
+@pytest.mark.parametrize("mesh_points", [2.5, 1e4, np.float64(500.0), "500", True, None])
+def test_support_report_refuses_a_mesh_count_that_is_not_an_integer(name, mesh_points):
+    # one refusal, up front, on every path: before, sign refused some of these in
+    # midpoint_grid, disk1 accepted them silently and "500" escaped as a TypeError
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(4)
+    with pytest.raises(ValueError, match="integer count of at least 2 points"):
+        support_report(bench, M, beta_schedule(4), n_mass_samples=100, n_probes=100, mesh_points=mesh_points)
+    rep = support_report(bench, M, beta_schedule(4), n_mass_samples=100, n_probes=100, mesh_points=np.int64(500))
+    assert rep.sublevel_empty and rep.mesh_slack == 0.0
 
 
 def _eval_q_report(bench, M, beta, **kwargs):
@@ -281,19 +310,17 @@ def _refuse_draws(monkeypatch):
 @pytest.mark.parametrize("name,d", [("sign", 4), ("sign", 6), ("sign", 8), ("disk1", 4)])
 def test_certified_report_draws_no_graph_sample(name, d, monkeypatch):
     # where the certified floor reaches gamma_d (here its norm bound already does)
-    # every graph point escapes, so the mass is exactly m: nothing is drawn, and f
-    # sees only the mesh's x grid, for the slack of p = 2; for p > 2 the slack is
-    # closed-form and f is not called
+    # every graph point escapes, so the mass is exactly m: nothing is drawn, and
+    # with no member there is no distance to measure, so f is never called
     bench = get_benchmark(name)
     M = bench.moment_matrix(d)
     kwargs = dict(r=bench.p + 0.5, n_mass_samples=3000, n_probes=2000, mesh_points=500, seed=0)
     expected = _eval_q_report(bench, M, beta_schedule(d), **kwargs)
-    mesh, _ = graph_mesh(bench, kwargs["mesh_points"])
     counted, f_rows = _counting_f(bench)
     _refuse_draws(monkeypatch)
     rows = _count_q_at_least_rows(monkeypatch)
     rep = support_report(counted, M, beta_schedule(d), **kwargs)
-    assert f_rows == ([mesh.shape[0]] if bench.p == 2 else [])
+    assert f_rows == []
     assert rows == []
     assert rep.sublevel_empty and rep.outside_mass == M.mass_m
     assert _without_certificate(rep) == _without_certificate(expected)
@@ -326,34 +353,21 @@ def test_graph_mesh_drops_non_finite_points():
     [(name, n) for name in ("sign", "step", "abs", "sign-non-finite") for n in (50, 500, 10_000)]
     + [("disk1", 900), ("disk1", 10_000)],
 )
-def test_certified_report_slack_is_the_graph_mesh_slack(name, n, monkeypatch):
-    # with no member to measure, the report takes the slack from the x grid and
-    # f alone (p = 2) or in closed form (p > 2), bit for bit graph_mesh's, and
-    # builds no mesh
+def test_report_without_members_reads_no_graph(name, n, monkeypatch):
+    # with no member there is no distance to measure: the distance and the mesh
+    # slack are 0, and neither graph_mesh nor f is called, whatever the mesh size
     bench = _sign_with_non_finite_f() if name == "sign-non-finite" else get_benchmark(name)
     M = bench.moment_matrix(4)
-    _, slack = graph_mesh(bench, n)
+    counted, f_rows = _counting_f(bench)
 
     def refuse(bench, n):
         raise AssertionError("a mesh was built with no member to measure")
 
     monkeypatch.setattr(support, "graph_mesh", refuse)
-    rep = support_report(bench, M, beta_schedule(4), n_mass_samples=100, n_probes=100, mesh_points=n)
+    rep = support_report(counted, M, beta_schedule(4), n_mass_samples=100, n_probes=100, mesh_points=n)
     assert rep.sublevel_empty and rep.n_members == 0
-    assert rep.mesh_slack == slack
-
-
-def test_report_refuses_an_f_finite_nowhere():
-    # for p = 2 the slack reads f on the mesh's x grid, so an f that is finite
-    # nowhere is refused as graph_mesh refuses it
-    sign = get_benchmark("sign")
-    nowhere = dataclasses.replace(sign, f=lambda X: np.full(X.shape[0], np.nan))
-    kwargs = dict(n_mass_samples=100, n_probes=100, mesh_points=50)
-    with pytest.raises(ValueError) as by_mesh:
-        graph_mesh(nowhere, 50)
-    with pytest.raises(ValueError, match="not finite at any of the 50 mesh points") as by_report:
-        support_report(nowhere, sign.moment_matrix(4), beta_schedule(4), **kwargs)
-    assert str(by_report.value) == str(by_mesh.value)
+    assert rep.max_distance == 0.0 and rep.mesh_slack == 0.0 and rep.distance_ok
+    assert f_rows == []
 
 
 @pytest.mark.parametrize("d", [4, 8])
@@ -411,15 +425,11 @@ def test_support_report_refuses_a_negative_seed_on_both_paths(d):
 def test_certified_report_rejects_a_mismatched_benchmark():
     # where the floor settles the mass samples no graph array is built and no
     # q is formed, so support_report itself must refuse a benchmark that does
-    # not fit the matrix or whose f gives the wrong number of values
+    # not fit the matrix
     sign = get_benchmark("sign")
-    M = sign.moment_matrix(4)
     kwargs = dict(n_mass_samples=100, n_probes=100, mesh_points=50)
     with pytest.raises(ValueError, match="p=2"):
         support_report(sign, get_benchmark("disk1").moment_matrix(2), 1e-3, **kwargs)
-    short = dataclasses.replace(sign, f=lambda X: np.ones(X.shape[0] - 1))
-    with pytest.raises(ValueError, match="49 values for 50 points"):
-        support_report(short, M, beta_schedule(4), **kwargs)
 
 
 @pytest.mark.parametrize("d,seed,ratio", [(12, 0, 0.83), (12, 1, 0.83), (16, 0, 0.40)])
@@ -459,3 +469,54 @@ def test_sublevel_probes_stay_near_graph_at_empirical_level():
 
     dists, _ = cKDTree(mesh).query(members)
     assert float(np.max(dists)) <= 0.2 + slack
+
+
+def _member_level(monkeypatch, bench, M, beta):
+    """Patch support.gamma_threshold to 100 times the largest on-graph q: about 1e-3 of the box is below it."""
+    X = bench.random_x(4000, np.random.default_rng(3))
+    level = 100.0 * float(np.max(CDKernel(M, beta).eval_q_batch(bench.graph_points(X))))
+    monkeypatch.setattr(support, "gamma_threshold", lambda d, params: level)
+    return level
+
+
+def test_report_with_members_measures_against_the_graph_mesh(monkeypatch):
+    # sign at d = 8 and beta = 1e-6: at 100 times the on-graph maximum of q the
+    # probes find members, and their distance is measured against graph_mesh's mesh
+    from scipy.spatial import cKDTree
+
+    bench = get_benchmark("sign")
+    M = bench.moment_matrix(8)
+    beta = 1e-6
+    level = _member_level(monkeypatch, bench, M, beta)
+    kwargs = dict(n_mass_samples=3000, n_probes=20_000, mesh_points=2000, seed=0)
+    rep = support_report(bench, M, beta, **kwargs)
+
+    rng = np.random.default_rng(0)
+    bench.random_x(3000, rng)  # the mass samples come first in the stream
+    probes = benchmarks.uniform_box(rng, M.spec.domain_array(), 20_000)
+    members = probes[CDKernel(M, beta).eval_q_batch(probes) < level]
+    mesh, slack = graph_mesh(bench, 2000)
+    assert rep.gamma == level and not rep.sublevel_empty
+    assert rep.n_members == members.shape[0] > 0
+    assert rep.max_distance == float(np.max(cKDTree(mesh).query(members)[0])) > 0.0
+    assert rep.mesh_slack == slack > 0.0
+    assert rep.distance_ok == (rep.max_distance <= rep.distance_bound + slack)
+
+
+def test_report_with_members_refuses_a_bad_f_on_the_mesh(monkeypatch):
+    # the mesh is where a report with members reads f: an f that is finite nowhere
+    # on it is refused as graph_mesh refuses it, and so is one that gives too few values
+    sign = get_benchmark("sign")
+    M = sign.moment_matrix(8)
+    _member_level(monkeypatch, sign, M, 1e-6)
+    kwargs = dict(n_mass_samples=3000, n_probes=20_000, mesh_points=50)
+    nowhere = dataclasses.replace(sign, f=lambda X: np.full(X.shape[0], np.nan))
+    with pytest.raises(ValueError) as by_mesh:
+        graph_mesh(nowhere, 50)
+    with pytest.raises(ValueError, match="not finite at any of the 50 mesh points") as by_report:
+        support_report(nowhere, M, 1e-6, **kwargs)
+    assert str(by_report.value) == str(by_mesh.value)
+    # short only on the 50-point mesh grid, so the mass samples pass and the mesh refuses
+    short = dataclasses.replace(sign, f=lambda X: sign.f(X)[: 49 if X.shape[0] == 50 else None])
+    with pytest.raises(ValueError, match="49 values for 50 points"):
+        support_report(short, M, 1e-6, **kwargs)
