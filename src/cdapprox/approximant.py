@@ -16,10 +16,11 @@ j in that x-index order: its members of total degree t and last exponent j
 are the x-members of degree t - j in x-grevlex order, and t ascends.  One
 stable sort of W's columns by y-degree therefore gives the d+1 y-degree
 blocks, M_j of shape (n_{d-j}, r), and A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j is
-one stacked GEMV per block.  The blocks are views of the one gathered array
-and hold n r doubles, the weighted (x-index, y-degree) pairs only, against
-n_x r (d+1) for a dense map: 52% of it at p = 2, d = 20, and 37% at p = 3,
-d = 16.  Each point streams the blocks once.
+one stacked GEMV per block.  The kernel stores W^T in that sorted order, so
+the blocks are views of the kernel's own rows and an ``Approximant`` copies
+none of them.  They hold n r doubles, the weighted (x-index, y-degree) pairs
+only, against n_x r (d+1) for a dense map: 52% of it at p = 2, d = 20, and
+37% at p = 3, d = 16.  Each point streams the blocks once.
 
 Points are minimized in chunks sized by bytes: a chunk takes as many points
 as keep one (chunk, r, 2d+1) work array within a fixed budget, and each work
@@ -291,13 +292,14 @@ class Approximant:
     The fiber rows stay in phi, the kernel's last-axis family on the domain's
     y-axis, whatever the search interval; the solver evaluates phi itself.
     Working set, with n the basis size and r = n sum-of-squares rows: the
-    y-degree blocks take 8 n r bytes, and the kernel holds M and its
-    sum-of-squares rows at 8 n^2 bytes each.  Evaluation runs in chunks of
+    kernel holds M and its sum-of-squares rows at 8 n^2 bytes each, and the
+    y-degree blocks are views of those rows, so the approximant itself holds
+    no n x n array.  Evaluation runs in chunks of
     max(1, _CHUNK_BYTES // (8 r (2d+1))) points, so each of its largest work
     arrays, the (chunk, r, 2d+1) node values and candidate terms, takes at
     most _CHUNK_BYTES (4 MiB).  The two are never alive together: beside one
     of them a chunk holds its (chunk, r, d+1) rows.  At disk1 d = 20
-    (n = 1,771) the blocks take 24 MiB and a chunk has 7 points.
+    (n = 1,771) the kernel's rows take 24 MiB and a chunk has 7 points.
     """
 
     def __init__(self, kernel: CDKernel, config: ApproxConfig | None = None):
@@ -309,9 +311,8 @@ class Approximant:
         self.spec = spec
         self._y_interval = _interval(self.config.y_interval or spec.domain[-1], spec.d)
         self._x_spec = spec.x_spec()
-        ydeg = spec.indices[:, -1]
-        rows = kernel.sos_decomposition().T[np.argsort(ydeg, kind="stable")]  # one (n, r) gather
-        self._blocks = tuple(np.split(rows, np.cumsum(np.bincount(ydeg))[:-1]))
+        # the kernel stores its rows sorted stably by y-degree, so each block is a view of a run of them
+        self._blocks = tuple(np.split(kernel._rows, np.cumsum(np.bincount(spec.indices[:, -1]))[:-1]))
         self._chunk = max(1, _CHUNK_BYTES // (8 * self._blocks[0].shape[1] * (2 * spec.d + 1)))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:

@@ -191,16 +191,18 @@ def axis_tables(spec: BasisSpec, Z) -> list:
 _BLOCK = 1024  # points per block wherever basis rows are streamed; keeps a block's rows in cache
 
 
-def basis_product(spec: BasisSpec, tabs: list) -> np.ndarray:
+def basis_product(spec: BasisSpec, tabs: list, indices: np.ndarray | None = None) -> np.ndarray:
     """Basis-major block of basis entries over the axes of ``tabs``.
 
     Row i is the product over axes k < len(tabs) of the degree-a_i[k] row of
-    tabs[k].T, with a_i the i-th exponent row of ``spec``, multiplied in axis
-    order; fewer tables than axes give the x-part of the basis.  The result is
+    tabs[k].T, with a_i the i-th row of ``indices`` (the exponent rows of
+    ``spec`` by default), multiplied in axis order; fewer tables than axes
+    give the x-part of the basis.  A reordering of the exponent rows reorders
+    the basis rows and leaves every entry bit for bit as it is.  The result is
     a fresh C-contiguous (n, m) array, each row gathered whole from the
     degree-major table buffers.
     """
-    idx = spec.indices
+    idx = spec.indices if indices is None else indices
     out = np.take(tabs[0].T, idx[:, 0], axis=0)
     for k in range(1, len(tabs)):
         out *= np.take(tabs[k].T, idx[:, k], axis=0)
@@ -249,14 +251,14 @@ def table_blocks(spec: BasisSpec, Z, block: int = _BLOCK):
         yield rows, axis_tables(spec, Z[rows])
 
 
-def basis_blocks(spec: BasisSpec, Z):
-    """Yield (rows, B) over blocks of ``_BLOCK`` points of Z, B = basis_product of the block.
+def basis_blocks(spec: BasisSpec, Z, indices: np.ndarray | None = None):
+    """Yield (rows, B) over blocks of ``_BLOCK`` points of Z, B = basis_product of the block and ``indices``.
 
     Tables and basis are built per block, so memory is O(block * n) whatever
     the number of points; every entry equals that of ``eval_basis_batch``.
     """
     for rows, tabs in table_blocks(spec, Z):
-        yield rows, basis_product(spec, tabs)
+        yield rows, basis_product(spec, tabs, indices)
 
 
 def eval_basis_batch(spec: BasisSpec, Z) -> np.ndarray:

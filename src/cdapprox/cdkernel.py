@@ -12,12 +12,18 @@ only kernel the library builds: every guarantee it checks is stated for it.
 Small q flags points near the support of mu; the ``gamma_threshold`` level
 separates graph from non-graph points at a rate controlled by the degree.
 
+``CDKernel`` stores the sum-of-squares rows once, transposed, as the (n, r)
+array of the fiber's layout: the basis members sorted stably by their
+last-axis degree.  ``Approximant`` splits that array into its y-degree blocks
+without a copy, and ``sos_decomposition`` scatters it back into grevlex order
+on each call.
+
 ``CDKernel.eval_q_batch``, the one evaluation of q (one point is a one-row
 batch), works in blocks of ``_BLOCK`` points: each block builds its own
-per-axis tables and one basis-major (n, block) basis B, and q is the column
-sum of squares of C = S B, with S the sum-of-squares rows.  Memory is
-O(block * n) whatever the number of points N, and the result matches a
-one-shot evaluation up to rounding.
+per-axis tables and one basis-major (n, block) basis B, its rows already in
+the stored order, and q is the column sum of squares of C = S B, with S the
+sum-of-squares rows.  Memory is O(block * n) whatever the number of points N,
+and the result matches a one-shot evaluation up to rounding.
 
 ``certified_floor`` is the one certified lower bound of q over all of R^p:
 min(g) times the least ||b(z)||^2, from the eigenvalues alone.  Where it
@@ -62,8 +68,8 @@ _BOUND_BLOCK = 2 * _BLOCK
 
 
 def _check_beta(beta: float) -> None:
-    """Reject a regularization level that is not a positive finite number (nan, inf, <= 0)."""
-    if not (math.isfinite(beta) and beta > 0):
+    """Reject a regularization level that is not a positive finite number (nan, inf, <= 0, a bool)."""
+    if isinstance(beta, (bool, np.bool_)) or not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
@@ -164,7 +170,11 @@ class CDKernel:
     of ``moments`` are rounding and clipped to zero, anything below it raises
     IndefiniteMatrixError.  The kernel holds M, the clipped eigenvalues and
     one factor, the sum-of-squares rows S = (P sqrt(g))^T of
-    ``sos_decomposition``, formed once and read-only.
+    ``sos_decomposition``, held once and read-only as ``_rows``: the C-ordered
+    (n, r) array S^T with its basis members sorted stably by last-axis degree,
+    the order ``_order`` of the grevlex basis, whose exponent rows are
+    ``_indices``.  Each last-axis degree is one run of rows, and
+    ``Approximant``'s fiber blocks are views of those runs.
     """
 
     def __init__(self, matrix: MomentMatrix, beta: float):
@@ -174,30 +184,34 @@ class CDKernel:
         self.spec = matrix.spec
         self.beta = float(beta)
         self.eigenvalues, g = _tikhonov(evals, self.beta)
-        self._sos = (P * np.sqrt(g)).T
-        self._sos.setflags(write=False)
+        self._order = np.argsort(self.spec.indices[:, -1], kind="stable")
+        self._indices = self.spec.indices[self._order]
+        self._rows = P[self._order]  # the one gather, scaled in place; eigh's P is dropped on return
+        self._rows *= np.sqrt(g)
+        for a in (self._order, self._indices, self._rows):
+            a.setflags(write=False)
 
     def filtered_matrix(self) -> np.ndarray:
         """(M + beta I)^-1 = P diag(g) P^T, as S^T S."""
-        S = self._sos
+        S = self.sos_decomposition()
         return S.T @ S
 
     def eval_q_batch(self, Z) -> np.ndarray:
         """q at each row of Z, as sum_i (w_i . b(z))^2 over the rows of the SOS form.
 
         Works through Z in blocks of ``_BLOCK`` points: per block, C = S B with
-        S the SOS rows and B the basis-major (n, block) basis, and q is the sum
-        of squares down each column of C.  Neither the (N, n) basis nor its
-        tables are ever held whole; memory is O(block * n).  Matches the
-        one-shot evaluation up to rounding.  A finite z whose basis overflows
+        S the SOS rows and B the basis-major (n, block) basis, both in the
+        stored y-degree order, and q is the sum of squares down each column of
+        C.  Neither the (N, n) basis nor its tables are ever held whole; memory
+        is O(block * n).  Matches the one-shot evaluation up to rounding.  A finite z whose basis overflows
         has q beyond double range and reads inf; a row with a nan or inf
         coordinate may read nan.  Neither raises a RuntimeWarning.
         """
-        S = self._sos
+        S = self._rows.T
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         q = np.empty(Z.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows, B in basis_blocks(self.spec, Z):
+            for rows, B in basis_blocks(self.spec, Z, self._indices):
                 q[rows] = _column_q(S @ B, Z[rows])
                 del B  # free this block before the next one is built: about two blocks live at once
         return q
@@ -233,11 +247,16 @@ class CDKernel:
     def sos_decomposition(self) -> np.ndarray:
         """Rows w_i with q(z) = sum_i (w_i . b(z))^2, ascending eigenvalue order.
 
-        Row i is sqrt(g_i) = 1/sqrt(beta + lambda_i) times the i-th eigenvector.
-        The rows are formed once, with the kernel; every call returns that one
-        read-only array.
+        Row i is sqrt(g_i) = 1/sqrt(beta + lambda_i) times the i-th eigenvector,
+        its columns in grevlex order: (P sqrt(g))^T bit for bit.  The kernel
+        stores the rows once, in the y-degree order of ``_rows``; every call
+        scatters them back into a fresh read-only (r, n) array, the transpose
+        of a C-ordered one.
         """
-        return self._sos
+        out = np.empty_like(self._rows)
+        out[self._order] = self._rows
+        out.setflags(write=False)
+        return out.T
 
     def markov_mass(self) -> float:
         """int q dmu = sum_i lambda_i / (beta + lambda_i); at most n."""

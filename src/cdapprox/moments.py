@@ -55,10 +55,12 @@ class MomentMatrix:
         n = self.spec.size
         if M.shape != (n, n):
             raise ValueError(f"entries have shape {M.shape}, basis needs ({n}, {n})")
-        if not np.isfinite(M).all():
+        lo, hi = float(M.min()), float(M.max())  # a nan anywhere reads nan in both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("entries contain non-finite values")
-        scale = max(float(np.max(np.abs(M))), 1e-300)
-        skew = float(np.max(np.abs(M - M.T)))
+        scale = max(hi, -lo, 1e-300)  # max |M|, with no n x n temporary
+        diff = M - M.T  # the one n x n temporary of the check
+        skew = float(np.abs(diff, out=diff).max())
         if skew > 1e-6 * scale:
             raise ValueError(f"entries are not symmetric (relative skew {skew / scale:.2e})")
         if not (math.isfinite(self.mass_m) and self.mass_m > 0):
@@ -155,6 +157,17 @@ def _weighted_gram(spec: BasisSpec, Z, w=None) -> np.ndarray:
     return M
 
 
+def _symmetrized(M: np.ndarray) -> np.ndarray:
+    """M overwritten with 0.5 (M + M^T), bit for bit as that expression, and returned.
+
+    numpy reads the overlapping M^T through one buffered copy, the only n x n
+    temporary, where the expression itself makes two.
+    """
+    M += M.T
+    M *= 0.5
+    return M
+
+
 def rule_moment_matrix(
     spec: BasisSpec, Z, w, provenance: Provenance, mass: float, note: str = ""
 ) -> MomentMatrix:
@@ -164,8 +177,7 @@ def rule_moment_matrix(
     measures; the matrix is PSD to rounding whenever the rule is exact for mu.
     The caller states mu's mass, since sum(w) carries the rule's rounding.
     """
-    M = _weighted_gram(spec, Z, w)
-    return MomentMatrix(spec, 0.5 * (M + M.T), provenance, float(mass), note)
+    return MomentMatrix(spec, _symmetrized(_weighted_gram(spec, Z, w)), provenance, float(mass), note)
 
 
 def quadrature_moment_matrix(spec: BasisSpec, f, breakpoints=None, note: str = "") -> MomentMatrix:
@@ -199,9 +211,9 @@ def empirical_moment_matrix(spec: BasisSpec, Z, note: str = "") -> MomentMatrix:
             RuntimeWarning,
             stacklevel=2,
         )
-    M = _weighted_gram(spec, Z) / Z.shape[0]
-    M = 0.5 * (M + M.T)
-    return MomentMatrix(spec, M, Provenance.EMPIRICAL, 1.0, note)
+    M = _weighted_gram(spec, Z)
+    M /= Z.shape[0]
+    return MomentMatrix(spec, _symmetrized(M), Provenance.EMPIRICAL, 1.0, note)
 
 
 # --- serialization ---------------------------------------------------------
@@ -322,7 +334,7 @@ def _decode(fields: dict, entries, text: bool) -> MomentMatrix:
     M = out.entries
     if not text and np.any(M != M.T):
         warnings.warn("symmetrizing mildly asymmetric JSON entries", RuntimeWarning, stacklevel=3)
-        out.entries = 0.5 * (M + M.T)
+        _symmetrized(M)
     out.check_psd()
     return out
 

@@ -129,6 +129,11 @@ class SupportReport:
         return asdict(self)
 
 
+def _is_count(value, least: int) -> bool:
+    """True for a Python or numpy integer, not a bool, of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 def support_report(
     bench: GraphFunction,
     matrix: MomentMatrix,
@@ -157,18 +162,20 @@ def support_report(
     escaping on both paths.  Member distances are measured against a
     ``mesh_points`` graph mesh, which is built only where there are members;
     with none, ``max_distance`` and ``mesh_slack`` are 0 and the mesh's f is
-    never called.  A ``mesh_points`` that is not an integer >= 2 and a
-    ``seed`` that ``np.random.default_rng`` would refuse are refused up
-    front, on both paths.
+    never called.  An ``n_mass_samples`` or ``n_probes`` that is not an
+    integer >= 1, a ``mesh_points`` that is not an integer >= 2 (a bool is
+    none of these) and a ``seed`` that ``np.random.default_rng`` would refuse
+    are refused up front, on both paths.
     """
     d = matrix.spec.d
     if d <= 1:
         raise ValueError(f"support checks need degree d > 1, got d={d}")
-    if n_mass_samples < 1 or n_probes < 1:
+    if not (_is_count(n_mass_samples, 1) and _is_count(n_probes, 1)):
         raise ValueError(
-            f"support checks need at least one mass sample and one probe, got {n_mass_samples} and {n_probes}"
+            "support checks need integer counts of at least one mass sample and one probe,"
+            f" got {n_mass_samples!r} and {n_probes!r}"
         )
-    if not isinstance(mesh_points, (int, np.integer)) or mesh_points < 2:  # a bool is 0 or 1
+    if not _is_count(mesh_points, 2):
         raise ValueError(f"the graph mesh needs an integer count of at least 2 points, got {mesh_points!r}")
     if bench.p != matrix.spec.p:
         raise ValueError(f"benchmark {bench.name!r} has p={bench.p}, the matrix p={matrix.spec.p}")

@@ -338,6 +338,22 @@ def test_approximant_stores_n_r_doubles_of_fiber_rows(name, d):
     assert sum(b.size for b in app._blocks) == n * n
 
 
+@pytest.mark.parametrize("name, d", [("sign", 20), ("disk1", 8)])
+def test_approximant_allocates_no_n_by_n_array(name, d):
+    # the y-degree blocks are views of the rows the kernel stores: building an approximant
+    # copies none of them
+    kern = quad_kernel(name, d) if name == "sign" else empirical_disk_kernel()
+    n = kern.spec.size
+    tracemalloc.start()
+    try:
+        app = Approximant(kern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+    assert all(np.shares_memory(b, kern._rows) for b in app._blocks)
+
+
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.name.lower())
 def test_evaluate_batch_refuses_an_overflowing_point_without_a_warning(family):
     # the x-basis overflows at x = 1e40, so the fiber rows are not finite: the solver's

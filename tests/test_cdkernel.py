@@ -35,15 +35,22 @@ def random_psd_matrix(spec, seed, n_samples=60):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_sos_rows_are_stored_once_with_the_tikhonov_norms(family):
-    # the eigenvalues are eigh's clipped at zero, sos_decomposition hands out one
-    # read-only array, its squared row norms are g = 1/(beta + s), and
-    # certified_floor's min(g) factor is 1/(beta + lambda_max) from eigvalsh
+    # the eigenvalues are eigh's clipped at zero; the kernel's one n x n array
+    # besides M is its rows in y-degree order, and sos_decomposition scatters
+    # them into a fresh read-only grevlex-order array on each call; its squared
+    # row norms are g = 1/(beta + s), and certified_floor's min(g) factor is
+    # 1/(beta + lambda_max) from eigvalsh
     mild = MomentMatrix(BasisSpec(2, 1, family=family), np.diag([2.0, 1.0, -1e-9]), Provenance.EMPIRICAL, 1.0)
     for M, beta in [(mild, 0.5), (get_benchmark("sign").moment_matrix(6, family=family), beta_schedule(6))]:
         kern = CDKernel(M, beta)
         assert np.array_equal(kern.eigenvalues, np.clip(np.linalg.eigh(M.entries)[0], 0.0, None))
+        square = [a for a in vars(kern).values() if isinstance(a, np.ndarray) and a.shape == (M.n, M.n)]
+        assert len(square) == 1 and square[0] is kern._rows and not kern._rows.flags.writeable
         S = kern.sos_decomposition()
-        assert kern.sos_decomposition() is S and not S.flags.writeable
+        again = kern.sos_decomposition()
+        assert again is not S and again.tobytes() == S.tobytes() and not S.flags.writeable
+        assert not np.shares_memory(S, kern._rows)
+        assert kern._rows.tobytes() == np.ascontiguousarray(S.T[kern._order]).tobytes()
         with pytest.raises(ValueError):
             S[0, 0] = 0.0
         np.testing.assert_allclose(np.sum(S**2, axis=1), 1.0 / (beta + kern.eigenvalues), rtol=1e-12, atol=0.0)
@@ -141,8 +148,8 @@ def _count_exact_points(monkeypatch) -> list:
     sent = []
     blocks = cdkernel.basis_blocks
 
-    def counting(spec, Z):
-        for rows, B in blocks(spec, Z):
+    def counting(spec, Z, indices=None):
+        for rows, B in blocks(spec, Z, indices):
             sent.append(B.shape[1])
             yield rows, B
 
@@ -459,14 +466,30 @@ def test_certified_floor_refuses_what_cdkernel_refuses():
         assert str(by_floor.value) == str(by_kernel.value)
 
 
-@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf, True, np.True_])
 def test_beta_must_be_positive_and_finite(beta):
-    # nan and inf used to pass the beta <= 0 test and give an all-nan or all-zero kernel
+    # nan and inf used to pass the beta <= 0 test and give an all-nan or all-zero kernel,
+    # and True a beta = 1 kernel
     M = get_benchmark("sign").moment_matrix(2)
     with pytest.raises(ValueError, match="finite"):
         CDKernel(M, beta)
     with pytest.raises(ValueError, match="finite"):
         perturbation_alpha(M, M, beta)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("name,d", [("sign", 8), ("disk1", 6)])
+def test_sos_decomposition_is_the_scaled_eigenvectors_bit_for_bit(name, d, family):
+    # the kernel stores its rows in the fiber's y-degree order; sos_decomposition puts them
+    # back in grevlex column order: (P sqrt(g))^T from an eigh of its own, every bit, read-only
+    M = get_benchmark(name).moment_matrix(d, family=family)
+    beta = beta_schedule(d)
+    evals, P = np.linalg.eigh(M.entries)
+    want = (P * np.sqrt(1.0 / (beta + np.clip(evals, 0.0, None)))).T
+    S = CDKernel(M, beta).sos_decomposition()
+    assert S.shape == want.shape and S.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        S[0, 0] = 0.0
 
 
 def test_filtered_matrix_is_tikhonov_inverse():

@@ -67,6 +67,27 @@ def test_vacuous_support_report_loads_no_scipy():
     assert sorted(m for m in modules if m.split(".")[0] == "scipy") == []
 
 
+def test_kernel_and_fiber_evaluation_load_no_scipy():
+    # CDKernel is one numpy eigh, and eval_q_batch and the fiber solver are numpy alone.
+    # scipy.linalg's eigh would need less workspace, but loading it costs about 0.26 s
+    # and 28 MB of resident memory, more than the kernel saves by holding its rows once
+    code = (
+        "from cdapprox.approximant import Approximant, ApproxConfig\n"
+        "from cdapprox.benchmarks import get_benchmark\n"
+        "from cdapprox.cdkernel import CDKernel\n"
+        "for name, d, mode in (('sign', 8, 'quad'), ('disk1', 6, 'analytic')):\n"
+        "    bench = get_benchmark(name)\n"
+        "    kern = CDKernel(bench.moment_matrix(d, mode=mode), 1e-8)\n"
+        "    X = bench.grid_x(8)\n"
+        "    assert (kern.eval_q_batch(bench.graph_points(X)) > 0).all()\n"
+        "    for alpha in (0.0, 0.2):\n"
+        "        Approximant(kern, ApproxConfig(alpha=alpha)).evaluate_batch(X)\n"
+    )
+    modules = _imported_modules("-c", code)
+    assert "cdapprox.cdkernel" in modules and "cdapprox.approximant" in modules
+    assert sorted(m for m in modules if m.split(".")[0] == "scipy") == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -154,6 +154,32 @@ def test_support_report_refuses_a_mesh_count_that_is_not_an_integer(name, mesh_p
     assert rep.sublevel_empty and rep.mesh_slack == 0.0
 
 
+@pytest.mark.parametrize("d", [4, 12])
+@pytest.mark.parametrize(
+    "counts",
+    [dict(n_mass_samples=100.5, n_probes=200.5), dict(n_mass_samples=True), dict(n_probes=np.float64(100.0)),
+     dict(n_probes="100"), dict(n_mass_samples=None)],
+)
+def test_support_report_refuses_sample_counts_that_are_not_integers(d, counts):
+    # one refusal, up front, on both paths: sign d = 4 is certified and used to echo 100.5
+    # and 200.5 in its report, sign d = 12 samples and raised TypeError from the sampler
+    bench = get_benchmark("sign")
+    M = bench.moment_matrix(d)
+    kwargs = {**dict(n_mass_samples=100, n_probes=100, mesh_points=50), **counts}
+    with pytest.raises(ValueError, match="integer counts of at least one mass sample and one probe"):
+        support_report(bench, M, beta_schedule(d), **kwargs)
+    rep = support_report(bench, M, beta_schedule(d), n_mass_samples=np.int64(100), n_probes=np.int32(100), mesh_points=50)
+    assert rep.sublevel_empty == (d == 4) and rep.n_mass_samples == 100
+
+
+@pytest.mark.parametrize("beta", [True, np.True_])
+def test_support_report_refuses_a_bool_beta(beta):
+    # True used to pass as beta = 1
+    bench = get_benchmark("sign")
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        support_report(bench, bench.moment_matrix(4), beta, n_mass_samples=100, n_probes=100, mesh_points=50)
+
+
 def _eval_q_report(bench, M, beta, **kwargs):
     """The report that draws every probe and makes each q >= gamma test on the exact q of eval_q_batch."""
     with pytest.MonkeyPatch.context() as mp:
@@ -453,14 +479,16 @@ def test_support_report_probes_where_the_certificate_falls_short(d, seed, ratio,
 
 def test_sublevel_probes_stay_near_graph_at_empirical_level():
     # non-vacuous variant: thresholding at twice the on-graph maximum keeps
-    # the sublevel set within a thin neighborhood of the graph
+    # the sublevel set within a thin neighborhood of the graph.  About 8e-5 of
+    # the box lies below that level (73-96 members in 10^6 probes over six
+    # seeds), so 5 * 10^5 probes expect about 40 members and no seed finds none
     bench = get_benchmark("sign")
     M = bench.moment_matrix(8)
     kern = CDKernel(M, 1e-6)
     rng = np.random.default_rng(3)
     X = rng.uniform(-1, 1, size=(4000, 1))
     gamma = 2.0 * float(np.max(kern.eval_q_batch(bench.graph_points(X))))
-    probes = rng.uniform(-1, 1, size=(20_000, 2))
+    probes = rng.uniform(-1, 1, size=(500_000, 2))
     q = kern.eval_q_batch(probes)
     members = probes[q < gamma]
     assert members.shape[0] > 0
