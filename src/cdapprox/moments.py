@@ -3,12 +3,15 @@
 The central object is ``MomentMatrix``: the Gram matrix M[i, j] = int b_i b_j dmu
 for a basis b of degree <= d and a positive measure mu on R^p.  Matrices come
 from a weighted rule (Z, w) on the graph, either exact for the degree or a
-Gauss-Legendre quadrature along it, or from plain sample averages; every route
-accumulates the same blocked Gram sum.  ``save_text`` writes a line-oriented
-text format (lower triangle, 17 significant digits, bit-exact round trip).
-``load`` reads it, or a JSON document of the same header with the full matrix,
-as written by other tools; both go through one decoder, so any malformed file
-raises MomentFileError.
+Gauss-Legendre quadrature along it, or from plain sample averages.  Every
+route ends in one weighted Gram sum over the nodes, which an operation count
+of the input sends one of two ways: over blocks of nodes with the full basis,
+or, where y takes few distinct values as on the graph of a piecewise-constant
+f, one x-Gram per y-level scattered into M.  ``save_text`` writes a
+line-oriented text format (lower triangle, 17 significant digits, bit-exact
+round trip) row by row.  ``load`` reads it row by row, or a JSON document of
+the same header with the full matrix, as written by other tools; both go
+through one decoder, so any malformed file raises MomentFileError.
 """
 
 from __future__ import annotations
@@ -18,15 +21,30 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisSpec, Family, basis_blocks, gauss_pieces
+from .basis import (
+    _BLOCK,
+    BasisSpec,
+    Family,
+    as_points,
+    axis_tables,
+    basis_blocks,
+    basis_product,
+    basis_size,
+    gauss_pieces,
+)
 from .errors import IndefiniteMatrixError, MomentFileError
 
 _FORMAT_TAG = "cdmoments"
 _FORMAT_VERSION = 1
 _PSD_REL_TOL = 1e-8
+# the level route's count (see _weighted_gram), in node-route multiply-adds: a level's
+# n x n scatter costs _SCATTER_COST per entry, and its dozen numpy calls _LEVEL_CALLS
+_SCATTER_COST = 32
+_LEVEL_CALLS = 200_000
 
 
 class Provenance(Enum):
@@ -145,15 +163,103 @@ def graph_quadrature_rule(
 
 
 def _weighted_gram(spec: BasisSpec, Z, w=None) -> np.ndarray:
-    """sum_k w_k b(z_k) b(z_k)^T, with unit weights when w is None.
+    """sum_k w_k b(z_k) b(z_k)^T over N nodes z_k, with unit weights when w is None.
 
-    Accumulated as (B * w) @ B.T over the basis-major (n, block) blocks of
-    ``basis_blocks``, so the (N, n) basis is never held whole.  The blocks are
-    fixed, so the sum is the same on every run.
+    Two routes give this sum, and an operation count of the input picks one,
+    with no option:
+
+    - the node route accumulates (B * w) @ B.T over the basis-major (n, block)
+      blocks of ``basis_blocks``, so the (N, n) basis is never held whole.  It
+      costs about N n^2 multiply-adds.
+    - the level route (``_level_gram``) groups the nodes by the exact value
+      of y, their last coordinate.  On a level y = c the member (a, j) of
+      x-index a and y-degree j is L_a(x) phi_j(c), so the level adds
+      phi_j(c) phi_k(c) G_c[a, b] to M[(a, j), (b, k)], with G_c the level's
+      weighted Gram over the n_x-member x-basis.  It costs about N n_x^2
+      multiply-adds for the x-Grams, and per level one n x n scatter and a
+      dozen numpy calls.
+
+    The level route is taken where N n_x^2 + L (``_SCATTER_COST`` n^2 +
+    ``_LEVEL_CALLS``) < N n^2 for L levels; both constants are in node-route
+    multiply-adds, measured on one core.  Where not even one level would pay,
+    the nodes are not sorted by y.  So the quadrature builds of sign
+    and step from d = 13, those of the disk indicators from d = 4, the exact
+    disk rule from d = 6 and grid builds of a piecewise-constant f from small
+    d take it.  abs, whose y takes N/2 values, random samples of a continuous
+    f, the 1-D exact rules (d + 1 nodes per level) and the smaller builds
+    keep the node route.  Either route reads the nodes in a fixed order, so
+    the sum is the same on every run.
     """
+    Z = as_points(spec, Z)
+    w = None if w is None else np.asarray(w, dtype=float)
+    if spec.p >= 2:
+        N, n, n_x = Z.shape[0], spec.size, basis_size(spec.p - 1, spec.d)
+        affordable = N * (n * n - n_x**2) / (_SCATTER_COST * n * n + _LEVEL_CALLS)  # levels below the node count
+        if affordable > 1:
+            order = np.argsort(Z[:, -1], kind="stable")
+            y = Z[order, -1]
+            ends = np.flatnonzero(y[1:] != y[:-1]) + 1  # a nan is a level of its own
+            if ends.size + 1 < affordable:
+                return _level_gram(spec, Z, w, order, ends.tolist() + [N])
     M = np.zeros((spec.size, spec.size))
     for rows, B in basis_blocks(spec, Z):
         M += (B if w is None else B * w[rows]) @ B.T
+    return M
+
+
+@lru_cache(maxsize=None)
+def _x_index(p: int, d: int) -> np.ndarray:
+    """The x-index a of each member of the (p, d) grevlex basis (read-only).
+
+    In the stable sort of the basis by y-degree, the members of y-degree j are
+    the x-members 0, 1, ... in x-grevlex order (see ``approximant``), so a is
+    the member's position within its run of that sort.
+    """
+    deg = BasisSpec(p, d).indices[:, -1]
+    order = np.argsort(deg, kind="stable")
+    a = np.empty_like(order)
+    a[order] = np.arange(deg.size) - np.searchsorted(deg[order], deg[order])
+    a.setflags(write=False)
+    return a
+
+
+def _level_gram(spec: BasisSpec, Z, w, order: np.ndarray, ends: list) -> np.ndarray:
+    """The weighted Gram of the nodes Z[order], level l holding the positions ends[l - 1]:ends[l].
+
+    The nodes are streamed in blocks of ``_BLOCK`` positions: ``axis_tables``
+    of a block gives the x-basis of its nodes and, in its last table, phi at
+    each one.  Each level's part of a block adds to the level's x-Gram G.
+    When a level ends, G is gathered to G[a_m, a_m'] phi_(j_m)(c)
+    phi_(j_m')(c) over the members m, m' and added into M: the first level
+    is gathered into M itself, each later one into T, the one n x n
+    temporary.  No (n, block) basis array is held.
+    """
+    x_spec = spec.x_spec()
+    deg, a = spec.indices[:, -1], _x_index(spec.p, spec.d)
+    M = np.empty((spec.size, spec.size))
+    T = np.empty_like(M) if len(ends) > 1 else None
+    G = np.zeros((x_spec.size, x_spec.size))
+    level = 0
+    for start in range(0, order.size, _BLOCK):
+        nodes = order[start : start + _BLOCK]
+        tabs = axis_tables(spec, Z[nodes])
+        B = basis_product(x_spec, tabs[:-1])
+        lo = 0
+        while lo < nodes.size:
+            hi = min(nodes.size, ends[level] - start)
+            Bs = B[:, lo:hi]
+            G += (Bs if w is None else Bs * w[nodes[lo:hi]]) @ Bs.T
+            if hi == ends[level] - start:
+                v = tabs[-1][lo, deg]  # phi_(j_m)(c) for each member m
+                out = T if level else M
+                # mode "clip" writes straight into out, where "raise" goes through a buffer
+                np.take(np.take(G, a, axis=0) * v[:, None], a, axis=1, out=out, mode="clip")
+                out *= v
+                if level:
+                    M += T
+                G[...] = 0.0
+                level += 1
+            lo = hi
     return M
 
 
@@ -239,42 +345,75 @@ _HEADER = {
 def save_text(matrix: MomentMatrix, path) -> None:
     """Write the header and lower triangle; reload is bit-exact.
 
-    The note is one header line, so a note that spans lines or has blanks at
-    either end would not reload as written: it raises ValueError.
+    Each row is formatted by one ``%`` over its entries, the bytes of
+    ``format(v, ".16e")`` for each, and written as it is made.  The note is
+    one header line, so a note that spans lines or has blanks at either end
+    would not reload as written: it raises ValueError.
     """
     note = matrix.note
     if note and (note.splitlines() != [note] or note != note.strip()):
         raise ValueError(f"note {note!r} must be one line with no blanks at either end to reload as written")
-    lines = [
-        f"{_FORMAT_TAG if key == 'version' else key} {text(matrix)}"
+    header = "".join(
+        f"{_FORMAT_TAG if key == 'version' else key} {text(matrix)}\n"
         for key, (_, text) in _HEADER.items()
         if key != "note" or matrix.note
-    ]
-    lines.append("entries lower")
+    )
     M = matrix.entries
-    for i in range(matrix.n):
-        lines.append(" ".join([format(v, ".16e") for v in M[i, : i + 1].tolist()]))
+    fields = "%.16e " * matrix.n  # row i formats its i + 1 entries with the first 6 i + 5 characters
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "entries lower\n")
+        for i in range(matrix.n):
+            fh.write(fields[: 6 * i + 5] % tuple(M[i, : i + 1].tolist()) + "\n")
 
 
-def _parse_header(lines) -> tuple:
+def _parse_header(lines) -> dict:
+    """The header fields of a text file's ``lines``, read up to and including the 'entries lower' marker."""
     fields = {}
-    body_start = None
-    for k, line in enumerate(lines):
+    for line in lines:
         parts = line.split(None, 1)
         if not parts:
             continue
         key = parts[0]
         if key == "entries":
             if len(parts) != 2 or parts[1].strip() != "lower":
-                raise MomentFileError(f"unsupported entries layout: {line!r}")
-            body_start = k + 1
-            break
+                raise MomentFileError(f"unsupported entries layout: {line.rstrip()!r}")
+            return fields
         fields["version" if key == _FORMAT_TAG else key] = parts[1].strip() if len(parts) > 1 else ""
-    if body_start is None:
-        raise MomentFileError("missing 'entries lower' marker")
-    return fields, body_start
+    raise MomentFileError("missing 'entries lower' marker")
+
+
+def _lower_rows(lines, n: int) -> np.ndarray:
+    """The symmetric n x n matrix of a text body whose row i holds M[i, :i + 1]; blank lines are skipped.
+
+    numpy parses each row, so no Python float is made per entry, and each row
+    is copied into its column of the upper triangle as it comes, so -0.0 keeps
+    its sign.  A bad token, a row of the wrong length and a missing or extra
+    row raise MomentFileError.
+    """
+    try:
+        M = np.empty((n, n))
+    except MemoryError:
+        raise MomentFileError(f"the header's basis of {n} members is too large to hold") from None
+    i = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 only warns on unmatched data
+        for line in lines:
+            if line.isspace():  # fromstring would read a blank line as [-1.0]
+                continue
+            if i == n:
+                raise MomentFileError(f"more than {n} rows of entries")
+            try:
+                row = np.fromstring(line, sep=" ")
+            except (ValueError, DeprecationWarning) as exc:
+                raise MomentFileError(f"malformed entries in row {i + 1}: {exc}") from None
+            if row.size != i + 1:
+                raise MomentFileError(f"row {i + 1} of the entries holds {row.size} values, expected {i + 1}")
+            M[i, : i + 1] = row
+            M[:i, i] = row[:i]
+            i += 1
+    if i < n:
+        raise MomentFileError(f"expected {n} rows of lower-triangle entries, found {i}")
+    return M
 
 
 def _text_value(key: str, text: str):
@@ -295,9 +434,10 @@ def _typed(value, kind, key: str):
 def _decode(fields: dict, entries, text: bool) -> MomentMatrix:
     """The checked MomentMatrix of a file's header ``fields`` and ``entries``.
 
-    A text file gives its header as strings and its entries as the flat lower
-    triangle; a JSON document gives typed values and the full matrix, whose
-    mild asymmetry is symmetrized with a warning.  Every fault in the file
+    A text file gives its header as strings and its entries as the lines of
+    its body, read row by row by ``_lower_rows``; a JSON document gives typed
+    values and the full matrix, whose mild asymmetry is symmetrized with a
+    warning.  Every fault in the file
     raises MomentFileError, an indefinite matrix IndefiniteMatrixError.
     """
     for key in _HEADER:
@@ -317,11 +457,7 @@ def _decode(fields: dict, entries, text: bool) -> MomentMatrix:
         spec = BasisSpec(h["p"], h["d"], Family(h["family"]), domain)  # checks p pairs of lo < hi
         n = spec.size
         if text:
-            if len(entries) != n * (n + 1) // 2:
-                raise MomentFileError(f"expected {n * (n + 1) // 2} lower-triangle entries, found {len(entries)}")
-            M = np.zeros((n, n))
-            M[np.tril_indices(n)] = np.array([float(v) for v in entries])
-            M = np.where(np.tri(n, dtype=bool), M, M.T)  # a copy, not a sum, so -0.0 keeps its sign
+            M = _lower_rows(entries, n)
         else:
             if not all(type(v) in (int, float) for row in entries for v in row):
                 raise TypeError("entries must be rows of numbers")
@@ -342,9 +478,7 @@ def _decode(fields: dict, entries, text: bool) -> MomentMatrix:
 def load_text(path) -> MomentMatrix:
     """Read a text moment matrix; structural errors raise MomentFileError."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    fields, body_start = _parse_header(lines)
-    return _decode(fields, " ".join(lines[body_start:]).split(), text=True)
+        return _decode(_parse_header(fh), fh, text=True)
 
 
 def load_json(path) -> MomentMatrix:

@@ -88,6 +88,28 @@ def test_kernel_and_fiber_evaluation_load_no_scipy():
     assert sorted(m for m in modules if m.split(".")[0] == "scipy") == []
 
 
+def test_moment_routes_and_text_files_load_no_scipy(tmp_path):
+    # every build route, the level and the node route of the Gram sum among them,
+    # and the row-by-row text writer and parser are numpy alone
+    code = (
+        "import numpy as np\n"
+        "from cdapprox.benchmarks import get_benchmark\n"
+        "from cdapprox.moments import load_text, save_text\n"
+        "rng = np.random.default_rng(0)\n"
+        "builds = [('sign', 4, 'quad', {}), ('sign', 20, 'quad', {}), ('abs', 8, 'analytic', {}),\n"
+        "          ('disk1', 8, 'analytic', {}), ('disk1', 8, 'empirical', {'grid': 100}),\n"
+        "          ('abs', 6, 'empirical', {'samples': 500, 'rng': rng}), ('disk2', 6, 'quad', {})]\n"
+        f"path = {str(tmp_path / 'm.txt')!r}\n"
+        "for name, d, mode, kwargs in builds:\n"
+        "    M = get_benchmark(name).moment_matrix(d, mode=mode, **kwargs)\n"
+        "    save_text(M, path)\n"
+        "    assert (load_text(path).entries == M.entries).all()\n"
+    )
+    modules = _imported_modules("-c", code)
+    assert "cdapprox.moments" in modules
+    assert sorted(m for m in modules if m.split(".")[0] == "scipy") == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

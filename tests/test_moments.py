@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from moment_oracle import closed_form, hankel, orthonormal_entry
+from moment_oracle import MOMENTS, closed_form, hankel, orthonormal_entry
+from numpy.polynomial import legendre, polynomial
 
+from cdapprox import moments
 from cdapprox.basis import _BLOCK, BasisSpec, Family, eval_basis_batch, gauss_pieces, leggauss
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.errors import IndefiniteMatrixError, MomentFileError
@@ -274,6 +276,162 @@ def test_empirical_build_memory_stays_below_the_whole_basis():
     assert peak < whole
 
 
+def _route(monkeypatch, force_level=False):
+    """The specs that ``_weighted_gram`` sends down the level route, as a list filled by later builds.
+
+    ``force_level`` makes the route's count pick the level route on every input with p >= 2.
+    """
+    if force_level:
+        monkeypatch.setattr(moments, "_SCATTER_COST", 0)
+        monkeypatch.setattr(moments, "_LEVEL_CALLS", 1e-9)
+    calls = []
+    level_gram = moments._level_gram
+
+    def spy(spec, *args):
+        calls.append(spec)
+        return level_gram(spec, *args)
+
+    monkeypatch.setattr(moments, "_level_gram", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,mode", [("sign", "analytic"), ("sign", "quad"), ("step", "analytic"), ("step", "quad"), ("disk1", "analytic")]
+)
+def test_level_route_matches_the_closed_form_moments(name, mode, monkeypatch):
+    # the monomial entries against the 40-digit closed forms, at the tolerances of the
+    # exact-rule and quadrature tests; the disk indicator's quadrature is not exact, so
+    # disk1 by quad is checked against a Gram of its own nodes below
+    levels = _route(monkeypatch, force_level=True)
+    bench = get_benchmark(name)
+    for d in (2, 4, 8):
+        M = bench.moment_matrix(d, mode=mode, family=Family.MONOMIAL_GREVLEX).entries
+        H = hankel(MOMENTS[name], bench.spec(d, Family.MONOMIAL_GREVLEX))
+        if mode == "analytic":
+            np.testing.assert_allclose(M, H, rtol=0, atol=1e-12)
+        else:
+            assert np.max(np.abs(M - H)) <= 1e-13 * np.max(np.abs(H))
+    assert len(levels) == 3
+
+
+@pytest.mark.parametrize("name", ["sign", "step", "disk1"])
+def test_level_route_matches_the_40_digit_basis_change(name, monkeypatch):
+    # the orthonormal family at d = 12, where the level route's x-Grams and phi
+    # carry the whole build, as the exact-rule test samples it
+    levels = _route(monkeypatch, force_level=True)
+    M = get_benchmark(name).moment_matrix(12)
+    n = M.n
+    rng = np.random.default_rng(12)
+    pairs = [(0, 0), (0, n - 1), (n - 1, n - 1), *rng.integers(0, n, size=(9, 2)).tolist()]
+    for i, j in pairs:
+        assert M.entries[i, j] == pytest.approx(float(orthonormal_entry(MOMENTS[name], M.spec, i, j)), abs=1e-12)
+    assert len(levels) == 1
+
+
+def _numpy_gram(spec, Z, w):
+    """sum_k w_k b(z_k) b(z_k)^T from numpy.polynomial's Vandermonde matrices on [-1, 1]^p.
+
+    Shares no code with the library beyond the exponent order.
+    """
+    if spec.family is Family.MONOMIAL_GREVLEX:
+        tables = [polynomial.polyvander(Z[:, k], spec.d) for k in range(spec.p)]
+    else:
+        scale = np.sqrt((2 * np.arange(spec.d + 1) + 1) / 2.0)
+        tables = [legendre.legvander(Z[:, k], spec.d) * scale for k in range(spec.p)]
+    B = np.ones((Z.shape[0], spec.size))
+    for k, T in enumerate(tables):
+        B *= T[:, spec.indices[:, k]]
+    return B.T @ (w[:, None] * B)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("mode", ["empirical", "quad"])
+def test_disk_level_route_matches_a_numpy_polynomial_gram(mode, family, monkeypatch):
+    # disk1 from a small midpoint grid, and by quadrature, through the count's own choice
+    levels = _route(monkeypatch)
+    bench = get_benchmark("disk1")
+    spec = bench.spec(6, family)
+    if mode == "empirical":
+        M = bench.moment_matrix(6, mode="empirical", grid=30, family=family)
+        X = bench.grid_x(30)
+        w = np.full(X.shape[0], 1.0 / X.shape[0])
+    else:
+        M = bench.moment_matrix(6, mode="quad", family=family)
+        X, w = graph_quadrature_rule(spec, 32)
+    ref = _numpy_gram(spec, bench.graph_points(X), w)
+    assert levels == [spec]
+    assert np.max(np.abs(M.entries - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", ["analytic", "quad"])
+def test_abs_keeps_the_node_route_and_matches_the_closed_form(mode, monkeypatch):
+    # y = |x| takes a value per node pair, so a level would hold two nodes
+    levels = _route(monkeypatch)
+    bench = get_benchmark("abs")
+    for d in (4, 8, 16):
+        M = bench.moment_matrix(d, mode=mode, family=Family.MONOMIAL_GREVLEX).entries
+        H = hankel(MOMENTS["abs"], bench.spec(d, Family.MONOMIAL_GREVLEX))
+        if mode == "analytic":
+            np.testing.assert_allclose(M, H, rtol=0, atol=1e-12)
+        else:
+            assert np.max(np.abs(M - H)) <= 1e-13 * np.max(np.abs(H))
+    assert levels == []
+
+
+@pytest.mark.parametrize(
+    "name,d,mode,kwargs,level",
+    [
+        ("sign", 4, "quad", {}, False),
+        ("sign", 20, "quad", {}, True),
+        ("step", 20, "quad", {}, True),
+        ("sign", 20, "analytic", {}, False),
+        ("disk1", 8, "analytic", {}, True),
+        ("disk1", 8, "empirical", {"grid": 100}, True),
+        ("disk1", 4, "empirical", {"samples": 3000, "rng": np.random.default_rng(0)}, True),
+        ("abs", 20, "quad", {}, False),
+        ("abs", 8, "empirical", {"samples": 3000, "rng": np.random.default_rng(0)}, False),
+        ("disk2", 8, "quad", {}, True),
+    ],
+)
+def test_the_operation_count_picks_the_route(name, d, mode, kwargs, level, monkeypatch):
+    # the level route where y takes few values on many nodes; abs, random samples of a
+    # continuous f, small builds and the 1-D exact rules (d + 1 nodes a level) keep the node route
+    levels = _route(monkeypatch)
+    get_benchmark(name).moment_matrix(d, mode=mode, **kwargs)
+    assert len(levels) == level
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_level_route_holds_one_n_by_n_temporary():
+    # M, the gather buffer of the second level, and the symmetrization's and
+    # MomentMatrix's check's temporaries one after another: the node route peaked
+    # at 4.4 n x n arrays beyond M here
+    bench = get_benchmark("disk1")
+    M, peak = _traced_peak(lambda: bench.moment_matrix(12))
+    nn = 8 * M.n**2
+    assert peak - nn <= 2.5 * nn
+
+
+def test_load_text_holds_the_matrix_and_the_checks_temporaries_only(tmp_path):
+    # the row-by-row parse makes no Python float per entry and no index or mask array;
+    # the whole-body parse peaked at ten n x n arrays at n = 455
+    M = get_benchmark("disk1").moment_matrix(12)
+    path = tmp_path / "m.txt"
+    save_text(M, path)
+    back, peak = _traced_peak(lambda: load_text(path))
+    assert np.array_equal(back.entries, M.entries)
+    assert peak <= 4 * 8 * M.n**2
+
+
 def test_cached_gauss_rule_is_shared_and_read_only():
     u, w = leggauss(9)
     ref_u, ref_w = np.polynomial.legendre.leggauss(9)
@@ -341,6 +499,113 @@ def test_text_entries_match_the_per_entry_formatter(tmp_path):
     assert lines[start:] == expected and "-0.0000000000000000e+00" in lines[start + 1]
     back = load_text(path).entries
     assert np.array_equal(back, A) and np.array_equal(np.signbit(back), np.signbit(A))
+
+
+def _special_matrix():
+    """A symmetric matrix holding -0.0, subnormals and +-1.7e308 that check_psd accepts."""
+    A = np.eye(6)
+    A[3, 3] = A[4, 4] = 1.7e308
+    A[4, 3] = A[3, 4] = -1.7e308
+    A[1, 0] = A[0, 1] = -0.0
+    A[2, 1] = A[1, 2] = 5e-324
+    A[5, 2] = A[2, 5] = -2.2e-310
+    return MomentMatrix(BasisSpec(2, 2), A, Provenance.EMPIRICAL, 2.5)
+
+
+def test_save_text_writes_the_bytes_of_the_per_entry_formatter(tmp_path):
+    M = _special_matrix()
+    path = tmp_path / "m.txt"
+    save_text(M, path)
+    header = (
+        "cdmoments 1\np 2\nd 2\nfamily legendre-orthonormal\nordering grevlex\n"
+        "domain -1.0 1.0 -1.0 1.0\nmass 2.5000000000000000e+00\nprovenance empirical\nentries lower\n"
+    )
+    A = M.entries
+    body = "".join(" ".join(format(float(A[i, j]), ".16e") for j in range(i + 1)) + "\n" for i in range(M.n))
+    assert path.read_bytes() == (header + body).encode()
+    back = load_text(path).entries
+    assert np.array_equal(back, A) and np.array_equal(np.signbit(back), np.signbit(A))
+
+
+def test_text_with_crlf_line_ends_loads(tmp_path):
+    M = _special_matrix()
+    path = tmp_path / "m.txt"
+    save_text(M, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    back = load_text(path)
+    assert np.array_equal(back.entries, M.entries) and np.array_equal(np.signbit(back.entries), np.signbit(M.entries))
+    assert back.spec == M.spec and back.mass_m == M.mass_m
+
+
+def _fromstring_numpy1(text, sep=" "):
+    """np.fromstring as numpy 1.x parses: on unmatched data it warns and returns the values read so far."""
+    out = []
+    for token in text.split():
+        try:
+            out.append(float(token.split("_")[0]))
+        except ValueError:
+            token = "_"
+        if "_" in token:
+            warnings.warn("string or file could not be read to its end due to unmatched data", DeprecationWarning)
+            break
+    return np.array(out)
+
+
+@pytest.mark.parametrize("numpy1", [False, True], ids=["numpy", "numpy1-parser"])
+@pytest.mark.parametrize(
+    "fault",
+    ["bad token", "underscore", "trailing junk", "short row", "long row", "missing row", "missing entry", "extra row"],
+)
+def test_malformed_text_body_raises_moment_file_error_with_no_warning(tmp_path, monkeypatch, fault, numpy1):
+    # numpy 1.x only warns on unmatched data where numpy 2 raises: the loader refuses both alike
+    if numpy1:
+        monkeypatch.setattr(np, "fromstring", _fromstring_numpy1)
+    path = tmp_path / "m.txt"
+    save_text(get_benchmark("sign").moment_matrix(2), path)
+    lines = path.read_text().splitlines()
+    last = lines[-1].split()
+    lines[-1] = " ".join(
+        {
+            "bad token": last[:-1] + ["abc"],
+            "underscore": last[:-1] + ["1_0"],
+            "trailing junk": last[:-1] + [last[-1] + "x"],
+            "short row": last[:-1],
+            "long row": last + ["0.0"],
+            "missing row": [],
+            "missing entry": last,
+            "extra row": last,
+        }[fault]
+    )
+    if fault == "missing entry":
+        lines[-2] = " ".join(lines[-2].split()[:-1])
+    if fault == "extra row":
+        lines.append(lines[-1])
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(MomentFileError, match="entries"):
+            load_text(path)
+    assert caught == []
+
+
+@pytest.mark.parametrize("d", [200, 1000, 100_000])
+def test_a_header_larger_than_its_body_raises_moment_file_error(tmp_path, d):
+    # the matrix is allocated from the header before the body is read: a basis too
+    # large to hold, or a body that ends early, is a malformed file all the same
+    path = tmp_path / "m.txt"
+    save_text(get_benchmark("sign").moment_matrix(2), path)
+    path.write_text(path.read_text().replace("\nd 2\n", f"\nd {d}\n"))
+    with pytest.raises(MomentFileError):
+        load_text(path)
+
+
+def test_blank_lines_in_the_text_body_are_skipped(tmp_path):
+    # numpy reads a blank line as [-1.0]; the loader never hands it one
+    M = get_benchmark("sign").moment_matrix(3)
+    path = tmp_path / "m.txt"
+    save_text(M, path)
+    path.write_text(path.read_text().replace("\n", "\n \n\t\n") + "\n\n")
+    assert np.array_equal(load_text(path).entries, M.entries)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
