@@ -10,17 +10,12 @@ own last-axis family.  With the rows w_i of ``CDKernel.sos_decomposition`` and
 b(x, y) = b_x(x) * phi(y), the fiber is q(x, y) = sum_i (A_i(x) . phi(y))^2,
 where phi is the basis family's univariate family on the domain's y-axis and
 A(x) = W diag(b_x(x)) S collects the basis entries by their y-degree (S).  The
-y-degree j pairs only with the x-indices of degree <= d - j, which are a
-prefix of the grevlex x-basis.  Grevlex already lists the members of y-degree
-j in that x-index order: its members of total degree t and last exponent j
-are the x-members of degree t - j in x-grevlex order, and t ascends.  One
-stable sort of W's columns by y-degree therefore gives the d+1 y-degree
-blocks, M_j of shape (n_{d-j}, r), and A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j is
-one stacked GEMV per block.  The kernel stores W^T in that sorted order, so
-the blocks are views of the kernel's own rows and an ``Approximant`` copies
-none of them.  They hold n r doubles, the weighted (x-index, y-degree) pairs
-only, against n_x r (d+1) for a dense map: 52% of it at p = 2, d = 20, and
-37% at p = 3, d = 16.  Each point streams the blocks once.
+kernel stores W^T in the order of ``basis.y_layout``, whose run j is the block
+M_j of shape (n_{d-j}, r), so A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j is one
+stacked GEMV per block, each a view of the kernel's rows.  The blocks hold
+n r doubles, the weighted (x-index, y-degree) pairs only, against n_x r (d+1)
+for a dense map: 52% of it at p = 2, d = 20, and 37% at p = 3, d = 16.  Each
+point streams the blocks once.
 
 Points are minimized in chunks sized by bytes: a chunk takes as many points
 as keep one (chunk, r, 2d+1) work array within a fixed budget, and each work
@@ -54,7 +49,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial import legendre
 
-from .basis import Family, _stacked_tables, as_points, eval_basis_batch, leggauss
+from .basis import Family, _stacked_tables, as_points, eval_basis_batch, leggauss, y_layout
 
 if TYPE_CHECKING:
     from .cdkernel import CDKernel
@@ -311,8 +306,7 @@ class Approximant:
         self.spec = spec
         self._y_interval = _interval(self.config.y_interval or spec.domain[-1], spec.d)
         self._x_spec = spec.x_spec()
-        # the kernel stores its rows sorted stably by y-degree, so each block is a view of a run of them
-        self._blocks = tuple(np.split(kernel._rows, np.cumsum(np.bincount(spec.indices[:, -1]))[:-1]))
+        self._blocks = tuple(np.split(kernel._rows, np.cumsum(y_layout(spec.p, spec.d).runs)[:-1]))
         self._chunk = max(1, _CHUNK_BYTES // (8 * self._blocks[0].shape[1] * (2 * spec.d + 1)))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:

@@ -15,11 +15,13 @@ sees the float operations of its own axis's recurrence.  ``basis_product``
 multiplies table rows into the basis; ``basis_sqnorm`` gives ||b(z)||^2 from
 the tables without forming the basis.  Evaluation takes batches only:
 ``eval_basis_batch`` reads an (m, p) array, and one point is a one-row batch.
+``y_layout`` derives the y-degree runs that the moments, kernel and fiber read.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -64,6 +66,30 @@ def _grevlex_indices(p: int, d: int) -> np.ndarray:
     out = np.concatenate(blocks)
     out.setflags(write=False)
     return out
+
+
+YLayout = namedtuple("YLayout", "order runs x_index")
+
+
+@lru_cache(maxsize=None)
+def y_layout(p: int, d: int) -> YLayout:
+    """The y-degree layout of the (p, d) grevlex basis (read-only, shared by every caller).
+
+    ``order`` sorts the basis stably by last-axis degree j, and ``runs[j]`` is
+    the length n_(d-j) of the run of degree j.  ``x_index`` gives, in grevlex
+    order, each member's position a within its run, which is its x-index: the
+    members of total degree t and last exponent j are the x-members of degree
+    t - j in x-grevlex order, and t ascends.  So the member (a, j) is
+    L_a(x) phi_j(y), with L_a the a-th member of the (p-1, d) x-basis.
+    """
+    deg = _grevlex_indices(p, d)[:, -1]
+    order = np.argsort(deg, kind="stable")
+    runs = np.bincount(deg, minlength=d + 1)
+    x_index = np.empty_like(order)
+    x_index[order] = np.arange(deg.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    for a in (order, runs, x_index):
+        a.setflags(write=False)
+    return YLayout(order, runs, x_index)
 
 
 @lru_cache(maxsize=None)

@@ -133,8 +133,8 @@ class GraphFunction:
             if grid is not None:
                 X = self.grid_x(grid)
             elif samples is not None:
-                if samples < 1:
-                    raise ValueError(f"samples must be at least 1, got {samples}")
+                if not _is_count(samples, 1):
+                    raise ValueError(f"samples must be at least 1, an integer count, got {samples!r}")
                 if rng is None:
                     raise ValueError("empirical sampling needs an rng")
                 X = self.random_x(samples, rng)
@@ -142,6 +142,11 @@ class GraphFunction:
                 raise ValueError("empirical mode needs either grid or samples")
             return empirical_moment_matrix(spec, self.graph_points(X), note=self.name)
         raise ValueError(f"unknown moment matrix mode {mode!r}")
+
+
+def _is_count(value, least: int) -> bool:
+    """True for a Python or numpy integer, not a bool, of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def _box_pairs(p: int) -> tuple:

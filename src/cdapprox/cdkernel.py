@@ -13,10 +13,9 @@ Small q flags points near the support of mu; the ``gamma_threshold`` level
 separates graph from non-graph points at a rate controlled by the degree.
 
 ``CDKernel`` stores the sum-of-squares rows once, transposed, as the (n, r)
-array of the fiber's layout: the basis members sorted stably by their
-last-axis degree.  ``Approximant`` splits that array into its y-degree blocks
-without a copy, and ``sos_decomposition`` scatters it back into grevlex order
-on each call.
+array of the fiber's layout, ``basis.y_layout``.  ``Approximant`` splits that
+array into its y-degree runs without a copy, and ``sos_decomposition``
+scatters it back into grevlex order on each call.
 
 ``CDKernel.eval_q_batch``, the one evaluation of q (one point is a one-row
 batch), works in blocks of ``_BLOCK`` points: each block builds its own
@@ -55,6 +54,7 @@ from .basis import (
     basis_blocks,
     basis_sqnorm,
     table_blocks,
+    y_layout,
 )
 from .errors import IndefiniteMatrixError
 from .moments import MomentMatrix, require_psd
@@ -124,8 +124,13 @@ def certified_floor(matrix: MomentMatrix, beta: float) -> float:
     refuses what ``CDKernel`` refuses.
     """
     _check_beta(beta)
-    g = _tikhonov(np.linalg.eigvalsh(matrix.entries), beta)[1]
-    return float(g.min()) * (1.0 - _BOUND_MARGIN) * _least_sqnorm(matrix.spec)
+    s = _tikhonov(np.linalg.eigvalsh(matrix.entries), beta)[0]
+    return _shrunk_g_min(beta, s[-1]) * _least_sqnorm(matrix.spec)
+
+
+def _shrunk_g_min(beta: float, lambda_max) -> float:
+    """min(g) = 1/(beta + lambda_max), bit for bit as rounding is monotone, times 1 - ``_BOUND_MARGIN``."""
+    return float(1.0 / (beta + lambda_max)) * (1.0 - _BOUND_MARGIN)
 
 
 def _least_sqnorm(spec) -> float:
@@ -151,7 +156,7 @@ def _floor_reaches(matrix: MomentMatrix, beta: float, level: float) -> bool:
     """
     M = matrix.entries
     bound = min(float(np.abs(M).sum(axis=1).max()), float(np.linalg.norm(M))) * (1.0 + 1e-12 * M.shape[0])
-    if 1.0 / (beta + bound) * (1.0 - _BOUND_MARGIN) * _least_sqnorm(matrix.spec) >= level:
+    if _shrunk_g_min(beta, bound) * _least_sqnorm(matrix.spec) >= level:
         return True
     return certified_floor(matrix, beta) >= level
 
@@ -168,27 +173,24 @@ class CDKernel:
 
     Eigenvalues are sorted ascending; negative ones within the PSD tolerance
     of ``moments`` are rounding and clipped to zero, anything below it raises
-    IndefiniteMatrixError.  The kernel holds M, the clipped eigenvalues and
-    one factor, the sum-of-squares rows S = (P sqrt(g))^T of
-    ``sos_decomposition``, held once and read-only as ``_rows``: the C-ordered
-    (n, r) array S^T with its basis members sorted stably by last-axis degree,
-    the order ``_order`` of the grevlex basis, whose exponent rows are
-    ``_indices``.  Each last-axis degree is one run of rows, and
-    ``Approximant``'s fiber blocks are views of those runs.
+    IndefiniteMatrixError.  The kernel holds the clipped eigenvalues and one
+    factor, the sum-of-squares rows S = (P sqrt(g))^T of ``sos_decomposition``,
+    held once and read-only as ``_rows``: the C-ordered (n, r) array S^T, its
+    members in the order ``_order`` of ``basis.y_layout`` with exponent rows
+    ``_indices``.  ``Approximant``'s fiber blocks are views of its runs.
     """
 
     def __init__(self, matrix: MomentMatrix, beta: float):
         _check_beta(beta)
         evals, P = np.linalg.eigh(matrix.entries)
-        self.matrix = matrix
         self.spec = matrix.spec
         self.beta = float(beta)
         self.eigenvalues, g = _tikhonov(evals, self.beta)
-        self._order = np.argsort(self.spec.indices[:, -1], kind="stable")
+        self._order = y_layout(self.spec.p, self.spec.d).order
         self._indices = self.spec.indices[self._order]
         self._rows = P[self._order]  # the one gather, scaled in place; eigh's P is dropped on return
         self._rows *= np.sqrt(g)
-        for a in (self._order, self._indices, self._rows):
+        for a in (self._indices, self._rows):
             a.setflags(write=False)
 
     def filtered_matrix(self) -> np.ndarray:
@@ -230,8 +232,7 @@ class CDKernel:
         """
         spec = self.spec
         Z = as_points(spec, Z)
-        # min(g) = 1/(beta + lambda_max) bit for bit: rounded sums and quotients are monotone
-        floor = float(1.0 / (self.beta + self.eigenvalues[-1])) * (1.0 - _BOUND_MARGIN)
+        floor = _shrunk_g_min(self.beta, self.eigenvalues[-1])
         out = np.empty(Z.shape[0], dtype=bool)
         with np.errstate(invalid="ignore", over="ignore"):
             for rows, tabs in table_blocks(spec, Z, _BOUND_BLOCK):

@@ -21,7 +21,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,10 +30,10 @@ from .basis import (
     Family,
     as_points,
     axis_tables,
-    basis_blocks,
     basis_product,
     basis_size,
     gauss_pieces,
+    y_layout,
 )
 from .errors import IndefiniteMatrixError, MomentFileError
 
@@ -168,12 +167,12 @@ def _weighted_gram(spec: BasisSpec, Z, w=None) -> np.ndarray:
     Two routes give this sum, and an operation count of the input picks one,
     with no option:
 
-    - the node route accumulates (B * w) @ B.T over the basis-major (n, block)
-      blocks of ``basis_blocks``, so the (N, n) basis is never held whole.  It
+    - the node route (``_node_gram``) accumulates (B * w) @ B.T over
+      basis-major (n, block) blocks, so the (N, n) basis is never held whole.  It
       costs about N n^2 multiply-adds.
     - the level route (``_level_gram``) groups the nodes by the exact value
       of y, their last coordinate.  On a level y = c the member (a, j) of
-      x-index a and y-degree j is L_a(x) phi_j(c), so the level adds
+      ``basis.y_layout`` is L_a(x) phi_j(c), so the level adds
       phi_j(c) phi_k(c) G_c[a, b] to M[(a, j), (b, k)], with G_c the level's
       weighted Gram over the n_x-member x-basis.  It costs about N n_x^2
       multiply-adds for the x-Grams, and per level one n x n scatter and a
@@ -200,66 +199,47 @@ def _weighted_gram(spec: BasisSpec, Z, w=None) -> np.ndarray:
             y = Z[order, -1]
             ends = np.flatnonzero(y[1:] != y[:-1]) + 1  # a nan is a level of its own
             if ends.size + 1 < affordable:
-                return _level_gram(spec, Z, w, order, ends.tolist() + [N])
+                return _level_gram(spec, Z, w, order, [0, *ends.tolist(), N])
+    return _node_gram(spec, Z, w)
+
+
+def _node_gram(spec: BasisSpec, Z, w, nodes: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_k b(z_k) b(z_k)^T over Z[nodes] (all of Z by default), b read from each node's first p coordinates.
+
+    Blocks of ``_BLOCK`` nodes are gathered one at a time, each with its own
+    tables and basis-major (n, block) basis B, so neither the (N, n) basis nor
+    the nodes' coordinates are held whole.
+    """
     M = np.zeros((spec.size, spec.size))
-    for rows, B in basis_blocks(spec, Z):
-        M += (B if w is None else B * w[rows]) @ B.T
+    for start in range(0, Z.shape[0] if nodes is None else nodes.size, _BLOCK):
+        at = slice(start, start + _BLOCK) if nodes is None else nodes[start : start + _BLOCK]
+        B = basis_product(spec, axis_tables(spec, Z[at, : spec.p]))
+        M += (B if w is None else B * w[at]) @ B.T
     return M
 
 
-@lru_cache(maxsize=None)
-def _x_index(p: int, d: int) -> np.ndarray:
-    """The x-index a of each member of the (p, d) grevlex basis (read-only).
-
-    In the stable sort of the basis by y-degree, the members of y-degree j are
-    the x-members 0, 1, ... in x-grevlex order (see ``approximant``), so a is
-    the member's position within its run of that sort.
-    """
-    deg = BasisSpec(p, d).indices[:, -1]
-    order = np.argsort(deg, kind="stable")
-    a = np.empty_like(order)
-    a[order] = np.arange(deg.size) - np.searchsorted(deg[order], deg[order])
-    a.setflags(write=False)
-    return a
-
-
 def _level_gram(spec: BasisSpec, Z, w, order: np.ndarray, ends: list) -> np.ndarray:
-    """The weighted Gram of the nodes Z[order], level l holding the positions ends[l - 1]:ends[l].
+    """The weighted Gram of the nodes Z[order], level l holding the positions ends[l]:ends[l + 1].
 
-    The nodes are streamed in blocks of ``_BLOCK`` positions: ``axis_tables``
-    of a block gives the x-basis of its nodes and, in its last table, phi at
-    each one.  Each level's part of a block adds to the level's x-Gram G.
-    When a level ends, G is gathered to G[a_m, a_m'] phi_(j_m)(c)
-    phi_(j_m')(c) over the members m, m' and added into M: the first level
-    is gathered into M itself, each later one into T, the one n x n
-    temporary.  No (n, block) basis array is held.
+    Each level's x-Gram G is ``_node_gram`` over ``spec.x_spec()``, phi at
+    every level's value c one ``axis_tables`` call on the levels' first nodes.
+    G[a_m, a_m'] phi_(j_m)(c) phi_(j_m')(c), over the members m, m' of
+    ``basis.y_layout``, is gathered into M for the first level and into T,
+    the one n x n temporary added to M, for each later one.
     """
-    x_spec = spec.x_spec()
-    deg, a = spec.indices[:, -1], _x_index(spec.p, spec.d)
+    x_spec, deg, a = spec.x_spec(), spec.indices[:, -1], y_layout(spec.p, spec.d).x_index
+    phi = axis_tables(spec, Z[order[ends[:-1]]])[-1]
     M = np.empty((spec.size, spec.size))
-    T = np.empty_like(M) if len(ends) > 1 else None
-    G = np.zeros((x_spec.size, x_spec.size))
-    level = 0
-    for start in range(0, order.size, _BLOCK):
-        nodes = order[start : start + _BLOCK]
-        tabs = axis_tables(spec, Z[nodes])
-        B = basis_product(x_spec, tabs[:-1])
-        lo = 0
-        while lo < nodes.size:
-            hi = min(nodes.size, ends[level] - start)
-            Bs = B[:, lo:hi]
-            G += (Bs if w is None else Bs * w[nodes[lo:hi]]) @ Bs.T
-            if hi == ends[level] - start:
-                v = tabs[-1][lo, deg]  # phi_(j_m)(c) for each member m
-                out = T if level else M
-                # mode "clip" writes straight into out, where "raise" goes through a buffer
-                np.take(np.take(G, a, axis=0) * v[:, None], a, axis=1, out=out, mode="clip")
-                out *= v
-                if level:
-                    M += T
-                G[...] = 0.0
-                level += 1
-            lo = hi
+    T = np.empty_like(M) if len(ends) > 2 else None
+    for level in range(len(ends) - 1):
+        G = _node_gram(x_spec, Z, w, order[ends[level] : ends[level + 1]])
+        v = phi[level, deg]  # phi_(j_m)(c) for each member m
+        out = T if level else M
+        # mode "clip" writes straight into out, where "raise" goes through a buffer
+        np.take(np.take(G, a, axis=0) * v[:, None], a, axis=1, out=out, mode="clip")
+        out *= v
+        if level:
+            M += T
     return M
 
 
@@ -305,11 +285,9 @@ def quadrature_moment_matrix(spec: BasisSpec, f, breakpoints=None, note: str = "
 
 def empirical_moment_matrix(spec: BasisSpec, Z, note: str = "") -> MomentMatrix:
     """Sample-average moment matrix (1/N) sum b(z_k) b(z_k)^T; mass is 1."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if Z.size == 0:
+    if np.size(Z) == 0:
         raise ValueError("empirical moment matrix needs at least one sample")
-    if Z.shape[1] != spec.p:
-        raise ValueError(f"samples have dimension {Z.shape[1]}, basis has p={spec.p}")
+    Z = as_points(spec, Z)
     inside = spec.contains(Z)
     if not np.all(inside):
         warnings.warn(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .benchmarks import GraphFunction, uniform_box
+from .benchmarks import GraphFunction, _is_count, uniform_box
 from .cdkernel import CDKernel, ThresholdParams, _check_beta, _floor_reaches, gamma_threshold, threshold_params
 from .moments import MomentMatrix
 
@@ -127,11 +127,6 @@ class SupportReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _is_count(value, least: int) -> bool:
-    """True for a Python or numpy integer, not a bool, of at least ``least``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def support_report(

@@ -18,6 +18,7 @@ from cdapprox.basis import (
     basis_size,
     basis_sqnorm,
     eval_basis_batch,
+    y_layout,
 )
 
 small_p = st.integers(min_value=1, max_value=4)
@@ -102,6 +103,53 @@ def test_grevlex_indices_match_the_full_enumeration(p):
         assert idx.dtype == ref.dtype and idx.shape == ref.shape
         assert np.array_equal(idx, ref)
         assert not idx.flags.writeable
+
+
+@pytest.mark.parametrize("d", [0, 1, 5, 12])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_y_layout_matches_the_full_enumeration(p, d):
+    # from itertools' exponents alone: the stable y-degree sort by Python's stable sort, the
+    # runs by counting, and each member's x-index as the place of its x-exponents in the
+    # enumerated (p - 1)-variable basis
+    rows = [tuple(r) for r in _enumerated_grevlex(p, d).tolist()]
+    x_place = {tuple(r): a for a, r in enumerate(_enumerated_grevlex(p - 1, d).tolist())}
+    lay = y_layout(p, d)
+    assert lay.order.tolist() == sorted(range(len(rows)), key=lambda i: rows[i][-1])
+    assert lay.runs.tolist() == [sum(r[-1] == j for r in rows) for j in range(d + 1)]
+    assert lay.runs.tolist() == [math.comb(p - 1 + d - j, d - j) for j in range(d + 1)]
+    assert lay.x_index.tolist() == [x_place[r[:-1]] for r in rows]
+    # so a member's x-index is its position within its run of the sort
+    assert lay.x_index[lay.order].tolist() == [a for n in lay.runs.tolist() for a in range(n)]
+    assert not any(a.flags.writeable for a in lay)
+    assert y_layout(p, d) is lay
+
+
+def test_kernel_fiber_and_level_route_read_the_one_cached_layout(monkeypatch):
+    # CDKernel's order, the Approximant's blocks and the level route's scatter all come
+    # from basis.y_layout, and from no derivation of their own
+    from cdapprox import approximant, cdkernel, moments
+    from cdapprox.approximant import Approximant
+    from cdapprox.benchmarks import get_benchmark
+    from cdapprox.cdkernel import CDKernel
+
+    calls = []
+    for mod in (approximant, cdkernel, moments):
+        def spy(p, d, mod=mod):
+            calls.append((mod.__name__, p, d))
+            return y_layout(p, d)
+
+        monkeypatch.setattr(mod, "y_layout", spy)
+    level_gram = moments._level_gram
+    routed = []
+    monkeypatch.setattr(moments, "_level_gram", lambda spec, *args: routed.append(spec) or level_gram(spec, *args))
+    kern = CDKernel(get_benchmark("disk1").moment_matrix(6, mode="quad"), 1e-3)
+    app = Approximant(kern)
+    assert routed == [kern.spec]
+    assert sorted(set(calls)) == [(m.__name__, 3, 6) for m in (approximant, cdkernel, moments)]
+    lay = y_layout(3, 6)
+    assert kern._order is lay.order
+    assert [b.shape[0] for b in app._blocks] == lay.runs.tolist()
+    assert all(np.shares_memory(b, kern._rows) for b in app._blocks)
 
 
 def test_grevlex_indices_in_many_variables():

@@ -189,6 +189,13 @@ def test_moment_matrix_modes():
         get_benchmark("disk2").moment_matrix(2)
 
 
+@pytest.mark.parametrize("samples", [2.5, True, np.float64(3.0), "5"])
+def test_a_sample_count_that_is_not_an_integer_is_refused(samples):
+    # each used to escape as a TypeError from numpy or from the comparison with 1
+    with pytest.raises(ValueError, match="samples must be at least 1, an integer count"):
+        get_benchmark("sign").moment_matrix(2, mode="empirical", samples=samples, rng=np.random.default_rng(0))
+
+
 def test_quadrature_handles_jumps_exactly():
     # without breakpoint splitting the step moments would be off by >> 1e-10
     bench = get_benchmark("step")

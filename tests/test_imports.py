@@ -3,7 +3,8 @@
 The bound constants are plain float arithmetic, so no run imports mpmath, and
 the fiber solver groups its rows without ``np.unique``, so neither fiber
 evaluation nor a support check loads ``numpy.ma``.  The package's own modules
-import each other at module level only, and those imports form no cycle.
+import each other at module level only, and those imports form no cycle, and
+only ``basis`` derives the y-degree layout of a basis from its exponent rows.
 """
 
 import ast
@@ -203,3 +204,85 @@ def test_package_imports_form_no_cycle():
     for name in sorted(edges):
         walk(name, [])
     assert cycles == []
+
+
+def _scope(node):
+    """The nodes of one scope, a module or a function body, not entering the functions defined in it."""
+    todo = list(ast.iter_child_nodes(node))
+    while todo:
+        n = todo.pop()
+        yield n
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(n))
+
+
+def _bound_names(target):
+    """The names an assignment to ``target`` binds; an attribute or item binds none."""
+    if isinstance(target, ast.Name):
+        return {target.id}
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*map(_bound_names, target.elts))
+    return set()
+
+
+def _layout_derivations(source):
+    """(line, call) for each ``argsort`` or ``bincount`` call in ``source`` that reads a basis's exponent rows.
+
+    A call reads them where an operand mentions ``.indices`` or
+    ``_grevlex_indices``, or a name that its scope binds to an expression
+    that does, directly or through other such names.
+    """
+    tree = ast.parse(source)
+    found = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))]:
+        nodes = list(_scope(scope))
+        tainted = set()
+
+        def reads(node):
+            return any(
+                isinstance(n, ast.Attribute) and n.attr == "indices"
+                or isinstance(n, ast.Name) and (n.id in tainted or n.id == "_grevlex_indices")
+                for n in ast.walk(node)
+            )
+
+        binds = [(t, n.value) for n in nodes if isinstance(n, ast.Assign) for t in n.targets]
+        binds += [(n.target, n.value) for n in nodes if isinstance(n, (ast.AnnAssign, ast.NamedExpr)) and n.value]
+        while True:  # until no binding adds a name
+            grown = set().union(*(_bound_names(target) for target, value in binds if reads(value)))
+            if grown <= tainted:
+                break
+            tainted |= grown
+        for n in nodes:
+            if isinstance(n, ast.Call):
+                f = n.func
+                call = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                operands = [*n.args, *(k.value for k in n.keywords), *([f.value] if isinstance(f, ast.Attribute) else [])]
+                if call in ("argsort", "bincount") and any(reads(op) for op in operands):
+                    found.append((n.lineno, call))
+    return sorted(found)
+
+
+def test_only_basis_derives_the_y_degree_layout():
+    # the stable y-degree sort, its runs and the x-index are basis.y_layout's; the kernel,
+    # the fiber solver and the level route read it, so they cannot fall out of step
+    found = [
+        f"{path.name}:{line} calls {call} over a basis's exponent rows"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "basis"
+        for line, call in _layout_derivations(path.read_text())
+    ]
+    assert found == []
+    # the check sees basis's own derivation and the ones that y_layout replaced
+    assert {call for _, call in _layout_derivations((PACKAGE / "basis.py").read_text())} == {"argsort", "bincount"}
+    old = (
+        "order = np.argsort(self.spec.indices[:, -1], kind='stable')\n"
+        "blocks = np.split(rows, np.cumsum(np.bincount(spec.indices[:, -1]))[:-1])\n"
+        "deg = BasisSpec(p, d).indices[:, -1]\n"
+        "order = deg.argsort(kind='stable')\n"
+    )
+    assert _layout_derivations(old) == [(1, "argsort"), (2, "bincount"), (4, "argsort")]
+    # a sort or count of anything else is not a derivation
+    others = "self.idx = spec.indices[order]\norder = np.argsort(self.y, kind='stable')\nn = np.bincount(deg)\n"
+    assert _layout_derivations(others) == []

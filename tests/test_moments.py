@@ -344,21 +344,35 @@ def _numpy_gram(spec, Z, w):
     return B.T @ (w[:, None] * B)
 
 
+# name, build, and the y-levels of its nodes
+_DISK_BUILDS = {
+    "empirical": ("disk1", {"mode": "empirical", "grid": 30}, [0.0, 1.0]),
+    "quad": ("disk1", {"mode": "quad"}, [0.0, 1.0]),
+    "disk2-quad": ("disk2", {"mode": "quad"}, [-0.5, 0.0, 0.5, 1.0]),
+    "grid-40": ("disk1", {"mode": "empirical", "grid": 40}, [0.0, 1.0]),
+}
+
+
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("mode", ["empirical", "quad"])
+@pytest.mark.parametrize("mode", list(_DISK_BUILDS))
 def test_disk_level_route_matches_a_numpy_polynomial_gram(mode, family, monkeypatch):
-    # disk1 from a small midpoint grid, and by quadrature, through the count's own choice
+    # disk1 from midpoint grids and by quadrature, and disk2 by quadrature, through the
+    # count's own choice; on the 40 x 40 grid the level y = 0 spans more than one block
     levels = _route(monkeypatch)
-    bench = get_benchmark("disk1")
+    name, build, ys = _DISK_BUILDS[mode]
+    bench = get_benchmark(name)
     spec = bench.spec(6, family)
-    if mode == "empirical":
-        M = bench.moment_matrix(6, mode="empirical", grid=30, family=family)
-        X = bench.grid_x(30)
+    M = bench.moment_matrix(6, family=family, **build)
+    if build["mode"] == "empirical":
+        X = bench.grid_x(build["grid"])
         w = np.full(X.shape[0], 1.0 / X.shape[0])
     else:
-        M = bench.moment_matrix(6, mode="quad", family=family)
         X, w = graph_quadrature_rule(spec, 32)
-    ref = _numpy_gram(spec, bench.graph_points(X), w)
+    Z = bench.graph_points(X)
+    y, count = np.unique(Z[:, -1], return_counts=True)
+    assert y.tolist() == ys
+    assert (count.max() > _BLOCK) == (mode == "grid-40")
+    ref = _numpy_gram(spec, Z, w)
     assert levels == [spec]
     assert np.max(np.abs(M.entries - ref)) <= 1e-13 * np.max(np.abs(ref))
 
