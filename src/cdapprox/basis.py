@@ -15,7 +15,8 @@ sees the float operations of its own axis's recurrence.  ``basis_product``
 multiplies table rows into the basis; ``basis_sqnorm`` gives ||b(z)||^2 from
 the tables without forming the basis.  Evaluation takes batches only:
 ``eval_basis_batch`` reads an (m, p) array, and one point is a one-row batch.
-``y_layout`` derives the y-degree runs that the moments, kernel and fiber read.
+``table_blocks`` is the one stream of points in blocks.  ``y_layout`` derives
+the y-degree layout that the moments, kernel, fiber and L2 projection read.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _grevlex_indices(p: int, d: int) -> np.ndarray:
     return out
 
 
-YLayout = namedtuple("YLayout", "order runs x_index")
+YLayout = namedtuple("YLayout", "order runs x_index indices")
 
 
 @lru_cache(maxsize=None)
@@ -81,15 +82,17 @@ def y_layout(p: int, d: int) -> YLayout:
     members of total degree t and last exponent j are the x-members of degree
     t - j in x-grevlex order, and t ascends.  So the member (a, j) is
     L_a(x) phi_j(y), with L_a the a-th member of the (p-1, d) x-basis.
+    ``indices`` holds the exponent rows in layout order, ``spec.indices[order]``.
     """
     deg = _grevlex_indices(p, d)[:, -1]
     order = np.argsort(deg, kind="stable")
     runs = np.bincount(deg, minlength=d + 1)
     x_index = np.empty_like(order)
     x_index[order] = np.arange(deg.size) - np.repeat(np.cumsum(runs) - runs, runs)
-    for a in (order, runs, x_index):
+    layout = YLayout(order, runs, x_index, _grevlex_indices(p, d)[order])
+    for a in layout:
         a.setflags(write=False)
-    return YLayout(order, runs, x_index)
+    return layout
 
 
 @lru_cache(maxsize=None)
@@ -222,11 +225,10 @@ def basis_product(spec: BasisSpec, tabs: list, indices: np.ndarray | None = None
 
     Row i is the product over axes k < len(tabs) of the degree-a_i[k] row of
     tabs[k].T, with a_i the i-th row of ``indices`` (the exponent rows of
-    ``spec`` by default), multiplied in axis order; fewer tables than axes
-    give the x-part of the basis.  A reordering of the exponent rows reorders
-    the basis rows and leaves every entry bit for bit as it is.  The result is
-    a fresh C-contiguous (n, m) array, each row gathered whole from the
-    degree-major table buffers.
+    ``spec`` by default), multiplied in axis order.  A reordering of the
+    exponent rows reorders the basis rows and leaves every entry bit for bit
+    as it is.  The result is a fresh C-contiguous (n, m) array, each row
+    gathered whole from the degree-major table buffers.
     """
     idx = spec.indices if indices is None else indices
     out = np.take(tabs[0].T, idx[:, 0], axis=0)
@@ -269,22 +271,16 @@ def basis_sqnorm(spec: BasisSpec, tabs: list) -> np.ndarray:
     return np.einsum("tm,tm->m", _degree_fold(d) @ sq[-1], acc)
 
 
-def table_blocks(spec: BasisSpec, Z, block: int = _BLOCK):
-    """Yield (rows, tabs) over blocks of ``block`` points of Z, tabs = axis_tables of the block."""
-    Z = as_points(spec, Z)
-    for start in range(0, Z.shape[0], block):
-        rows = slice(start, start + block)
-        yield rows, axis_tables(spec, Z[rows])
+def table_blocks(spec: BasisSpec, Z, block: int = _BLOCK, nodes: np.ndarray | None = None):
+    """Yield (rows, tabs) over blocks of ``block`` points of Z[nodes] (all of Z by default), tabs their axis_tables.
 
-
-def basis_blocks(spec: BasisSpec, Z, indices: np.ndarray | None = None):
-    """Yield (rows, B) over blocks of ``_BLOCK`` points of Z, B = basis_product of the block and ``indices``.
-
-    Tables and basis are built per block, so memory is O(block * n) whatever
-    the number of points; every entry equals that of ``eval_basis_batch``.
+    The library's one loop over points in blocks: ``rows`` is a slice of Z or
+    the block's run of ``nodes``, whose points are gathered one block at a time.
     """
-    for rows, tabs in table_blocks(spec, Z):
-        yield rows, basis_product(spec, tabs, indices)
+    Z = as_points(spec, Z)
+    for start in range(0, Z.shape[0] if nodes is None else nodes.size, block):
+        rows = slice(start, start + block) if nodes is None else nodes[start : start + block]
+        yield rows, axis_tables(spec, Z[rows])
 
 
 def eval_basis_batch(spec: BasisSpec, Z) -> np.ndarray:

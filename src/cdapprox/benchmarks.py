@@ -28,15 +28,12 @@ from .moments import (
 
 def midpoint_grid(box, counts) -> np.ndarray:
     """Midpoint grid over a box of (lo, hi) rows; counts is an integer (no bool) or one per axis, each >= 1."""
-    if np.isscalar(counts):
-        per_axis = (counts,) * len(box)
-    else:  # a 0-d array is neither a scalar to np.isscalar nor a sequence: refused as no counts at all
-        per_axis = () if isinstance(counts, np.ndarray) and counts.ndim == 0 else counts
-    whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in per_axis)
-    if len(per_axis) != len(box) or not whole:
-        raise ValueError(f"grid counts must be one integer per axis of the {len(box)}-axis box, got {counts!r}")
-    if min(per_axis) < 1:
-        raise ValueError(f"grid counts must be at least 1, got {counts!r}")
+    # a sequence or an array of one or more axes holds per-axis counts; anything else, a 0-d array too, is one count
+    per_axis = counts if isinstance(counts, (tuple, list)) or np.ndim(counts) else (counts,) * len(box)
+    if len(per_axis) != len(box) or not all(_is_count(n, 1) for n in per_axis):
+        raise ValueError(
+            f"grid counts must be one integer per axis of the {len(box)}-axis box, each at least 1, got {counts!r}"
+        )
     axes = [lo + (hi - lo) * (np.arange(n) + 0.5) / n for (lo, hi), n in zip(box, per_axis)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
@@ -228,14 +225,13 @@ def _disk_indicator_rule(center, radius):
     cx, cy = center
 
     def rule(d):
-        g, wg = (a.ravel() for a in gauss_pieces([-1.0, 1.0], d + 1))
-        box = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        box, w_box = graph_quadrature_rule(BasisSpec(3, d), d + 1)
         k = max(d, 1)  # at d = 0 the disk terms cancel; one node keeps the rule well formed
         rho, wr = (a.ravel() for a in gauss_pieces([0.0, radius], k))
         theta = np.pi * np.arange(2 * k) / k
         disk = np.c_[cx + np.outer(rho, np.cos(theta)).ravel(), cy + np.outer(rho, np.sin(theta)).ravel()]
         w_disk = np.repeat(wr * rho * (np.pi / k), theta.size)
-        parts = [(box, 0.0, np.outer(wg, wg).ravel()), (disk, 1.0, w_disk), (disk, 0.0, -w_disk)]
+        parts = [(box, 0.0, w_box), (disk, 1.0, w_disk), (disk, 0.0, -w_disk)]
         Z = np.vstack([np.c_[P, np.full(len(P), y)] for P, y, _ in parts])
         return Z, np.concatenate([w for _, _, w in parts])
 

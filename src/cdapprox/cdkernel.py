@@ -13,16 +13,16 @@ Small q flags points near the support of mu; the ``gamma_threshold`` level
 separates graph from non-graph points at a rate controlled by the degree.
 
 ``CDKernel`` stores the sum-of-squares rows once, transposed, as the (n, r)
-array of the fiber's layout, ``basis.y_layout``.  ``Approximant`` splits that
-array into its y-degree runs without a copy, and ``sos_decomposition``
-scatters it back into grevlex order on each call.
+array of the cached ``basis.y_layout``, and no copy of the layout.
+``Approximant`` splits that array into its y-degree runs without a copy, and
+``sos_decomposition`` scatters it back into grevlex order on each call.
 
 ``CDKernel.eval_q_batch``, the one evaluation of q (one point is a one-row
-batch), works in blocks of ``_BLOCK`` points: each block builds its own
-per-axis tables and one basis-major (n, block) basis B, its rows already in
-the stored order, and q is the column sum of squares of C = S B, with S the
-sum-of-squares rows.  Memory is O(block * n) whatever the number of points N,
-and the result matches a one-shot evaluation up to rounding.
+batch), iterates ``basis.table_blocks``: each block's per-axis tables give
+one basis-major (n, block) basis B over the layout's exponent rows, and q is
+the column sum of squares of C = S B, with S the sum-of-squares rows.
+Memory is O(block * n) whatever the number of points N, and the result
+matches a one-shot evaluation up to rounding.
 
 ``certified_floor`` is the one certified lower bound of q over all of R^p:
 min(g) times the least ||b(z)||^2, from the eigenvalues alone.  Where it
@@ -51,7 +51,7 @@ from .basis import (
     _BLOCK,
     Family,
     as_points,
-    basis_blocks,
+    basis_product,
     basis_sqnorm,
     table_blocks,
     y_layout,
@@ -176,8 +176,8 @@ class CDKernel:
     IndefiniteMatrixError.  The kernel holds the clipped eigenvalues and one
     factor, the sum-of-squares rows S = (P sqrt(g))^T of ``sos_decomposition``,
     held once and read-only as ``_rows``: the C-ordered (n, r) array S^T, its
-    members in the order ``_order`` of ``basis.y_layout`` with exponent rows
-    ``_indices``.  ``Approximant``'s fiber blocks are views of its runs.
+    members in the order of the cached ``basis.y_layout``, which the methods
+    read.  ``Approximant``'s fiber blocks are views of its runs.
     """
 
     def __init__(self, matrix: MomentMatrix, beta: float):
@@ -186,12 +186,9 @@ class CDKernel:
         self.spec = matrix.spec
         self.beta = float(beta)
         self.eigenvalues, g = _tikhonov(evals, self.beta)
-        self._order = y_layout(self.spec.p, self.spec.d).order
-        self._indices = self.spec.indices[self._order]
-        self._rows = P[self._order]  # the one gather, scaled in place; eigh's P is dropped on return
+        self._rows = P[y_layout(self.spec.p, self.spec.d).order]  # the one gather, scaled in place
         self._rows *= np.sqrt(g)
-        for a in (self._indices, self._rows):
-            a.setflags(write=False)
+        self._rows.setflags(write=False)
 
     def filtered_matrix(self) -> np.ndarray:
         """(M + beta I)^-1 = P diag(g) P^T, as S^T S."""
@@ -201,19 +198,22 @@ class CDKernel:
     def eval_q_batch(self, Z) -> np.ndarray:
         """q at each row of Z, as sum_i (w_i . b(z))^2 over the rows of the SOS form.
 
-        Works through Z in blocks of ``_BLOCK`` points: per block, C = S B with
-        S the SOS rows and B the basis-major (n, block) basis, both in the
-        stored y-degree order, and q is the sum of squares down each column of
-        C.  Neither the (N, n) basis nor its tables are ever held whole; memory
-        is O(block * n).  Matches the one-shot evaluation up to rounding.  A finite z whose basis overflows
-        has q beyond double range and reads inf; a row with a nan or inf
-        coordinate may read nan.  Neither raises a RuntimeWarning.
+        Works through Z in the blocks of ``basis.table_blocks``: per block,
+        C = S B with S the SOS rows and B the basis-major (n, block) basis over
+        ``y_layout``'s exponent rows, both in the stored y-degree order, and q
+        is the sum of squares down each column of C.  Neither the (N, n) basis
+        nor its tables are ever held whole; memory is O(block * n).  Matches
+        the one-shot evaluation up to rounding.  A finite z whose basis
+        overflows has q beyond double range and reads inf; a row with a nan or
+        inf coordinate may read nan.  Neither raises a RuntimeWarning.
         """
-        S = self._rows.T
+        spec, S = self.spec, self._rows.T
+        indices = y_layout(spec.p, spec.d).indices
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         q = np.empty(Z.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows, B in basis_blocks(self.spec, Z, self._indices):
+            for rows, tabs in table_blocks(spec, Z):
+                B = basis_product(spec, tabs, indices)
                 q[rows] = _column_q(S @ B, Z[rows])
                 del B  # free this block before the next one is built: about two blocks live at once
         return q
@@ -251,11 +251,11 @@ class CDKernel:
         Row i is sqrt(g_i) = 1/sqrt(beta + lambda_i) times the i-th eigenvector,
         its columns in grevlex order: (P sqrt(g))^T bit for bit.  The kernel
         stores the rows once, in the y-degree order of ``_rows``; every call
-        scatters them back into a fresh read-only (r, n) array, the transpose
-        of a C-ordered one.
+        scatters them back by ``y_layout``'s ``order`` into a fresh read-only
+        (r, n) array, the transpose of a C-ordered one.
         """
         out = np.empty_like(self._rows)
-        out[self._order] = self._rows
+        out[y_layout(self.spec.p, self.spec.d).order] = self._rows
         out.setflags(write=False)
         return out.T
 

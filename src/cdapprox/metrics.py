@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import eval_basis_batch
+from .basis import eval_basis_batch, y_layout
 from .cdkernel import ThresholdParams
 from .moments import MomentMatrix
 from .support import distance_bound, outside_mass_bound
@@ -57,9 +57,9 @@ def l2_projection(matrix: MomentMatrix) -> np.ndarray:
     x_spec = spec.x_spec()
     if spec.d < 1:
         raise ValueError("the projection reads the moments of y, which need degree d >= 1")
-    idx = spec.indices
-    flat = np.flatnonzero(idx[:, -1] == 0)  # the y-degree-0 members, in x_spec's order
-    y_member = int(np.flatnonzero((idx[:, -1] == 1) & (idx.sum(axis=1) == 1))[0])
+    lay = y_layout(spec.p, spec.d)
+    flat = lay.order[: lay.runs[0]]  # the y-degree-0 members, in x_spec's order
+    y_member = int(lay.order[lay.runs[0]])  # the first of y-degree 1 has total degree 1: y itself
     # y = e_0 b_0 + e_y b_y, solved from both members at the two ends of the y-axis
     lo, hi = spec.domain[-1]
     corner = list(x_spec.domain_array()[:, 0])

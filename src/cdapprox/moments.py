@@ -25,7 +25,6 @@ from enum import Enum
 import numpy as np
 
 from .basis import (
-    _BLOCK,
     BasisSpec,
     Family,
     as_points,
@@ -33,6 +32,7 @@ from .basis import (
     basis_product,
     basis_size,
     gauss_pieces,
+    table_blocks,
     y_layout,
 )
 from .errors import IndefiniteMatrixError, MomentFileError
@@ -206,14 +206,14 @@ def _weighted_gram(spec: BasisSpec, Z, w=None) -> np.ndarray:
 def _node_gram(spec: BasisSpec, Z, w, nodes: np.ndarray | None = None) -> np.ndarray:
     """sum_k w_k b(z_k) b(z_k)^T over Z[nodes] (all of Z by default), b read from each node's first p coordinates.
 
-    Blocks of ``_BLOCK`` nodes are gathered one at a time, each with its own
-    tables and basis-major (n, block) basis B, so neither the (N, n) basis nor
-    the nodes' coordinates are held whole.
+    Blocks of nodes come from ``basis.table_blocks``, and each block's tables
+    are freed once they make its basis-major (n, block) basis B, so neither
+    the (N, n) basis nor the nodes' coordinates are held whole.
     """
     M = np.zeros((spec.size, spec.size))
-    for start in range(0, Z.shape[0] if nodes is None else nodes.size, _BLOCK):
-        at = slice(start, start + _BLOCK) if nodes is None else nodes[start : start + _BLOCK]
-        B = basis_product(spec, axis_tables(spec, Z[at, : spec.p]))
+    for at, tabs in table_blocks(spec, Z[:, : spec.p], nodes=nodes):
+        B = basis_product(spec, tabs)
+        del tabs  # free the tables before the product
         M += (B if w is None else B * w[at]) @ B.T
     return M
 

@@ -13,11 +13,11 @@ from cdapprox.basis import (
     BasisSpec,
     Family,
     axis_tables,
-    basis_blocks,
     basis_product,
     basis_size,
     basis_sqnorm,
     eval_basis_batch,
+    table_blocks,
     y_layout,
 )
 
@@ -109,12 +109,14 @@ def test_grevlex_indices_match_the_full_enumeration(p):
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_y_layout_matches_the_full_enumeration(p, d):
     # from itertools' exponents alone: the stable y-degree sort by Python's stable sort, the
-    # runs by counting, and each member's x-index as the place of its x-exponents in the
-    # enumerated (p - 1)-variable basis
+    # runs by counting, each member's x-index as the place of its x-exponents in the
+    # enumerated (p - 1)-variable basis, and the exponent rows in the sorted order
     rows = [tuple(r) for r in _enumerated_grevlex(p, d).tolist()]
     x_place = {tuple(r): a for a, r in enumerate(_enumerated_grevlex(p - 1, d).tolist())}
     lay = y_layout(p, d)
     assert lay.order.tolist() == sorted(range(len(rows)), key=lambda i: rows[i][-1])
+    assert [tuple(r) for r in lay.indices.tolist()] == sorted(rows, key=lambda r: r[-1])
+    assert lay.indices.dtype == np.int64 and lay.indices.shape == (len(rows), p)
     assert lay.runs.tolist() == [sum(r[-1] == j for r in rows) for j in range(d + 1)]
     assert lay.runs.tolist() == [math.comb(p - 1 + d - j, d - j) for j in range(d + 1)]
     assert lay.x_index.tolist() == [x_place[r[:-1]] for r in rows]
@@ -125,8 +127,8 @@ def test_y_layout_matches_the_full_enumeration(p, d):
 
 
 def test_kernel_fiber_and_level_route_read_the_one_cached_layout(monkeypatch):
-    # CDKernel's order, the Approximant's blocks and the level route's scatter all come
-    # from basis.y_layout, and from no derivation of their own
+    # CDKernel's rows and q, the Approximant's blocks and the level route's scatter all
+    # come from basis.y_layout, and from no derivation of their own
     from cdapprox import approximant, cdkernel, moments
     from cdapprox.approximant import Approximant
     from cdapprox.benchmarks import get_benchmark
@@ -147,7 +149,11 @@ def test_kernel_fiber_and_level_route_read_the_one_cached_layout(monkeypatch):
     assert routed == [kern.spec]
     assert sorted(set(calls)) == [(m.__name__, 3, 6) for m in (approximant, cdkernel, moments)]
     lay = y_layout(3, 6)
-    assert kern._order is lay.order
+    assert not any(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in vars(kern).values())
+    assert kern._rows.tobytes() == np.ascontiguousarray(kern.sos_decomposition().T[lay.order]).tobytes()
+    calls.clear()
+    kern.eval_q_batch(np.zeros((3, 3)))
+    assert calls == [("cdapprox.cdkernel", 3, 6)]
     assert [b.shape[0] for b in app._blocks] == lay.runs.tolist()
     assert all(np.shares_memory(b, kern._rows) for b in app._blocks)
 
@@ -305,19 +311,40 @@ def test_eval_basis_batch_is_c_ordered_and_bit_identical_to_column_recurrence(p,
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_basis_blocks_are_basis_major_and_bit_identical_to_eval_basis_batch(p, family):
+def test_table_blocks_with_basis_product_are_basis_major_and_bit_identical_to_eval_basis_batch(p, family):
     domain = ((-0.5, 2.0), (-1.0, 1.0), (0.0, 3.0))[:p]
     spec = BasisSpec(p, 6, family=family, domain=domain)
     box = spec.domain_array()
     Z = np.random.default_rng(10 + p).uniform(box[:, 0], box[:, 1], size=(2 * _BLOCK + 5, p))
     ref = eval_basis_batch(spec, Z)
-    blocks = list(basis_blocks(spec, Z))
+    blocks = [(rows, basis_product(spec, tabs)) for rows, tabs in table_blocks(spec, Z)]
     assert [B.shape[1] for _, B in blocks] == [_BLOCK, _BLOCK, 5]  # the last block partial
     for rows, B in blocks:
         assert B.shape[0] == spec.size and B.flags.c_contiguous
         assert np.array_equal(B, ref[rows].T)
     whole = basis_product(spec, axis_tables(spec, Z))
     assert whole.shape == (spec.size, Z.shape[0]) and np.array_equal(whole, ref.T)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("p", [2, 3])
+def test_table_blocks_over_nodes_match_the_column_recurrence_at_those_rows(p, family):
+    # unsorted nodes with repeats, over several blocks with the last one partial, read the
+    # rows Z[nodes] in the order given; an empty node list yields no block
+    domain = ((-0.5, 2.0), (-1.0, 1.0), (0.0, 3.0))[:p]
+    spec = BasisSpec(p, 5, family=family, domain=domain)
+    box = spec.domain_array()
+    rng = np.random.default_rng(30 + p)
+    Z = rng.uniform(box[:, 0], box[:, 1], size=(500, p))
+    nodes = rng.integers(0, Z.shape[0], size=2 * 128 + 9)
+    assert np.any(np.diff(nodes) < 0)
+    ref = _column_recurrence_basis(spec, Z[nodes])
+    blocks = list(table_blocks(spec, Z, 128, nodes))
+    assert [len(rows) for rows, _ in blocks] == [128, 128, 9]
+    got = np.hstack([basis_product(spec, tabs) for _, tabs in blocks])
+    assert np.array_equal(np.concatenate([rows for rows, _ in blocks]), nodes)
+    assert np.array_equal(got, ref.T)
+    assert list(table_blocks(spec, Z, 128, np.zeros(0, dtype=np.int64))) == []
 
 
 @pytest.mark.parametrize("d", [0, 7])

@@ -137,6 +137,14 @@ def test_midpoint_grid_refuses_a_zero_dimensional_array_count():
     assert midpoint_grid(square, np.array([2, 3])).shape == (6, 2)
 
 
+def test_midpoint_grid_refuses_ragged_or_missing_counts_with_its_own_message():
+    # a nested tuple is no count per axis, and None no count at all: both get the one refusal
+    # with both conditions, not numpy's shape error or a TypeError
+    for counts in [(2, (3, 4)), [2, [3]], None, {2, 3}]:
+        with pytest.raises(ValueError, match="one integer per axis .* each at least 1"):
+            midpoint_grid([(-1.0, 1.0), (-1.0, 1.0)], counts)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_uniform_box_draws_what_rng_uniform_draws(k, seed):
@@ -254,6 +262,24 @@ def test_exact_rule_matrix_is_psd_to_rounding(name, d):
     # disk1 stops at d = 16: n is 2925 at d = 24
     evals = np.linalg.eigvalsh(get_benchmark(name).moment_matrix(d).entries)
     assert evals[0] >= -1e-14 * evals[-1]
+
+
+@pytest.mark.parametrize("d", [0, 1, 4, 8])
+def test_disk_rule_box_part_is_the_tensor_gauss_rule(d):
+    # the box part of disk1's rule, its first (d + 1)^2 nodes at y = 0, is the tensor
+    # Gauss-Legendre rule of d + 1 nodes per axis built here from numpy in ij order; the
+    # rest are the disk nodes twice, at y = 1 and at y = 0 with negated weights
+    Z, w = get_benchmark("disk1").rule(d)
+    u, wu = np.polynomial.legendre.leggauss(d + 1)
+    k = (d + 1) ** 2
+    ref = np.array([(a, b, 0.0) for a in u for b in u])
+    np.testing.assert_allclose(Z[:k], ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w[:k], np.outer(wu, wu).ravel(), rtol=1e-14, atol=0)
+    disk = (Z.shape[0] - k) // 2
+    assert Z.shape[0] == k + 2 * disk and w.shape == (Z.shape[0],)
+    assert np.array_equal(Z[k : k + disk, :2], Z[k + disk :, :2])
+    assert (Z[k : k + disk, 2] == 1.0).all() and (Z[k + disk :, 2] == 0.0).all()
+    assert np.array_equal(w[k + disk :], -w[k : k + disk])
 
 
 @pytest.mark.parametrize("d", [4, 8])

@@ -10,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdapprox import basis, cdkernel
-from cdapprox.basis import _BLOCK, BasisSpec, Family, axis_tables, basis_sqnorm, eval_basis_batch
+from cdapprox.basis import (
+    _BLOCK,
+    BasisSpec,
+    Family,
+    axis_tables,
+    basis_product,
+    basis_sqnorm,
+    eval_basis_batch,
+    table_blocks,
+    y_layout,
+)
 from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import (
     _BOUND_MARGIN,
@@ -50,7 +60,7 @@ def test_sos_rows_are_stored_once_with_the_tikhonov_norms(family):
         again = kern.sos_decomposition()
         assert again is not S and again.tobytes() == S.tobytes() and not S.flags.writeable
         assert not np.shares_memory(S, kern._rows)
-        assert kern._rows.tobytes() == np.ascontiguousarray(S.T[kern._order]).tobytes()
+        assert kern._rows.tobytes() == np.ascontiguousarray(S.T[y_layout(M.spec.p, M.spec.d).order]).tobytes()
         with pytest.raises(ValueError):
             S[0, 0] = 0.0
         np.testing.assert_allclose(np.sum(S**2, axis=1), 1.0 / (beta + kern.eigenvalues), rtol=1e-12, atol=0.0)
@@ -144,16 +154,19 @@ def test_eval_q_batch_memory_does_not_grow_with_the_point_count():
 
 
 def _count_exact_points(monkeypatch) -> list:
-    """Make q_at_least record how many points each of its exact-q basis blocks holds."""
+    """Make q_at_least record how many points each of its exact-q basis blocks holds.
+
+    Within ``cdkernel`` only ``eval_q_batch`` forms the basis; the bound reads tables alone.
+    """
     sent = []
-    blocks = cdkernel.basis_blocks
+    product = cdkernel.basis_product
 
-    def counting(spec, Z, indices=None):
-        for rows, B in blocks(spec, Z, indices):
-            sent.append(B.shape[1])
-            yield rows, B
+    def counting(spec, tabs, indices=None):
+        B = product(spec, tabs, indices)
+        sent.append(B.shape[1])
+        return B
 
-    monkeypatch.setattr(cdkernel, "basis_blocks", counting)
+    monkeypatch.setattr(cdkernel, "basis_product", counting)
     return sent
 
 
@@ -364,7 +377,8 @@ def test_legendre_christoffel_min_against_a_40_digit_grid():
 def _sqnorm(spec, Z):
     """||b(z)||^2 at each row of Z from the full basis, block by block."""
     out = np.empty(len(Z))
-    for rows, B in basis.basis_blocks(spec, Z):
+    for rows, tabs in table_blocks(spec, Z):
+        B = basis_product(spec, tabs)
         out[rows] = np.einsum("ij,ij->j", B, B)
     return out
 

@@ -4,7 +4,8 @@ The bound constants are plain float arithmetic, so no run imports mpmath, and
 the fiber solver groups its rows without ``np.unique``, so neither fiber
 evaluation nor a support check loads ``numpy.ma``.  The package's own modules
 import each other at module level only, and those imports form no cycle, and
-only ``basis`` derives the y-degree layout of a basis from its exponent rows.
+only ``basis`` derives the y-degree layout of a basis from its exponent rows
+or walks points in blocks.
 """
 
 import ast
@@ -228,9 +229,10 @@ def _bound_names(target):
 
 
 def _layout_derivations(source):
-    """(line, call) for each ``argsort`` or ``bincount`` call in ``source`` that reads a basis's exponent rows.
+    """(line, what) for each ``argsort`` or ``bincount`` call and each comparison in ``source`` that reads a basis's exponent rows.
 
-    A call reads them where an operand mentions ``.indices`` or
+    ``what`` is the call's name, or "compare".  A call reads them where an
+    operand mentions ``.indices`` or
     ``_grevlex_indices``, or a name that its scope binds to an expression
     that does, directly or through other such names.
     """
@@ -261,17 +263,20 @@ def _layout_derivations(source):
                 operands = [*n.args, *(k.value for k in n.keywords), *([f.value] if isinstance(f, ast.Attribute) else [])]
                 if call in ("argsort", "bincount") and any(reads(op) for op in operands):
                     found.append((n.lineno, call))
+            elif isinstance(n, ast.Compare) and reads(n):
+                found.append((n.lineno, "compare"))
     return sorted(found)
 
 
 def test_only_basis_derives_the_y_degree_layout():
-    # the stable y-degree sort, its runs and the x-index are basis.y_layout's; the kernel,
-    # the fiber solver and the level route read it, so they cannot fall out of step
+    # the stable y-degree sort, its runs, the x-index and the sorted exponent rows are
+    # basis.y_layout's; the kernel, the fiber solver, the level route and the L2 projection
+    # read it, so they cannot fall out of step
     found = [
-        f"{path.name}:{line} calls {call} over a basis's exponent rows"
+        f"{path.name}:{line} reads a basis's exponent rows in a {what}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "basis"
-        for line, call in _layout_derivations(path.read_text())
+        for line, what in _layout_derivations(path.read_text())
     ]
     assert found == []
     # the check sees basis's own derivation and the ones that y_layout replaced
@@ -283,6 +288,50 @@ def test_only_basis_derives_the_y_degree_layout():
         "order = deg.argsort(kind='stable')\n"
     )
     assert _layout_derivations(old) == [(1, "argsort"), (2, "bincount"), (4, "argsort")]
-    # a sort or count of anything else is not a derivation
-    others = "self.idx = spec.indices[order]\norder = np.argsort(self.y, kind='stable')\nn = np.bincount(deg)\n"
+    # so does a comparison that picks members by their exponents, as l2_projection's
+    # search for the y-degree-0 members and for y did before it read y_layout
+    scan = (
+        "def l2_projection(matrix):\n"
+        "    idx = matrix.spec.indices\n"
+        "    flat = np.flatnonzero(idx[:, -1] == 0)\n"
+        "    y_member = int(np.flatnonzero((idx[:, -1] == 1) & (idx.sum(axis=1) == 1))[0])\n"
+    )
+    assert _layout_derivations(scan) == [(3, "compare"), (4, "compare"), (4, "compare")]
+    # a sort, count or comparison of anything else is not a derivation
+    others = (
+        "self.idx = spec.indices[order]\norder = np.argsort(self.y, kind='stable')\nn = np.bincount(deg)\n"
+        "if spec.p < 2 or lay.runs[0] == 0:\n    pass\n"
+    )
     assert _layout_derivations(others) == []
+
+
+def _private_block_loops(source):
+    """Lines of ``source`` that call ``range()`` with a step naming ``_BLOCK`` or ``_BOUND_BLOCK``."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "range" and len(n.args) == 3
+        and any(isinstance(m, ast.Name) and m.id in ("_BLOCK", "_BOUND_BLOCK") for m in ast.walk(n.args[2]))
+    )
+
+
+def test_only_basis_walks_points_in_blocks():
+    # basis.table_blocks is the one loop over points in blocks; the moment Gram, q and the
+    # q bound iterate it, so block bookkeeping cannot come back beside it
+    found = [
+        f"{path.name}:{line} steps a range by a block size"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "basis"
+        for line in _private_block_loops(path.read_text())
+    ]
+    assert found == []
+    # the check sees the node route's own loop that table_blocks replaced, and a scaled step
+    old = (
+        "M = np.zeros((spec.size, spec.size))\n"
+        "for start in range(0, Z.shape[0] if nodes is None else nodes.size, _BLOCK):\n"
+        "    at = slice(start, start + _BLOCK) if nodes is None else nodes[start : start + _BLOCK]\n"
+        "for start in range(0, N, 2 * _BOUND_BLOCK):\n"
+        "    pass\n"
+    )
+    assert _private_block_loops(old) == [2, 4]
+    assert _private_block_loops("for i in range(0, n, block):\n    x = range(_BLOCK)\n") == []

@@ -435,6 +435,28 @@ def test_level_route_holds_one_n_by_n_temporary():
     assert peak - nn <= 2.5 * nn
 
 
+def test_node_route_frees_each_blocks_tables_before_its_product(monkeypatch):
+    # f = x1 x2 + x1 / 4 takes a value per node, so its 36 x 36 quadrature rule keeps the
+    # node route: two blocks (1,024 and 272 nodes) of a basis-major B, the first 6.2 n x n
+    # arrays at n = 165.  The peak, at the first block's product, holds M, B, B * w and the
+    # product: 13.93 n x n arrays beyond M.  A block's tables kept alive through the product
+    # read 14.58
+    spec = BasisSpec(3, 8)
+    X, w = graph_quadrature_rule(spec, max(4 * spec.d + 4, 32))
+    Z = np.c_[X, X[:, 0] * X[:, 1] + X[:, 0] / 4]
+    assert Z.shape[0] == 1296 and spec.size == 165
+    levels = _route(monkeypatch)
+
+    def build():
+        return rule_moment_matrix(spec, Z, w, Provenance.QUADRATURE, 4.0)
+
+    build()  # the cached grevlex rows and Gauss rules are made before the trace
+    M, peak = _traced_peak(build)
+    assert levels == []
+    nn = 8 * M.n**2
+    assert peak - nn <= 14.2 * nn
+
+
 def test_load_text_holds_the_matrix_and_the_checks_temporaries_only(tmp_path):
     # the row-by-row parse makes no Python float per entry and no index or mask array;
     # the whole-body parse peaked at ten n x n arrays at n = 455
