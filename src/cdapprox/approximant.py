@@ -6,16 +6,23 @@ For a graph variable z = (x, y) the approximant is
 
 the smallest of the near-minimizers of the kernel along the y-fiber.  Every
 fiber is kept in one representation: its sum-of-squares rows in the kernel's
-own last-axis family.  With the rows w_i of ``CDKernel.sos_decomposition`` and
-b(x, y) = b_x(x) * phi(y), the fiber is q(x, y) = sum_i (A_i(x) . phi(y))^2,
-where phi is the basis family's univariate family on the domain's y-axis and
-A(x) = W diag(b_x(x)) S collects the basis entries by their y-degree (S).  The
-kernel stores W^T in the order of ``basis.y_layout``, whose run j is the block
-M_j of shape (n_{d-j}, r), so A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j is one
-stacked GEMV per block, each a view of the kernel's rows.  The blocks hold
-n r doubles, the weighted (x-index, y-degree) pairs only, against n_x r (d+1)
-for a dense map: 52% of it at p = 2, d = 20, and 37% at p = 3, d = 16.  Each
-point streams the blocks once.
+own last-axis family.  With b(x, y) = b_x(x) * phi(y), where phi is the basis
+family's univariate family on the domain's y-axis, the fiber is
+
+    q(x, y) = sum_i (A_i(x) . phi(y))^2,
+
+and the rows A(x) come in two parts.  The range rows collect the kernel's
+stored range rows S by their y-degree: the kernel stores S^T in the order of
+``basis.y_layout``, whose run j is the block M_j of shape (n_{d-j}, n_range),
+so A(x)[:, j] = b_x(x)[:n_{d-j}] @ M_j is one stacked GEMV per block, each a
+view of the kernel's rows.  The blocks hold n n_range doubles, the weighted
+(x-index, y-degree) pairs only.  The null term (1/beta) sum_k W_k(x)
+(n_k . phi(y))^2 of a kernel split along the graph's levels adds d + 1 - L
+rows sqrt(W_k(x) / beta) n_k, with W_k(x) the running sum of b_x(x)^2 up to
+the x-members of degree d - k; without levels there are none.  So a point
+has n_range + d + 1 - L rows, 60 of n = 231 at sign d = 20 where the eigen
+route gave 231, and the working set is 8 n n_range bytes where it was 8 n^2.
+Each point streams the blocks once.
 
 Points are minimized in chunks sized by bytes: a chunk takes as many points
 as keep one (chunk, r, 2d+1) work array within a fixed budget, and each work
@@ -286,15 +293,15 @@ class Approximant:
 
     The fiber rows stay in phi, the kernel's last-axis family on the domain's
     y-axis, whatever the search interval; the solver evaluates phi itself.
-    Working set, with n the basis size and r = n sum-of-squares rows: the
-    kernel holds M and its sum-of-squares rows at 8 n^2 bytes each, and the
-    y-degree blocks are views of those rows, so the approximant itself holds
-    no n x n array.  Evaluation runs in chunks of
-    max(1, _CHUNK_BYTES // (8 r (2d+1))) points, so each of its largest work
-    arrays, the (chunk, r, 2d+1) node values and candidate terms, takes at
-    most _CHUNK_BYTES (4 MiB).  The two are never alive together: beside one
-    of them a chunk holds its (chunk, r, d+1) rows.  At disk1 d = 20
-    (n = 1,771) the kernel's rows take 24 MiB and a chunk has 7 points.
+    Working set, with n the basis size and r = n_range + d + 1 - L rows per
+    point (r = n without levels): the kernel holds M at 8 n^2 bytes and its
+    range rows at 8 n n_range, and the y-degree blocks are views of those
+    rows, so the approximant itself holds no n x n array.  Evaluation runs in
+    chunks of max(1, _CHUNK_BYTES // (8 r (2d+1))) points, so each of its
+    largest work arrays, the (chunk, r, 2d+1) node values and candidate terms,
+    takes at most _CHUNK_BYTES (4 MiB).  The two are never alive together:
+    beside one of them a chunk holds its (chunk, r, d+1) rows.  At disk1
+    d = 20 (n = 1,771, n_range = 441) the kernel's rows take 6 MiB.
     """
 
     def __init__(self, kernel: CDKernel, config: ApproxConfig | None = None):
@@ -306,25 +313,43 @@ class Approximant:
         self.spec = spec
         self._y_interval = _interval(self.config.y_interval or spec.domain[-1], spec.d)
         self._x_spec = spec.x_spec()
-        self._blocks = tuple(np.split(kernel._rows, np.cumsum(y_layout(spec.p, spec.d).runs)[:-1]))
-        self._chunk = max(1, _CHUNK_BYTES // (8 * self._blocks[0].shape[1] * (2 * spec.d + 1)))
+        runs = y_layout(spec.p, spec.d).runs
+        self._blocks = tuple(np.split(kernel._rows, np.cumsum(runs)[:-1]))
+        # row k - L of the null directions weighs the x-members of degree <= d - k: the first runs[k]
+        self._null_ends = runs[spec.d + 1 - kernel._null.shape[0] :] - 1
+        r = self._blocks[0].shape[1] + kernel._null.shape[0]
+        self._chunk = max(1, _CHUNK_BYTES // (8 * r * (2 * spec.d + 1)))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
-        """Fiber rows (B, r, d+1) at the points X; rows that overflow raise ValueError, with no RuntimeWarning."""
-        r = self._blocks[0].shape[1]
+        """Fiber rows (B, r, d+1) at the points X; rows that overflow raise ValueError, with no RuntimeWarning.
+
+        The first rows are the range part, one stacked GEMV per y-degree; the
+        last d + 1 - L are the null term's sqrt(W_k(x) / beta) n_k, with
+        W_k(x) the running sum of the squared x-basis up to the x-members of
+        degree d - k.
+        """
+        kern = self.kernel
+        r, k = self._blocks[0].shape[1], kern._null.shape[0]
         out = np.empty((len(self._blocks), X.shape[0], 1, r))
+        rows = np.empty((X.shape[0], r + k, self.spec.d + 1))
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             bx = eval_basis_batch(self._x_spec, X)[:, None, :]
-            for k, M in enumerate(self._blocks):  # one stacked (B, 1, n_k) @ (n_k, r) GEMV per y-degree
-                np.matmul(bx[:, :, : M.shape[0]], M, out=out[k])
-        if not np.all(np.isfinite(out)):
+            for j, M in enumerate(self._blocks):  # one stacked (B, 1, n_j) @ (n_j, r) GEMV per y-degree
+                np.matmul(bx[:, :, : M.shape[0]], M, out=out[j])
+            rows[:, :r] = out[:, :, 0].transpose(1, 2, 0)
+            W = np.cumsum(np.square(bx[:, 0]), axis=1)[:, self._null_ends]
+            np.multiply(np.sqrt(W / kern.beta)[:, :, None], kern._null, out=rows[:, r:])
+        if not np.all(np.isfinite(rows)):
             raise ValueError("non-finite fiber coefficients")
-        return np.ascontiguousarray(out[:, :, 0].transpose(1, 2, 0))
+        return rows
 
     def y_coefficients(self, x) -> np.ndarray:
         """Sum-of-squares rows A(x): q(x, y) = sum_i (A_i . phi(y))^2, phi the last-axis family on the domain's y-axis.
 
-        In the orthonormal family phi is the basis ``partial_argmin`` reads on that axis."""
+        An (n_range + d + 1 - L, d + 1) array: the range rows, then the null
+        term's rows sqrt(W_k(x) / beta) n_k, k = L..d (none without levels).
+        In the orthonormal family phi is the basis ``partial_argmin`` reads on
+        that axis."""
         return self._rows(as_points(self._x_spec, np.reshape(x, (1, -1))))[0]
 
     def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray]:

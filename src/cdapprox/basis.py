@@ -16,7 +16,8 @@ multiplies table rows into the basis; ``basis_sqnorm`` gives ||b(z)||^2 from
 the tables without forming the basis.  Evaluation takes batches only:
 ``eval_basis_batch`` reads an (m, p) array, and one point is a one-row batch.
 ``table_blocks`` is the one stream of points in blocks.  ``y_layout`` derives
-the y-degree layout that the moments, kernel, fiber and L2 projection read.
+the y-degree layout that the moments, kernel, fiber and L2 projection read,
+and ``x_degree_members`` groups it by x-index for the kernel's level split.
 """
 
 from __future__ import annotations
@@ -53,18 +54,23 @@ def basis_size(p: int, d: int) -> int:
 def _grevlex_indices(p: int, d: int) -> np.ndarray:
     """Exponent rows in grevlex order: ascending degree, reverse-lex tie-break.
 
-    Built one axis at a time: the rows of degree t over k+1 axes are those of
-    degree t - j over the first k axes with last exponent j, for j = 0..t in
-    turn, which is the reverse-lex order.  Costs O(n p) per axis.
+    Built one axis at a time: the rows over k+1 axes pair each row of degree
+    s over the first k axes with every last exponent j <= d - s, and one
+    stable sort by (s + j, j) orders them.  Within a key the pairs keep the
+    order of the k-axis rows, so the rows of degree t come as those of degree
+    t - j for j = 0..t in turn, which is the reverse-lex order.  Costs
+    O(n log n) per axis, in a fixed number of numpy calls.
     """
     basis_size(p, d)  # validates and guards against absurd sizes
-    blocks = [np.array([[t]], dtype=np.int64) for t in range(d + 1)]  # blocks[t]: the rows of degree t
+    out = np.arange(d + 1, dtype=np.int64)[:, None]
+    deg = out[:, 0]
     for _ in range(1, p):
-        blocks = [
-            np.concatenate([np.column_stack([blocks[t - j], np.full(len(blocks[t - j]), j)]) for j in range(t + 1)])
-            for t in range(d + 1)
-        ]
-    out = np.concatenate(blocks)
+        count = d + 1 - deg  # last exponents 0..d - s for a row of degree s
+        row = np.repeat(np.arange(deg.size), count)
+        j = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+        sort = np.argsort((deg[row] + j) * (d + 1) + j, kind="stable")
+        out = np.column_stack([out[row[sort]], j[sort]])
+        deg = out.sum(axis=1)
     out.setflags(write=False)
     return out
 
@@ -93,6 +99,24 @@ def y_layout(p: int, d: int) -> YLayout:
     for a in layout:
         a.setflags(write=False)
     return layout
+
+
+@lru_cache(maxsize=None)
+def x_degree_members(p: int, d: int) -> tuple:
+    """The members L_a(x) phi_j(y) grouped by the x-degree s of a, as layout positions (read-only).
+
+    Entry s is an (n_x(s), d - s + 1) array: one row per x-index a of x-degree
+    s, ascending, and column j holds the position of (a, j) in ``y_layout``'s
+    order, the start of run j plus a.  These are the members whose y-degree
+    may reach d - s.
+    """
+    runs = y_layout(p, d).runs
+    start = np.cumsum(runs) - runs
+    upto = np.append(0, runs[::-1])  # upto[s + 1]: the x-members of degree <= s
+    out = tuple(start[: d + 1 - s] + np.arange(upto[s], upto[s + 1])[:, None] for s in range(d + 1))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -246,29 +270,38 @@ def _degree_fold(d: int) -> np.ndarray:
     return out
 
 
-def basis_sqnorm(spec: BasisSpec, tabs: list) -> np.ndarray:
-    """Squared norm ||b(z)||^2 = sum_i b_i(z)^2 of the full basis at each point of ``tabs``.
+def degree_sqnorms(d: int, tabs: list) -> np.ndarray:
+    """Degree-major (d+1, m): row t sums prod_k tabs[k][:, a_k]^2 over the exponents a of total degree t.
 
-    Sums prod_k tabs[k][:, a_k]^2 over the exponents |a| <= d without forming
-    the basis: acc[t] holds the sum over the exponents of total degree t on the
-    axes seen so far, and each middle axis is a convolution over the degrees
-    truncated at d.  The last axis is folded in at once: its squares summed
-    over the degrees j <= d - t, by one product with ``_degree_fold(d)``,
-    weigh acc[t].  O(p d^2) per point against O(n) for the basis itself.  In
-    the orthonormal family this is K0(z, z), the Christoffel-Darboux kernel of
-    the reference measure.
+    The exponents run over the axes of ``tabs``, and each middle axis is a
+    convolution over the degrees truncated at d: acc[t] holds the sum over
+    the axes seen so far.  O(len(tabs) d^2) per point.
     """
-    d = spec.d
     sq = [np.square(tab.T) for tab in tabs]  # degree-major (d+1, m) each
     acc = sq[0]
-    for s in sq[1:-1]:
+    for s in sq[1:]:
         nxt = acc * s[0]
         for j in range(1, d + 1):
             nxt[j:] += acc[: d + 1 - j] * s[j]
         acc = nxt
-    if len(sq) == 1:
-        return acc.sum(axis=0)
-    return np.einsum("tm,tm->m", _degree_fold(d) @ sq[-1], acc)
+    return acc
+
+
+def basis_sqnorm(spec: BasisSpec, tabs: list) -> np.ndarray:
+    """Squared norm ||b(z)||^2 = sum_i b_i(z)^2 of the full basis at each point of ``tabs``.
+
+    Sums prod_k tabs[k][:, a_k]^2 over the exponents |a| <= d without forming
+    the basis: ``degree_sqnorms`` of every axis but the last gives acc[t], and
+    the last axis is folded in at once: its squares summed over the degrees
+    j <= d - t, by one product with ``_degree_fold(d)``, weigh acc[t].
+    O(p d^2) per point against O(n) for the basis itself.  In the
+    orthonormal family this is K0(z, z), the Christoffel-Darboux kernel of
+    the reference measure.
+    """
+    d = spec.d
+    if len(tabs) == 1:
+        return degree_sqnorms(d, tabs).sum(axis=0)
+    return np.einsum("tm,tm->m", _degree_fold(d) @ np.square(tabs[-1].T), degree_sqnorms(d, tabs[:-1]))
 
 
 def table_blocks(spec: BasisSpec, Z, block: int = _BLOCK, nodes: np.ndarray | None = None):

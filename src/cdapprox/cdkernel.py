@@ -12,17 +12,37 @@ only kernel the library builds: every guarantee it checks is stated for it.
 Small q flags points near the support of mu; the ``gamma_threshold`` level
 separates graph from non-graph points at a rate controlled by the degree.
 
-``CDKernel`` stores the sum-of-squares rows once, transposed, as the (n, r)
-array of the cached ``basis.y_layout``, and no copy of the layout.
-``Approximant`` splits that array into its y-degree runs without a copy, and
-``sos_decomposition`` scatters it back into grevlex order on each call.
+Where y takes L values c_l on mu, as on the graph of a piecewise constant f,
+every L_a(x) g(y) with g vanishing at the levels is an exact null vector of
+M (the Christoffel-Darboux kernel on an algebraic set: Lasserre, Pauwels and
+Putinar, The Christoffel-Darboux Kernel for Data Analysis, 2022).
+``_levels`` reads the levels from M alone where the y-marginal's Gram shows
+a rank gap of ``_LEVEL_GAP``, and ``_level_split`` keeps them only where M
+leaks less than ``_LEAK_TOL`` along those directions.  Then
+
+    q(z) = ||S_r Q_range^T b(z)||^2 + (1/beta) sum_k W_k(x) (n_k . phi(y))^2,
+
+with n_L..n_d the nested orthonormal null directions in phi, the last-axis
+family, W_k(x) the sum of L_a(x)^2 over the x-members of degree <= d - k, and
+S_r the sum-of-squares rows of M_r = Q_range^T M Q_range, of size n_range.
+Both terms are sums of squares, so nothing cancels, and only M_r is
+eigendecomposed: n_range is 41 and 60 of n = 231 at sign and step d = 20,
+81 of 165 at disk1 d = 8.  Elsewhere the null term is empty and Q_range = I.
+
+``CDKernel`` stores the range rows once, transposed, as the (n, n_range)
+array of the cached ``basis.y_layout``, with the (d + 1 - L, d + 1) null
+directions beside them and no copy of the layout: 8 n n_range bytes where
+the eigen route needs 8 n^2.  ``Approximant`` splits the range rows into
+their y-degree runs without a copy and appends the null term's d + 1 - L
+rows, and ``sos_decomposition`` rebuilds all n rows in grevlex order on each
+call.
 
 ``CDKernel.eval_q_batch``, the one evaluation of q (one point is a one-row
 batch), iterates ``basis.table_blocks``: each block's per-axis tables give
-one basis-major (n, block) basis B over the layout's exponent rows, and q is
-the column sum of squares of C = S B, with S the sum-of-squares rows.
-Memory is O(block * n) whatever the number of points N, and the result
-matches a one-shot evaluation up to rounding.
+one basis-major (n, block) basis B over the layout's exponent rows, the range
+part of q is the column sum of squares of C = S B, and the null term comes
+from the same tables.  Memory is O(block * n) whatever the number of points
+N, and the result matches a one-shot evaluation up to rounding.
 
 ``certified_floor`` is the one certified lower bound of q over all of R^p:
 min(g) times the least ||b(z)||^2, from the eigenvalues alone.  Where it
@@ -45,15 +65,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre, polynomial
 
 from .approximant import partial_argmin
 from .basis import (
     _BLOCK,
     Family,
+    _stacked_tables,
     as_points,
     basis_product,
     basis_sqnorm,
+    degree_sqnorms,
     table_blocks,
+    x_degree_members,
     y_layout,
 )
 from .errors import IndefiniteMatrixError
@@ -65,6 +89,19 @@ _BOUND_MARGIN = 1e-8
 # points per block of the bound: its tables cost p (d+1) 8 bytes a point against n 8 for a basis
 # block, so larger blocks pay numpy's per-call cost less often at the same memory
 _BOUND_BLOCK = 2 * _BLOCK
+# eigenvalues of the y-marginal Gram below this share of its largest count as null when the levels
+# are counted, and the least ratio of the smallest kept one to the largest null one (in magnitude)
+# that claims levels.  Graphs on levels (sign, step, disk1, disk2, both families, d <= 32) leave
+# their null eigenvalues at rounding, 2.5e-16 of the largest at most, with a ratio of 7.8e13 or more;
+# abs, whose y is continuous, reads rank 14 of 17 at d = 16, and its ratio never passed 1.1e4
+_RANK_TOL = 1e-12
+_LEVEL_GAP = 1e8
+# largest leak max|M Q_null| / max|M| with which the level split runs: the null directions built from
+# the roots must be null to rounding in all of M, not just in the block they were read from.  Graphs
+# on levels leak 8.1e-15 at most (sign d = 20 by quad), where each n_k is exact to about eps |phi(c_l)|;
+# a root off by delta leaks about |phi'(c_l)| delta.  Dropping a true leak delta would move q by up to
+# delta / beta relative, so this is no test of its own to loosen with beta
+_LEAK_TOL = 1e-12
 
 
 def _check_beta(beta: float) -> None:
@@ -84,12 +121,97 @@ def _tikhonov(evals: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return s, 1.0 / (beta + s)
 
 
-def _column_q(C: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """q = sum_i C[i]^2 per column, with C = S B at the points Z; nan reads inf where Z's row is finite."""
-    q = np.einsum("ij,ij->j", C, C)
+def _finite_q(q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """q at the points Z, with nan read as inf where Z's row is finite."""
     # at a finite z only an overflowing basis entry gives nan, and then q >= min(g) ||b(z)||^2 overflows too
     q[np.isnan(q) & np.isfinite(Z).all(axis=1)] = np.inf
     return q
+
+
+def _levels(M: np.ndarray, spec) -> np.ndarray | None:
+    """The L values that y takes on the measure, read from M alone (Prony's method), or None.
+
+    The x-index-0 members L_0(x) phi_j(y) give M's (d+1, d+1) block G, the
+    Gram of the y-marginal in phi times the constant L_0^2.  Where y takes L
+    values, G has rank L, and its leading (L+1, L+1) block has a null vector
+    whose polynomial in phi vanishes at every level: its roots are the levels.
+    The rank counts the eigenvalues of G above ``_RANK_TOL`` of the largest,
+    and levels are claimed only where the smallest of those stands at least
+    ``_LEVEL_GAP`` above every other one: rank d + 1, or a spectrum that
+    decays with no such gap, as a continuous y-marginal's does, means no
+    levels.  The roots' real parts are returned, so a claim is only as good
+    as the leak test that ``_level_split`` makes.
+    """
+    d = spec.d
+    lay = y_layout(spec.p, d)
+    first = lay.order[np.cumsum(lay.runs) - lay.runs]  # the members (0, j), j = 0..d
+    ev = np.linalg.eigvalsh(M[np.ix_(first, first)])
+    L = int(np.count_nonzero(ev > _RANK_TOL * ev[-1]))
+    if not (ev[-1] > 0 and L <= d and ev[-L] >= _LEVEL_GAP * np.abs(ev[: d + 1 - L]).max()):
+        return None
+    lead = first[: L + 1]
+    c = np.linalg.eigh(M[np.ix_(lead, lead)])[1][:, 0]
+    if spec.family is Family.LEGENDRE_ORTHONORMAL:  # phi_j is sqrt((2j + 1) / h) P_j(u)
+        lo, hi = spec.domain[-1]
+        roots = lo + 0.5 * (legendre.legroots(c * np.sqrt(2.0 * np.arange(L + 1) + 1.0)).real + 1.0) * (hi - lo)
+    else:
+        roots = polynomial.polyroots(c).real
+    return roots if roots.size == L else None
+
+
+def _level_split(M: np.ndarray, spec):
+    """(null, M_r, expand) of the split of M along the levels, or None where none pass the leak test.
+
+    With V the (L, d+1) values phi_j(c_l) at the levels, the polynomials of
+    degree <= m in y that vanish at every level are the null space of V's
+    first m + 1 columns.  ``null`` holds its nested orthonormal basis
+    n_L..n_d, one (d+1)-row each: row k - L has degree k, and rows up to m
+    span the degree-<= m part.  For an x-index a of x-degree s, m = d - s,
+    the vectors L_a(x) (n_k . phi(y)), k <= m, are null vectors of M: Q_null.
+    The rest of that x-index's span is R_m, an orthonormal basis of the row
+    space of V's first m + 1 columns (all of it where m < L), and these
+    make Q_range, block-diagonal by x-index.  Where max|M Q_null| stays
+    within ``_LEAK_TOL`` of max|M|, M_r = Q_range^T M Q_range is formed class
+    by class of ``basis.x_degree_members``, never holding more than one
+    (n_range, n) array beside M, and ``expand(U)`` maps the columns of an
+    (n_range, k) U back to the (n, k) rows Q_range U in ``y_layout`` order.
+    """
+    if spec.p < 2:
+        return None
+    levels = _levels(M, spec)
+    if levels is None:
+        return None
+    d, L, n = spec.d, levels.size, M.shape[0]
+    V = _stacked_tables(spec.family, d, levels[None], np.array([spec.domain[-1]]))[:, 0].T
+    K = np.linalg.svd(V)[2][L:].T  # an orthonormal basis of V's null space
+    # rotate it so column i has degree <= L + i: a QR of the reversed top-degree rows
+    null = np.tril((K @ np.linalg.qr(K[L:][::-1].T)[0][:, ::-1]).T, L)
+    below = np.arange(d + 1)[:, None] <= np.arange(L, d + 1)[:, None, None]  # rows <= m, for m = L..d
+    spans = np.linalg.qr(np.where(below, V.T, 0.0))[0]
+    bases = [np.eye(m + 1) for m in range(L)] + [spans[m - L, : m + 1] for m in range(L, d + 1)]
+    order = y_layout(spec.p, d).order
+    classes = [(pos, order[pos], bases[d - s], null[: max(d - s + 1 - L, 0), : d - s + 1])
+               for s, pos in enumerate(x_degree_members(spec.p, d))]
+    ends = np.cumsum([0] + [pos.shape[0] * R.shape[1] for pos, _, R, _ in classes])
+    tol = _LEAK_TOL * max(float(M.max()), -float(M.min()))
+    QtM = np.empty((ends[-1], n))
+    for (pos, rows, R, N), c0, c1 in zip(classes, ends[:-1], ends[1:]):
+        blk = M[rows]  # (n_s, m + 1, n): the rows of this class's members
+        if N.size and np.abs(N @ blk).max() > tol:
+            return None
+        np.matmul(R.T, blk, out=QtM[c0:c1].reshape(pos.shape[0], R.shape[1], n))
+    M_r = np.empty((ends[-1], ends[-1]))
+    for (pos, rows, R, _), c0, c1 in zip(classes, ends[:-1], ends[1:]):
+        M_r[:, c0:c1] = (QtM[:, rows] @ R).reshape(ends[-1], c1 - c0)
+    del QtM
+
+    def expand(U):
+        out = np.empty((n, U.shape[1]))
+        for (pos, _, R, _), c0, c1 in zip(classes, ends[:-1], ends[1:]):
+            out[pos.ravel()] = (R @ U[c0:c1].reshape(pos.shape[0], R.shape[1], -1)).reshape(-1, U.shape[1])
+        return out
+
+    return null, M_r, expand
 
 
 @lru_cache(maxsize=None)
@@ -171,24 +293,38 @@ def beta_schedule(d: int) -> float:
 class CDKernel:
     """Sum-of-squares form of the regularized Christoffel-Darboux polynomial.
 
-    Eigenvalues are sorted ascending; negative ones within the PSD tolerance
-    of ``moments`` are rounding and clipped to zero, anything below it raises
-    IndefiniteMatrixError.  The kernel holds the clipped eigenvalues and one
-    factor, the sum-of-squares rows S = (P sqrt(g))^T of ``sos_decomposition``,
-    held once and read-only as ``_rows``: the C-ordered (n, r) array S^T, its
-    members in the order of the cached ``basis.y_layout``, which the methods
-    read.  ``Approximant``'s fiber blocks are views of its runs.
+    Where y takes few values on the measure and they pass the leak test of
+    ``_level_split``, M splits into exact null directions and their
+    complement, and only M_r = Q_range^T M Q_range, of size n_range, is
+    eigendecomposed; elsewhere that is all of M, and the null part is empty.
+    Eigenvalues are sorted ascending, the n - n_range exact zeros first;
+    negative ones within the PSD tolerance of ``moments`` are rounding and
+    clipped to zero, anything below it raises IndefiniteMatrixError.  The
+    kernel holds the clipped eigenvalues and two factors, both read-only:
+    ``_rows``, the C-ordered (n, n_range) array of the range rows
+    (Q_range P_r sqrt(g))^T transposed, its members in the order of the
+    cached ``basis.y_layout``, and ``_null``, the (d + 1 - L, d + 1) null
+    directions n_L..n_d in phi.  So it holds n n_range + (d + 1 - L)(d + 1)
+    doubles and no n x n array: 41 of 231 columns at sign d = 20, 81 of 165
+    at disk1 d = 8.  ``Approximant``'s fiber blocks are views of the range
+    rows.
     """
 
     def __init__(self, matrix: MomentMatrix, beta: float):
         _check_beta(beta)
-        evals, P = np.linalg.eigh(matrix.entries)
-        self.spec = matrix.spec
+        spec, M = matrix.spec, matrix.entries
+        self.spec = spec
         self.beta = float(beta)
-        self.eigenvalues, g = _tikhonov(evals, self.beta)
-        self._rows = P[y_layout(self.spec.p, self.spec.d).order]  # the one gather, scaled in place
+        order = y_layout(spec.p, spec.d).order
+        # without levels M_r is M itself and the range rows are its eigenvectors, gathered
+        self._null, M_r, expand = _level_split(M, spec) or (np.empty((0, spec.d + 1)), M, lambda U: U[order])
+        evals, U = np.linalg.eigh(M_r)
+        s, g = _tikhonov(evals, self.beta)
+        self.eigenvalues = np.concatenate([np.zeros(M.shape[0] - s.size), s])
+        self._rows = expand(U)  # the one gather, scaled in place
         self._rows *= np.sqrt(g)
-        self._rows.setflags(write=False)
+        for a in (self._rows, self._null):
+            a.setflags(write=False)
 
     def filtered_matrix(self) -> np.ndarray:
         """(M + beta I)^-1 = P diag(g) P^T, as S^T S."""
@@ -196,26 +332,34 @@ class CDKernel:
         return S.T @ S
 
     def eval_q_batch(self, Z) -> np.ndarray:
-        """q at each row of Z, as sum_i (w_i . b(z))^2 over the rows of the SOS form.
+        """q at each row of Z: the range rows' sum of squares plus the null term.
 
         Works through Z in the blocks of ``basis.table_blocks``: per block,
-        C = S B with S the SOS rows and B the basis-major (n, block) basis over
-        ``y_layout``'s exponent rows, both in the stored y-degree order, and q
-        is the sum of squares down each column of C.  Neither the (N, n) basis
+        C = S B with S the range rows and B the basis-major (n, block) basis
+        over ``y_layout``'s exponent rows, both in the stored y-degree order,
+        and the range part of q is the sum of squares down each column of C.
+        The null part, (1/beta) sum_k W_k(x) (n_k . phi(y))^2 with W_k(x) the
+        sum of L_a(x)^2 over the x-members of degree <= d - k, comes from the
+        block's axis tables in O(p d^2) a point.  Neither the (N, n) basis
         nor its tables are ever held whole; memory is O(block * n).  Matches
         the one-shot evaluation up to rounding.  A finite z whose basis
         overflows has q beyond double range and reads inf; a row with a nan or
         inf coordinate may read nan.  Neither raises a RuntimeWarning.
         """
-        spec, S = self.spec, self._rows.T
+        spec, S, null = self.spec, self._rows.T, self._null
         indices = y_layout(spec.p, spec.d).indices
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         q = np.empty(Z.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
             for rows, tabs in table_blocks(spec, Z):
-                B = basis_product(spec, tabs, indices)
-                q[rows] = _column_q(S @ B, Z[rows])
-                del B  # free this block before the next one is built: about two blocks live at once
+                C = S @ basis_product(spec, tabs, indices)  # the block's basis is freed before the next one
+                q_blk = np.einsum("ij,ij->j", C, C)
+                if null.shape[0]:
+                    # W[t] sums L_a(x)^2 over the x-members of degree <= t; row k - L of null needs t = d - k
+                    W = np.cumsum(degree_sqnorms(spec.d, tabs[:-1]), axis=0)[null.shape[0] - 1 :: -1]
+                    nu = null @ tabs[-1].T
+                    q_blk += np.einsum("km,km,km->m", W, nu, nu) / self.beta
+                q[rows] = _finite_q(q_blk, Z[rows])
         return q
 
     def q_at_least(self, Z, level: float) -> np.ndarray:
@@ -246,16 +390,30 @@ class CDKernel:
         return out
 
     def sos_decomposition(self) -> np.ndarray:
-        """Rows w_i with q(z) = sum_i (w_i . b(z))^2, ascending eigenvalue order.
+        """Rows w_i with q(z) = sum_i (w_i . b(z))^2, ascending eigenvalue order, columns in grevlex order.
 
-        Row i is sqrt(g_i) = 1/sqrt(beta + lambda_i) times the i-th eigenvector,
-        its columns in grevlex order: (P sqrt(g))^T bit for bit.  The kernel
-        stores the rows once, in the y-degree order of ``_rows``; every call
-        scatters them back by ``y_layout``'s ``order`` into a fresh read-only
-        (r, n) array, the transpose of a C-ordered one.
+        Row i is sqrt(g_i) = 1/sqrt(beta + lambda_i) times the i-th
+        eigenvector of M.  The first n - n_range rows are the null directions
+        L_a(x) (n_k . phi(y)) of the level split scaled by 1/sqrt(beta), rebuilt
+        on each call, class by class of ``basis.x_degree_members`` and then
+        by k; the others are the stored range rows, scattered back by
+        ``y_layout``'s ``order``.  Without levels that is (P sqrt(g))^T bit for
+        bit.  Each call returns a fresh read-only (n, n) array, the transpose of
+        a C-ordered one.
         """
-        out = np.empty_like(self._rows)
-        out[y_layout(self.spec.p, self.spec.d).order] = self._rows
+        spec, null = self.spec, self._null
+        n, k = spec.size, spec.size - self._rows.shape[1]
+        order = y_layout(spec.p, spec.d).order
+        out = np.zeros((n, n))
+        out[order, k:] = self._rows
+        L, col = spec.d + 1 - null.shape[0], 0
+        for s, pos in enumerate(x_degree_members(spec.p, spec.d)):
+            m = spec.d - s
+            if m < L:
+                break
+            cols = col + np.arange(pos.shape[0] * (m + 1 - L)).reshape(pos.shape[0], 1, m + 1 - L)
+            out[order[pos][:, :, None], cols] = null[: m + 1 - L, : m + 1].T / math.sqrt(self.beta)
+            col += cols.size
         out.setflags(write=False)
         return out.T
 

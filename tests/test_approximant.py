@@ -258,7 +258,8 @@ def test_y_coefficients_reproduce_kernel(family):
     rng = np.random.default_rng(9)
     for x in rng.uniform(-1, 1, size=5):
         rows = app.y_coefficients([x])
-        assert rows.shape == (M.n, 4)
+        # the range rows, then one row sqrt(W_k(x) / beta) n_k per null direction k = 2, 3
+        assert rows.shape == (kern._rows.shape[1] + 2, 4) == (7 + 2, 4)
         for y in rng.uniform(-1, 1, size=5):
             direct = kern.eval_q_batch([[x, y]])[0]
             if family is Family.MONOMIAL_GREVLEX:
@@ -305,8 +306,11 @@ def dense_rows_map(app):
     ids=lambda case: f"{case[0]}-d{case[1]}-{case[2]}",
 )
 def test_y_coefficients_match_the_dense_rows_map(case):
-    # the y-degree blocks drop only the (x-index, y-degree) pairs that carry no
-    # weight, and a custom search interval leaves the rows as they are
+    # the fiber's (d+1, d+1) Gram A(x)^T A(x), q(x, y) = phi(y)^T A^T A phi(y), is the one of
+    # the dense rows map built from all n rows of sos_decomposition, null rows included: the
+    # y-degree blocks drop only the (x-index, y-degree) pairs that carry no weight, the null
+    # rows fold the null directions into d + 1 - L rows, and a custom search interval leaves
+    # the rows as they are
     name, d, how = case
     if name == "disk1":
         app = Approximant(empirical_disk_kernel())
@@ -318,24 +322,27 @@ def test_y_coefficients_match_the_dense_rows_map(case):
     x_spec, T = dense_rows_map(app)
     X = get_benchmark(name).random_x(9, np.random.default_rng(d))
     for x in X:
-        want = np.einsum("a,ark->rk", eval_basis_batch(x_spec, x[None])[0], T)
+        dense = np.einsum("a,ark->rk", eval_basis_batch(x_spec, x[None])[0], T)
+        want = dense.T @ dense
         got = app.y_coefficients(x)
-        assert got.shape == want.shape and got.flags.c_contiguous
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+        assert got.shape == (app.kernel._rows.shape[1] + app.kernel._null.shape[0], d + 1) and got.flags.c_contiguous
+        np.testing.assert_allclose(got.T @ got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("name, d", [("sign", 20), ("disk1", 8)])
-def test_approximant_stores_n_r_doubles_of_fiber_rows(name, d):
-    # the blocks keep one double per (basis column, row) pair; a dense
-    # (n_x, r, d+1) map would hold 1.9x this at sign d = 20 and 2.5x at disk1 d = 8
+@pytest.mark.parametrize("name, d, n_range", [("sign", 20, 41), ("disk1", 8, 81)])
+def test_approximant_stores_n_r_doubles_of_fiber_rows(name, d, n_range):
+    # the blocks keep one double per (basis column, range row) pair, views of the kernel's
+    # (n, n_range) rows, and the null term reads the kernel's (d + 1 - L, d + 1) directions;
+    # the approximant adds only the d + 1 - L ends of its x-basis sums
     kern = quad_kernel(name, d) if name == "sign" else empirical_disk_kernel()
     app = Approximant(kern)
     n = kern.spec.size
     arrays = [v for v in vars(app).values() if isinstance(v, np.ndarray)]
     arrays += [b for v in vars(app).values() if isinstance(v, tuple) for b in v if isinstance(b, np.ndarray)]
     bases = {id(a.base if a.base is not None else a): a.base if a.base is not None else a for a in arrays}
-    assert sum(a.nbytes for a in bases.values()) == 8 * n * n
-    assert sum(b.size for b in app._blocks) == n * n
+    assert kern._rows.shape == (n, n_range) and kern._null.shape == (d - 1, d + 1)  # L = 2 levels
+    assert sum(a.nbytes for a in bases.values()) == 8 * n * n_range + 8 * (d - 1)
+    assert sum(b.size for b in app._blocks) == n * n_range
 
 
 @pytest.mark.parametrize("name, d", [("sign", 20), ("disk1", 8)])

@@ -18,6 +18,7 @@ from cdapprox.basis import (
     basis_sqnorm,
     eval_basis_batch,
     table_blocks,
+    x_degree_members,
     y_layout,
 )
 
@@ -105,6 +106,33 @@ def test_grevlex_indices_match_the_full_enumeration(p):
         assert not idx.flags.writeable
 
 
+@pytest.mark.parametrize("p, d", [(2, 20), (3, 12), (4, 8), (6, 4), (9, 2)])
+def test_grevlex_indices_are_the_itertools_enumeration_sorted_by_degree_then_reverse_lex(p, d):
+    # one stable sort per axis builds the table; the reference sorts every exponent of
+    # degree <= d by (degree, reversed exponent) in Python
+    ref = sorted((a for a in itertools.product(range(d + 1), repeat=p) if sum(a) <= d), key=lambda a: (sum(a), a[::-1]))
+    idx = BasisSpec(p, d).indices
+    assert idx.dtype == np.int64 and idx.flags.c_contiguous and not idx.flags.writeable
+    assert idx.tolist() == [list(a) for a in ref]
+
+
+@pytest.mark.parametrize("p, d", [(1, 3), (2, 0), (2, 6), (3, 5), (4, 3)])
+def test_x_degree_members_group_the_layout_by_x_index_and_y_degree(p, d):
+    # from itertools' exponents alone: row a of entry s holds, at column j, the layout place of
+    # the member whose x-exponents are the a-th of the (p - 1)-variable basis and whose y-degree is j
+    rows = [tuple(r) for r in _enumerated_grevlex(p, d).tolist()]
+    layout = sorted(rows, key=lambda r: r[-1])
+    x_rows = [tuple(r) for r in _enumerated_grevlex(p - 1, d).tolist()] if p > 1 else [()]
+    groups = x_degree_members(p, d)
+    assert len(groups) == d + 1
+    for s, pos in enumerate(groups):
+        members = [a for a in x_rows if sum(a) == s]
+        assert pos.shape == (len(members), d + 1 - s) and not pos.flags.writeable
+        for a, row in zip(members, pos.tolist()):
+            assert [layout[i] for i in row] == [a + (j,) for j in range(d + 1 - s)]
+    assert sorted(np.concatenate([g.ravel() for g in groups]).tolist()) == list(range(len(rows)))
+
+
 @pytest.mark.parametrize("d", [0, 1, 5, 12])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_y_layout_matches_the_full_enumeration(p, d):
@@ -150,7 +178,9 @@ def test_kernel_fiber_and_level_route_read_the_one_cached_layout(monkeypatch):
     assert sorted(set(calls)) == [(m.__name__, 3, 6) for m in (approximant, cdkernel, moments)]
     lay = y_layout(3, 6)
     assert not any(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in vars(kern).values())
-    assert kern._rows.tobytes() == np.ascontiguousarray(kern.sos_decomposition().T[lay.order]).tobytes()
+    # the range rows are sos_decomposition's last n_range rows, in y-degree order
+    range_rows = kern.sos_decomposition().T[lay.order][:, kern.spec.size - kern._rows.shape[1] :]
+    assert kern._rows.tobytes() == np.ascontiguousarray(range_rows).tobytes()
     calls.clear()
     kern.eval_q_batch(np.zeros((3, 3)))
     assert calls == [("cdapprox.cdkernel", 3, 6)]

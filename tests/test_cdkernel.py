@@ -19,6 +19,7 @@ from cdapprox.basis import (
     basis_sqnorm,
     eval_basis_batch,
     table_blocks,
+    x_degree_members,
     y_layout,
 )
 from cdapprox.benchmarks import get_benchmark
@@ -34,7 +35,7 @@ from cdapprox.cdkernel import (
 )
 from cdapprox.cdkernel import _legendre_christoffel_min as rho
 from cdapprox.errors import IndefiniteMatrixError
-from cdapprox.moments import MomentMatrix, Provenance
+from cdapprox.moments import MomentMatrix, Provenance, empirical_moment_matrix
 
 
 def random_psd_matrix(spec, seed, n_samples=60):
@@ -43,24 +44,37 @@ def random_psd_matrix(spec, seed, n_samples=60):
     return MomentMatrix(spec, B.T @ B / n_samples, Provenance.EMPIRICAL, 1.0)
 
 
+def _float_arrays(kern):
+    return [a for a in vars(kern).values() if isinstance(a, np.ndarray) and a.dtype == float and a.ndim == 2]
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_sos_rows_are_stored_once_with_the_tikhonov_norms(family):
-    # the eigenvalues are eigh's clipped at zero; the kernel's one n x n array
-    # besides M is its rows in y-degree order, and sos_decomposition scatters
-    # them into a fresh read-only grevlex-order array on each call; its squared
-    # row norms are g = 1/(beta + s), and certified_floor's min(g) factor is
-    # 1/(beta + lambda_max) from eigvalsh
+    # the kernel's factors besides M are its range rows in y-degree order and its null
+    # directions, both read-only, and no n x n array; sos_decomposition rebuilds the null
+    # rows and scatters the range rows into a fresh read-only grevlex-order array on each
+    # call; its squared row norms are g = 1/(beta + s), and certified_floor's min(g)
+    # factor is 1/(beta + lambda_max) from eigvalsh.  The mild matrix has no levels (its
+    # leak is 1e-9) and takes the eigen route; sign has two
     mild = MomentMatrix(BasisSpec(2, 1, family=family), np.diag([2.0, 1.0, -1e-9]), Provenance.EMPIRICAL, 1.0)
-    for M, beta in [(mild, 0.5), (get_benchmark("sign").moment_matrix(6, family=family), beta_schedule(6))]:
+    # sign d = 6 keeps min(2, m + 1) members per x-index, m = 6..0, and n_k for k = 2..6
+    sign = get_benchmark("sign").moment_matrix(6, family=family)
+    for M, beta, n_range, n_null in [(mild, 0.5, 3, 0), (sign, beta_schedule(6), 13, 5)]:
         kern = CDKernel(M, beta)
-        assert np.array_equal(kern.eigenvalues, np.clip(np.linalg.eigh(M.entries)[0], 0.0, None))
-        square = [a for a in vars(kern).values() if isinstance(a, np.ndarray) and a.shape == (M.n, M.n)]
-        assert len(square) == 1 and square[0] is kern._rows and not kern._rows.flags.writeable
+        n = M.n
+        assert sorted(map(id, _float_arrays(kern))) == sorted([id(kern._rows), id(kern._null)])
+        assert not kern._rows.flags.writeable and not kern._null.flags.writeable
+        assert kern._rows.shape == (n, n_range) and kern._null.shape == (n_null, M.spec.d + 1)
+        np.testing.assert_allclose(
+            kern.eigenvalues, np.clip(np.linalg.eigvalsh(M.entries), 0.0, None), rtol=0.0, atol=1e-13 * kern.eigenvalues[-1]
+        )
+        assert np.all(kern.eigenvalues[: n - n_range] == 0.0)
         S = kern.sos_decomposition()
         again = kern.sos_decomposition()
-        assert again is not S and again.tobytes() == S.tobytes() and not S.flags.writeable
+        assert S.shape == (n, n) and again is not S and again.tobytes() == S.tobytes() and not S.flags.writeable
         assert not np.shares_memory(S, kern._rows)
-        assert kern._rows.tobytes() == np.ascontiguousarray(S.T[y_layout(M.spec.p, M.spec.d).order]).tobytes()
+        lay = y_layout(M.spec.p, M.spec.d)
+        assert kern._rows.tobytes() == np.ascontiguousarray(S.T[lay.order][:, n - n_range :]).tobytes()
         with pytest.raises(ValueError):
             S[0, 0] = 0.0
         np.testing.assert_allclose(np.sum(S**2, axis=1), 1.0 / (beta + kern.eigenvalues), rtol=1e-12, atol=0.0)
@@ -491,19 +505,150 @@ def test_beta_must_be_positive_and_finite(beta):
         perturbation_alpha(M, M, beta)
 
 
+def _no_level_matrix(case, family):
+    """abs by quad, whose y is continuous, or uniform samples of the box.
+
+    abs's y-marginal Gram reads rank 10 of 11 at d = 10 in the orthonormal family with a ratio
+    of 1.1e4 between its last kept and first null eigenvalue, and rank 14 of 17 at d = 16 with
+    2.2e3: no gap of 1e8, so no levels, though at d = 10 the directions they would give leak
+    only 7.3e-15 of max|M| and would pass the leak test.
+    """
+    if case.startswith("abs"):
+        return get_benchmark("abs").moment_matrix(int(case[5:]), mode="quad", family=family)
+    Z = np.random.default_rng(11).uniform(-1.0, 1.0, size=(400, 2))
+    return empirical_moment_matrix(BasisSpec(2, 8, family=family), Z)
+
+
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("name,d", [("sign", 8), ("disk1", 6)])
-def test_sos_decomposition_is_the_scaled_eigenvectors_bit_for_bit(name, d, family):
-    # the kernel stores its rows in the fiber's y-degree order; sos_decomposition puts them
-    # back in grevlex column order: (P sqrt(g))^T from an eigh of its own, every bit, read-only
-    M = get_benchmark(name).moment_matrix(d, family=family)
-    beta = beta_schedule(d)
+@pytest.mark.parametrize("case", ["abs-d10", "abs-d16", "random-sample-d8"])
+def test_sos_decomposition_is_the_scaled_eigenvectors_bit_for_bit(case, family):
+    # inputs without levels take the eigen route: the rows the kernel stores in the fiber's
+    # y-degree order, its eigenvalues and sos_decomposition's grevlex columns are
+    # (P sqrt(g))^T and eigh's clipped eigenvalues from an eigh of the test's own, every bit.
+    # At abs d = 10 (analytic) a split read q 1.8e-7 off the 50-digit reference on 12 points
+    # drawn as in the reference test below, against 6.1e-8 for the eigen route; at d = 9,
+    # 2.4e-6 against 5.5e-8
+    M = _no_level_matrix(case, family)
+    beta = 1e-8
     evals, P = np.linalg.eigh(M.entries)
-    want = (P * np.sqrt(1.0 / (beta + np.clip(evals, 0.0, None)))).T
-    S = CDKernel(M, beta).sos_decomposition()
+    g = 1.0 / (beta + np.clip(evals, 0.0, None))
+    kern = CDKernel(M, beta)
+    assert kern._null.shape == (0, M.spec.d + 1)
+    assert kern.eigenvalues.tobytes() == np.clip(evals, 0.0, None).tobytes()
+    assert kern._rows.tobytes() == (P[y_layout(M.spec.p, M.spec.d).order] * np.sqrt(g)).tobytes()
+    want = (P * np.sqrt(g)).T
+    S = kern.sos_decomposition()
     assert S.shape == want.shape and S.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         S[0, 0] = 0.0
+
+
+def _level_matrix(case):
+    name, d, mode = case
+    return get_benchmark(name).moment_matrix(d, mode=mode, grid=100 if mode == "empirical" else None)
+
+
+@pytest.mark.parametrize(
+    "case, n_range",
+    [(("sign", 8, "analytic"), 17), (("step", 8, "quad"), 24), (("disk1", 8, "analytic"), 81),
+     (("disk1", 8, "empirical"), 81), (("sign", 20, "quad"), 41), (("step", 20, "quad"), 60)],
+    ids=lambda c: "-".join(map(str, c)) if isinstance(c, tuple) else str(c),
+)
+def test_level_inputs_split_off_exact_zeros_and_match_a_dense_solve(case, n_range):
+    # y takes 2, 3 and 2 values on sign, step and disk1: the kernel keeps n_range range rows,
+    # sum over x-indices of min(L, m + 1), and d + 1 - L null directions, holds no n x n array,
+    # and its eigenvalues lead with n - n_range exact zeros (M_r has no clipped one at d = 8).
+    # Its rows reproduce a dense solve of M + beta I at the beta schedule
+    M = _level_matrix(case)
+    d, n = M.spec.d, M.n
+    beta = beta_schedule(d)
+    kern = CDKernel(M, beta)
+    L = {"sign": 2, "step": 3, "disk1": 2}[case[0]]
+    assert kern._rows.shape == (n, n_range) and kern._null.shape == (d + 1 - L, d + 1)
+    assert not any(a.shape == (n, n) for a in _float_arrays(kern))
+    zeros = np.count_nonzero(kern.eigenvalues == 0.0)
+    assert np.all(kern.eigenvalues[: n - n_range] == 0.0) and (zeros == n - n_range or d > 8)
+    assert np.all(np.diff(kern.eigenvalues) >= 0.0)
+    # the null directions are orthonormal, and n_k has degree k
+    np.testing.assert_allclose(kern._null @ kern._null.T, np.eye(d + 1 - L), rtol=0.0, atol=1e-14)
+    assert np.all(np.triu(kern._null, L + 1) == 0.0) and np.all(np.diagonal(kern._null, L) != 0.0)
+    dense = np.linalg.solve(M.entries + beta * np.eye(n), np.eye(n))
+    S = kern.sos_decomposition()
+    np.testing.assert_allclose(S.T @ S, dense, rtol=0.0, atol=1e-8 * np.abs(dense).max())
+    rng = np.random.default_rng(d)
+    Z = rng.uniform(-1.0, 1.0, size=(300, M.spec.p))
+    B = eval_basis_batch(M.spec, Z)
+    q_dense = np.einsum("ij,ji->i", B, dense @ B.T)
+    np.testing.assert_allclose(np.sum((B @ S.T) ** 2, axis=1), q_dense, rtol=1e-8)
+    np.testing.assert_allclose(kern.eval_q_batch(Z), q_dense, rtol=1e-8)
+    assert kern.markov_mass() == pytest.approx(np.trace(dense @ M.entries), rel=1e-8)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_levels_are_read_on_a_shifted_box_in_both_families(family):
+    # samples of a three-valued f on [0, 2] x [-0.5, 3]: the levels are the roots of the
+    # y-marginal's null polynomial, mapped from the Legendre variable or read off the monomials
+    spec = BasisSpec(2, 6, family=family, domain=((0.0, 2.0), (-0.5, 3.0)))
+    x = np.random.default_rng(4).uniform(0.0, 2.0, size=600)
+    Z = np.c_[x, np.select([x < 0.5, x < 1.2], [0.25, 2.75], 1.5)]
+    M = empirical_moment_matrix(spec, Z)
+    beta = 1e-3
+    kern = CDKernel(M, beta)
+    assert kern._null.shape == (4, 7)
+    P = np.polynomial.polynomial if family is Family.MONOMIAL_GREVLEX else None
+    if P is not None:  # n_k(y) = sum_j n_k[j] y^j vanishes at every level
+        np.testing.assert_allclose(P.polyval(np.array([0.25, 1.5, 2.75])[:, None], kern._null.T), 0.0, atol=1e-12)
+    dense = np.linalg.solve(M.entries + beta * np.eye(M.n), np.eye(M.n))
+    W = np.random.default_rng(5).uniform([0.0, -0.5], [2.0, 3.0], size=(200, 2))
+    B = eval_basis_batch(spec, W)
+    # the monomials reach 3^6 on this box: cond(M + beta I) is 7.9e7 there and 8.2e2 in Legendre
+    rtol = 1e-6 if family is Family.MONOMIAL_GREVLEX else 1e-9
+    np.testing.assert_allclose(kern.eval_q_batch(W), np.einsum("ij,ji->i", B, dense @ B.T), rtol=rtol)
+
+
+@pytest.mark.parametrize("scale, split", [(0.0, True), (1e-13, True), (1e-11, False), (1e-9, False)])
+def test_a_null_direction_that_leaks_sends_the_kernel_down_the_eigen_route(scale, split):
+    # sign d = 8 with M pushed along the null direction L_1(x) n_7(y), coupled to the member
+    # L_1(x) phi_0(y), by scale * max|M|: the leak test accepts a push within _LEAK_TOL = 1e-12
+    # of max|M| and refuses one above it.  The push misses the x-index-0 block, so the levels
+    # that Prony reads stay put
+    M = get_benchmark("sign").moment_matrix(8)
+    null = CDKernel(M, 1e-8)._null
+    rows = y_layout(2, 8).order[x_degree_members(2, 8)[1][0]]  # x-index 1, y-degrees 0..7
+    v = np.zeros(M.n)
+    v[rows] = null[7 - 2, :8]
+    u = np.zeros(M.n)
+    u[rows[0]] = 1.0
+    push = scale * np.abs(M.entries).max() * (np.outer(u, v) + np.outer(v, u))
+    pushed = MomentMatrix(M.spec, M.entries + push, Provenance.EMPIRICAL, M.mass_m)
+    kern = CDKernel(pushed, 1e-8)
+    assert (kern._null.shape[0] > 0) == split
+    if not split:
+        evals, P = np.linalg.eigh(pushed.entries)
+        assert kern.eigenvalues.tobytes() == np.clip(evals, 0.0, None).tobytes()
+
+
+@pytest.mark.parametrize("name", ["sign", "step"])
+def test_q_is_within_a_quarter_of_eps_cond_of_a_50_digit_reference(name):
+    # q* = ||L^-1 b||^2 with L the 50-digit Cholesky factor of the exact M + beta I
+    # (tests/kernel_oracle.py), at beta = 1e-8 on 6 points near the graph and 6 uniform
+    # ones.  The bound is |q - q*| <= C eps cond(M + beta I) q*, C = 1/4.  Over eight point
+    # seeds the split read C = 0.003-0.11 on sign and 0.03-0.12 on step; the eigen route
+    # read 0.18-0.38 and 0.85-1.2, so it fails here on step
+    from kernel_oracle import reference_q
+
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(8)
+    beta = 1e-8
+    rng = np.random.default_rng(0)
+    X = bench.random_x(6, rng)
+    near = bench.graph_points(X) + np.c_[np.zeros(6), 1e-2 * rng.standard_normal(6)]
+    Z = np.vstack([near, rng.uniform(-1.0, 1.0, size=(6, 2))])
+    q_ref = np.array([float(q) for q in reference_q(name, M.spec, beta, Z)])
+    lam = np.linalg.eigvalsh(M.entries)
+    cond = (lam[-1] + beta) / beta
+    err = np.abs(CDKernel(M, beta).eval_q_batch(Z) - q_ref) / q_ref
+    assert err.max() <= 0.25 * np.finfo(float).eps * cond
 
 
 def test_filtered_matrix_is_tikhonov_inverse():

@@ -70,18 +70,26 @@ def test_vacuous_support_report_loads_no_scipy():
 
 
 def test_kernel_and_fiber_evaluation_load_no_scipy():
-    # CDKernel is one numpy eigh, and eval_q_batch and the fiber solver are numpy alone.
-    # scipy.linalg's eigh would need less workspace, but loading it costs about 0.26 s
-    # and 28 MB of resident memory, more than the kernel saves by holding its rows once
+    # CDKernel is numpy alone on both routes: on level inputs (sign and step by quad, disk1
+    # analytic and from a grid) the levels' roots, the null directions' SVD and QRs and the
+    # eigh of M_r, and on abs, which has no levels, one eigh of M.  eval_q_batch, q_at_least,
+    # sos_decomposition and the fiber solver are numpy alone too.  scipy.linalg's eigh would
+    # need less workspace, but loading it costs about 0.26 s and 28 MB of resident memory,
+    # more than the kernel saves by holding its range rows only
     code = (
         "from cdapprox.approximant import Approximant, ApproxConfig\n"
         "from cdapprox.benchmarks import get_benchmark\n"
         "from cdapprox.cdkernel import CDKernel\n"
-        "for name, d, mode in (('sign', 8, 'quad'), ('disk1', 6, 'analytic')):\n"
+        "cases = (('sign', 8, 'quad', {}, True), ('step', 12, 'quad', {}, True), ('disk1', 6, 'analytic', {}, True),\n"
+        "         ('disk1', 4, 'empirical', {'grid': 30}, True), ('abs', 16, 'quad', {}, False))\n"
+        "for name, d, mode, kwargs, split in cases:\n"
         "    bench = get_benchmark(name)\n"
-        "    kern = CDKernel(bench.moment_matrix(d, mode=mode), 1e-8)\n"
+        "    kern = CDKernel(bench.moment_matrix(d, mode=mode, **kwargs), 1e-8)\n"
+        "    assert (kern._null.shape[0] > 0) == split\n"
         "    X = bench.grid_x(8)\n"
-        "    assert (kern.eval_q_batch(bench.graph_points(X)) > 0).all()\n"
+        "    Z = bench.graph_points(X)\n"
+        "    assert (kern.eval_q_batch(Z) > 0).all() and kern.q_at_least(Z, 0.0).all()\n"
+        "    assert kern.sos_decomposition().shape == (kern.spec.size,) * 2\n"
         "    for alpha in (0.0, 0.2):\n"
         "        Approximant(kern, ApproxConfig(alpha=alpha)).evaluate_batch(X)\n"
     )
