@@ -25,24 +25,39 @@ route gave 231, and the working set is 8 n n_range bytes where it was 8 n^2.
 Each point streams the blocks once.
 
 Points are minimized in chunks sized by bytes: a chunk takes as many points
-as keep one (chunk, r, 2d+1) work array within a fixed budget, and each work
-array is freed once it is dead.  The Legendre coefficients of q, in the
-variable u that maps Y onto [-1, 1], come from its values at 2d+1
-Gauss-Legendre nodes, where phi's values are cached per family, degree,
-domain axis and interval.  The critical points come from the stacked
-colleague matrices of dq/du (Good 1961; Boyd, SIAM Rev. 55, 2013) in one
-eigenvalue call, and the candidates -- critical points plus the ends of Y --
-are scored in the sum-of-squares form at y itself, so the reported q is q at
-the reported y and the minimum is exact up to rounding.  The squared row sums
-are einsum contractions: they add the rows in the same order as a sum over
-the row axis, without that strided reduction's cost.  The fixed tridiagonal
-part of each size of colleague matrix is cached as a template, so a chunk
-copies it and fills only the last column.
+as keep each large work array within a fixed budget, and each work array is
+freed once it is dead.  Two routes share one scoring.  The full solve takes
+the Legendre coefficients of q, in the variable u that maps Y onto [-1, 1],
+from its values at 2d+1 Gauss-Legendre nodes, where phi's values are cached
+per family, degree, domain axis and interval.  The critical points come from
+the stacked colleague matrices of dq/du (Good 1961; Boyd, SIAM Rev. 55, 2013)
+in one eigenvalue call.  The window route runs at alpha = 0 and
+d >= ``_WINDOW_MIN_DEGREE``.  A row p of degree L < d bounds q >= p^2; on a
+level kernel it is sqrt(W_L(x) / beta) n_L, whose roots are the levels
+(Lasserre, Pauwels & Putinar, The Christoffel-Darboux Kernel for Data
+Analysis, 2022).  So every near-minimizer lies in L narrow windows around
+them, which a size-L solve brackets, and on each certified window three
+Newton steps on dq/dt find the one critical point.  A point whose windows
+are not all certified takes the full solve, bit for bit.  On the fiber-1d
+kernels at beta = 1e-8 the windows cover 6e-5 to 3.4e-4 of the interval and
+answer every point; under the beta schedule none.  The candidates -- critical
+points plus the ends of Y -- are scored in the sum-of-squares form at y
+itself, so the reported q is q at the reported y and the minimum is exact up
+to rounding.  The squared row sums are einsum contractions: they add the rows
+in the same order as a sum over the row axis, without that strided
+reduction's cost.  The fixed tridiagonal part of each size of colleague
+matrix is cached as a template, so a chunk copies it and fills only the last
+column.
 
-Values within the tie window of the minimum count as ties and the smallest y
-wins, which reproduces the min-argmin convention on symmetric fibers.  Every
-step works row by row, so a point's result does not depend on the batch it
-was sent in: one point is a one-row batch of ``Approximant.evaluate_batch``.
+Values within the tie window tie_tol max(1, |q_min|) + 1e-14 q_max of the
+minimum count as ties and the smallest y wins, which reproduces the
+min-argmin convention on symmetric fibers.  q_max is the largest candidate's
+q: on the full solve it includes the interior local maxima, on the windows
+only the window roots and the ends, up to 1.7e6 times less at sign d = 12.
+On the fiber-1d kernels the window spans up to 8e-5 of the minimum, so the
+end y = lo wins a tie over a minimizer up to 2e-9 inside it.  Every step works row
+by row, so a point's result does not depend on the batch it was sent in: one
+point is a one-row batch of ``Approximant.evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -54,21 +69,32 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial import legendre
+from numpy.polynomial import chebyshev, legendre
 
 from .basis import Family, _stacked_tables, as_points, eval_basis_batch, leggauss, y_layout
 
 if TYPE_CHECKING:
     from .cdkernel import CDKernel
 
-# bytes of one (chunk, r, 2d+1) work array, the largest the fiber solver makes;
-# it sets the points per chunk (see Approximant).  At disk1 d = 12-20, 2, 4 and
-# 8 MiB ran at one speed and 1 MiB (1-4 points) slower; at low degrees, chunks
-# of more than 128 points were not slower than 128
+# bytes of the largest work array the fiber solver makes; it sets the points per
+# chunk (see Approximant).  At disk1 d = 12-20, 2, 4 and 8 MiB ran at one speed
+# and 1 MiB (1-4 points) slower; at low degrees, chunks of more than 128 points
+# were not slower than 128
 _CHUNK_BYTES = 4 << 20
 # alpha window: allowance on q at a computed crossing, times max q on the fiber;
 # the colleague roots leave residuals up to 5e-13 of max q at d = 20
 _CROSS_TOL = 1e-11
+# least degree at which the window route runs.  8-point calls on sign and step by
+# quad at beta = 1e-8 took 481 and 723 us by the full solve against 620 and 846
+# through the windows at d = 8, about the same at d = 9, and 1019 and 1051
+# against 821 and 907 at d = 10 (one BLAS thread)
+_WINDOW_MIN_DEGREE = 10
+# largest share of the search interval the windows may cover.  Windows of up to
+# 0.10 passed their certificates (step d = 12-20 at beta = 1e-3: 25-29 of 32
+# points), wider ones seldom (14 of 96 step points at beta = 1e-2) and sign's
+# never past 0.03; under the beta schedule sign's cover 0.38 or more and step's
+# crossings are complex.  Wider windows skip the node work they would not repay
+_WINDOW_SHARE = 0.1
 
 
 def _check_knobs(alpha: float, tie_tol: float) -> None:
@@ -84,9 +110,10 @@ class ApproxConfig:
     """Knobs for the fiber minimization.
 
     ``epsilon`` is the absolute precision target on the fiber minimum, gamma/2
-    when only ``gamma`` is given.  The candidates are the exact critical points
-    of each fiber, so the reported minimum is within rounding of the true one
-    and any epsilon above that is met; epsilon and gamma no longer size a
+    when only ``gamma`` is given.  The candidates are the critical points of
+    each fiber, from all of it or, at alpha = 0, from the certified windows
+    around its levels, so the reported minimum is within rounding of the true
+    one and any epsilon above that is met; epsilon and gamma no longer size a
     grid.  ``alpha`` widens the acceptance window to (1+alpha)/(1-alpha) times
     the minimum, matching the robust variant used when the kernel itself is
     only known up to relative error alpha.
@@ -131,6 +158,24 @@ def _fiber_maps(d: int) -> tuple:
     return project, derive
 
 
+@lru_cache(maxsize=64)
+def _window_maps(d: int) -> tuple:
+    """Fixed maps for q of degree 2d on a window, in the window's variable t in [-1, 1].
+
+    ``nodes`` are the 2d+1 Gauss-Legendre nodes; ``slope`` turns q's values
+    there into the Chebyshev coefficients a_0..a_{2d-1} of dq/dt (exact, as q
+    has degree 2d), ``second`` turns those into the coefficients of d2q/dt2,
+    and ``abs_slope`` is |slope|, for the rounding bound.
+    """
+    nodes = leggauss(2 * d + 1)[0]
+    slope = np.linalg.solve(chebyshev.chebvander(nodes, 2 * d), np.eye(2 * d + 1)).T @ chebyshev.chebder(np.eye(2 * d + 1)).T
+    second = chebyshev.chebder(np.eye(2 * d)).T
+    out = nodes, slope, second, np.abs(slope)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _phi(family: Family, d: int, axis: tuple, y: np.ndarray) -> np.ndarray:
     """Degree-major (d+1, *y.shape) values at y of the family's members of degree <= d on axis = (lo, hi)."""
     return _stacked_tables(family, d, y.reshape(1, -1), np.array([axis]))[:, 0].reshape(d + 1, *y.shape)
@@ -167,7 +212,7 @@ def _colleague(c: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _real_roots(c: np.ndarray) -> np.ndarray:
+def _real_roots(c: np.ndarray, strict: bool = False) -> np.ndarray:
     """Real parts of the roots of each Legendre series row, clipped to [-1, 1].
 
     When every row has a nonzero last coefficient, one eigenvalue call solves
@@ -175,16 +220,23 @@ def _real_roots(c: np.ndarray) -> np.ndarray:
     coefficient, so a vanishing leading coefficient lowers the degree instead
     of dividing by zero; rows are grouped by degree and a missing root reads
     -1.  Real parts of complex roots are kept too: scoring them costs little
-    and covers roots that rounding split off the real axis.
+    and covers roots that rounding split off the real axis.  With ``strict``
+    a complex root reads nan instead.  This is the one eigenvalue call of the
+    fiber solver.
     """
+
+    def solve(rows):
+        roots = np.linalg.eigvals(_colleague(rows))
+        return np.where(roots.imag == 0.0, roots.real, np.nan) if strict else roots.real
+
     if c.shape[1] > 1 and c[:, -1].all():
-        return np.clip(np.linalg.eigvals(_colleague(c)).real, -1.0, 1.0)
-    out = np.full((c.shape[0], c.shape[1] - 1), -1.0)
+        return np.clip(solve(c), -1.0, 1.0)
+    out = np.full((c.shape[0], c.shape[1] - 1), np.nan if strict else -1.0)
     live = c != 0.0
     deg = np.where(live.any(axis=1), c.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1), 0)
     for n in np.flatnonzero(np.bincount(deg)[1:]) + 1:  # the degrees > 0 that occur
         sel = deg == n
-        out[sel, :n] = np.linalg.eigvals(_colleague(c[sel, : n + 1])).real
+        out[sel, :n] = solve(c[sel, : n + 1])
     return np.clip(out, -1.0, 1.0)
 
 
@@ -192,6 +244,12 @@ def _sos_values(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """q = sum_i (rows_i . phi)^2, (B, k), for rows (B, r, d+1) and phi values (d+1, k) or, per row b, (B, d+1, k)."""
     terms = rows @ phi
     return np.einsum("brk,brk->bk", terms, terms)
+
+
+def _at_y(u: np.ndarray, interval: tuple) -> np.ndarray:
+    """Points u on [-1, 1] mapped into the interval (lo, hi), clipped to it."""
+    lo, hi = interval
+    return np.clip(lo + 0.5 * (u + 1.0) * (hi - lo), lo, hi)
 
 
 def _interval(interval, d: int) -> tuple[float, float]:
@@ -212,8 +270,8 @@ def _interval(interval, d: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, alpha: float, tie_tol: float) -> tuple:
-    """Min-argmin of q = sum_i (A[b, i] . phi(y))^2 over the interval, for each b.
+def _full_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, alpha: float, tie_tol: float) -> tuple:
+    """Min-argmin of q = sum_i (A[b, i] . phi(y))^2 over the interval, for each b, from every critical point.
 
     A has shape (B, r, d+1) and holds coefficients in phi, the members of
     degree <= d of ``family`` on ``axis`` = (lo, hi); ``interval`` is a search
@@ -229,10 +287,7 @@ def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, a
     if not np.all(np.isfinite(c)):
         raise ValueError(f"q overflows on the search interval [{lo}, {hi}]")
 
-    def at_y(u):  # roots in u on [-1, 1], mapped into the interval
-        return np.clip(lo + 0.5 * (u + 1.0) * (hi - lo), lo, hi)
-
-    y = np.concatenate([at_y(_real_roots((c[:, None, :] @ derive)[:, 0])), np.broadcast_to([lo, hi], (B, 2))], axis=1)
+    y = np.concatenate([_at_y(_real_roots((c[:, None, :] @ derive)[:, 0]), interval), np.broadcast_to([lo, hi], (B, 2))], axis=1)
     q = _sos_values(A, _phi(family, d, axis, y).transpose(1, 0, 2))
     qmin, qmax = q.min(axis=1), q.max(axis=1)
     # the 1e-14 * qmax floor absorbs rounding noise of order eps * (fiber range)
@@ -243,7 +298,7 @@ def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, a
         thresh = (1.0 + alpha) / (1.0 - alpha) * np.maximum(qmin, 0.0) + window
         shifted = c.copy()
         shifted[:, 0] -= thresh
-        cross = at_y(_real_roots(shifted))
+        cross = _at_y(_real_roots(shifted), interval)
         y = np.concatenate([y, cross], axis=1)
         q = np.concatenate([q, _sos_values(A, _phi(family, d, axis, cross).transpose(1, 0, 2))], axis=1)
         thresh = thresh + _CROSS_TOL * np.abs(qmax)
@@ -252,6 +307,123 @@ def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, a
     pick = np.argmin(np.where(q <= thresh[:, None], y, np.inf), axis=1)
     at = np.arange(B)
     return y[at, pick], q[at, pick]
+
+
+def _keep(mask: np.ndarray, *arrays) -> tuple:
+    """The rows of each array where mask holds; the arrays themselves, uncopied, where it holds for every row."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+
+
+def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, tie_tol: float) -> tuple:
+    """(ok, y, q): the min-argmin of each fiber from windows around its levels, for the points marked ok.
+
+    Same arguments as ``_full_argmin`` at alpha = 0.  A row p of least degree
+    L, 1 <= L < d, bounds q >= p^2.  With q* the least q at p's roots and at
+    the ends, and ``level`` the tie threshold q* would set, every y with
+    q(y) <= level lies in the L windows {p^2 <= level}, which one size-L
+    solve of p = -+sqrt(level) brackets.  On each window the Chebyshev
+    coefficients a_j of dq/dt, t the window's variable, come from q at its
+    2d+1 Gauss nodes.  The window is certified root-free,
+    |a_0| > sum_{j>=1} |a_j|, or with dq/dt increasing,
+    a_1 > sum_{j>=2} j^2 |a_j|, each side widened by the coefficients'
+    rounding bound, and three Newton steps find its one root.  The
+    candidates, those roots and the ends, are scored, tied and picked as in
+    ``_full_argmin``.  A point is ok where every crossing is real, the
+    windows cover at most ``_WINDOW_SHARE`` of the interval, every window is
+    certified, all is finite and the tie threshold stays within ``level``.
+    """
+    B, r, d = A.shape[0], A.shape[1], A.shape[2] - 1
+    lo, hi = interval
+    ok, y, q = np.zeros(B, dtype=bool), np.empty(B), np.empty(B)
+    deg = d - np.argmax(A[:, :, ::-1] != 0.0, axis=2)  # a zero row reads degree d and is never p
+    low = deg.argmin(axis=1)
+    deg = deg[np.arange(B), low]
+    nodes, slope, second, abs_slope = _window_maps(d)
+    eps = np.finfo(float).eps
+
+    for L in np.flatnonzero(np.bincount(deg, minlength=d)[1:d]) + 1:  # the degrees 1..d-1 that occur
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            pts = np.flatnonzero(deg == L)
+            # p as a Legendre series in u, from its values at the interval's Gauss nodes (exact to degree 2d)
+            cp = ((A[pts, low[pts]][:, None, :] @ _node_values(family, d, axis, interval)) @ _fiber_maps(d)[0][:, : L + 1])[:, 0]
+            pts, cp = _keep(np.isfinite(cp).all(axis=1), pts, cp)
+            anchor = np.sort(_real_roots(cp), axis=1)
+            ends = np.broadcast_to([lo, hi], (pts.size, 2))
+            q_ends = _sos_values(A[pts], _phi(family, d, axis, np.concatenate([_at_y(anchor, interval), ends], axis=1)).transpose(1, 0, 2))
+            qstar = q_ends.min(axis=1)
+            level = qstar + tie_tol * np.maximum(1.0, np.abs(qstar)) + 1e-14 * np.abs(q_ends).max(axis=1)
+            # the crossings p = -s and p = +s in one solve, s widened by their rounding, a few eps ||cp||_1
+            # in p; sorted, they pair into the windows [ua, ub]
+            s = np.sqrt(level) + 4 * (L + 1) * eps * np.abs(cp).sum(axis=1)
+            pts, cp, anchor, q_ends, level, s = _keep(np.isfinite(s), pts, cp, anchor, q_ends, level, s)
+            shifted = np.concatenate([cp, cp])
+            shifted[:, 0] += np.concatenate([-s, s])
+            cross = np.sort(_real_roots(shifted, strict=True).reshape(2, pts.size, L).transpose(1, 0, 2).reshape(pts.size, 2 * L), axis=1)
+            ua, ub = cross[:, 0::2], cross[:, 1::2]
+            fits = np.isfinite(cross).all(axis=1) & (0.5 * (ub - ua).sum(axis=1) <= _WINDOW_SHARE)
+            pts, anchor, q_ends, level, ua, ub = _keep(fits, pts, anchor, q_ends[:, L:], level, ua, ub)
+            if not pts.size:
+                continue
+            ya, yb, Ap = _at_y(ua, interval), _at_y(ub, interval), A if pts.size == B else A[pts]
+            norms = np.sqrt(np.einsum("brj,brj->br", Ap, Ap))
+            qn, err = np.empty((2, pts.size, L, 2 * d + 1))
+            for w in range(L):
+                # q at the window's Gauss nodes: one stacked (r, d+1) @ (d+1, 2d+1) product per point
+                phi = _phi(family, d, axis, ya[:, w, None] + 0.5 * (nodes + 1.0) * (yb - ya)[:, w, None]).transpose(1, 0, 2)
+                terms = Ap @ phi
+                qn[:, w] = np.einsum("brk,brk->bk", terms, terms)
+                # rounding of q at a node: each row's sum t_i is off by (d+1) eps ||A_i|| ||phi|| and phi's own
+                # rounding as much again, so q by 4 (d+1) eps ||phi|| sum_i |t_i| ||A_i||; the sum of squares
+                # and the map add (r + 2d+1) eps q
+                spread = np.einsum("brk,br->bk", np.abs(terms, out=terms), norms)
+                err[:, w] = eps * (4.0 * (d + 1) * np.sqrt(np.einsum("bjk,bjk->bk", phi, phi)) * spread + (r + 2 * d + 1) * qn[:, w])
+                del phi, terms
+            a = qn @ slope
+            # a node off by its rounding, 2 eps max|y|, moves q by that times |dq/dy| <= 2 sum_j |a_j| / (yb - ya)
+            shift = 4.0 * eps * np.maximum(np.abs(ya), np.abs(yb)) / (yb - ya) * np.abs(a).sum(axis=2)
+            bound = err @ abs_slope + shift[..., None] * abs_slope.sum(axis=0)
+            mag = np.abs(a) + bound
+            free = np.abs(a[..., 0]) - bound[..., 0] > mag[..., 1:].sum(axis=2)
+            convex = a[..., 1] - bound[..., 1] > np.einsum("blj,j->bl", mag[..., 2:], np.arange(2.0, 2 * d) ** 2)
+            flat = ~(yb > ya)  # a window clipped onto an end, a candidate already
+            # Newton from the level, the series and its derivative read from one cos(k theta) table a step
+            t = np.clip(np.where(flat, 0.0, 2.0 * (anchor - ua) / (ub - ua) - 1.0), -1.0, 1.0)
+            a2, k = a @ second, np.arange(2 * d)
+            for _ in range(3):
+                table = np.cos(np.arccos(t)[..., None] * k)
+                step = np.einsum("blj,blj->bl", a, table) / np.einsum("blj,blj->bl", a2, table[..., :-1])
+                t = np.clip(t - np.where(convex, step, 0.0), -1.0, 1.0)
+            t = np.where(convex, t, np.where(a[..., 0] > 0.0, -1.0, 1.0))  # a root-free window's lower end
+            roots = np.clip(ya + 0.5 * (t + 1.0) * (yb - ya), lo, hi)
+            ys = np.concatenate([roots, ends[: pts.size]], axis=1)
+            qs = np.concatenate([_sos_values(Ap, _phi(family, d, axis, roots).transpose(1, 0, 2)), q_ends], axis=1)
+            qmin, qmax = qs.min(axis=1), qs.max(axis=1)
+            thresh = qmin + tie_tol * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
+            pick = np.argmin(np.where(qs <= thresh[:, None], ys, np.inf), axis=1)
+            at = np.arange(pts.size)
+            # a bound that is not finite certifies nothing: its comparisons read False
+            ok[pts] = (free | convex | flat).all(axis=1) & np.isfinite(qs).all(axis=1) & (thresh <= level)
+            y[pts], q[pts] = ys[at, pick], qs[at, pick]
+    return ok, y, q
+
+
+def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, alpha: float, tie_tol: float) -> tuple:
+    """Min-argmin of q = sum_i (A[b, i] . phi(y))^2 over the interval, for each b.
+
+    A has shape (B, r, d+1) and holds coefficients in phi, the members of
+    degree <= d of ``family`` on ``axis`` = (lo, hi); ``interval`` is a search
+    interval that ``_interval`` accepted, and A is finite.  At alpha = 0 and
+    d >= ``_WINDOW_MIN_DEGREE`` the windows of ``_window_argmin`` answer the
+    points they certify; every other point takes ``_full_argmin``, bit for
+    bit.  Returns the arrays (y, q(y)), q evaluated at the returned y.
+    """
+    if alpha > 0.0 or A.shape[2] - 1 < _WINDOW_MIN_DEGREE:
+        return _full_argmin(A, family, axis, interval, alpha, tie_tol)
+    ok, y, q = _window_argmin(A, family, axis, interval, tie_tol)
+    if not ok.all():
+        rest = ~ok
+        y[rest], q[rest] = _full_argmin(*_keep(rest, A), family, axis, interval, alpha, tie_tol)
+    return y, q
 
 
 def partial_argmin(
@@ -273,7 +445,11 @@ def partial_argmin(
     minimum (or, for alpha > 0, the leftmost point with
     q(y) <= (1+alpha)/(1-alpha) min q).  The minimum is exact up to rounding,
     which meets any ``epsilon``; ``coarse_points`` and ``max_refinements`` are
-    accepted and ignored.
+    accepted and ignored.  It runs the solver of ``evaluate_batch``, window
+    route included: at alpha = 0 and k - 1 >= ``_WINDOW_MIN_DEGREE``, a row
+    of degree 1 <= L < k - 1, as the first null row of ``y_coefficients``,
+    confines the minimum to windows around its roots, which answer the fiber
+    where certified; so it returns ``evaluate_batch``'s bits.
     """
     _check_knobs(alpha, tie_tol)
     A = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -297,10 +473,12 @@ class Approximant:
     point (r = n without levels): the kernel holds M at 8 n^2 bytes and its
     range rows at 8 n n_range, and the y-degree blocks are views of those
     rows, so the approximant itself holds no n x n array.  Evaluation runs in
-    chunks of max(1, _CHUNK_BYTES // (8 r (2d+1))) points, so each of its
-    largest work arrays, the (chunk, r, 2d+1) node values and candidate terms,
-    takes at most _CHUNK_BYTES (4 MiB).  The two are never alive together:
-    beside one of them a chunk holds its (chunk, r, d+1) rows.  At disk1
+    chunks of max(1, _CHUNK_BYTES // (8 max((r + d + 1)(2d+1), (2d-1)^2)))
+    points, so each of its largest work arrays takes at most _CHUNK_BYTES
+    (4 MiB): the (chunk, r, 2d+1) node and candidate terms, a window's node
+    terms with the (chunk, d+1, 2d+1) phi they come from, and the full
+    solve's (chunk, 2d-1, 2d-1) colleague matrices.  They are never alive
+    together: beside one of them a chunk holds its (chunk, r, d+1) rows.  At disk1
     d = 20 (n = 1,771, n_range = 441) the kernel's rows take 6 MiB.
     """
 
@@ -317,8 +495,10 @@ class Approximant:
         self._blocks = tuple(np.split(kernel._rows, np.cumsum(runs)[:-1]))
         # row k - L of the null directions weighs the x-members of degree <= d - k: the first runs[k]
         self._null_ends = runs[spec.d + 1 - kernel._null.shape[0] :] - 1
-        r = self._blocks[0].shape[1] + kernel._null.shape[0]
-        self._chunk = max(1, _CHUNK_BYTES // (8 * r * (2 * spec.d + 1)))
+        r, d = self._blocks[0].shape[1] + kernel._null.shape[0], spec.d
+        # per point: the (r, 2d+1) node terms, beside the window's (d+1, 2d+1) phi they come from, and
+        # the full solve's (2d-1, 2d-1) colleague matrix
+        self._chunk = max(1, _CHUNK_BYTES // (8 * max((r + d + 1) * (2 * d + 1), (2 * d - 1) ** 2)))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         """Fiber rows (B, r, d+1) at the points X; rows that overflow raise ValueError, with no RuntimeWarning.

@@ -45,7 +45,8 @@ from the same tables.  Memory is O(block * n) whatever the number of points
 N, and the result matches a one-shot evaluation up to rounding.
 
 ``certified_floor`` is the one certified lower bound of q over all of R^p:
-min(g) times the least ||b(z)||^2, from the eigenvalues alone.  Where it
+min(g) times the least ||b(z)||^2, from lambda_max alone: ``eigvalsh`` of M,
+or where the split runs, of M_r plus twice the null leak ||M Q_null||_F.  Where it
 reaches a level the sublevel set is empty, and no kernel need be built.
 ``_floor_reaches`` decides that in two tiers: a norm bound on lambda_max
 first, which never gives a higher floor, and ``eigvalsh`` only where the
@@ -160,7 +161,7 @@ def _levels(M: np.ndarray, spec) -> np.ndarray | None:
 
 
 def _level_split(M: np.ndarray, spec):
-    """(null, M_r, expand) of the split of M along the levels, or None where none pass the leak test.
+    """(null, M_r, expand, leak) of the split of M along the levels, or None where none pass the leak test.
 
     With V the (L, d+1) values phi_j(c_l) at the levels, the polynomials of
     degree <= m in y that vanish at every level are the null space of V's
@@ -175,6 +176,7 @@ def _level_split(M: np.ndarray, spec):
     by class of ``basis.x_degree_members``, never holding more than one
     (n_range, n) array beside M, and ``expand(U)`` maps the columns of an
     (n_range, k) U back to the (n, k) rows Q_range U in ``y_layout`` order.
+    ``leak`` is ||M Q_null||_F, summed class by class in the same loop.
     """
     if spec.p < 2:
         return None
@@ -194,11 +196,14 @@ def _level_split(M: np.ndarray, spec):
                for s, pos in enumerate(x_degree_members(spec.p, d))]
     ends = np.cumsum([0] + [pos.shape[0] * R.shape[1] for pos, _, R, _ in classes])
     tol = _LEAK_TOL * max(float(M.max()), -float(M.min()))
-    QtM = np.empty((ends[-1], n))
+    QtM, leak = np.empty((ends[-1], n)), 0.0
     for (pos, rows, R, N), c0, c1 in zip(classes, ends[:-1], ends[1:]):
         blk = M[rows]  # (n_s, m + 1, n): the rows of this class's members
-        if N.size and np.abs(N @ blk).max() > tol:
-            return None
+        if N.size:
+            NM = N @ blk  # this class's rows of Q_null^T M
+            if np.abs(NM).max() > tol:
+                return None
+            leak += float(np.einsum("ijk,ijk->", NM, NM))
         np.matmul(R.T, blk, out=QtM[c0:c1].reshape(pos.shape[0], R.shape[1], n))
     M_r = np.empty((ends[-1], ends[-1]))
     for (pos, rows, R, _), c0, c1 in zip(classes, ends[:-1], ends[1:]):
@@ -211,7 +216,7 @@ def _level_split(M: np.ndarray, spec):
             out[pos.ravel()] = (R @ U[c0:c1].reshape(pos.shape[0], R.shape[1], -1)).reshape(-1, U.shape[1])
         return out
 
-    return null, M_r, expand
+    return null, M_r, expand, math.sqrt(leak)
 
 
 @lru_cache(maxsize=None)
@@ -244,10 +249,22 @@ def certified_floor(matrix: MomentMatrix, beta: float) -> float:
     min(g) shrunk by a relative margin of 1e-8 times that minimum; where it
     reaches a level, the sublevel set {q < level} is empty on all of R^p.  It
     refuses what ``CDKernel`` refuses.
+
+    lambda_max comes from ``eigvalsh`` of M, except where ``_level_split``
+    runs: there Q = [Q_range, Q_null] is orthogonal and Q^T M Q is
+    diag(M_r, 0) plus a symmetric E made of the blocks of Q^T M Q_null, so
+    lambda_max(M) <= lambda_max(M_r) + ||E||_F <= lambda_max(M_r) +
+    2 ||M Q_null||_F, with ``eigvalsh`` of the n_range-sized M_r only.  The
+    bound is inflated by a relative 2 n eps for the rounding of M_r and of
+    its ``eigvalsh``, each about n eps lambda_max.
     """
     _check_beta(beta)
-    s = _tikhonov(np.linalg.eigvalsh(matrix.entries), beta)[0]
-    return _shrunk_g_min(beta, s[-1]) * _least_sqnorm(matrix.spec)
+    M = matrix.entries
+    split = _level_split(M, matrix.spec)
+    lam = _tikhonov(np.linalg.eigvalsh(split[1] if split else M), beta)[0][-1]
+    if split:
+        lam = (lam + 2.0 * split[3]) * (1.0 + 2.0 * M.shape[0] * np.finfo(float).eps)
+    return _shrunk_g_min(beta, lam) * _least_sqnorm(matrix.spec)
 
 
 def _shrunk_g_min(beta: float, lambda_max) -> float:
@@ -317,7 +334,7 @@ class CDKernel:
         self.beta = float(beta)
         order = y_layout(spec.p, spec.d).order
         # without levels M_r is M itself and the range rows are its eigenvectors, gathered
-        self._null, M_r, expand = _level_split(M, spec) or (np.empty((0, spec.d + 1)), M, lambda U: U[order])
+        self._null, M_r, expand, _ = _level_split(M, spec) or (np.empty((0, spec.d + 1)), M, lambda U: U[order], 0.0)
         evals, U = np.linalg.eigh(M_r)
         s, g = _tikhonov(evals, self.beta)
         self.eigenvalues = np.concatenate([np.zeros(M.shape[0] - s.size), s])

@@ -12,10 +12,21 @@ from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
 from cdapprox import approximant
-from cdapprox.approximant import _CHUNK_BYTES, ApproxConfig, Approximant, _fiber_argmin, _fiber_maps, _real_roots, partial_argmin
+from cdapprox.approximant import (
+    _CHUNK_BYTES,
+    _WINDOW_MIN_DEGREE,
+    ApproxConfig,
+    Approximant,
+    _fiber_argmin,
+    _fiber_maps,
+    _full_argmin,
+    _real_roots,
+    _window_argmin,
+    partial_argmin,
+)
 from cdapprox.basis import BasisSpec, Family, axis_tables, eval_basis_batch
 from cdapprox.benchmarks import get_benchmark
-from cdapprox.cdkernel import CDKernel
+from cdapprox.cdkernel import CDKernel, _levels, beta_schedule
 from cdapprox.moments import MomentMatrix, Provenance
 
 
@@ -409,21 +420,30 @@ def test_blocks_equal_the_lexsorted_layout(p, d, family):
         assert np.array_equal(M, G[first[j] : first[j + 1]])
 
 
-@pytest.mark.parametrize("case", ["sign-d20", "disk1-d8", "step-d8-monomial", "sign-d32"])
+def window_route_ok(app, X):
+    """The points of X whose fibers the window route answers, read from its own verdict."""
+    spec = app.spec
+    return _window_argmin(app._rows(X), spec.family, spec.domain[-1], app._y_interval, app.config.tie_tol)[0]
+
+
+@pytest.mark.parametrize("case", ["sign-d20", "step-d20", "disk1-d8", "step-d8-monomial", "sign-d32"])
 def test_evaluate_batch_is_bit_identical_per_point(case):
     # evaluate_batch at any batch size, one point included, and, in the orthonormal family,
     # y_coefficients followed by partial_argmin share one routine whose per-point arithmetic
     # ignores the batch; the grid spans more than two of the approximant's chunks, and batches of chunk + 1
-    # points straddle the whole-grid call's chunk boundaries
+    # points straddle the whole-grid call's chunk boundaries.  At d = 20 and 32 the window route
+    # answers every point, at d = 8 the full solve
     if case == "disk1-d8":
         app = Approximant(empirical_disk_kernel())
     elif case == "step-d8-monomial":
         app = Approximant(CDKernel(get_benchmark("step").moment_matrix(8, mode="quad", family=Family.MONOMIAL_GREVLEX), 1e-8))
     else:
-        app = Approximant(quad_kernel("sign", int(case[-2:])))
+        app = Approximant(quad_kernel(case.split("-")[0], int(case[-2:])))
     m = 2 * app._chunk + 6
     X = get_benchmark(case.split("-")[0]).grid_x(m if app.spec.p == 2 else (m // 12 + 1, 12))
     assert X.shape[0] > 2 * app._chunk
+    if app.spec.d >= _WINDOW_MIN_DEGREE:
+        assert window_route_ok(app, X).all()
     ys, qs = app.evaluate_batch(X)
     for size in (1, 7, app._chunk + 1):
         for s in range(0, X.shape[0], size):
@@ -451,13 +471,18 @@ def test_reported_q_is_the_kernel_at_the_reported_y(d, family):
     np.testing.assert_allclose(qs, kern.eval_q_batch(np.c_[X, ys]), rtol=2e-12, atol=0.0)
 
 
-def test_evaluate_batch_working_set_stays_within_the_chunk_budget():
-    # chunks are sized so one (chunk, r, 2d+1) work array takes at most _CHUNK_BYTES,
-    # and the solver frees each work array once it is dead: the traced peak was 1.5x
-    # the budget at sign d = 32 (n = 561), and 110 MiB with 128-point chunks that
-    # held two (128, r, 2d+1) and two (128, r, d+1) arrays at once
-    app = Approximant(quad_kernel("sign", 32))
+@pytest.mark.parametrize("beta", [1e-8, beta_schedule(32)], ids=["windows", "fallback"])
+def test_evaluate_batch_working_set_stays_within_the_chunk_budget(beta):
+    # chunks are sized so each large work array takes at most _CHUNK_BYTES: the (chunk, r, 2d+1)
+    # node terms, a window's beside the phi table they come from, and the full solve's
+    # (chunk, 2d-1, 2d-1) colleague matrices; the solver frees each work array once it is dead.  The traced peak was 1.5x the budget at sign
+    # d = 32 (n = 561), and 110 MiB with 128-point chunks that held two (128, r, 2d+1) and
+    # two (128, r, d+1) arrays at once.  At beta = 1e-8 the windows answer every point, under
+    # the beta schedule none
+    app = Approximant(CDKernel(get_benchmark("sign").moment_matrix(32, mode="quad"), beta))
     X = get_benchmark("sign").random_x(300, np.random.default_rng(32))
+    ok = window_route_ok(app, X)
+    assert ok.all() if beta == 1e-8 else not ok.any()
     tracemalloc.start()
     try:
         app.evaluate_batch(X)
@@ -632,9 +657,11 @@ def empirical_disk_kernel():
     + [("disk1", 8, 0.0, ""), ("step", 12, 0.1, ""), ("sign", 8, 0.0, "-monomial"), ("step", 8, 0.1, "-interval")],
     ids=lambda case: f"{case[0]}-d{case[1]}-alpha{case[2]}{case[3]}",
 )
-def test_evaluate_batch_is_bit_equal_to_the_plain_formulation(case):
+def test_full_solve_is_bit_equal_to_the_plain_formulation(case):
     # the monomial case reads phi_j(y) = y^j at the nodes, and the interval case
-    # searches (-0.3, 0.7) with rows still in phi on the domain's y-axis
+    # searches (-0.3, 0.7) with rows still in phi on the domain's y-axis.  The full solve
+    # matches the plain formulation everywhere, and so does evaluate_batch where the
+    # windows cannot run: below their degree, and at alpha > 0
     name, d, alpha, how = case
     if name == "disk1":
         kern = empirical_disk_kernel()
@@ -645,9 +672,113 @@ def test_evaluate_batch_is_bit_equal_to_the_plain_formulation(case):
     app = Approximant(kern, ApproxConfig(alpha=alpha, y_interval=(-0.3, 0.7) if how == "-interval" else None))
     X = get_benchmark(name).grid_x(16 if name != "disk1" else (4, 4))
     A = np.stack([app.y_coefficients(x) for x in X])
+    spec = app.spec
     for size in (1, 8, 16):
         for s in range(0, X.shape[0], size):
-            y, q = app.evaluate_batch(X[s : s + size])
-            y_ref, q_ref = _plain_fiber_argmin(A[s : s + size], app.spec, app._y_interval, alpha, app.config.tie_tol)
+            y_ref, q_ref = _plain_fiber_argmin(A[s : s + size], spec, app._y_interval, alpha, app.config.tie_tol)
+            y, q = _full_argmin(A[s : s + size], spec.family, spec.domain[-1], app._y_interval, alpha, app.config.tie_tol)
             np.testing.assert_array_equal(y, y_ref)
             np.testing.assert_array_equal(q, q_ref)
+            if d < _WINDOW_MIN_DEGREE or alpha > 0.0:
+                y, q = app.evaluate_batch(X[s : s + size])
+                np.testing.assert_array_equal(y, y_ref)
+                np.testing.assert_array_equal(q, q_ref)
+
+
+def _scan_minimum(kern, x, centers, lo, hi):
+    # the least eval_q_batch over grids of 401 points at half-widths 1e-3 down to 1e-12 around
+    # each center, the largest over 20,001 points spanning [lo, hi] ends included, and the
+    # argmin
+    grids = [np.clip(c + np.linspace(-w, w, 401), lo, hi) for c in centers for w in (1e-3, 1e-6, 1e-9, 1e-12)]
+    yy = np.concatenate(grids + [np.linspace(lo, hi, 20_001)])
+    q = kern.eval_q_batch(np.c_[np.broadcast_to(x, (yy.size, x.size)), yy])
+    local = q[: -20_001]
+    j = int(np.argmin(local))
+    return local[j], yy[j], q.max()
+
+
+@pytest.mark.parametrize(
+    "name, d, mode, family",
+    [(name, d, "quad", Family.LEGENDRE_ORTHONORMAL) for name in ("sign", "step") for d in (12, 16, 20)]
+    + [(name, d, "analytic", Family.LEGENDRE_ORTHONORMAL) for name in ("sign", "step") for d in (24, 32, 40)]
+    + [("sign", 12, "analytic", Family.MONOMIAL_GREVLEX)],
+)
+def test_window_route_finds_the_minimum_of_a_dense_local_scan(name, d, mode, family):
+    # independent of either solver: q at the reported y is at most the least eval_q_batch of a
+    # dense scan around every level and the reported y, times 1 + 1e-11.  Near a minimum q
+    # reads with a rounding noise of 7e-13 relative (std over 800 consecutive doubles of y at
+    # sign d = 20), so the least of the scan's 3,200 or more values lies up to 2.7e-12 below
+    # the true minimum, for the full solve too; 1e-11 is 14 of those stds.  A point may report
+    # more only where a tie decided: then its y lies below the scan's argmin and its q within
+    # the tie window, tie_tol max(1, min) + 1e-14 max q, of the scanned minimum.  The fiber-1d
+    # grids (32 points; the windows answer all) and the analytic d = 24-40 kernels (8 points;
+    # at step d = 40 one point's certificate fails) at beta = 1e-8
+    bench = get_benchmark(name)
+    M = bench.moment_matrix(d, mode=mode, family=family)
+    kern = CDKernel(M, 1e-8)
+    app = Approximant(kern)
+    X = bench.grid_x(32 if mode == "quad" else 8)
+    ok = window_route_ok(app, X)
+    assert ok.all() if mode == "quad" else ok.sum() >= 7
+    levels = _levels(M.entries, M.spec)
+    lo, hi = app._y_interval
+    ys, qs = app.evaluate_batch(X)
+    np.testing.assert_allclose(qs, kern.eval_q_batch(np.c_[X, ys]), rtol=1e-12, atol=0.0)
+    ends = kern.eval_q_batch(np.c_[np.repeat(X, 2, axis=0), np.tile([lo, hi], X.shape[0])]).reshape(-1, 2)
+    for x, y, q, (q_lo, q_hi) in zip(X, ys, qs, ends):
+        least, at, top = _scan_minimum(kern, x, np.append(levels, y), lo, hi)
+        if q > least * (1.0 + 1e-11):
+            assert y < at
+            assert q <= least * (1.0 + 1e-11) + app.config.tie_tol * max(1.0, least) + 1e-14 * top
+        # the ends are candidates, and the tie window is at least 1e-14 max(q(lo), q(hi)) above
+        # the least candidate: where q(lo) lies that close to the minimum, lo wins the tie
+        if q_lo <= least * (1.0 - 1e-11) + 1e-14 * max(q_lo, q_hi):
+            assert y == lo
+
+
+def test_a_window_holding_two_minima_is_not_certified():
+    # q = u^2 + (K (u^2 - w^2))^2 at degree 10: the degree-1 row u bounds q >= u^2, and q at its
+    # root, K^2 w^4, sets one window |u| <= about K w^2 = 0.01 around it.  That window holds the
+    # two minima u = -+sqrt(w^2 - 1/(2 K^2)) and the local maximum u = 0 between them, where
+    # dq/dt = 2e-4 t + 4 t^3 - 0.04 t has a_1 = 2.96 and a_3 = 1: a_1 > sum_{j>=2} |a_j| holds,
+    # a_1 > sum_{j>=2} j^2 |a_j| does not, so the point takes the full solve and the tie
+    # between the two minima goes to the smaller y
+    K, w = 1e4, 1e-3
+    rows = np.zeros((2, 11))
+    rows[:, :3] = legendre_rows([[0.0, 1.0], [-K * w**2, 0.0, K]])
+    ok = _window_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, 1e-13)[0]
+    assert not ok[0]
+    y, q = partial_argmin(rows, UNIT)
+    u = np.sqrt(w**2 - 0.5 / K**2)
+    assert y == pytest.approx(-u, abs=1e-9)
+    assert q == pytest.approx(u**2 + (K * (u**2 - w**2)) ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "case", ["abs-d12", "sign-d20-schedule", "step-d20-schedule", "step-d20-alpha", "sign-d8", "step-d8-monomial"]
+)
+def test_points_the_windows_leave_take_the_full_solve_bit_for_bit(case, monkeypatch):
+    # abs has no levels, so no row has degree below d; under the beta schedule the windows
+    # cover too much of the interval or their crossings are complex; alpha > 0 and d below
+    # _WINDOW_MIN_DEGREE never try the windows.  Each point is then the retained full solve's
+    name, d = case.split("-")[0], int(case.split("-")[1][1:])
+    family = Family.MONOMIAL_GREVLEX if case.endswith("monomial") else Family.LEGENDRE_ORTHONORMAL
+    bench = get_benchmark(name)
+    beta = beta_schedule(d) if case.endswith("schedule") else 1e-8
+    app = Approximant(CDKernel(bench.moment_matrix(d, mode="quad", family=family), beta),
+                      ApproxConfig(alpha=0.1 if case.endswith("alpha") else 0.0))
+    X = bench.grid_x(24)
+    answered = []
+
+    def spy(*args):
+        out = _window_argmin(*args)
+        answered.append(int(out[0].sum()))
+        return out
+
+    monkeypatch.setattr(approximant, "_window_argmin", spy)
+    y, q = app.evaluate_batch(X)
+    assert answered == ([0] if case in ("abs-d12", "sign-d20-schedule", "step-d20-schedule") else [])
+    spec, A = app.spec, app._rows(X)
+    y_ref, q_ref = _full_argmin(A, spec.family, spec.domain[-1], app._y_interval, app.config.alpha, app.config.tie_tol)
+    np.testing.assert_array_equal(y, y_ref)
+    np.testing.assert_array_equal(q, q_ref)

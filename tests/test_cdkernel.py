@@ -26,6 +26,9 @@ from cdapprox.benchmarks import get_benchmark
 from cdapprox.cdkernel import (
     _BOUND_MARGIN,
     CDKernel,
+    _least_sqnorm,
+    _level_split,
+    _shrunk_g_min,
     ThresholdParams,
     beta_schedule,
     certified_floor,
@@ -54,8 +57,9 @@ def test_sos_rows_are_stored_once_with_the_tikhonov_norms(family):
     # directions, both read-only, and no n x n array; sos_decomposition rebuilds the null
     # rows and scatters the range rows into a fresh read-only grevlex-order array on each
     # call; its squared row norms are g = 1/(beta + s), and certified_floor's min(g)
-    # factor is 1/(beta + lambda_max) from eigvalsh.  The mild matrix has no levels (its
-    # leak is 1e-9) and takes the eigen route; sign has two
+    # factor is 1/(beta + lambda_max) from eigvalsh of M on the eigen route, and from a
+    # bound just above it where the split runs.  The mild matrix has no levels (its leak
+    # is 1e-9) and takes the eigen route; sign has two
     mild = MomentMatrix(BasisSpec(2, 1, family=family), np.diag([2.0, 1.0, -1e-9]), Provenance.EMPIRICAL, 1.0)
     # sign d = 6 keeps min(2, m + 1) members per x-index, m = 6..0, and n_k for k = 2..6
     sign = get_benchmark("sign").moment_matrix(6, family=family)
@@ -82,7 +86,11 @@ def test_sos_rows_are_stored_once_with_the_tikhonov_norms(family):
         if family is Family.LEGENDRE_ORTHONORMAL:
             sqnorm = rho(M.spec.d // M.spec.p) ** M.spec.p / M.spec.domain_volume()
         g_min = 1.0 / (beta + np.linalg.eigvalsh(M.entries)[-1])
-        assert certified_floor(M, beta) == g_min * (1.0 - _BOUND_MARGIN) * sqnorm
+        if n_null:
+            assert certified_floor(M, beta) <= g_min * (1.0 - _BOUND_MARGIN) * sqnorm
+            assert certified_floor(M, beta) == pytest.approx(g_min * (1.0 - _BOUND_MARGIN) * sqnorm, rel=1e-13, abs=0.0)
+        else:
+            assert certified_floor(M, beta) == g_min * (1.0 - _BOUND_MARGIN) * sqnorm
     norms = np.sum(CDKernel(mild, 0.5).sos_decomposition() ** 2, axis=1)
     np.testing.assert_allclose(norms, [2.0, 1.0 / 1.5, 0.4], rtol=1e-12)
 
@@ -475,6 +483,32 @@ def test_certified_floor_is_the_kernel_floor_from_the_eigenvalues(name, d, famil
     M = get_benchmark(name).moment_matrix(d, family=family)
     beta = beta_schedule(d)
     assert certified_floor(M, beta) == pytest.approx(_kernel_floor(CDKernel(M, beta)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["sign", "step", "disk1"])
+def test_certified_floor_from_the_split_is_never_above_the_eigvalsh_floor(name, monkeypatch):
+    # where the level split runs, lambda_max(M) <= lambda_max(M_r) + 2 ||M Q_null||_F, inflated
+    # by 2 n eps: the floor from it is at most the one from eigvalsh of all of M, and within
+    # 1e-12 of it; no eigvalsh call sees the n x n matrix
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    for d in range(8, 17):
+        M = get_benchmark(name).moment_matrix(d)
+        beta = beta_schedule(d)
+        assert _level_split(M.entries, M.spec) is not None
+        full = _shrunk_g_min(beta, np.clip(eigvalsh(M.entries), 0.0, None)[-1]) * _least_sqnorm(M.spec)
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        floor = certified_floor(M, beta)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert floor <= full
+        assert floor == pytest.approx(full, rel=1e-12, abs=0.0)
+        assert calls and max(calls) < M.n
 
 
 def test_certified_floor_refuses_what_cdkernel_refuses():

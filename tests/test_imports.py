@@ -2,7 +2,8 @@
 
 The bound constants are plain float arithmetic, so no run imports mpmath, and
 the fiber solver groups its rows without ``np.unique``, so neither fiber
-evaluation nor a support check loads ``numpy.ma``.  The package's own modules
+evaluation nor a support check loads ``numpy.ma``.  The fiber solver's one
+eigenvalue call is ``approximant._real_roots``.  The package's own modules
 import each other at module level only, and those imports form no cycle, and
 only ``basis`` derives the y-degree layout of a basis from its exponent rows
 or walks points in blocks.
@@ -144,6 +145,7 @@ def test_fiber_evaluation_and_vacuous_support_report_load_no_numpy_ma():
         "M = bench.moment_matrix(8)\n"
         "for alpha in (0.0, 0.2):\n"
         "    Approximant(CDKernel(M, beta_schedule(8)), ApproxConfig(alpha=alpha)).evaluate_batch(bench.grid_x(200))\n"
+        "Approximant(CDKernel(bench.moment_matrix(12), 1e-8)).evaluate_batch(bench.grid_x(50))  # the window route\n"
         "rep = support_report(bench, M, beta_schedule(8), n_mass_samples=2000, n_probes=2000, mesh_points=500)\n"
         "assert rep.n_members == 0\n"
     )
@@ -311,6 +313,37 @@ def test_only_basis_derives_the_y_degree_layout():
         "if spec.p < 2 or lay.runs[0] == 0:\n    pass\n"
     )
     assert _layout_derivations(others) == []
+
+
+def _eigvals_callers(source):
+    """(line, top-level function) of each ``eigvals`` call in ``source``; "" outside any function."""
+    found = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else ""
+        found += [
+            (n.lineno, name)
+            for n in ast.walk(top)
+            if isinstance(n, ast.Call) and (getattr(n.func, "attr", None) or getattr(n.func, "id", None)) == "eigvals"
+        ]
+    return found
+
+
+def test_only_the_fiber_roots_call_eigvals():
+    # approximant._real_roots is the one eigenvalue call of the fiber solver: the window
+    # route's anchors and crossings and the full solve's critical points all go through it
+    found = [
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, name in _eigvals_callers(path.read_text())
+    ]
+    assert found and set(found) == {("approximant", "_real_roots")}
+    # the check sees a call in a nested helper, under any alias, and at module level
+    snippet = (
+        "def _real_roots(c):\n    def solve(rows):\n        return np.linalg.eigvals(rows)\n"
+        "def _anchors(p):\n    return la.eigvals(p)\n"
+        "roots = eigvals(m)\n"
+    )
+    assert _eigvals_callers(snippet) == [(3, "_real_roots"), (5, "_anchors"), (6, "")]
 
 
 def _private_block_loops(source):

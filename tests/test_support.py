@@ -259,7 +259,9 @@ def test_certified_report_computes_no_eigenvector_and_no_kernel(name, d, monkeyp
 
 def test_certificate_falls_back_to_eigvalsh_where_the_norm_bound_falls_short(monkeypatch):
     # sign at d = 10: the norm floor is about 0.84 of gamma_d and certified_floor about 1.26,
-    # so the one eigvalsh call is certified_floor's; the PSD proof needs none
+    # so the eigvalsh calls are certified_floor's; the PSD proof needs none.  sign has levels,
+    # so they are the level read's (d+1) x (d+1) y-marginal Gram and the n_range-sized M_r,
+    # never all of M
     bench = get_benchmark("sign")
     M = bench.moment_matrix(10)
     calls = []
@@ -271,7 +273,7 @@ def test_certificate_falls_back_to_eigvalsh_where_the_norm_bound_falls_short(mon
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     rep = support_report(bench, M, beta_schedule(10), n_mass_samples=200, n_probes=200, mesh_points=100)
-    assert calls == [(M.n, M.n)]
+    assert calls == [(11, 11), (21, 21)]
     assert rep.sublevel_empty
 
 
