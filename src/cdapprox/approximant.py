@@ -26,38 +26,42 @@ Each point streams the blocks once.
 
 Points are minimized in chunks sized by bytes: a chunk takes as many points
 as keep each large work array within a fixed budget, and each work array is
-freed once it is dead.  Two routes share one scoring.  The full solve takes
-the Legendre coefficients of q, in the variable u that maps Y onto [-1, 1],
-from its values at 2d+1 Gauss-Legendre nodes, where phi's values are cached
-per family, degree, domain axis and interval.  The critical points come from
-the stacked colleague matrices of dq/du (Good 1961; Boyd, SIAM Rev. 55, 2013)
-in one eigenvalue call.  The window route runs at alpha = 0 and
+freed once it is dead.  Two routes share one scoring and one polynomial
+basis.  Every series is a Chebyshev series, taken by one fixed map of
+``_window_maps`` from values at 2d+1 Gauss-Legendre nodes, and every root
+comes from its stacked colleague matrices (Good 1961; Boyd, SIAM Rev. 55,
+2013) in ``_real_roots``, the one eigenvalue call.  The full solve reads q at
+the nodes of Y, in the variable u that maps Y onto [-1, 1], where phi's values
+are cached per family, degree, domain axis and interval; the critical points
+are the roots of the series of dq/du.  The window route runs at alpha = 0 and
 d >= ``_WINDOW_MIN_DEGREE``.  A row p of degree L < d bounds q >= p^2; on a
 level kernel it is sqrt(W_L(x) / beta) n_L, whose roots are the levels
 (Lasserre, Pauwels & Putinar, The Christoffel-Darboux Kernel for Data
 Analysis, 2022).  So every near-minimizer lies in L narrow windows around
-them, which a size-L solve brackets, and on each certified window three
-Newton steps on dq/dt find the one critical point.  A point whose windows
-are not all certified takes the full solve, bit for bit.  On the fiber-1d
-kernels at beta = 1e-8 the windows cover 6e-5 to 3.4e-4 of the interval and
-answer every point; under the beta schedule none.  The candidates -- critical
-points plus the ends of Y -- are scored in the sum-of-squares form at y
-itself, so the reported q is q at the reported y and the minimum is exact up
-to rounding.  The squared row sums are einsum contractions: they add the rows
-in the same order as a sum over the row axis, without that strided
-reduction's cost.  The fixed tridiagonal part of each size of colleague
-matrix is cached as a template, so a chunk copies it and fills only the last
-column.
+them, which a size-L solve of p's series brackets, and on each certified
+window three Newton steps on dq/dt find the one critical point.  A point
+whose windows are not all certified takes the full solve, bit for bit.  On
+the fiber-1d kernels at beta = 1e-8 the windows cover 6e-5 to 3.4e-4 of the
+interval and answer every point; under the beta schedule none.  The
+candidates -- critical points plus the ends of Y -- are scored in the
+sum-of-squares form at y itself, so the reported q is q at the reported y and
+the minimum is exact up to rounding.  The squared row sums are einsum
+contractions: they add the rows in the same order as a sum over the row
+axis, without that strided reduction's cost.  The fixed tridiagonal part of
+each size of colleague matrix is cached as a template, so a chunk copies it
+and fills only the last column.
 
 Values within the tie window tie_tol max(1, |q_min|) + 1e-14 q_max of the
 minimum count as ties and the smallest y wins, which reproduces the
-min-argmin convention on symmetric fibers.  q_max is the largest candidate's
-q: on the full solve it includes the interior local maxima, on the windows
-only the window roots and the ends, up to 1.7e6 times less at sign d = 12.
-On the fiber-1d kernels the window spans up to 8e-5 of the minimum, so the
-end y = lo wins a tie over a minimizer up to 2e-9 inside it.  Every step works row
-by row, so a point's result does not depend on the batch it was sent in: one
-point is a one-row batch of ``Approximant.evaluate_batch``.
+min-argmin convention on symmetric fibers; ``_tie_threshold`` is the one
+rule, for the full solve, the windows' level and their pick.  q_max is the
+largest candidate's q: on the full solve it includes the interior local
+maxima, on the windows only the window roots and the ends, up to 1.7e6 times
+less at sign d = 12.  On the fiber-1d kernels the window spans up to 8e-5 of
+the minimum, so the end y = lo wins a tie over a minimizer up to 2e-9 inside
+it.  Every step works row by row, so a point's result does not depend on the
+batch it was sent in: one point is a one-row batch of
+``Approximant.evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial import chebyshev, legendre
+from numpy.polynomial import chebyshev
 
 from .basis import Family, _stacked_tables, as_points, eval_basis_batch, leggauss, y_layout
 
@@ -82,7 +86,8 @@ if TYPE_CHECKING:
 # were not slower than 128
 _CHUNK_BYTES = 4 << 20
 # alpha window: allowance on q at a computed crossing, times max q on the fiber;
-# the colleague roots leave residuals up to 5e-13 of max q at d = 20
+# the Chebyshev colleague roots of q = (1.1/0.9) min q left residuals up to 2.1e-14
+# of max q on sign and step by quad at d = 20, and 5.8e-14 at d = 32 (32 points each)
 _CROSS_TOL = 1e-11
 # least degree at which the window route runs.  8-point calls on sign and step by
 # quad at beta = 1e-8 took 481 and 723 us by the full solve against 620 and 846
@@ -143,34 +148,22 @@ class ApproxConfig:
 
 
 @lru_cache(maxsize=64)
-def _fiber_maps(d: int) -> tuple:
-    """Fixed maps for a fiber q of degree 2d in the Legendre basis P_k(u) on [-1, 1].
-
-    ``project`` turns values of q at the 2d+1 Gauss-Legendre nodes into its
-    Legendre coefficients (exact, as q has degree 2d), and ``derive`` turns
-    those into the coefficients of dq/du.
-    """
-    u, w = leggauss(2 * d + 1)
-    project = legendre.legvander(u, 2 * d) * w[:, None] * (np.arange(2 * d + 1) + 0.5)
-    derive = legendre.legder(np.eye(2 * d + 1)).T
-    for a in (project, derive):
-        a.setflags(write=False)
-    return project, derive
-
-
-@lru_cache(maxsize=64)
 def _window_maps(d: int) -> tuple:
-    """Fixed maps for q of degree 2d on a window, in the window's variable t in [-1, 1].
+    """Fixed maps for q of degree 2d on an interval, in the interval's variable t in [-1, 1].
 
-    ``nodes`` are the 2d+1 Gauss-Legendre nodes; ``slope`` turns q's values
-    there into the Chebyshev coefficients a_0..a_{2d-1} of dq/dt (exact, as q
-    has degree 2d), ``second`` turns those into the coefficients of d2q/dt2,
-    and ``abs_slope`` is |slope|, for the rounding bound.
+    ``nodes`` are the 2d+1 Gauss-Legendre nodes; ``value`` turns the values
+    there of a polynomial of degree <= 2d into its Chebyshev coefficients
+    (exact, as the nodes are 2d+1), and ``slope`` turns q's values into the
+    Chebyshev coefficients a_0..a_{2d-1} of dq/dt; ``second`` turns those
+    into the coefficients of d2q/dt2, and ``abs_slope`` is |slope|, for the
+    rounding bound.  The full solve reads them on the search interval, the
+    window route on each window.
     """
     nodes = leggauss(2 * d + 1)[0]
-    slope = np.linalg.solve(chebyshev.chebvander(nodes, 2 * d), np.eye(2 * d + 1)).T @ chebyshev.chebder(np.eye(2 * d + 1)).T
+    value = np.linalg.solve(chebyshev.chebvander(nodes, 2 * d), np.eye(2 * d + 1)).T
+    slope = value @ chebyshev.chebder(np.eye(2 * d + 1)).T
     second = chebyshev.chebder(np.eye(2 * d)).T
-    out = nodes, slope, second, np.abs(slope)
+    out = nodes, value, slope, second, np.abs(slope)
     for a in out:
         a.setflags(write=False)
     return out
@@ -192,28 +185,33 @@ def _node_values(family: Family, d: int, axis: tuple, interval: tuple) -> np.nda
 
 @lru_cache(maxsize=64)
 def _colleague_template(n: int) -> tuple:
-    """The fixed part of the size-n colleague matrix: its tridiagonal and the last-column scale."""
-    scl = 1.0 / np.sqrt(2.0 * np.arange(n) + 1.0)
-    k = np.arange(n - 1)
-    mat = np.zeros((n, n))
-    mat[k, k + 1] = mat[k + 1, k] = (k + 1) * scl[:-1] * scl[1:]
-    last = scl / scl[-1]
-    for a in (mat, last):
+    """The fixed part of the size-n Chebyshev colleague matrix, rotated: its tridiagonal and the first-column scale.
+
+    The matrix is numpy's chebcompanion turned by 180 degrees, as chebroots
+    solves it: its balancing then keeps the small roots of a series whose
+    leading coefficient is rounding noise, where the unrotated form lost
+    them (1 + 2y squared read its root -0.5 as -0.25).  At n = 1 the matrix
+    is the root -c_0/c_1 itself.
+    """
+    scl = np.sqrt(np.r_[1.0, np.full(n - 1, 0.5)])
+    mat = np.diag(np.r_[np.sqrt(0.5), np.full(max(n - 2, 0), 0.5)][: n - 1], 1)
+    first = (scl / scl[-1] * (0.5 if n > 1 else 1.0))[::-1].copy()
+    mat = (mat + mat.T)[::-1, ::-1].copy()
+    for a in (mat, first):
         a.setflags(write=False)
-    return mat, last
+    return mat, first
 
 
 def _colleague(c: np.ndarray) -> np.ndarray:
-    """Stacked symmetric-scaled colleague matrices of Legendre series rows c (as numpy's legcompanion)."""
-    n = c.shape[1] - 1
-    template, last = _colleague_template(n)
+    """Stacked symmetric-scaled colleague matrices of Chebyshev series rows c, rotated (numpy's chebcompanion[::-1, ::-1])."""
+    template, first = _colleague_template(c.shape[1] - 1)
     mat = np.repeat(template[None], c.shape[0], axis=0)
-    mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * last * (n / (2.0 * n - 1.0))
+    mat[:, :, 0] -= (c[:, -2::-1] / c[:, -1:]) * first
     return mat
 
 
 def _real_roots(c: np.ndarray, strict: bool = False) -> np.ndarray:
-    """Real parts of the roots of each Legendre series row, clipped to [-1, 1].
+    """Real parts of the roots of each Chebyshev series row, clipped to [-1, 1].
 
     When every row has a nonzero last coefficient, one eigenvalue call solves
     the whole stack.  Otherwise a row's degree is that of its last nonzero
@@ -222,7 +220,7 @@ def _real_roots(c: np.ndarray, strict: bool = False) -> np.ndarray:
     -1.  Real parts of complex roots are kept too: scoring them costs little
     and covers roots that rounding split off the real axis.  With ``strict``
     a complex root reads nan instead.  This is the one eigenvalue call of the
-    fiber solver.
+    fiber solver, and the colleague matrix (Good 1961) its one root form.
     """
 
     def solve(rows):
@@ -238,6 +236,31 @@ def _real_roots(c: np.ndarray, strict: bool = False) -> np.ndarray:
         sel = deg == n
         out[sel, :n] = solve(c[sel, : n + 1])
     return np.clip(out, -1.0, 1.0)
+
+
+def _level_roots(c: np.ndarray, levels: list, strict: bool = False) -> np.ndarray:
+    """Roots of c = level for each Chebyshev series row c (B, n+1) and each level array (B,): (B, len(levels) n).
+
+    One ``_real_roots`` call solves all the shifted series; row b holds the
+    roots for the first level, then for the next.
+    """
+    shifted = np.tile(c, (len(levels), 1))
+    shifted[:, 0] -= np.concatenate(levels)
+    roots = _real_roots(shifted, strict=strict)
+    return roots.reshape(len(levels), c.shape[0], -1).transpose(1, 0, 2).reshape(c.shape[0], -1)
+
+
+def _tie_threshold(q: np.ndarray, tie_tol: float, alpha: float = 0.0) -> tuple:
+    """(threshold, q_max) of candidate values q (B, k): every candidate at or below the threshold ties.
+
+    The threshold is (1+alpha)/(1-alpha) max(q_min, 0) plus the tie window
+    tie_tol max(1, |q_min|) + 1e-14 |q_max|; the 1e-14 q_max floor absorbs
+    rounding noise of order eps (fiber range) in the spectral factorization,
+    so exactly symmetric fibers tie cleanly.
+    """
+    qmin, qmax = q.min(axis=1), q.max(axis=1)
+    window = tie_tol * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
+    return (1.0 + alpha) / (1.0 - alpha) * np.maximum(qmin, 0.0) + window, qmax
 
 
 def _sos_values(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -281,29 +304,22 @@ def _full_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, al
     """
     B, d = A.shape[0], A.shape[2] - 1
     lo, hi = interval
-    project, derive = _fiber_maps(d)
+    _, value, slope = _window_maps(d)[:3]
     with np.errstate(over="ignore", invalid="ignore"):
-        c = (_sos_values(A, _node_values(family, d, axis, interval))[:, None, :] @ project)[:, 0]
-    if not np.all(np.isfinite(c)):
+        qn = _sos_values(A, _node_values(family, d, axis, interval))[:, None, :]
+        a = (qn @ slope)[:, 0]
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"q overflows on the search interval [{lo}, {hi}]")
 
-    y = np.concatenate([_at_y(_real_roots((c[:, None, :] @ derive)[:, 0]), interval), np.broadcast_to([lo, hi], (B, 2))], axis=1)
+    y = np.concatenate([_at_y(_real_roots(a), interval), np.broadcast_to([lo, hi], (B, 2))], axis=1)
     q = _sos_values(A, _phi(family, d, axis, y).transpose(1, 0, 2))
-    qmin, qmax = q.min(axis=1), q.max(axis=1)
-    # the 1e-14 * qmax floor absorbs rounding noise of order eps * (fiber range)
-    # in the spectral factorization, so exactly symmetric fibers tie cleanly
-    window = tie_tol * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
+    thresh, qmax = _tie_threshold(q, tie_tol, alpha)
     if alpha > 0.0:
         # the leftmost point of {q <= thresh} is y = lo or a crossing of q = thresh
-        thresh = (1.0 + alpha) / (1.0 - alpha) * np.maximum(qmin, 0.0) + window
-        shifted = c.copy()
-        shifted[:, 0] -= thresh
-        cross = _at_y(_real_roots(shifted), interval)
+        cross = _at_y(_level_roots((qn @ value)[:, 0], [thresh]), interval)
         y = np.concatenate([y, cross], axis=1)
         q = np.concatenate([q, _sos_values(A, _phi(family, d, axis, cross).transpose(1, 0, 2))], axis=1)
         thresh = thresh + _CROSS_TOL * np.abs(qmax)
-    else:
-        thresh = qmin + window
     pick = np.argmin(np.where(q <= thresh[:, None], y, np.inf), axis=1)
     at = np.arange(B)
     return y[at, pick], q[at, pick]
@@ -328,9 +344,15 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
     a_1 > sum_{j>=2} j^2 |a_j|, each side widened by the coefficients'
     rounding bound, and three Newton steps find its one root.  The
     candidates, those roots and the ends, are scored, tied and picked as in
-    ``_full_argmin``.  A point is ok where every crossing is real, the
-    windows cover at most ``_WINDOW_SHARE`` of the interval, every window is
-    certified, all is finite and the tie threshold stays within ``level``.
+    ``_full_argmin``, with the tie threshold capped at ``level``, above which
+    a tie could lie outside the windows.  Each window's minimum lies at or
+    below q at its anchor, so the cap acts only through q's rounding: at
+    sign d = 20 an anchor 7e-16 inside the end y = -1, the window's
+    minimum, read q 8.9e-14 relative below it, and the threshold lay
+    9.7e-13 above the level.  A point is ok where every crossing is real,
+    the windows cover at most ``_WINDOW_SHARE`` of the interval, every
+    window is certified, all is finite and the least candidate lies within
+    ``level``.
     """
     B, r, d = A.shape[0], A.shape[1], A.shape[2] - 1
     lo, hi = interval
@@ -338,27 +360,24 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
     deg = d - np.argmax(A[:, :, ::-1] != 0.0, axis=2)  # a zero row reads degree d and is never p
     low = deg.argmin(axis=1)
     deg = deg[np.arange(B), low]
-    nodes, slope, second, abs_slope = _window_maps(d)
+    nodes, value, slope, second, abs_slope = _window_maps(d)
     eps = np.finfo(float).eps
 
     for L in np.flatnonzero(np.bincount(deg, minlength=d)[1:d]) + 1:  # the degrees 1..d-1 that occur
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             pts = np.flatnonzero(deg == L)
-            # p as a Legendre series in u, from its values at the interval's Gauss nodes (exact to degree 2d)
-            cp = ((A[pts, low[pts]][:, None, :] @ _node_values(family, d, axis, interval)) @ _fiber_maps(d)[0][:, : L + 1])[:, 0]
+            # p as a Chebyshev series in u, from its values at the interval's Gauss nodes (exact to degree 2d)
+            cp = ((A[pts, low[pts]][:, None, :] @ _node_values(family, d, axis, interval)) @ value[:, : L + 1])[:, 0]
             pts, cp = _keep(np.isfinite(cp).all(axis=1), pts, cp)
             anchor = np.sort(_real_roots(cp), axis=1)
             ends = np.broadcast_to([lo, hi], (pts.size, 2))
             q_ends = _sos_values(A[pts], _phi(family, d, axis, np.concatenate([_at_y(anchor, interval), ends], axis=1)).transpose(1, 0, 2))
-            qstar = q_ends.min(axis=1)
-            level = qstar + tie_tol * np.maximum(1.0, np.abs(qstar)) + 1e-14 * np.abs(q_ends).max(axis=1)
-            # the crossings p = -s and p = +s in one solve, s widened by their rounding, a few eps ||cp||_1
+            level = _tie_threshold(q_ends, tie_tol)[0]
+            # the crossings p = +s and p = -s in one solve, s widened by their rounding, a few eps ||cp||_1
             # in p; sorted, they pair into the windows [ua, ub]
             s = np.sqrt(level) + 4 * (L + 1) * eps * np.abs(cp).sum(axis=1)
             pts, cp, anchor, q_ends, level, s = _keep(np.isfinite(s), pts, cp, anchor, q_ends, level, s)
-            shifted = np.concatenate([cp, cp])
-            shifted[:, 0] += np.concatenate([-s, s])
-            cross = np.sort(_real_roots(shifted, strict=True).reshape(2, pts.size, L).transpose(1, 0, 2).reshape(pts.size, 2 * L), axis=1)
+            cross = np.sort(_level_roots(cp, [s, -s], strict=True), axis=1)
             ua, ub = cross[:, 0::2], cross[:, 1::2]
             fits = np.isfinite(cross).all(axis=1) & (0.5 * (ub - ua).sum(axis=1) <= _WINDOW_SHARE)
             pts, anchor, q_ends, level, ua, ub = _keep(fits, pts, anchor, q_ends[:, L:], level, ua, ub)
@@ -397,12 +416,11 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
             roots = np.clip(ya + 0.5 * (t + 1.0) * (yb - ya), lo, hi)
             ys = np.concatenate([roots, ends[: pts.size]], axis=1)
             qs = np.concatenate([_sos_values(Ap, _phi(family, d, axis, roots).transpose(1, 0, 2)), q_ends], axis=1)
-            qmin, qmax = qs.min(axis=1), qs.max(axis=1)
-            thresh = qmin + tie_tol * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
+            thresh = np.minimum(_tie_threshold(qs, tie_tol)[0], level)
             pick = np.argmin(np.where(qs <= thresh[:, None], ys, np.inf), axis=1)
             at = np.arange(pts.size)
             # a bound that is not finite certifies nothing: its comparisons read False
-            ok[pts] = (free | convex | flat).all(axis=1) & np.isfinite(qs).all(axis=1) & (thresh <= level)
+            ok[pts] = (free | convex | flat).all(axis=1) & np.isfinite(qs).all(axis=1) & (qs.min(axis=1) <= thresh)
             y[pts], q[pts] = ys[at, pick], qs[at, pick]
     return ok, y, q
 

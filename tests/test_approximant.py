@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import legendre
+from numpy.polynomial import chebyshev, legendre
 from numpy.polynomial import polynomial as npoly
 
 from cdapprox import approximant
@@ -18,10 +18,10 @@ from cdapprox.approximant import (
     ApproxConfig,
     Approximant,
     _fiber_argmin,
-    _fiber_maps,
     _full_argmin,
     _real_roots,
     _window_argmin,
+    _window_maps,
     partial_argmin,
 )
 from cdapprox.basis import BasisSpec, Family, axis_tables, eval_basis_batch
@@ -133,6 +133,16 @@ def test_value_within_epsilon_of_brute_minimum(data):
     ys = np.linspace(-1, 1, 200_001)
     true_min = float(sos_value(rows, ys).min())
     assert q <= true_min + eps + 1e-12 * max(1.0, abs(true_min))
+
+
+@pytest.mark.parametrize("poly, root", [([1.0, 2.0, 0.0], -0.5), ([0.5, 1.0, 0.0], -0.5), ([6.0, 7.0, 0.0], -6.0 / 7.0)])
+def test_a_fiber_of_lower_degree_than_its_rows_keeps_its_root(poly, root):
+    # (poly)^2 in a degree-2 row: dq/du is linear, and its top Chebyshev coefficients from the
+    # node values are rounding noise.  The unrotated colleague matrix read the root -0.5 as
+    # -0.25; the rotated one, as numpy's chebroots solves it, keeps it
+    y, q = partial_argmin(legendre_rows([poly]), UNIT)
+    assert y == pytest.approx(root, abs=1e-12)
+    assert q <= 1e-24
 
 
 def test_robust_window_widens_selection():
@@ -570,9 +580,9 @@ def test_mixed_degree_stacks_match_their_one_row_calls(monkeypatch):
         A[i, : rows.shape[0], : rows.shape[1]] = rows
     tops = []
 
-    def spy(c):
+    def spy(c, **kw):
         tops.append(c[:, -1].copy())
-        return _real_roots(c)
+        return _real_roots(c, **kw)
 
     monkeypatch.setattr(approximant, "_real_roots", spy)
     for alpha in (0.0, 0.3):
@@ -590,19 +600,20 @@ def test_mixed_degree_stacks_match_their_one_row_calls(monkeypatch):
         j = int(np.argmin(dense))
         assert qs[i] <= dense[j] + 1e-12 * max(1.0, dense[j])
         assert ys[i] == pytest.approx(grid[j], abs=1e-4)
-    # rows of several exact degrees, in one call: the roots of each row, as numpy finds them alone
+    # Chebyshev rows of several exact degrees, in one call: the roots of each row, as numpy finds them alone
     c = np.array([[0.5, -1.0, 0.25, 1.0], [0.1, 1.0, 0.0, 0.0], [0.3, -0.2, 2.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     roots = _real_roots(c)
     for row, got in zip(c, roots):
         n = np.flatnonzero(row)[-1]
-        want = np.sort(np.clip(legendre.legroots(row[: n + 1]).real, -1.0, 1.0))
+        want = np.sort(np.clip(chebyshev.chebroots(row[: n + 1]).real, -1.0, 1.0))
         np.testing.assert_allclose(np.sort(got[:n]), want, rtol=0.0, atol=1e-14)
         assert np.all(got[n:] == -1.0)
 
 
 def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
     # the fiber solver in its plain formulation: phi from a one-axis table at the Gauss nodes
-    # and the candidates, axis-1 square sums, and numpy's legcompanion matrices solved
+    # and the candidates, axis-1 square sums, the Chebyshev series of q and dq/du from
+    # _window_maps, and numpy's chebcompanion matrices, rotated as chebroots solves them,
     # degree by degree
     def roots(c):
         out = np.full((c.shape[0], c.shape[1] - 1), -1.0)
@@ -610,7 +621,7 @@ def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
         deg = np.where(live.any(axis=1), c.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1), 0)
         for n in sorted(set(deg.tolist()) - {0}):
             sel = deg == n
-            mats = np.stack([legendre.legcompanion(row) for row in c[sel, : n + 1]])
+            mats = np.stack([chebyshev.chebcompanion(row)[::-1, ::-1] for row in c[sel, : n + 1]])
             out[sel, :n] = np.linalg.eigvals(mats).real
         return np.clip(lo + 0.5 * (np.clip(out, -1.0, 1.0) + 1.0) * (hi - lo), lo, hi)
 
@@ -625,10 +636,11 @@ def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
 
     lo, hi = interval
     d = A.shape[2] - 1
-    project, derive = _fiber_maps(d)
+    _, value, slope = _window_maps(d)[:3]
     at_nodes = A @ phi(lo + 0.5 * (legendre.leggauss(2 * d + 1)[0] + 1.0) * (hi - lo)).T
-    c = ((at_nodes * at_nodes).sum(axis=1)[:, None, :] @ project)[:, 0]
-    y = np.concatenate([roots((c[:, None, :] @ derive)[:, 0]), np.broadcast_to([lo, hi], (A.shape[0], 2))], axis=1)
+    qn = (at_nodes * at_nodes).sum(axis=1)[:, None, :]
+    c = (qn @ value)[:, 0]
+    y = np.concatenate([roots((qn @ slope)[:, 0]), np.broadcast_to([lo, hi], (A.shape[0], 2))], axis=1)
     q = values(y)
     qmin, qmax = q.min(axis=1), q.max(axis=1)
     window = tie_tol * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
@@ -734,6 +746,28 @@ def test_window_route_finds_the_minimum_of_a_dense_local_scan(name, d, mode, fam
         # the least candidate: where q(lo) lies that close to the minimum, lo wins the tie
         if q_lo <= least * (1.0 - 1e-11) + 1e-14 * max(q_lo, q_hi):
             assert y == lo
+
+
+@pytest.mark.parametrize(
+    "name, d, mode",
+    [(name, d, "quad") for name in ("sign", "step") for d in (12, 16, 20)]
+    + [(name, d, "analytic") for name in ("sign", "step") for d in (24, 32)],
+)
+def test_window_route_agrees_with_the_full_solve(name, d, mode):
+    # both routes on the same rows, at the 32-point grid and beta = 1e-8.  Where neither pick
+    # is an end of the interval, so no tie with y = lo decides, the window route's y and q
+    # stay within |dy| <= 5e-13 and |dq| <= 1.5e-11 q of the full solve's: 10x the largest
+    # seen over these ten kernels, 4.8e-14 and 1.5e-12, both at analytic sign d = 32.  Sign's
+    # ends are levels, so only a third of its points pick an interior y
+    app = Approximant(CDKernel(get_benchmark(name).moment_matrix(d, mode=mode), 1e-8))
+    X = get_benchmark(name).grid_x(32)
+    spec, A, (lo, hi) = app.spec, app._rows(X), app._y_interval
+    ok, y_win, q_win = _window_argmin(A, spec.family, spec.domain[-1], app._y_interval, app.config.tie_tol)
+    y_full, q_full = _full_argmin(A, spec.family, spec.domain[-1], app._y_interval, 0.0, app.config.tie_tol)
+    inner = ok & ~np.isin(y_win, (lo, hi)) & ~np.isin(y_full, (lo, hi))
+    assert inner.sum() >= 8
+    assert np.abs(y_win - y_full)[inner].max() <= 5e-13
+    assert (np.abs(q_win - q_full) / q_full)[inner].max() <= 1.5e-11
 
 
 def test_a_window_holding_two_minima_is_not_certified():

@@ -3,10 +3,11 @@
 The bound constants are plain float arithmetic, so no run imports mpmath, and
 the fiber solver groups its rows without ``np.unique``, so neither fiber
 evaluation nor a support check loads ``numpy.ma``.  The fiber solver's one
-eigenvalue call is ``approximant._real_roots``.  The package's own modules
-import each other at module level only, and those imports form no cycle, and
-only ``basis`` derives the y-degree layout of a basis from its exponent rows
-or walks points in blocks.
+eigenvalue call is ``approximant._real_roots``, and ``approximant`` reaches
+no Legendre series of numpy.  The package's own modules import each other at
+module level only, and those imports form no cycle, and only ``basis``
+derives the y-degree layout of a basis from its exponent rows or walks points
+in blocks.
 """
 
 import ast
@@ -344,6 +345,44 @@ def test_only_the_fiber_roots_call_eigvals():
         "roots = eigvals(m)\n"
     )
     assert _eigvals_callers(snippet) == [(3, "_real_roots"), (5, "_anchors"), (6, "")]
+
+
+def _legendre_references(source):
+    """Lines of ``source`` that import or name ``numpy.polynomial.legendre`` or its ``Legendre`` class."""
+    names = ("legendre", "Legendre")
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom):
+            module = n.module or ""
+            hit = module.startswith("numpy.polynomial.legendre") or (
+                module == "numpy.polynomial" and any(a.name in names for a in n.names)
+            )
+        elif isinstance(n, ast.Import):
+            hit = any(a.name.startswith("numpy.polynomial.legendre") for a in n.names)
+        else:
+            hit = isinstance(n, ast.Attribute) and n.attr in names and getattr(n.value, "attr", None) == "polynomial"
+        if hit:
+            found.append(n.lineno)
+    return sorted(found)
+
+
+def test_the_fiber_solver_holds_no_legendre_series():
+    # every series of the fiber solver is a Chebyshev series, from _window_maps, and its
+    # roots come from the Chebyshev colleague matrix; the Gauss-Legendre nodes come from basis
+    assert _legendre_references((PACKAGE / "approximant.py").read_text()) == []
+    # the check sees each way of reaching the module or its class, and nothing else
+    snippet = (
+        "from numpy.polynomial import chebyshev, legendre\n"
+        "from numpy.polynomial.legendre import legroots\n"
+        "import numpy.polynomial.legendre as L\n"
+        "c = np.polynomial.legendre.legder(c)\n"
+        "from numpy.polynomial import Legendre as P\n"
+        "m = numpy.polynomial.Legendre.basis(3)\n"
+        "from numpy.polynomial import chebyshev\n"
+        "from .basis import Family, leggauss\n"
+        "u = leggauss(5)[0] if family is Family.LEGENDRE_ORTHONORMAL else chebyshev.chebpts1(5)\n"
+    )
+    assert _legendre_references(snippet) == [1, 2, 3, 4, 5, 6]
 
 
 def _private_block_loops(source):
