@@ -30,14 +30,23 @@ freed once it is dead.  Two routes share one scoring and one polynomial
 basis.  Every series is a Chebyshev series, taken by one fixed map of
 ``_window_maps`` from values at 2d+1 Gauss-Legendre nodes, and every root
 comes from its stacked colleague matrices (Good 1961; Boyd, SIAM Rev. 55,
-2013) in ``_real_roots``, the one eigenvalue call.  The full solve reads q at
-the nodes of Y, in the variable u that maps Y onto [-1, 1], where phi's values
-are cached per family, degree, domain axis and interval; the critical points
-are the roots of the series of dq/du.  The window route runs at alpha = 0 and
-d >= ``_WINDOW_MIN_DEGREE``.  A row p of degree L < d bounds q >= p^2; on a
-level kernel it is sqrt(W_L(x) / beta) n_L, whose roots are the levels
-(Lasserre, Pauwels & Putinar, The Christoffel-Darboux Kernel for Data
-Analysis, 2022).  So every near-minimizer lies in L narrow windows around
+2013) in ``_real_roots``, the one eigenvalue call.  phi's values come from
+one table helper, ``_tables``: in the Legendre family the Chebyshev T_k of
+the axis variable, two ufunc calls a degree where the Legendre recurrence
+takes five, and phi = C T with C the cached, nonnegative Legendre-to-Chebyshev
+map of ``_phi_map``, one stacked product per point; in the monomial family
+the powers, phi itself.  Against 40 digits C T was 3-10 times more accurate
+than the Legendre recurrence (4e-15 against 1.4e-14 at d = 20).  The full
+solve reads q at the nodes of Y, in the variable u that maps Y onto [-1, 1],
+where phi's values are cached per family, degree, domain axis and interval;
+the critical points are the roots of the series of dq/du.  The window route
+maps each group of rows once, A C, and reads q at a window's 2d+1 nodes as
+((A C) T)^2 summed, so no node pays the map; its candidates are scored, like
+the full solve's, on the rows A themselves.  The window route runs at
+alpha = 0 and d >= ``_WINDOW_MIN_DEGREE``.  A row p of degree L < d bounds
+q >= p^2; on a level kernel it is sqrt(W_L(x) / beta) n_L, whose roots are
+the levels (Lasserre, Pauwels & Putinar, The Christoffel-Darboux Kernel for
+Data Analysis, 2022).  So every near-minimizer lies in L narrow windows around
 them, which a size-L solve of p's series brackets, and on each certified
 window three Newton steps on dq/dt find the one critical point.  A point
 whose windows are not all certified takes the full solve, bit for bit.  On
@@ -121,7 +130,13 @@ class ApproxConfig:
     one and any epsilon above that is met; epsilon and gamma no longer size a
     grid.  ``alpha`` widens the acceptance window to (1+alpha)/(1-alpha) times
     the minimum, matching the robust variant used when the kernel itself is
-    only known up to relative error alpha.
+    only known up to relative error alpha.  The reported y then has
+    q(y) <= (1+alpha)/(1-alpha) min q + tie_tol max(1, min q)
+    + (1e-14 + ``_CROSS_TOL``) max q, with max q the largest q on the search
+    interval: the last term allows for the rounding of the computed
+    crossing, and exceeded (1+alpha)/(1-alpha) min q by up to
+    3.6e-5 of it on sign and step by quadrature at d = 8-16, alpha = 0.1,
+    where max q is about 1e9 min q.
 
     ``coarse_points`` and ``max_refinements`` are inert.  They tuned the grid
     search that the exact solver replaced, and stay so that existing callers
@@ -169,9 +184,73 @@ def _window_maps(d: int) -> tuple:
     return out
 
 
+@lru_cache(maxsize=64)
+def _phi_map(family: Family, d: int, axis: tuple) -> tuple:
+    """(C, ||C||_2): phi = C @ T for the members of degree <= d on axis = (lo, hi), T of ``_tables`` (read-only).
+
+    In the Legendre family row j of C holds sqrt((2j+1)/(hi - lo)) times the
+    Chebyshev coefficients of P_j, from the three-term recurrence
+    (k+1) P_(k+1) = (2k+1) u P_k - k P_(k-1) on coefficient vectors, with
+    u T_0 = T_1 and u T_i = (T_(i-1) + T_(i+1))/2.  It runs on 4^j times
+    the coefficients, which are integers, so it is exact, and each entry is
+    rounded once, by the integer division by 4^j.  The coefficients are
+    nonnegative, so |A| |C| = |A| C for any rows A, and phi = C T sums terms
+    of one sign wherever |u| >= 1.  The monomial family's table is phi
+    itself: (None, 1.0).
+    """
+    if family is not Family.LEGENDRE_ORTHONORMAL:
+        return None, 1.0
+    rows = [[1] + [0] * d, [0, 4] + [0] * (d - 1)][: d + 1]  # 4^j P_j for j = 0, 1
+    for k in range(1, d):
+        u4 = [0] * (d + 1)  # 4 u times 4^k P_k
+        for i, c in enumerate(rows[k][:d]):
+            if i == 0:
+                u4[1] += 4 * c
+            else:
+                u4[i - 1] += 2 * c
+                u4[i + 1] += 2 * c
+        # (2k+1) u4 - 16 k 4^(k-1) P_(k-1) is (k+1) 4^(k+1) P_(k+1), whose coefficients are integers
+        rows.append([((2 * k + 1) * a - 16 * k * b) // (k + 1) for a, b in zip(u4, rows[k - 1])])
+    lo, hi = axis
+    C = np.array([[c / 4**j for c in row] for j, row in enumerate(rows)])
+    C *= np.sqrt((2 * np.arange(d + 1) + 1) / (hi - lo))[:, None]
+    C.setflags(write=False)
+    return C, float(np.linalg.norm(C, 2))
+
+
+def _tables(family: Family, d: int, axis: tuple, y: np.ndarray) -> np.ndarray:
+    """Point-major (*y.shape[:-1], d+1, k) table at y (..., k) of which phi's values are C @ table, C of ``_phi_map``.
+
+    In the Legendre family the table holds T_0..T_d of the axis variable
+    u = (2y - (lo + hi)) / (hi - lo), from T_(k+1) = 2u T_k - T_(k-1), one
+    contiguous degree row per step; in the monomial family it holds phi.
+    Every entry depends on its own y alone.
+    """
+    if family is Family.LEGENDRE_ORTHONORMAL:
+        lo, hi = axis
+        out = np.empty((d + 1,) + y.shape)
+        out[0] = 1.0
+        u2 = 2.0 * ((2.0 * y - (lo + hi)) / (hi - lo))
+        if d >= 1:
+            np.multiply(u2, 0.5, out[1])
+        row = list(out)  # the rows' views, made once: a view per step and operand took 37 against 25 us at (8, 41), d = 20
+        for prev, cur, nxt in zip(row, row[1:], row[2:]):
+            np.multiply(u2, cur, nxt)
+            np.subtract(nxt, prev, nxt)
+    else:
+        out = _stacked_tables(family, d, y.reshape(1, -1), np.array([axis]))[:, 0].reshape(d + 1, *y.shape)
+    return out.transpose(*range(1, y.ndim), 0, y.ndim)
+
+
 def _phi(family: Family, d: int, axis: tuple, y: np.ndarray) -> np.ndarray:
-    """Degree-major (d+1, *y.shape) values at y of the family's members of degree <= d on axis = (lo, hi)."""
-    return _stacked_tables(family, d, y.reshape(1, -1), np.array([axis]))[:, 0].reshape(d + 1, *y.shape)
+    """Point-major (*y.shape[:-1], d+1, k) values at y (..., k) of the family's members of degree <= d on axis = (lo, hi).
+
+    One stacked product with the map of ``_phi_map`` per point, so a point's
+    values do not depend on the batch it came in.
+    """
+    C = _phi_map(family, d, axis)[0]
+    table = _tables(family, d, axis, y)
+    return table if C is None else C @ table
 
 
 @lru_cache(maxsize=64)
@@ -312,13 +391,13 @@ def _full_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, al
         raise ValueError(f"q overflows on the search interval [{lo}, {hi}]")
 
     y = np.concatenate([_at_y(_real_roots(a), interval), np.broadcast_to([lo, hi], (B, 2))], axis=1)
-    q = _sos_values(A, _phi(family, d, axis, y).transpose(1, 0, 2))
+    q = _sos_values(A, _phi(family, d, axis, y))
     thresh, qmax = _tie_threshold(q, tie_tol, alpha)
     if alpha > 0.0:
         # the leftmost point of {q <= thresh} is y = lo or a crossing of q = thresh
         cross = _at_y(_level_roots((qn @ value)[:, 0], [thresh]), interval)
         y = np.concatenate([y, cross], axis=1)
-        q = np.concatenate([q, _sos_values(A, _phi(family, d, axis, cross).transpose(1, 0, 2))], axis=1)
+        q = np.concatenate([q, _sos_values(A, _phi(family, d, axis, cross))], axis=1)
         thresh = thresh + _CROSS_TOL * np.abs(qmax)
     pick = np.argmin(np.where(q <= thresh[:, None], y, np.inf), axis=1)
     at = np.arange(B)
@@ -362,6 +441,9 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
     deg = deg[np.arange(B), low]
     nodes, value, slope, second, abs_slope = _window_maps(d)
     eps = np.finfo(float).eps
+    C, c_norm = _phi_map(family, d, axis)
+    # a node's row sum t_i is off by at most factor / 2 eps ||table|| w_i, with the weights w_i set below
+    factor = 4.0 * (d + 1) if C is None else 2.0
 
     for L in np.flatnonzero(np.bincount(deg, minlength=d)[1:d]) + 1:  # the degrees 1..d-1 that occur
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -371,7 +453,7 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
             pts, cp = _keep(np.isfinite(cp).all(axis=1), pts, cp)
             anchor = np.sort(_real_roots(cp), axis=1)
             ends = np.broadcast_to([lo, hi], (pts.size, 2))
-            q_ends = _sos_values(A[pts], _phi(family, d, axis, np.concatenate([_at_y(anchor, interval), ends], axis=1)).transpose(1, 0, 2))
+            q_ends = _sos_values(A[pts], _phi(family, d, axis, np.concatenate([_at_y(anchor, interval), ends], axis=1)))
             level = _tie_threshold(q_ends, tie_tol)[0]
             # the crossings p = +s and p = -s in one solve, s widened by their rounding, a few eps ||cp||_1
             # in p; sorted, they pair into the windows [ua, ub]
@@ -384,19 +466,31 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
             if not pts.size:
                 continue
             ya, yb, Ap = _at_y(ua, interval), _at_y(ub, interval), A if pts.size == B else A[pts]
-            norms = np.sqrt(np.einsum("brj,brj->br", Ap, Ap))
+            # the weights: on the monomial table, phi itself, w_i = ||A_i||, as t_i's sum and phi's own rounding
+            # are (d+1) eps ||A_i|| ||phi|| each.  On the Chebyshev table t_i = AT_i . T, AT = A C formed once for
+            # all windows.  AT_i is off by (d+1) eps |A_i| C and C's rounding adds 2 eps |A_i| C, where C >= 0
+            # and ||C |T| || <= ||C||_2 ||T||; the sum is off by (d+1) eps ||AT_i|| ||T|| and T's own rounding
+            # e by ||AT_i|| ||e||.  Each T step rounds by at most 1.5 eps and its error spreads as U_k, with
+            # |U_k| <= k+1 on [-1, 1]; tau = (d+1)^2 / 4 stands for ||e|| / (eps ||T||), which peaked at 10, 25,
+            # 48 and 79 against 40 digits at d = 12, 20, 32 and 40, near u = 1
+            weight = np.sqrt(np.einsum("brj,brj->br", Ap, Ap))
+            AT = Ap
+            if C is not None:
+                AT = Ap @ C
+                tau = (d + 1) ** 2 / 4
+                weight = (d + 3) * c_norm * weight + (d + 1 + tau) * np.sqrt(np.einsum("brj,brj->br", AT, AT))
             qn, err = np.empty((2, pts.size, L, 2 * d + 1))
             for w in range(L):
                 # q at the window's Gauss nodes: one stacked (r, d+1) @ (d+1, 2d+1) product per point
-                phi = _phi(family, d, axis, ya[:, w, None] + 0.5 * (nodes + 1.0) * (yb - ya)[:, w, None]).transpose(1, 0, 2)
-                terms = Ap @ phi
+                table = _tables(family, d, axis, ya[:, w, None] + 0.5 * (nodes + 1.0) * (yb - ya)[:, w, None])
+                terms = AT @ table
                 qn[:, w] = np.einsum("brk,brk->bk", terms, terms)
-                # rounding of q at a node: each row's sum t_i is off by (d+1) eps ||A_i|| ||phi|| and phi's own
-                # rounding as much again, so q by 4 (d+1) eps ||phi|| sum_i |t_i| ||A_i||; the sum of squares
-                # and the map add (r + 2d+1) eps q
-                spread = np.einsum("brk,br->bk", np.abs(terms, out=terms), norms)
-                err[:, w] = eps * (4.0 * (d + 1) * np.sqrt(np.einsum("bjk,bjk->bk", phi, phi)) * spread + (r + 2 * d + 1) * qn[:, w])
-                del phi, terms
+                # rounding of q at a node: twice each row's rounding times |t_i|, summed, plus (r + 2d+1) eps q for
+                # the sum of squares and the map
+                spread = np.einsum("brk,br->bk", np.abs(terms, out=terms), weight)
+                err[:, w] = eps * (factor * np.sqrt(np.einsum("bjk,bjk->bk", table, table)) * spread + (r + 2 * d + 1) * qn[:, w])
+                del table, terms
+            del AT
             a = qn @ slope
             # a node off by its rounding, 2 eps max|y|, moves q by that times |dq/dy| <= 2 sum_j |a_j| / (yb - ya)
             shift = 4.0 * eps * np.maximum(np.abs(ya), np.abs(yb)) / (yb - ya) * np.abs(a).sum(axis=2)
@@ -415,7 +509,7 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
             t = np.where(convex, t, np.where(a[..., 0] > 0.0, -1.0, 1.0))  # a root-free window's lower end
             roots = np.clip(ya + 0.5 * (t + 1.0) * (yb - ya), lo, hi)
             ys = np.concatenate([roots, ends[: pts.size]], axis=1)
-            qs = np.concatenate([_sos_values(Ap, _phi(family, d, axis, roots).transpose(1, 0, 2)), q_ends], axis=1)
+            qs = np.concatenate([_sos_values(Ap, _phi(family, d, axis, roots)), q_ends], axis=1)
             thresh = np.minimum(_tie_threshold(qs, tie_tol)[0], level)
             pick = np.argmin(np.where(qs <= thresh[:, None], ys, np.inf), axis=1)
             at = np.arange(pts.size)
@@ -460,8 +554,10 @@ def partial_argmin(
     q(y) = sum_i (rows_i . L(y))^2.  ``Approximant.y_coefficients`` returns
     such rows for the orthonormal family searched over its y-axis.  Returns
     (y, q(y)) with y the smallest candidate inside the tie window of the
-    minimum (or, for alpha > 0, the leftmost point with
-    q(y) <= (1+alpha)/(1-alpha) min q).  The minimum is exact up to rounding,
+    minimum (or, for alpha > 0, the leftmost point found with
+    q(y) <= (1+alpha)/(1-alpha) min q + tie_tol max(1, min q)
+    + (1e-14 + ``_CROSS_TOL``) max q, max q the largest q on the interval, as
+    ``ApproxConfig`` states).  The minimum is exact up to rounding,
     which meets any ``epsilon``; ``coarse_points`` and ``max_refinements`` are
     accepted and ignored.  It runs the solver of ``evaluate_batch``, window
     route included: at alpha = 0 and k - 1 >= ``_WINDOW_MIN_DEGREE``, a row
@@ -491,12 +587,13 @@ class Approximant:
     point (r = n without levels): the kernel holds M at 8 n^2 bytes and its
     range rows at 8 n n_range, and the y-degree blocks are views of those
     rows, so the approximant itself holds no n x n array.  Evaluation runs in
-    chunks of max(1, _CHUNK_BYTES // (8 max((r + d + 1)(2d+1), (2d-1)^2)))
+    chunks of max(1, _CHUNK_BYTES // (8 max((r + d + 1)(2d+1) + r (d+1), (2d-1)^2)))
     points, so each of its largest work arrays takes at most _CHUNK_BYTES
     (4 MiB): the (chunk, r, 2d+1) node and candidate terms, a window's node
-    terms with the (chunk, d+1, 2d+1) phi they come from, and the full
-    solve's (chunk, 2d-1, 2d-1) colleague matrices.  They are never alive
-    together: beside one of them a chunk holds its (chunk, r, d+1) rows.  At disk1
+    terms with the (chunk, d+1, 2d+1) table they come from and the
+    (chunk, r, d+1) rows mapped to Chebyshev, and the full solve's
+    (chunk, 2d-1, 2d-1) colleague matrices.  They are never alive together:
+    beside one of them a chunk holds its (chunk, r, d+1) rows.  At disk1
     d = 20 (n = 1,771, n_range = 441) the kernel's rows take 6 MiB.
     """
 
@@ -514,9 +611,9 @@ class Approximant:
         # row k - L of the null directions weighs the x-members of degree <= d - k: the first runs[k]
         self._null_ends = runs[spec.d + 1 - kernel._null.shape[0] :] - 1
         r, d = self._blocks[0].shape[1] + kernel._null.shape[0], spec.d
-        # per point: the (r, 2d+1) node terms, beside the window's (d+1, 2d+1) phi they come from, and
-        # the full solve's (2d-1, 2d-1) colleague matrix
-        self._chunk = max(1, _CHUNK_BYTES // (8 * max((r + d + 1) * (2 * d + 1), (2 * d - 1) ** 2)))
+        # per point: the (r, 2d+1) node terms, beside the window's (d+1, 2d+1) table they come from and
+        # its (r, d+1) mapped rows, and the full solve's (2d-1, 2d-1) colleague matrix
+        self._chunk = max(1, _CHUNK_BYTES // (8 * max((r + d + 1) * (2 * d + 1) + r * (d + 1), (2 * d - 1) ** 2)))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         """Fiber rows (B, r, d+1) at the points X; rows that overflow raise ValueError, with no RuntimeWarning.

@@ -1,9 +1,12 @@
 """Fiber minimization and the graph approximant."""
 
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +59,22 @@ def sos_value(rows, y, interval=(-1.0, 1.0)):
     u = (2.0 * y - (lo + hi)) / (hi - lo)
     L = legendre.legvander(u, rows.shape[1] - 1) * np.sqrt((2.0 * np.arange(rows.shape[1]) + 1.0) / (hi - lo))
     return np.sum((L @ rows.T) ** 2, axis=-1).reshape(y.shape)
+
+
+def exact_q(rows, y, axis, family=Family.LEGENDRE_ORTHONORMAL, dps=40):
+    # q(y) = sum_i (rows_i . phi(y))^2 at dps digits, of the float rows as given: phi the orthonormal
+    # Legendre family on the axis, from the three-term recurrence, or the monomials y^j
+    lo, hi = (mpmath.mpf(t) for t in axis)
+    with mpmath.workdps(dps):
+        if family is Family.MONOMIAL_GREVLEX:
+            phi = [mpmath.mpf(y) ** j for j in range(rows.shape[1])]
+        else:
+            u = (2 * mpmath.mpf(y) - (lo + hi)) / (hi - lo)
+            P = [mpmath.mpf(1), u]
+            for k in range(1, rows.shape[1] - 1):
+                P.append(((2 * k + 1) * u * P[k] - k * P[k - 1]) / (k + 1))
+            phi = [mpmath.sqrt((2 * j + 1) / (hi - lo)) * P[j] for j in range(rows.shape[1])]
+        return float(mpmath.fsum(mpmath.fsum(a * p for a, p in zip(row, phi)) ** 2 for row in rows.tolist()))
 
 
 def sos_rows(c):
@@ -161,6 +180,23 @@ def test_robust_window_widens_selection():
     brute_left = float(ys[qs <= thresh].min())
     assert y_robust == pytest.approx(brute_left, abs=1e-3)
     assert q_robust <= thresh * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+@pytest.mark.parametrize("name", ["sign", "step"])
+def test_robust_window_keeps_its_stated_guarantee(name, d):
+    # at alpha > 0 the reported q is at most (1+alpha)/(1-alpha) min q, plus the tie window
+    # tie_tol max(1, min q) + 1e-14 max q and the crossing's allowance _CROSS_TOL max q, max q the
+    # largest q on the fiber.  (1+alpha)/(1-alpha) min q alone is exceeded here, by up to 3.6e-5
+    # relative: max q is about 1e9 min q on these fibers
+    kern = quad_kernel(name, d)
+    X = get_benchmark(name).grid_x(32)
+    _, q_min = Approximant(kern).evaluate_batch(X)
+    _, q = Approximant(kern, ApproxConfig(alpha=0.1)).evaluate_batch(X)
+    yy = np.linspace(-1.0, 1.0, 20_001)
+    q_max = np.array([kern.eval_q_batch(np.c_[np.full(yy.size, x), yy]).max() for x in X[:, 0]])
+    window = 1e-13 * np.maximum(1.0, q_min) + (1e-14 + approximant._CROSS_TOL) * q_max
+    assert np.all(q <= 1.1 / 0.9 * q_min + window)
 
 
 def test_partial_argmin_validation():
@@ -481,10 +517,24 @@ def test_reported_q_is_the_kernel_at_the_reported_y(d, family):
     np.testing.assert_allclose(qs, kern.eval_q_batch(np.c_[X, ys]), rtol=2e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("d, mode", [(20, "quad"), (32, "quad"), (32, "analytic"), (40, "analytic")])
+def test_reported_q_is_q_of_the_fiber_rows_to_40_digits(d, mode):
+    # independent of the solver's tables: q at the reported y against a 40-digit evaluation of the
+    # kernel's own float rows at that y.  The Chebyshev table with its fixed map read at most
+    # 4.4e-13 off it on these grids, the Legendre recurrence it replaced 1.5e-12
+    kern = quad_kernel("sign", d) if mode == "quad" else CDKernel(get_benchmark("sign").moment_matrix(d, mode=mode), 1e-8)
+    app = Approximant(kern)
+    X = get_benchmark("sign").grid_x(16)
+    ys, qs = app.evaluate_batch(X)
+    exact = [exact_q(rows, y, app.spec.domain[-1]) for rows, y in zip(app._rows(X), ys)]
+    np.testing.assert_allclose(qs, exact, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("beta", [1e-8, beta_schedule(32)], ids=["windows", "fallback"])
 def test_evaluate_batch_working_set_stays_within_the_chunk_budget(beta):
     # chunks are sized so each large work array takes at most _CHUNK_BYTES: the (chunk, r, 2d+1)
-    # node terms, a window's beside the phi table they come from, and the full solve's
+    # node terms, a window's beside the Chebyshev table they come from and the rows mapped onto
+    # it, and the full solve's
     # (chunk, 2d-1, 2d-1) colleague matrices; the solver frees each work array once it is dead.  The traced peak was 1.5x the budget at sign
     # d = 32 (n = 561), and 110 MiB with 128-point chunks that held two (128, r, 2d+1) and
     # two (128, r, d+1) arrays at once.  At beta = 1e-8 the windows answer every point, under
@@ -610,11 +660,27 @@ def test_mixed_degree_stacks_match_their_one_row_calls(monkeypatch):
         assert np.all(got[n:] == -1.0)
 
 
+@lru_cache(maxsize=None)
+def legendre_in_chebyshev(d, axis):
+    # row n: the Chebyshev coefficients of P_n in closed form, P_n(cos t) = sum_k a_k a_(n-k) cos((n-2k) t)
+    # with a_k = C(2k, k) / 4^k, rounded once and scaled to the orthonormal family on the axis
+    a = [Fraction(math.comb(2 * k, k), 4**k) for k in range(d + 1)]
+    C = np.zeros((d + 1, d + 1))
+    for n in range(d + 1):
+        for k in range(n // 2 + 1):
+            C[n, n - 2 * k] = float(a[k] * a[n - k] * (1 if n == 2 * k else 2))
+    return C * np.sqrt((2 * np.arange(d + 1) + 1) / (axis[1] - axis[0]))[:, None]
+
+
 def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
-    # the fiber solver in its plain formulation: phi from a one-axis table at the Gauss nodes
-    # and the candidates, axis-1 square sums, the Chebyshev series of q and dq/du from
-    # _window_maps, and numpy's chebcompanion matrices, rotated as chebroots solves them,
-    # degree by degree
+    # the fiber solver in its plain formulation: phi from the Chebyshev table, T_(k+1) = 2u T_k - T_(k-1),
+    # and the closed-form Legendre-to-Chebyshev map, one product per point (phi itself in the monomial
+    # family, a one-axis table) at the Gauss nodes and the candidates, axis-1 square sums, the Chebyshev
+    # series of q and dq/du from _window_maps, and numpy's chebcompanion matrices, rotated as chebroots
+    # solves them, degree by degree
+    lo, hi = interval
+    d = A.shape[2] - 1
+
     def roots(c):
         out = np.full((c.shape[0], c.shape[1] - 1), -1.0)
         live = c != 0.0
@@ -625,19 +691,25 @@ def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
             out[sel, :n] = np.linalg.eigvals(mats).real
         return np.clip(lo + 0.5 * (np.clip(out, -1.0, 1.0) + 1.0) * (hi - lo), lo, hi)
 
-    y_axis = BasisSpec(1, spec.d, family=spec.family, domain=(spec.domain[-1],))
+    axis = spec.domain[-1]
 
     def phi(y):
-        return axis_tables(y_axis, y[:, None])[0]
+        # (..., k) -> (..., d+1, k)
+        if spec.family is Family.MONOMIAL_GREVLEX:
+            table = axis_tables(BasisSpec(1, d, family=spec.family, domain=(axis,)), y.reshape(-1, 1))[0]
+            return np.swapaxes(table.reshape(*y.shape, d + 1), -1, -2)
+        u = (2.0 * y - (axis[0] + axis[1])) / (axis[1] - axis[0])
+        T = [np.ones_like(u), u]
+        for k in range(1, d):
+            T.append(2.0 * u * T[k] - T[k - 1])
+        return legendre_in_chebyshev(d, axis) @ np.stack(T[: d + 1], axis=-2)
 
     def values(y):
-        t = A @ phi(y.ravel()).reshape(*y.shape, -1).transpose(0, 2, 1)
+        t = A @ phi(y)
         return (t * t).sum(axis=1)
 
-    lo, hi = interval
-    d = A.shape[2] - 1
     _, value, slope = _window_maps(d)[:3]
-    at_nodes = A @ phi(lo + 0.5 * (legendre.leggauss(2 * d + 1)[0] + 1.0) * (hi - lo)).T
+    at_nodes = A @ phi(lo + 0.5 * (legendre.leggauss(2 * d + 1)[0] + 1.0) * (hi - lo))
     qn = (at_nodes * at_nodes).sum(axis=1)[:, None, :]
     c = (qn @ value)[:, 0]
     y = np.concatenate([roots((qn @ slope)[:, 0]), np.broadcast_to([lo, hi], (A.shape[0], 2))], axis=1)
@@ -735,7 +807,10 @@ def test_window_route_finds_the_minimum_of_a_dense_local_scan(name, d, mode, fam
     levels = _levels(M.entries, M.spec)
     lo, hi = app._y_interval
     ys, qs = app.evaluate_batch(X)
-    np.testing.assert_allclose(qs, kern.eval_q_batch(np.c_[X, ys]), rtol=1e-12, atol=0.0)
+    # q at the reported y against a 40-digit evaluation of the fiber's own rows: eval_q_batch rounds
+    # on its own path, 2.9e-12 off that reference at analytic sign d = 32
+    exact = [exact_q(rows, y, app.spec.domain[-1], family) for rows, y in zip(app._rows(X), ys)]
+    np.testing.assert_allclose(qs, exact, rtol=1e-12, atol=0.0)
     ends = kern.eval_q_batch(np.c_[np.repeat(X, 2, axis=0), np.tile([lo, hi], X.shape[0])]).reshape(-1, 2)
     for x, y, q, (q_lo, q_hi) in zip(X, ys, qs, ends):
         least, at, top = _scan_minimum(kern, x, np.append(levels, y), lo, hi)
@@ -786,6 +861,32 @@ def test_a_window_holding_two_minima_is_not_certified():
     u = np.sqrt(w**2 - 0.5 / K**2)
     assert y == pytest.approx(-u, abs=1e-9)
     assert q == pytest.approx(u**2 + (K * (u**2 - w**2)) ** 2, rel=1e-9)
+
+
+def test_windows_whose_candidates_all_read_above_their_level_leave_the_point(monkeypatch):
+    # rows p = K (u - a), degree 1, and h = 1 + 1e-3 Ltilde_10: one window, 1% of the interval, around
+    # a, and the ends far outside it.  The level is the tie threshold of q at a and at
+    # the ends, and the window's least q lies at or below q(a), so only rounding can read every window
+    # candidate above the level, as at sign d = 20, where an anchor's q read 8.9e-14 below its window's
+    # minimum.  Reading q at the window's root 1e-6 high models that: the tie threshold's cap at the level
+    # then leaves the point to the full solve, which answers it bit for bit.  Without the cap the
+    # windows answer with the misread q
+    K, a = 100.0, 0.3
+    rows = np.zeros((2, 11))
+    rows[0, :2] = legendre_rows([[-K * a, K]])[0]
+    rows[1, 0], rows[1, 10] = np.sqrt(2.0), 1e-3
+    ok, y, q = _window_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, 1e-13)
+    assert ok[0] and y[0] == pytest.approx(a, abs=1e-7)
+    y_full, q_full = _full_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, 0.0, 1e-13)
+    sos_values = approximant._sos_values
+
+    def misread(A, phi):
+        # the window's root is the only one-column table the solver scores
+        return sos_values(A, phi) * (1.0 + 1e-6 * (phi.shape[-1] == 1))
+
+    monkeypatch.setattr(approximant, "_sos_values", misread)
+    assert not _window_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, 1e-13)[0][0]
+    assert partial_argmin(rows, UNIT) == (y_full[0], q_full[0])
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from cdapprox.basis import (
     _BLOCK,
     BasisSpec,
     Family,
+    _stacked_tables,
     axis_tables,
     basis_product,
     basis_size,
@@ -313,6 +314,37 @@ def test_stacked_axis_tables_equal_the_one_axis_recurrence(p, family, domain, d)
         assert np.array_equal(tab, ref)
         one_axis = BasisSpec(1, d, family=family, domain=(spec.domain[k],))
         assert np.array_equal(axis_tables(one_axis, Z[:, k : k + 1])[0], ref)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("axes", [1, 2, 3])
+def test_stacked_tables_are_bit_identical_to_the_allocating_loop(axes, family):
+    # the recurrence and the powers written into their preallocated rows, against the loop they
+    # replaced, which allocated every step's temporaries
+    def loop(family, d, T, box):
+        out = np.empty((d + 1,) + T.shape)
+        out[0] = 1.0
+        if family is Family.LEGENDRE_ORTHONORMAL:
+            lo, hi = box[:, :1], box[:, 1:]
+            w = hi - lo
+            u = (2.0 * T - (lo + hi)) / w
+            if d >= 1:
+                out[1] = u
+            for k in range(1, d):
+                out[k + 1] = ((2 * k + 1) * u * out[k] - k * out[k - 1]) / (k + 1)
+            out *= np.sqrt((2 * np.arange(d + 1)[:, None] + 1) / w[:, 0])[:, :, None]
+        else:
+            for k in range(d):
+                out[k + 1] = out[k] * T
+        return out
+
+    box = np.array([(-0.5, 2.0), (-1.0, 1.0), (0.0, 3.0)][:axes])
+    rng = np.random.default_rng(axes)
+    for m in (1, 32, 328, 2048):
+        # points inside and up to half a width outside each axis
+        T = rng.uniform(box[:, :1] - 0.5 * (box[:, 1:] - box[:, :1]), box[:, 1:], size=(axes, m))
+        for d in range(41):
+            assert np.array_equal(_stacked_tables(family, d, T, box), loop(family, d, T, box))
 
 
 def _column_recurrence_basis(spec, Z):

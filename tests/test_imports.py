@@ -3,8 +3,10 @@
 The bound constants are plain float arithmetic, so no run imports mpmath, and
 the fiber solver groups its rows without ``np.unique``, so neither fiber
 evaluation nor a support check loads ``numpy.ma``.  The fiber solver's one
-eigenvalue call is ``approximant._real_roots``, and ``approximant`` reaches
-no Legendre series of numpy.  The package's own modules import each other at
+eigenvalue call is ``approximant._real_roots``, ``approximant`` reaches
+no Legendre series of numpy, and it runs the basis's Legendre recurrence
+nowhere: its one table helper calls ``basis._stacked_tables`` for the
+monomial family only.  The package's own modules import each other at
 module level only, and those imports form no cycle, and only ``basis``
 derives the y-degree layout of a basis from its exponent rows or walks points
 in blocks.
@@ -345,6 +347,78 @@ def test_only_the_fiber_roots_call_eigvals():
         "roots = eigvals(m)\n"
     )
     assert _eigvals_callers(snippet) == [(3, "_real_roots"), (5, "_anchors"), (6, "")]
+
+
+_FAMILY_MEMBERS = ("LEGENDRE_ORTHONORMAL", "MONOMIAL_GREVLEX")
+
+
+def _monomial_branches(node):
+    """(body is the monomial path, orelse is) for an ``if`` or conditional expression that tests a basis family."""
+    test = node.test
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1 and isinstance(test.ops[0], (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))):
+        return False, False
+    member = getattr(test.comparators[0], "attr", None)
+    if member not in _FAMILY_MEMBERS:
+        return False, False
+    body = (member == "MONOMIAL_GREVLEX") == isinstance(test.ops[0], (ast.Is, ast.Eq))
+    return body, not body
+
+
+def _stacked_table_calls(source):
+    """(line, top-level function, on the monomial path) of each call of ``_stacked_tables`` in ``source``.
+
+    A call is on the monomial path where an enclosing ``if`` or conditional
+    expression that compares a family with one of the two members puts it in
+    the monomial family's branch.
+    """
+    found = []
+
+    def visit(node, top, mono):
+        if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "_stacked_tables":
+            found.append((node.lineno, top, mono))
+        if isinstance(node, (ast.If, ast.IfExp)):
+            body, orelse = _monomial_branches(node)
+            visit(node.test, top, mono)
+            for child in node.body if isinstance(node, ast.If) else [node.body]:
+                visit(child, top, mono or body)
+            for child in node.orelse if isinstance(node, ast.If) else [node.orelse]:
+                visit(child, top, mono or orelse)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, top, mono)
+
+    for top in ast.parse(source).body:
+        visit(top, top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "", False)
+    return found
+
+
+def test_the_fiber_solver_tabulates_legendre_values_from_chebyshev_tables():
+    # approximant._tables is the fiber solver's one table helper: the Legendre family reads a
+    # Chebyshev table through a fixed map, so the basis's Legendre recurrence runs there only
+    # for the monomial family's powers
+    found = _stacked_table_calls((PACKAGE / "approximant.py").read_text())
+    assert found and {(top, mono) for _, top, mono in found} == {("_tables", True)}
+    # the check sees the helper that called the recurrence for every family, a call outside
+    # the helper, and both polarities of the family test in statements and expressions
+    snippet = (
+        "def _phi(family, d, axis, y):\n"
+        "    return _stacked_tables(family, d, y.reshape(1, -1), np.array([axis]))[:, 0]\n"
+        "def _tables(family, d, axis, y):\n"
+        "    if family is Family.LEGENDRE_ORTHONORMAL:\n"
+        "        out = chebyshev_table(y)\n"
+        "    else:\n"
+        "        out = _stacked_tables(family, d, y, box)\n"
+        "    if family is not Family.LEGENDRE_ORTHONORMAL:\n"
+        "        out = basis._stacked_tables(family, d, y, box)\n"
+        "    return _stacked_tables(family, d, y, box) if family == Family.MONOMIAL_GREVLEX else out\n"
+        "def _window_argmin(A, family):\n"
+        "    if family is Family.MONOMIAL_GREVLEX:\n"
+        "        pass\n"
+        "    return _stacked_tables(family, 4, A, box)\n"
+    )
+    assert _stacked_table_calls(snippet) == [
+        (2, "_phi", False), (7, "_tables", True), (9, "_tables", True), (10, "_tables", True), (14, "_window_argmin", False)
+    ]
 
 
 def _legendre_references(source):
