@@ -37,10 +37,10 @@ takes five, and phi = C T with C the cached, nonnegative Legendre-to-Chebyshev
 map of ``_phi_map``, one stacked product per point; in the monomial family
 the powers, phi itself.  Against 40 digits C T was 3-10 times more accurate
 than the Legendre recurrence (4e-15 against 1.4e-14 at d = 20).  The full
-solve reads q at the nodes of Y, in the variable u that maps Y onto [-1, 1],
-where phi's values are cached per family, degree, domain axis and interval;
-the critical points are the roots of the series of dq/du.  The window route
-maps each group of rows once, A C, and reads q at a window's 2d+1 nodes as
+solve reads q at the nodes of Y, the domain's y-axis, in the variable u that
+maps Y onto [-1, 1], where phi's values are cached beside C; the critical
+points are the roots of the series of dq/du.  The window route maps each
+group of rows once, A C, and reads q at a window's 2d+1 nodes as
 ((A C) T)^2 summed, so no node pays the map; its candidates are scored, like
 the full solve's, on the rows A themselves.  The window route runs at
 alpha = 0 and d >= ``_WINDOW_MIN_DEGREE``.  A row p of degree L < d bounds
@@ -60,13 +60,13 @@ axis, without that strided reduction's cost.  The fixed tridiagonal part of
 each size of colleague matrix is cached as a template, so a chunk copies it
 and fills only the last column.
 
-Values within the tie window tie_tol max(1, |q_min|) + 1e-14 q_max of the
-minimum count as ties and the smallest y wins, which reproduces the
-min-argmin convention on symmetric fibers; ``_tie_threshold`` is the one
-rule, for the full solve, the windows' level and their pick.  q_max is the
-largest candidate's q: on the full solve it includes the interior local
-maxima, on the windows only the window roots and the ends, up to 1.7e6 times
-less at sign d = 12.  On the fiber-1d kernels the window spans up to 8e-5 of
+Values within the tie window ``_TIE_TOL`` max(1, |q_min|) + 1e-14 q_max of
+the minimum count as ties and the smallest y wins (``_pick``), which
+reproduces the min-argmin convention on symmetric fibers; ``_tie_threshold``
+is the one rule, for the full solve, the windows' level and their pick.
+q_max is the largest candidate's q: on the full solve it includes the
+interior local maxima, on the windows only the window roots and the ends,
+up to 1.7e6 times less at sign d = 12.  On the fiber-1d kernels the window spans up to 8e-5 of
 the minimum, so the end y = lo wins a tie over a minimizer up to 2e-9 inside
 it.  Every step works row by row, so a point's result does not depend on the
 batch it was sent in: one point is a one-row batch of
@@ -98,6 +98,8 @@ _CHUNK_BYTES = 4 << 20
 # the Chebyshev colleague roots of q = (1.1/0.9) min q left residuals up to 2.1e-14
 # of max q on sign and step by quad at d = 20, and 5.8e-14 at d = 32 (32 points each)
 _CROSS_TOL = 1e-11
+# tie window on q, times max(1, |min q|) (see _tie_threshold)
+_TIE_TOL = 1e-13
 # least degree at which the window route runs.  8-point calls on sign and step by
 # quad at beta = 1e-8 took 481 and 723 us by the full solve against 620 and 846
 # through the windows at d = 8, about the same at d = 9, and 1019 and 1051
@@ -111,54 +113,43 @@ _WINDOW_MIN_DEGREE = 10
 _WINDOW_SHARE = 0.1
 
 
-def _check_knobs(alpha: float, tie_tol: float) -> None:
-    """Refuse an alpha outside [0, 1) and a tie_tol that is negative, nan or inf."""
+def _check_alpha(alpha: float) -> None:
+    """Refuse an alpha outside [0, 1)."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if not (math.isfinite(tie_tol) and tie_tol >= 0):
-        raise ValueError(f"tie_tol must be non-negative and finite, got {tie_tol}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ApproxConfig:
-    """Knobs for the fiber minimization.
+    """The one setting of the fiber minimization, ``alpha``.
 
-    ``epsilon`` is the absolute precision target on the fiber minimum, gamma/2
-    when only ``gamma`` is given.  The candidates are the critical points of
-    each fiber, from all of it or, at alpha = 0, from the certified windows
-    around its levels, so the reported minimum is within rounding of the true
-    one and any epsilon above that is met; epsilon and gamma no longer size a
-    grid.  ``alpha`` widens the acceptance window to (1+alpha)/(1-alpha) times
-    the minimum, matching the robust variant used when the kernel itself is
-    only known up to relative error alpha.  The reported y then has
-    q(y) <= (1+alpha)/(1-alpha) min q + tie_tol max(1, min q)
-    + (1e-14 + ``_CROSS_TOL``) max q, with max q the largest q on the search
-    interval: the last term allows for the rounding of the computed
-    crossing, and exceeded (1+alpha)/(1-alpha) min q by up to
-    3.6e-5 of it on sign and step by quadrature at d = 8-16, alpha = 0.1,
-    where max q is about 1e9 min q.
+    The candidates are the critical points of each fiber on the domain's
+    y-axis, from all of it or, at alpha = 0, from the certified windows
+    around its levels, so the reported minimum is within rounding of the
+    true one.  ``alpha`` widens the acceptance window to (1+alpha)/(1-alpha)
+    times the minimum, matching the robust variant used when the kernel
+    itself is only known up to relative error alpha.  The reported y then
+    has q(y) <= (1+alpha)/(1-alpha) min q + ``_TIE_TOL`` max(1, min q)
+    + (1e-14 + ``_CROSS_TOL``) max q, max q the largest q on the y-axis:
+    the last term allows for the rounding of the computed crossing, and
+    exceeded (1+alpha)/(1-alpha) min q by up to 3.6e-5 of it on sign and
+    step by quadrature at d = 8-16, alpha = 0.1, where max q is 1e9 min q.
 
-    ``coarse_points`` and ``max_refinements`` are inert.  They tuned the grid
-    search that the exact solver replaced, and stay so that existing callers
-    keep working.
+    ``tie_tol``, ``y_interval``, ``coarse_points``, ``max_refinements`` and
+    ``resolve_epsilon()`` are fixed class values, read-only and no
+    arguments, which the benchmark's traced pass hands to ``partial_argmin``.
     """
 
-    epsilon: float | None = None
-    gamma: float | None = None
     alpha: float = 0.0
-    tie_tol: float = 1e-13
-    y_interval: tuple | None = None
-    coarse_points: int = 1025
-    max_refinements: int = 24
+    tie_tol = _TIE_TOL
+    y_interval = None
+    coarse_points = 1025
+    max_refinements = 24
 
     def __post_init__(self):
-        _check_knobs(self.alpha, self.tie_tol)
+        _check_alpha(self.alpha)
 
-    def resolve_epsilon(self) -> float | None:
-        if self.epsilon is not None:
-            return float(self.epsilon)
-        if self.gamma is not None:
-            return float(self.gamma) / 2.0
+    def resolve_epsilon(self) -> None:
         return None
 
 
@@ -171,8 +162,8 @@ def _window_maps(d: int) -> tuple:
     (exact, as the nodes are 2d+1), and ``slope`` turns q's values into the
     Chebyshev coefficients a_0..a_{2d-1} of dq/dt; ``second`` turns those
     into the coefficients of d2q/dt2, and ``abs_slope`` is |slope|, for the
-    rounding bound.  The full solve reads them on the search interval, the
-    window route on each window.
+    rounding bound.  The full solve reads them on the y-axis, the window
+    route on each window.
     """
     nodes = leggauss(2 * d + 1)[0]
     value = np.linalg.solve(chebyshev.chebvander(nodes, 2 * d), np.eye(2 * d + 1)).T
@@ -186,7 +177,7 @@ def _window_maps(d: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _phi_map(family: Family, d: int, axis: tuple) -> tuple:
-    """(C, ||C||_2): phi = C @ T for the members of degree <= d on axis = (lo, hi), T of ``_tables`` (read-only).
+    """(C, ||C||_2, at_nodes) on axis = (lo, hi): phi = C @ T, T of ``_tables``, and phi (d+1, 2d+1) at the Gauss nodes.
 
     In the Legendre family row j of C holds sqrt((2j+1)/(hi - lo)) times the
     Chebyshev coefficients of P_j, from the three-term recurrence
@@ -196,10 +187,14 @@ def _phi_map(family: Family, d: int, axis: tuple) -> tuple:
     rounded once, by the integer division by 4^j.  The coefficients are
     nonnegative, so |A| |C| = |A| C for any rows A, and phi = C T sums terms
     of one sign wherever |u| >= 1.  The monomial family's table is phi
-    itself: (None, 1.0).
+    itself: C is None and ||C||_2 reads 1.0.  The arrays are read-only.
     """
+    lo, hi = axis
+    nodes = lo + 0.5 * (leggauss(2 * d + 1)[0] + 1.0) * (hi - lo)
     if family is not Family.LEGENDRE_ORTHONORMAL:
-        return None, 1.0
+        at_nodes = _tables(family, d, axis, nodes)
+        at_nodes.setflags(write=False)
+        return None, 1.0, at_nodes
     rows = [[1] + [0] * d, [0, 4] + [0] * (d - 1)][: d + 1]  # 4^j P_j for j = 0, 1
     for k in range(1, d):
         u4 = [0] * (d + 1)  # 4 u times 4^k P_k
@@ -211,11 +206,12 @@ def _phi_map(family: Family, d: int, axis: tuple) -> tuple:
                 u4[i + 1] += 2 * c
         # (2k+1) u4 - 16 k 4^(k-1) P_(k-1) is (k+1) 4^(k+1) P_(k+1), whose coefficients are integers
         rows.append([((2 * k + 1) * a - 16 * k * b) // (k + 1) for a, b in zip(u4, rows[k - 1])])
-    lo, hi = axis
     C = np.array([[c / 4**j for c in row] for j, row in enumerate(rows)])
     C *= np.sqrt((2 * np.arange(d + 1) + 1) / (hi - lo))[:, None]
-    C.setflags(write=False)
-    return C, float(np.linalg.norm(C, 2))
+    at_nodes = C @ _tables(family, d, axis, nodes)
+    for a in (C, at_nodes):
+        a.setflags(write=False)
+    return C, float(np.linalg.norm(C, 2)), at_nodes
 
 
 def _tables(family: Family, d: int, axis: tuple, y: np.ndarray) -> np.ndarray:
@@ -251,15 +247,6 @@ def _phi(family: Family, d: int, axis: tuple, y: np.ndarray) -> np.ndarray:
     C = _phi_map(family, d, axis)[0]
     table = _tables(family, d, axis, y)
     return table if C is None else C @ table
-
-
-@lru_cache(maxsize=64)
-def _node_values(family: Family, d: int, axis: tuple, interval: tuple) -> np.ndarray:
-    """phi on ``axis`` at the 2d+1 Gauss-Legendre nodes of ``interval``, (d+1, 2d+1), read-only; not per Approximant."""
-    lo, hi = interval
-    out = _phi(family, d, axis, lo + 0.5 * (leggauss(2 * d + 1)[0] + 1.0) * (hi - lo))
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=64)
@@ -329,17 +316,24 @@ def _level_roots(c: np.ndarray, levels: list, strict: bool = False) -> np.ndarra
     return roots.reshape(len(levels), c.shape[0], -1).transpose(1, 0, 2).reshape(c.shape[0], -1)
 
 
-def _tie_threshold(q: np.ndarray, tie_tol: float, alpha: float = 0.0) -> tuple:
+def _tie_threshold(q: np.ndarray, alpha: float = 0.0) -> tuple:
     """(threshold, q_max) of candidate values q (B, k): every candidate at or below the threshold ties.
 
     The threshold is (1+alpha)/(1-alpha) max(q_min, 0) plus the tie window
-    tie_tol max(1, |q_min|) + 1e-14 |q_max|; the 1e-14 q_max floor absorbs
-    rounding noise of order eps (fiber range) in the spectral factorization,
-    so exactly symmetric fibers tie cleanly.
+    ``_TIE_TOL`` max(1, |q_min|) + 1e-14 |q_max|; the 1e-14 q_max floor
+    absorbs rounding noise of order eps (fiber range) in the spectral
+    factorization, so exactly symmetric fibers tie cleanly.
     """
     qmin, qmax = q.min(axis=1), q.max(axis=1)
-    window = tie_tol * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
+    window = _TIE_TOL * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
     return (1.0 + alpha) / (1.0 - alpha) * np.maximum(qmin, 0.0) + window, qmax
+
+
+def _pick(y: np.ndarray, q: np.ndarray, thresh: np.ndarray) -> tuple:
+    """(y, q) of each row's smallest candidate y (B, k) whose q is at or below the row's threshold (B,)."""
+    pick = np.argmin(np.where(q <= thresh[:, None], y, np.inf), axis=1)
+    at = np.arange(y.shape[0])
+    return y[at, pick], q[at, pick]
 
 
 def _sos_values(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -348,9 +342,9 @@ def _sos_values(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.einsum("brk,brk->bk", terms, terms)
 
 
-def _at_y(u: np.ndarray, interval: tuple) -> np.ndarray:
-    """Points u on [-1, 1] mapped into the interval (lo, hi), clipped to it."""
-    lo, hi = interval
+def _at_y(u: np.ndarray, axis: tuple) -> np.ndarray:
+    """Points u on [-1, 1] mapped into the interval axis = (lo, hi), clipped to it."""
+    lo, hi = axis
     return np.clip(lo + 0.5 * (u + 1.0) * (hi - lo), lo, hi)
 
 
@@ -372,36 +366,34 @@ def _interval(interval, d: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _full_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, alpha: float, tie_tol: float) -> tuple:
-    """Min-argmin of q = sum_i (A[b, i] . phi(y))^2 over the interval, for each b, from every critical point.
+def _full_argmin(A: np.ndarray, family: Family, axis: tuple, alpha: float) -> tuple:
+    """Min-argmin of q = sum_i (A[b, i] . phi(y))^2 over the axis, for each b, from every critical point.
 
     A has shape (B, r, d+1) and holds coefficients in phi, the members of
-    degree <= d of ``family`` on ``axis`` = (lo, hi); ``interval`` is a search
-    interval that ``_interval`` accepted, and A is finite.  The solver reads
-    phi only through its values at the interval's Gauss nodes and at the
+    degree <= d of ``family`` on ``axis`` = (lo, hi), an interval that
+    ``_interval`` accepted and the search interval; A is finite.  The solver
+    reads phi only through its values at the axis's Gauss nodes and at the
     candidates.  Returns the arrays (y, q(y)), q evaluated at the returned y.
     """
     B, d = A.shape[0], A.shape[2] - 1
-    lo, hi = interval
+    lo, hi = axis
     _, value, slope = _window_maps(d)[:3]
     with np.errstate(over="ignore", invalid="ignore"):
-        qn = _sos_values(A, _node_values(family, d, axis, interval))[:, None, :]
+        qn = _sos_values(A, _phi_map(family, d, axis)[2])[:, None, :]
         a = (qn @ slope)[:, 0]
     if not np.all(np.isfinite(a)):
         raise ValueError(f"q overflows on the search interval [{lo}, {hi}]")
 
-    y = np.concatenate([_at_y(_real_roots(a), interval), np.broadcast_to([lo, hi], (B, 2))], axis=1)
+    y = np.concatenate([_at_y(_real_roots(a), axis), np.broadcast_to([lo, hi], (B, 2))], axis=1)
     q = _sos_values(A, _phi(family, d, axis, y))
-    thresh, qmax = _tie_threshold(q, tie_tol, alpha)
+    thresh, qmax = _tie_threshold(q, alpha)
     if alpha > 0.0:
         # the leftmost point of {q <= thresh} is y = lo or a crossing of q = thresh
-        cross = _at_y(_level_roots((qn @ value)[:, 0], [thresh]), interval)
+        cross = _at_y(_level_roots((qn @ value)[:, 0], [thresh]), axis)
         y = np.concatenate([y, cross], axis=1)
         q = np.concatenate([q, _sos_values(A, _phi(family, d, axis, cross))], axis=1)
         thresh = thresh + _CROSS_TOL * np.abs(qmax)
-    pick = np.argmin(np.where(q <= thresh[:, None], y, np.inf), axis=1)
-    at = np.arange(B)
-    return y[at, pick], q[at, pick]
+    return _pick(y, q, thresh)
 
 
 def _keep(mask: np.ndarray, *arrays) -> tuple:
@@ -409,7 +401,7 @@ def _keep(mask: np.ndarray, *arrays) -> tuple:
     return arrays if mask.all() else tuple(a[mask] for a in arrays)
 
 
-def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, tie_tol: float) -> tuple:
+def _window_argmin(A: np.ndarray, family: Family, axis: tuple) -> tuple:
     """(ok, y, q): the min-argmin of each fiber from windows around its levels, for the points marked ok.
 
     Same arguments as ``_full_argmin`` at alpha = 0.  A row p of least degree
@@ -434,27 +426,27 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
     ``level``.
     """
     B, r, d = A.shape[0], A.shape[1], A.shape[2] - 1
-    lo, hi = interval
+    lo, hi = axis
     ok, y, q = np.zeros(B, dtype=bool), np.empty(B), np.empty(B)
     deg = d - np.argmax(A[:, :, ::-1] != 0.0, axis=2)  # a zero row reads degree d and is never p
     low = deg.argmin(axis=1)
     deg = deg[np.arange(B), low]
     nodes, value, slope, second, abs_slope = _window_maps(d)
     eps = np.finfo(float).eps
-    C, c_norm = _phi_map(family, d, axis)
+    C, c_norm, at_nodes = _phi_map(family, d, axis)
     # a node's row sum t_i is off by at most factor / 2 eps ||table|| w_i, with the weights w_i set below
     factor = 4.0 * (d + 1) if C is None else 2.0
 
     for L in np.flatnonzero(np.bincount(deg, minlength=d)[1:d]) + 1:  # the degrees 1..d-1 that occur
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             pts = np.flatnonzero(deg == L)
-            # p as a Chebyshev series in u, from its values at the interval's Gauss nodes (exact to degree 2d)
-            cp = ((A[pts, low[pts]][:, None, :] @ _node_values(family, d, axis, interval)) @ value[:, : L + 1])[:, 0]
+            # p as a Chebyshev series in u, from its values at the axis's Gauss nodes (exact to degree 2d)
+            cp = ((A[pts, low[pts]][:, None, :] @ at_nodes) @ value[:, : L + 1])[:, 0]
             pts, cp = _keep(np.isfinite(cp).all(axis=1), pts, cp)
             anchor = np.sort(_real_roots(cp), axis=1)
             ends = np.broadcast_to([lo, hi], (pts.size, 2))
-            q_ends = _sos_values(A[pts], _phi(family, d, axis, np.concatenate([_at_y(anchor, interval), ends], axis=1)))
-            level = _tie_threshold(q_ends, tie_tol)[0]
+            q_ends = _sos_values(A[pts], _phi(family, d, axis, np.concatenate([_at_y(anchor, axis), ends], axis=1)))
+            level = _tie_threshold(q_ends)[0]
             # the crossings p = +s and p = -s in one solve, s widened by their rounding, a few eps ||cp||_1
             # in p; sorted, they pair into the windows [ua, ub]
             s = np.sqrt(level) + 4 * (L + 1) * eps * np.abs(cp).sum(axis=1)
@@ -465,7 +457,7 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
             pts, anchor, q_ends, level, ua, ub = _keep(fits, pts, anchor, q_ends[:, L:], level, ua, ub)
             if not pts.size:
                 continue
-            ya, yb, Ap = _at_y(ua, interval), _at_y(ub, interval), A if pts.size == B else A[pts]
+            ya, yb, Ap = _at_y(ua, axis), _at_y(ub, axis), A if pts.size == B else A[pts]
             # the weights: on the monomial table, phi itself, w_i = ||A_i||, as t_i's sum and phi's own rounding
             # are (d+1) eps ||A_i|| ||phi|| each.  On the Chebyshev table t_i = AT_i . T, AT = A C formed once for
             # all windows.  AT_i is off by (d+1) eps |A_i| C and C's rounding adds 2 eps |A_i| C, where C >= 0
@@ -510,31 +502,30 @@ def _window_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, 
             roots = np.clip(ya + 0.5 * (t + 1.0) * (yb - ya), lo, hi)
             ys = np.concatenate([roots, ends[: pts.size]], axis=1)
             qs = np.concatenate([_sos_values(Ap, _phi(family, d, axis, roots)), q_ends], axis=1)
-            thresh = np.minimum(_tie_threshold(qs, tie_tol)[0], level)
-            pick = np.argmin(np.where(qs <= thresh[:, None], ys, np.inf), axis=1)
-            at = np.arange(pts.size)
+            thresh = np.minimum(_tie_threshold(qs)[0], level)
             # a bound that is not finite certifies nothing: its comparisons read False
             ok[pts] = (free | convex | flat).all(axis=1) & np.isfinite(qs).all(axis=1) & (qs.min(axis=1) <= thresh)
-            y[pts], q[pts] = ys[at, pick], qs[at, pick]
+            y[pts], q[pts] = _pick(ys, qs, thresh)
     return ok, y, q
 
 
-def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, interval: tuple, alpha: float, tie_tol: float) -> tuple:
-    """Min-argmin of q = sum_i (A[b, i] . phi(y))^2 over the interval, for each b.
+def _fiber_argmin(A: np.ndarray, family: Family, axis: tuple, alpha: float) -> tuple:
+    """Min-argmin of q = sum_i (A[b, i] . phi(y))^2 over the axis, for each b.
 
     A has shape (B, r, d+1) and holds coefficients in phi, the members of
-    degree <= d of ``family`` on ``axis`` = (lo, hi); ``interval`` is a search
-    interval that ``_interval`` accepted, and A is finite.  At alpha = 0 and
-    d >= ``_WINDOW_MIN_DEGREE`` the windows of ``_window_argmin`` answer the
-    points they certify; every other point takes ``_full_argmin``, bit for
-    bit.  Returns the arrays (y, q(y)), q evaluated at the returned y.
+    degree <= d of ``family`` on ``axis`` = (lo, hi), an interval that
+    ``_interval`` accepted and the search interval; A is finite.  At
+    alpha = 0 and d >= ``_WINDOW_MIN_DEGREE`` the windows of
+    ``_window_argmin`` answer the points they certify; every other point
+    takes ``_full_argmin``, bit for bit.  Returns the arrays (y, q(y)), q
+    evaluated at the returned y.
     """
     if alpha > 0.0 or A.shape[2] - 1 < _WINDOW_MIN_DEGREE:
-        return _full_argmin(A, family, axis, interval, alpha, tie_tol)
-    ok, y, q = _window_argmin(A, family, axis, interval, tie_tol)
+        return _full_argmin(A, family, axis, alpha)
+    ok, y, q = _window_argmin(A, family, axis)
     if not ok.all():
         rest = ~ok
-        y[rest], q[rest] = _full_argmin(*_keep(rest, A), family, axis, interval, alpha, tie_tol)
+        y[rest], q[rest] = _full_argmin(*_keep(rest, A), family, axis, alpha)
     return y, q
 
 
@@ -543,7 +534,7 @@ def partial_argmin(
     interval,
     epsilon: float | None = None,
     alpha: float = 0.0,
-    tie_tol: float = 1e-13,
+    tie_tol: float = _TIE_TOL,
     coarse_points: int = 1025,
     max_refinements: int = 24,
 ) -> tuple[float, float]:
@@ -555,17 +546,20 @@ def partial_argmin(
     such rows for the orthonormal family searched over its y-axis.  Returns
     (y, q(y)) with y the smallest candidate inside the tie window of the
     minimum (or, for alpha > 0, the leftmost point found with
-    q(y) <= (1+alpha)/(1-alpha) min q + tie_tol max(1, min q)
+    q(y) <= (1+alpha)/(1-alpha) min q + ``_TIE_TOL`` max(1, min q)
     + (1e-14 + ``_CROSS_TOL``) max q, max q the largest q on the interval, as
-    ``ApproxConfig`` states).  The minimum is exact up to rounding,
-    which meets any ``epsilon``; ``coarse_points`` and ``max_refinements`` are
-    accepted and ignored.  It runs the solver of ``evaluate_batch``, window
+    ``ApproxConfig`` states), the interval being the search interval too.
+    The minimum is exact up to rounding.  ``tie_tol`` is refused unless it
+    is ``_TIE_TOL``; ``epsilon``, ``coarse_points`` and ``max_refinements``
+    are accepted and ignored.  It runs the solver of ``evaluate_batch``, window
     route included: at alpha = 0 and k - 1 >= ``_WINDOW_MIN_DEGREE``, a row
     of degree 1 <= L < k - 1, as the first null row of ``y_coefficients``,
     confines the minimum to windows around its roots, which answer the fiber
     where certified; so it returns ``evaluate_batch``'s bits.
     """
-    _check_knobs(alpha, tie_tol)
+    _check_alpha(alpha)
+    if tie_tol != _TIE_TOL:
+        raise ValueError(f"tie_tol is fixed at {_TIE_TOL}, got {tie_tol}")
     A = np.atleast_2d(np.asarray(rows, dtype=float))
     if A.ndim > 2:
         raise ValueError(f"rows must be one row or a 2-D array of rows, got shape {A.shape}")
@@ -574,7 +568,7 @@ def partial_argmin(
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite fiber coefficients")
     interval = _interval(interval, A.shape[1] - 1)
-    y, q = _fiber_argmin(A[None], Family.LEGENDRE_ORTHONORMAL, interval, interval, alpha, tie_tol)
+    y, q = _fiber_argmin(A[None], Family.LEGENDRE_ORTHONORMAL, interval, alpha)
     return float(y[0]), float(q[0])
 
 
@@ -582,7 +576,8 @@ class Approximant:
     """Evaluates f(x) = min argmin_y q(x, y) for a kernel on a graph box.
 
     The fiber rows stay in phi, the kernel's last-axis family on the domain's
-    y-axis, whatever the search interval; the solver evaluates phi itself.
+    y-axis, the search interval, which ``_interval`` must accept for degree
+    d; the solver evaluates phi itself.
     Working set, with n the basis size and r = n_range + d + 1 - L rows per
     point (r = n without levels): the kernel holds M at 8 n^2 bytes and its
     range rows at 8 n n_range, and the y-degree blocks are views of those
@@ -604,7 +599,7 @@ class Approximant:
         self.kernel = kernel
         self.config = config or ApproxConfig()
         self.spec = spec
-        self._y_interval = _interval(self.config.y_interval or spec.domain[-1], spec.d)
+        _interval(spec.domain[-1], spec.d)
         self._x_spec = spec.x_spec()
         runs = y_layout(spec.p, spec.d).runs
         self._blocks = tuple(np.split(kernel._rows, np.cumsum(runs)[:-1]))
@@ -659,11 +654,9 @@ class Approximant:
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise ValueError(f"point row {bad[0]} has a non-finite coordinate: {X[bad[0]].tolist()}")
-        cfg, spec = self.config, self.spec
+        spec = self.spec
         ys, qs = np.empty(X.shape[0]), np.empty(X.shape[0])
         for s in range(0, X.shape[0], self._chunk):
             part = slice(s, s + self._chunk)
-            ys[part], qs[part] = _fiber_argmin(
-                self._rows(X[part]), spec.family, spec.domain[-1], self._y_interval, cfg.alpha, cfg.tie_tol
-            )
+            ys[part], qs[part] = _fiber_argmin(self._rows(X[part]), spec.family, spec.domain[-1], self.config.alpha)
         return ys, qs

@@ -228,7 +228,6 @@ def _add_common(sub, beta: float | None = 1e-8) -> None:
         help="use the degree schedule 2^(3-sqrt(d)) instead of --beta",
     )
     sub.add_argument("--alpha", type=float, default=0.0, help="perturbation level in [0,1)")
-    sub.add_argument("--seed", type=int, default=0, help="rng seed for sampling")
     sub.add_argument("--manifest", default=None, help="write a JSON run manifest here")
 
 
@@ -236,6 +235,7 @@ def _add_build(sub) -> None:
     sub.add_argument("--mode", choices=["analytic", "quad", "empirical"], default="analytic")
     sub.add_argument("--samples", type=int, default=None, help="random samples (empirical mode)")
     sub.add_argument("--grid", type=int, default=None, help="per-axis grid count")
+    sub.add_argument("--seed", type=int, default=0, help="rng seed for sampling")
 
 
 def build_parser() -> argparse.ArgumentParser:

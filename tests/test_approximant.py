@@ -1,5 +1,7 @@
 """Fiber minimization and the graph approximant."""
 
+import dataclasses
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -17,12 +19,14 @@ from numpy.polynomial import polynomial as npoly
 from cdapprox import approximant
 from cdapprox.approximant import (
     _CHUNK_BYTES,
+    _TIE_TOL,
     _WINDOW_MIN_DEGREE,
     ApproxConfig,
     Approximant,
     _fiber_argmin,
     _full_argmin,
     _real_roots,
+    _tie_threshold,
     _window_argmin,
     _window_maps,
     partial_argmin,
@@ -49,15 +53,13 @@ UNIT = (-1.0, 1.0)
 
 def legendre_argmin(A, alpha):
     # the stacked solver on rows in the orthonormal Legendre basis of [-1, 1]
-    return _fiber_argmin(A, Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, alpha, 1e-13)
+    return _fiber_argmin(A, Family.LEGENDRE_ORTHONORMAL, UNIT, alpha)
 
 
-def sos_value(rows, y, interval=(-1.0, 1.0)):
-    # q(y) = sum_i (rows_i . L(y))^2, L orthonormal Legendre on the interval
-    lo, hi = interval
+def sos_value(rows, y):
+    # q(y) = sum_i (rows_i . L(y))^2, L orthonormal Legendre on [-1, 1]
     y = np.asarray(y, dtype=float)
-    u = (2.0 * y - (lo + hi)) / (hi - lo)
-    L = legendre.legvander(u, rows.shape[1] - 1) * np.sqrt((2.0 * np.arange(rows.shape[1]) + 1.0) / (hi - lo))
+    L = legendre.legvander(y, rows.shape[1] - 1) * np.sqrt(np.arange(rows.shape[1]) + 0.5)
     return np.sum((L @ rows.T) ** 2, axis=-1).reshape(y.shape)
 
 
@@ -186,7 +188,7 @@ def test_robust_window_widens_selection():
 @pytest.mark.parametrize("name", ["sign", "step"])
 def test_robust_window_keeps_its_stated_guarantee(name, d):
     # at alpha > 0 the reported q is at most (1+alpha)/(1-alpha) min q, plus the tie window
-    # tie_tol max(1, min q) + 1e-14 max q and the crossing's allowance _CROSS_TOL max q, max q the
+    # _TIE_TOL max(1, min q) + 1e-14 max q and the crossing's allowance _CROSS_TOL max q, max q the
     # largest q on the fiber.  (1+alpha)/(1-alpha) min q alone is exceeded here, by up to 3.6e-5
     # relative: max q is about 1e9 min q on these fibers
     kern = quad_kernel(name, d)
@@ -228,15 +230,11 @@ def test_degenerate_fibers():
 
 @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (-1e308, 1e308)])
 def test_infinite_or_overflowing_search_intervals_are_refused(interval):
-    # such an interval used to give (nan, 0.0) from partial_argmin, and an
-    # Approximant that failed every call on "non-finite fiber coefficients"
+    # such an interval used to give (nan, 0.0) from partial_argmin
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not a finite interval"):
             partial_argmin(np.array([1.0, 2.0]), interval)
-        kern = CDKernel(get_benchmark("sign").moment_matrix(4), 1e-8)
-        with pytest.raises(ValueError, match="not a finite interval"):
-            Approximant(kern, ApproxConfig(y_interval=interval))
 
 
 @pytest.mark.parametrize("interval", [(0.0, 5e-324), (0.0, 1e-310), (0.0, 1e-308)])
@@ -247,12 +245,24 @@ def test_too_narrow_search_intervals_are_refused(interval):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"search interval \[0.0, .*\] is too narrow for degree 20"):
             partial_argmin(np.ones((2, 21)), interval)
-        kern = CDKernel(get_benchmark("sign").moment_matrix(20), 1e-8)
-        with pytest.raises(ValueError, match=r"search interval \[0.0, .*\] is too narrow for degree 20"):
-            Approximant(kern, ApproxConfig(y_interval=interval))
         # a narrow width whose squared scale stays finite is still solved: L_0 = 1/sqrt(width)
         y, q = partial_argmin(np.eye(21)[:1], (0.0, 1e-300))
     assert y == 0.0 and q == pytest.approx(1e300, rel=1e-12)
+
+
+def test_a_y_axis_too_narrow_for_the_degree_is_refused():
+    # the domain's y-axis is the search interval, so Approximant refuses up front the axis that
+    # partial_argmin refuses as an interval; a width whose squared scale stays finite is solved
+    def approximant_on(width):
+        spec = BasisSpec(2, 20, domain=((-1, 1), (0, width)))
+        return Approximant(CDKernel(MomentMatrix(spec, np.eye(spec.size), Provenance.EMPIRICAL, 1.0), 1e-8))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"search interval \[0.0, 1e-310\] is too narrow for degree 20"):
+            approximant_on(1e-310)
+        (y,), (q,) = approximant_on(1e-300).evaluate_batch([[0.1]])
+    assert 0.0 <= y <= 1e-300 and np.isfinite(q)
 
 
 @pytest.mark.parametrize("rows, interval", [(np.ones((2, 21)), (0.0, 1e-305)), (np.full((2, 3), 1e160), (-1.0, 1.0))])
@@ -281,8 +291,6 @@ def test_non_finite_points_are_refused_by_row(bad):
 def test_config_validation_and_resolution():
     with pytest.raises(ValueError):
         ApproxConfig(alpha=1.0)
-    assert ApproxConfig(epsilon=1e-4).resolve_epsilon() == 1e-4
-    assert ApproxConfig(gamma=1e-2).resolve_epsilon() == 5e-3
     assert ApproxConfig().resolve_epsilon() is None
 
 
@@ -290,19 +298,43 @@ def test_config_validation_and_resolution():
 def test_config_refuses_a_tie_tol_that_is_negative_or_not_finite(tie_tol):
     # a negative or nan tie window admits no candidate as the minimum, and an
     # infinite one admits every candidate: sign d=8 at x = 0.5 then gave
-    # y = -0.996 with q = 2.9e7 against the true minimum q = 4.84 at y = 1;
-    # partial_argmin takes the same knobs and refuses them too
-    with pytest.raises(ValueError, match="tie_tol"):
-        ApproxConfig(tie_tol=tie_tol)
-    app = Approximant(CDKernel(get_benchmark("sign").moment_matrix(8), 1e-8), ApproxConfig(tie_tol=0.0))
-    y, q = app.evaluate_batch(np.array([[0.5]]))
-    assert y[0] == 1.0 and q[0] == pytest.approx(4.8448, rel=1e-4)
-    rows = app.y_coefficients([0.5])
-    assert partial_argmin(rows, (-1.0, 1.0), tie_tol=0.0) == (y[0], q[0])
+    # y = -0.996 with q = 2.9e7 against the true minimum q = 4.84 at y = 1.
+    # The tie window is the fixed _TIE_TOL, and partial_argmin refuses any other
+    rows = Approximant(CDKernel(get_benchmark("sign").moment_matrix(8), 1e-8)).y_coefficients([0.5])
     with pytest.raises(ValueError, match="tie_tol"):
         partial_argmin(rows, (-1.0, 1.0), tie_tol=tie_tol)
     with pytest.raises(ValueError, match="alpha"):
         partial_argmin(rows, (-1.0, 1.0), alpha=1.0)  # was a ZeroDivisionError
+
+
+@pytest.mark.parametrize("name, d", [("sign", 20), ("step", 8)])
+def test_alpha_is_the_one_fiber_setting(name, d):
+    # ApproxConfig holds alpha alone: the tie window and the grid knobs are fixed class values,
+    # read-only and refused as arguments, and the y-axis is the search interval, so no solver
+    # step takes a tie_tol or an interval of its own
+    assert [f.name for f in dataclasses.fields(ApproxConfig)] == ["alpha"]
+    for removed in ("epsilon", "gamma", "tie_tol", "y_interval", "coarse_points", "max_refinements"):
+        with pytest.raises(TypeError):
+            ApproxConfig(**{removed: None})
+    cfg = ApproxConfig()
+    with pytest.raises(AttributeError):
+        cfg.tie_tol = 0.0
+    for step in (_fiber_argmin, _full_argmin, _window_argmin, _tie_threshold):
+        assert not {"tie_tol", "interval"} & set(inspect.signature(step).parameters)
+    # the benchmark's traced pass hands every fixed value on to partial_argmin, at evaluate_batch's bits;
+    # sign d = 20 takes the window route, step d = 8 the full solve
+    app = Approximant(quad_kernel(name, d), cfg)
+    X = get_benchmark(name).grid_x(8)
+    ys, qs = app.evaluate_batch(X)
+    interval = cfg.y_interval or app.spec.domain[-1]
+    for x, y, q in zip(X, ys, qs):
+        rows = app.y_coefficients(x)
+        assert partial_argmin(
+            rows, interval, epsilon=cfg.resolve_epsilon(), alpha=cfg.alpha, tie_tol=cfg.tie_tol,
+            coarse_points=cfg.coarse_points, max_refinements=cfg.max_refinements,
+        ) == (y, q)
+    with pytest.raises(ValueError, match="tie_tol"):
+        partial_argmin(rows, interval, tie_tol=0.0)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -359,23 +391,21 @@ def dense_rows_map(app):
 @pytest.mark.parametrize(
     "case",
     [("sign", 4, "quad"), ("step", 4, "quad"), ("sign", 12, "quad"), ("step", 12, "quad"), ("sign", 20, "quad"),
-     ("step", 20, "quad"), ("disk1", 8, "empirical"), ("sign", 8, "monomial"), ("sign", 8, "interval")],
+     ("step", 20, "quad"), ("disk1", 8, "empirical"), ("sign", 8, "monomial")],
     ids=lambda case: f"{case[0]}-d{case[1]}-{case[2]}",
 )
 def test_y_coefficients_match_the_dense_rows_map(case):
     # the fiber's (d+1, d+1) Gram A(x)^T A(x), q(x, y) = phi(y)^T A^T A phi(y), is the one of
     # the dense rows map built from all n rows of sos_decomposition, null rows included: the
-    # y-degree blocks drop only the (x-index, y-degree) pairs that carry no weight, the null
-    # rows fold the null directions into d + 1 - L rows, and a custom search interval leaves
-    # the rows as they are
+    # y-degree blocks drop only the (x-index, y-degree) pairs that carry no weight, and the null
+    # rows fold the null directions into d + 1 - L rows
     name, d, how = case
     if name == "disk1":
         app = Approximant(empirical_disk_kernel())
     elif how == "monomial":
         app = Approximant(CDKernel(get_benchmark(name).moment_matrix(d, family=Family.MONOMIAL_GREVLEX), 1e-8))
     else:
-        config = ApproxConfig(y_interval=(-0.3, 0.7)) if how == "interval" else None
-        app = Approximant(quad_kernel(name, d), config)
+        app = Approximant(quad_kernel(name, d))
     x_spec, T = dense_rows_map(app)
     X = get_benchmark(name).random_x(9, np.random.default_rng(d))
     for x in X:
@@ -469,7 +499,7 @@ def test_blocks_equal_the_lexsorted_layout(p, d, family):
 def window_route_ok(app, X):
     """The points of X whose fibers the window route answers, read from its own verdict."""
     spec = app.spec
-    return _window_argmin(app._rows(X), spec.family, spec.domain[-1], app._y_interval, app.config.tie_tol)[0]
+    return _window_argmin(app._rows(X), spec.family, spec.domain[-1])[0]
 
 
 @pytest.mark.parametrize("case", ["sign-d20", "step-d20", "disk1-d8", "step-d8-monomial", "sign-d32"])
@@ -605,19 +635,6 @@ def test_approximant_validation():
         app.evaluate_batch(np.zeros((3, 2)))
 
 
-def test_custom_y_interval_restricts_search():
-    # restricting the fiber to [0, 1] forces the positive branch at x < 0
-    M = get_benchmark("sign").moment_matrix(4)
-    app = Approximant(CDKernel(M, 1e-8), ApproxConfig(y_interval=(0.0, 1.0)))
-    (y,), (q,) = app.evaluate_batch([[-0.5]])
-    assert 0.0 <= y <= 1.0
-    assert q == pytest.approx(app.kernel.eval_q_batch([[-0.5, y]])[0], rel=1e-9)
-    # the rows live in the Legendre basis of the domain's y-axis, not of the search interval
-    rows = app.y_coefficients([-0.5])
-    for t in (-0.9, 0.1, 0.5, 0.9):
-        assert float(sos_value(rows, t, app.spec.domain[-1])) == pytest.approx(app.kernel.eval_q_batch([[-0.5, t]])[0], rel=1e-9)
-
-
 def test_mixed_degree_stacks_match_their_one_row_calls(monkeypatch):
     # a stack holding a fiber whose dq/du loses its top coefficient solves its
     # roots degree by degree; each row must still match its one-row call, which
@@ -672,13 +689,15 @@ def legendre_in_chebyshev(d, axis):
     return C * np.sqrt((2 * np.arange(d + 1) + 1) / (axis[1] - axis[0]))[:, None]
 
 
-def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
-    # the fiber solver in its plain formulation: phi from the Chebyshev table, T_(k+1) = 2u T_k - T_(k-1),
-    # and the closed-form Legendre-to-Chebyshev map, one product per point (phi itself in the monomial
-    # family, a one-axis table) at the Gauss nodes and the candidates, axis-1 square sums, the Chebyshev
-    # series of q and dq/du from _window_maps, and numpy's chebcompanion matrices, rotated as chebroots
+def _plain_fiber_argmin(A, spec, alpha):
+    # the fiber solver in its plain formulation on the domain's y-axis: phi from the Chebyshev table,
+    # T_(k+1) = 2u T_k - T_(k-1), and the closed-form Legendre-to-Chebyshev map, one product per point
+    # (phi itself in the monomial family, a one-axis table) at the Gauss nodes and the candidates,
+    # axis-1 square sums, the Chebyshev series of q and dq/du from _window_maps, the tie window
+    # 1e-13 max(1, min q) + 1e-14 max q, and numpy's chebcompanion matrices, rotated as chebroots
     # solves them, degree by degree
-    lo, hi = interval
+    axis = spec.domain[-1]
+    lo, hi = axis
     d = A.shape[2] - 1
 
     def roots(c):
@@ -690,8 +709,6 @@ def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
             mats = np.stack([chebyshev.chebcompanion(row)[::-1, ::-1] for row in c[sel, : n + 1]])
             out[sel, :n] = np.linalg.eigvals(mats).real
         return np.clip(lo + 0.5 * (np.clip(out, -1.0, 1.0) + 1.0) * (hi - lo), lo, hi)
-
-    axis = spec.domain[-1]
 
     def phi(y):
         # (..., k) -> (..., d+1, k)
@@ -715,7 +732,7 @@ def _plain_fiber_argmin(A, spec, interval, alpha, tie_tol):
     y = np.concatenate([roots((qn @ slope)[:, 0]), np.broadcast_to([lo, hi], (A.shape[0], 2))], axis=1)
     q = values(y)
     qmin, qmax = q.min(axis=1), q.max(axis=1)
-    window = tie_tol * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
+    window = 1e-13 * np.maximum(1.0, np.abs(qmin)) + 1e-14 * np.abs(qmax)
     if alpha > 0.0:
         thresh = (1.0 + alpha) / (1.0 - alpha) * np.maximum(qmin, 0.0) + window
         shifted = c.copy()
@@ -738,14 +755,13 @@ def empirical_disk_kernel():
 @pytest.mark.parametrize(
     "case",
     [(name, d, 0.0, "") for name in ("sign", "step") for d in (4, 8, 12, 16, 20)]
-    + [("disk1", 8, 0.0, ""), ("step", 12, 0.1, ""), ("sign", 8, 0.0, "-monomial"), ("step", 8, 0.1, "-interval")],
+    + [("disk1", 8, 0.0, ""), ("step", 12, 0.1, ""), ("sign", 8, 0.0, "-monomial")],
     ids=lambda case: f"{case[0]}-d{case[1]}-alpha{case[2]}{case[3]}",
 )
 def test_full_solve_is_bit_equal_to_the_plain_formulation(case):
-    # the monomial case reads phi_j(y) = y^j at the nodes, and the interval case
-    # searches (-0.3, 0.7) with rows still in phi on the domain's y-axis.  The full solve
-    # matches the plain formulation everywhere, and so does evaluate_batch where the
-    # windows cannot run: below their degree, and at alpha > 0
+    # the monomial case reads phi_j(y) = y^j at the nodes.  The full solve matches the plain
+    # formulation everywhere, and so does evaluate_batch where the windows cannot run: below
+    # their degree, and at alpha > 0
     name, d, alpha, how = case
     if name == "disk1":
         kern = empirical_disk_kernel()
@@ -753,14 +769,14 @@ def test_full_solve_is_bit_equal_to_the_plain_formulation(case):
         kern = CDKernel(get_benchmark(name).moment_matrix(d, family=Family.MONOMIAL_GREVLEX), 1e-8)
     else:
         kern = quad_kernel(name, d)
-    app = Approximant(kern, ApproxConfig(alpha=alpha, y_interval=(-0.3, 0.7) if how == "-interval" else None))
+    app = Approximant(kern, ApproxConfig(alpha=alpha))
     X = get_benchmark(name).grid_x(16 if name != "disk1" else (4, 4))
     A = np.stack([app.y_coefficients(x) for x in X])
     spec = app.spec
     for size in (1, 8, 16):
         for s in range(0, X.shape[0], size):
-            y_ref, q_ref = _plain_fiber_argmin(A[s : s + size], spec, app._y_interval, alpha, app.config.tie_tol)
-            y, q = _full_argmin(A[s : s + size], spec.family, spec.domain[-1], app._y_interval, alpha, app.config.tie_tol)
+            y_ref, q_ref = _plain_fiber_argmin(A[s : s + size], spec, alpha)
+            y, q = _full_argmin(A[s : s + size], spec.family, spec.domain[-1], alpha)
             np.testing.assert_array_equal(y, y_ref)
             np.testing.assert_array_equal(q, q_ref)
             if d < _WINDOW_MIN_DEGREE or alpha > 0.0:
@@ -794,7 +810,7 @@ def test_window_route_finds_the_minimum_of_a_dense_local_scan(name, d, mode, fam
     # sign d = 20), so the least of the scan's 3,200 or more values lies up to 2.7e-12 below
     # the true minimum, for the full solve too; 1e-11 is 14 of those stds.  A point may report
     # more only where a tie decided: then its y lies below the scan's argmin and its q within
-    # the tie window, tie_tol max(1, min) + 1e-14 max q, of the scanned minimum.  The fiber-1d
+    # the tie window, _TIE_TOL max(1, min) + 1e-14 max q, of the scanned minimum.  The fiber-1d
     # grids (32 points; the windows answer all) and the analytic d = 24-40 kernels (8 points;
     # at step d = 40 one point's certificate fails) at beta = 1e-8
     bench = get_benchmark(name)
@@ -805,7 +821,7 @@ def test_window_route_finds_the_minimum_of_a_dense_local_scan(name, d, mode, fam
     ok = window_route_ok(app, X)
     assert ok.all() if mode == "quad" else ok.sum() >= 7
     levels = _levels(M.entries, M.spec)
-    lo, hi = app._y_interval
+    lo, hi = app.spec.domain[-1]
     ys, qs = app.evaluate_batch(X)
     # q at the reported y against a 40-digit evaluation of the fiber's own rows: eval_q_batch rounds
     # on its own path, 2.9e-12 off that reference at analytic sign d = 32
@@ -816,7 +832,7 @@ def test_window_route_finds_the_minimum_of_a_dense_local_scan(name, d, mode, fam
         least, at, top = _scan_minimum(kern, x, np.append(levels, y), lo, hi)
         if q > least * (1.0 + 1e-11):
             assert y < at
-            assert q <= least * (1.0 + 1e-11) + app.config.tie_tol * max(1.0, least) + 1e-14 * top
+            assert q <= least * (1.0 + 1e-11) + _TIE_TOL * max(1.0, least) + 1e-14 * top
         # the ends are candidates, and the tie window is at least 1e-14 max(q(lo), q(hi)) above
         # the least candidate: where q(lo) lies that close to the minimum, lo wins the tie
         if q_lo <= least * (1.0 - 1e-11) + 1e-14 * max(q_lo, q_hi):
@@ -836,9 +852,9 @@ def test_window_route_agrees_with_the_full_solve(name, d, mode):
     # ends are levels, so only a third of its points pick an interior y
     app = Approximant(CDKernel(get_benchmark(name).moment_matrix(d, mode=mode), 1e-8))
     X = get_benchmark(name).grid_x(32)
-    spec, A, (lo, hi) = app.spec, app._rows(X), app._y_interval
-    ok, y_win, q_win = _window_argmin(A, spec.family, spec.domain[-1], app._y_interval, app.config.tie_tol)
-    y_full, q_full = _full_argmin(A, spec.family, spec.domain[-1], app._y_interval, 0.0, app.config.tie_tol)
+    spec, A, (lo, hi) = app.spec, app._rows(X), app.spec.domain[-1]
+    ok, y_win, q_win = _window_argmin(A, spec.family, spec.domain[-1])
+    y_full, q_full = _full_argmin(A, spec.family, spec.domain[-1], 0.0)
     inner = ok & ~np.isin(y_win, (lo, hi)) & ~np.isin(y_full, (lo, hi))
     assert inner.sum() >= 8
     assert np.abs(y_win - y_full)[inner].max() <= 5e-13
@@ -855,7 +871,7 @@ def test_a_window_holding_two_minima_is_not_certified():
     K, w = 1e4, 1e-3
     rows = np.zeros((2, 11))
     rows[:, :3] = legendre_rows([[0.0, 1.0], [-K * w**2, 0.0, K]])
-    ok = _window_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, 1e-13)[0]
+    ok = _window_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT)[0]
     assert not ok[0]
     y, q = partial_argmin(rows, UNIT)
     u = np.sqrt(w**2 - 0.5 / K**2)
@@ -875,9 +891,9 @@ def test_windows_whose_candidates_all_read_above_their_level_leave_the_point(mon
     rows = np.zeros((2, 11))
     rows[0, :2] = legendre_rows([[-K * a, K]])[0]
     rows[1, 0], rows[1, 10] = np.sqrt(2.0), 1e-3
-    ok, y, q = _window_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, 1e-13)
+    ok, y, q = _window_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT)
     assert ok[0] and y[0] == pytest.approx(a, abs=1e-7)
-    y_full, q_full = _full_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, 0.0, 1e-13)
+    y_full, q_full = _full_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT, 0.0)
     sos_values = approximant._sos_values
 
     def misread(A, phi):
@@ -885,7 +901,7 @@ def test_windows_whose_candidates_all_read_above_their_level_leave_the_point(mon
         return sos_values(A, phi) * (1.0 + 1e-6 * (phi.shape[-1] == 1))
 
     monkeypatch.setattr(approximant, "_sos_values", misread)
-    assert not _window_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT, UNIT, 1e-13)[0][0]
+    assert not _window_argmin(rows[None], Family.LEGENDRE_ORTHONORMAL, UNIT)[0][0]
     assert partial_argmin(rows, UNIT) == (y_full[0], q_full[0])
 
 
@@ -914,6 +930,6 @@ def test_points_the_windows_leave_take_the_full_solve_bit_for_bit(case, monkeypa
     y, q = app.evaluate_batch(X)
     assert answered == ([0] if case in ("abs-d12", "sign-d20-schedule", "step-d20-schedule") else [])
     spec, A = app.spec, app._rows(X)
-    y_ref, q_ref = _full_argmin(A, spec.family, spec.domain[-1], app._y_interval, app.config.alpha, app.config.tie_tol)
+    y_ref, q_ref = _full_argmin(A, spec.family, spec.domain[-1], app.config.alpha)
     np.testing.assert_array_equal(y, y_ref)
     np.testing.assert_array_equal(q, q_ref)

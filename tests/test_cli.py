@@ -65,6 +65,32 @@ def test_manifest_has_no_filter_entry_and_filter_flag_is_refused(tmp_path, sign_
     assert exc.value.code == 2 and "--filter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["approx", "benchmark", "support", "rates"])
+def test_seed_is_a_flag_of_the_commands_that_draw(tmp_path, sign_matrix_file, command, capsys):
+    # approx reads a stored matrix and draws nothing, so --seed is an unknown flag there and its
+    # manifest records none; the three commands that build a matrix keep --seed and record it
+    man = tmp_path / "m.json"
+    argv = {
+        "approx": ["approx", "--matrix", str(sign_matrix_file), "--grid", "3"],
+        "benchmark": ["benchmark", "--name", "sign", "--degree", "2", "--grid", "3", "--eval-grid", "3"],
+        "support": ["support", "--name", "sign", "--degree", "2", "--probes", "100", "--mesh", "50",
+                    "--out", str(tmp_path / "s.json")],
+        "rates": ["rates", "--name", "sign", "--degrees", "2", "--eval-grid", "3"],
+    }[command]
+    assert main([*argv, "--manifest", str(man)]) == 0
+    capsys.readouterr()
+    params = json.loads(man.read_text())["params"]
+    if command == "approx":
+        assert "seed" not in params
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+    else:
+        assert params["seed"] == 0
+        assert main([*argv, "--seed", "1", "--manifest", str(man)]) == 0
+        assert json.loads(man.read_text())["params"]["seed"] == 1
+
+
 def test_approx_points_csv(tmp_path, sign_matrix_file):
     pts = tmp_path / "pts.csv"
     np.savetxt(pts, np.linspace(-0.9, 0.9, 7)[:, None], delimiter=",")
